@@ -30,7 +30,6 @@ from .cli import (
 )
 from .correction import (
     BetaVector,
-    CnEstimate,
     CorrectionMethod,
     CorrectionReport,
     GridCovariance,

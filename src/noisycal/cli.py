@@ -16,8 +16,9 @@ malformed files, invalid model parameters), 1 for internal failures.
 
 Repetition r of an experiment uses seed ``config.seed + r``; everything a
 repetition consumes (data, label noise, score randomization, Monte-Carlo
-draws) is derived from that one integer, so results are reproducible and
-independent of NOISYCAL_THREADS, the only environment variable read here.
+draws of the asymptotic correction) is derived from that one integer, so
+results are reproducible and independent of NOISYCAL_THREADS, the only
+environment variable read here.  c(n) is exact and consumes no randomness.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .correction import (
     CorrectionMethod,
     CorrectionReport,
     c_of_n,
-    cn_envelope,
     delta_asy,
     delta_fs,
     delta_fs_special,
@@ -121,8 +121,6 @@ class ExperimentConfig:
     seed: int = 0
     out: str | None = None
     randomized_scores: bool = True
-    analytic_cn: bool = False
-    cn_m: int = 100_000
     asy_m: int = 100_000
     asy_order: int = 1
 
@@ -142,9 +140,8 @@ class ExperimentConfig:
             raise InvalidSpec(
                 f"family must be one of {list(_PARAMETRIC)}, got {self.family!r}"
             )
-        for name in ("cn_m", "asy_m"):
-            if getattr(self, name) < 1000:
-                raise InvalidSpec(f"{name} must be >= 1000")
+        if self.asy_m < 1000:
+            raise InvalidSpec("asy_m must be >= 1000")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -199,12 +196,6 @@ def _thread_count() -> int:
         raise InvalidSpec(f"NOISYCAL_THREADS must be an integer, got {raw!r}") from exc
 
 
-def _cn_value(n: int, analytic: bool, m: int) -> float:
-    if analytic:
-        return cn_envelope(n)
-    return c_of_n(n, m, seed=0).value
-
-
 def _threshold_for_method(
     method: str,
     cal: CalibrationSet,
@@ -212,8 +203,6 @@ def _threshold_for_method(
     spec: ContaminationSpec | None,
     alpha: float,
     *,
-    analytic_cn: bool,
-    cn_m: int,
     asy_m: int,
     asy_order: int,
     asy_seed: int,
@@ -223,14 +212,14 @@ def _threshold_for_method(
     if method == "standard":
         return standard_threshold(cal, alpha), asy_report
     if method == "adaptive-fs":
-        report = delta_fs(cal.n, cal.k, tm, _cn_value(cal.n, analytic_cn, cn_m))
+        report = delta_fs(cal.n, cal.k, tm, c_of_n(cal.n))
         return adaptive_threshold(cal, tm, alpha, report), asy_report
     if method == "adaptive-fs-simplified":
         if spec is None:
             raise InvalidSpec(
                 "the simplified correction needs a parametric contamination model"
             )
-        report = delta_fs_special(spec, cal.n, _cn_value(cal.n, analytic_cn, cn_m))
+        report = delta_fs_special(spec, cal.n, c_of_n(cal.n))
         return adaptive_threshold(cal, tm, alpha, report), asy_report
     if method in ("adaptive-asy", "adaptive-plus"):
         if asy_report is None:
@@ -290,8 +279,6 @@ def _run_rep_inner(
             tm,
             spec,
             config.alpha,
-            analytic_cn=config.analytic_cn,
-            cn_m=config.cn_m,
             asy_m=config.asy_m,
             asy_order=config.asy_order,
             asy_seed=int(sub[3]),
@@ -343,11 +330,6 @@ def run_synthetic(config: ExperimentConfig) -> dict:
     """Run the synthetic experiment; returns {"rows": [...], "summary": [...]}."""
     spec = config.contamination()
     tm = build_transition(spec)
-    if not config.analytic_cn and any(
-        m in ("adaptive-fs", "adaptive-fs-simplified") for m in config.methods
-    ):
-        # warm the memoized c(n) before threads race on it
-        _cn_value(config.n_cal, False, config.cn_m)
     threads = _thread_count()
     reps = range(config.repetitions)
     if threads > 1:
@@ -403,8 +385,6 @@ def run_from_scores(
     test_path: str | None = None,
     randomized: bool = False,
     seed: int = 0,
-    analytic_cn: bool = False,
-    cn_m: int = 100_000,
     asy_m: int = 100_000,
     asy_order: int = 1,
 ) -> dict:
@@ -445,8 +425,6 @@ def run_from_scores(
         tm,
         spec,
         alpha,
-        analytic_cn=analytic_cn,
-        cn_m=cn_m,
         asy_m=asy_m,
         asy_order=asy_order,
         asy_seed=int(seeds[1]),
@@ -498,17 +476,14 @@ def correction_report(
     spec: ContaminationSpec,
     n: int,
     variant: str = "fs",
-    analytic_cn: bool = False,
-    cn_m: int = 100_000,
-    cn_seed: int = 0,
 ) -> CorrectionReport:
     """Correction value for a parametric model at calibration size n."""
     if n < 1:
         raise InvalidSpec("n must be >= 1")
     tm = build_transition(spec)
-    c_n = cn_envelope(n) if analytic_cn else c_of_n(n, cn_m, cn_seed).value
+    c_n = c_of_n(n)
     if variant == "cn":
-        report = CorrectionReport(method=CorrectionMethod.CN_ONLY, value=float(c_n))
+        report = CorrectionReport(method=CorrectionMethod.CN_ONLY, value=c_n, c_n=c_n)
     elif variant == "fs":
         report = delta_fs(n, spec.k, tm, c_n)
     elif variant == "simplified":
@@ -546,8 +521,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         test_path=args.test,
         randomized=args.randomized,
         seed=args.seed,
-        analytic_cn=args.analytic_cn,
-        cn_m=args.cn_m,
         asy_m=args.asy_m,
         asy_order=args.asy_order,
     )
@@ -571,14 +544,7 @@ def _cmd_correction(args: argparse.Namespace) -> int:
     spec = ContaminationSpec(
         family=Family(args.model), k=args.k, eps=args.eps, nu=args.nu, b=args.b
     )
-    report = correction_report(
-        spec,
-        args.n,
-        variant=args.variant,
-        analytic_cn=args.analytic_cn,
-        cn_m=args.cn_m,
-        cn_seed=args.seed,
-    )
+    report = correction_report(spec, args.n, variant=args.variant)
     print(json.dumps(report.to_dict(), indent=2))
     return 0
 
@@ -622,8 +588,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--randomized", action="store_true", help="randomize scores built from p_* rows"
     )
     cal.add_argument("--seed", type=int, default=0)
-    cal.add_argument("--analytic-cn", action="store_true", dest="analytic_cn")
-    cal.add_argument("--cn-m", type=int, default=100_000, dest="cn_m")
     cal.add_argument("--asy-m", type=int, default=100_000, dest="asy_m")
     cal.add_argument("--asy-order", type=int, default=1, dest="asy_order")
     cal.set_defaults(func=_cmd_calibrate)
@@ -635,9 +599,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cor.add_argument(
         "--variant", choices=("fs", "simplified", "cn"), default="fs"
     )
-    cor.add_argument("--analytic-cn", action="store_true", dest="analytic_cn")
-    cor.add_argument("--cn-m", type=int, default=100_000, dest="cn_m")
-    cor.add_argument("--seed", type=int, default=0)
     cor.set_defaults(func=_cmd_correction)
     return parser
 

@@ -2,9 +2,9 @@
 
 Three routes produce a correction:
 
-* ``c_of_n``: Monte-Carlo estimate of c(n) = E[max_i (i/n - U_(i))], the
-  expected one-sided discrepancy of uniform order statistics, bounded above
-  by sqrt(pi / (2 n)).
+* ``c_of_n``: exact c(n) = E[max_i (i/n - U_(i))], the mean of the
+  one-sided Kolmogorov-Smirnov statistic, in closed form as Q(n) / (2n)
+  with Ramanujan's Q-function; bounded above by sqrt(pi / (2 n)).
 * ``delta_fs``: finite-sample bound c(n) (beta_0 + mean_k beta_k)
   + B(K, n, beta)/sqrt(n), minimized exactly over beta by solving two linear
   programs (one per branch of the min inside B).
@@ -24,8 +24,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -52,7 +50,6 @@ from .noise_model import (
 __all__ = [
     "CorrectionMethod",
     "BetaVector",
-    "CnEstimate",
     "CorrectionReport",
     "GridCovariance",
     "c_of_n",
@@ -93,22 +90,17 @@ class BetaVector:
         object.__setattr__(self, "betas", b)
 
 
-class CnEstimate(NamedTuple):
-    value: float
-    se: float
-
-
 @dataclass(frozen=True)
 class CorrectionReport:
     """A correction value plus its provenance.
 
     ``value`` is delta(n) itself.  For the finite-sample route, ``beta_star``
     and ``branch`` record the attaining coefficients and which branch of the
-    bound was active; for the asymptotic route, ``mc_diagnostics`` records the
-    grid ladder, the per-level Monte-Carlo estimates with standard errors,
-    the extrapolated (unscaled) supremum, and the covariance condition
-    number.  ``condition_number`` optionally carries the transition-matrix
-    conditioning for audit.
+    bound was active, and ``c_n`` the exact c(n) it used; for the asymptotic
+    route, ``mc_diagnostics`` records the grid ladder, the per-level
+    Monte-Carlo estimates with standard errors, the extrapolated (unscaled)
+    supremum, and the covariance condition number.  ``condition_number``
+    optionally carries the transition-matrix conditioning for audit.
     """
 
     method: CorrectionMethod
@@ -117,6 +109,7 @@ class CorrectionReport:
     branch: str | None = None
     mc_diagnostics: dict | None = None
     condition_number: float | None = None
+    c_n: float | None = None
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.value) or self.value < 0.0:
@@ -138,6 +131,7 @@ class CorrectionReport:
             "condition_number": None
             if self.condition_number is None
             else float(self.condition_number),
+            "c_n": None if self.c_n is None else float(self.c_n),
         }
 
 
@@ -187,47 +181,27 @@ def _as_w(w) -> NDArray[np.float64]:
 
 
 def cn_envelope(n: int) -> float:
-    """Analytic envelope sqrt(pi / (2 n)) >= c(n), a zero-cost substitute."""
+    """Analytic envelope sqrt(pi / (2 n)) >= c(n), used by the delta** bound."""
     if n < 1:
         raise InvalidSpec("n must be >= 1")
     return math.sqrt(math.pi / (2.0 * n))
 
 
-@lru_cache(maxsize=None)
-def _c_of_n_cached(n: int, m: int, seed: int) -> CnEstimate:
-    rng = np.random.default_rng(seed)
-    ratio = np.arange(1, n + 1) / n
-    # order statistics of n uniforms via normalized cumulative sums of n+1
-    # standard exponentials (no sorting needed)
-    batch = max(1, int(10_000_000 // (n + 1)))
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < m:
-        b = min(batch, m - done)
-        e = rng.standard_exponential((b, n + 1))
-        np.cumsum(e, axis=1, out=e)
-        u = e[:, :n] / e[:, n:]
-        stat = np.max(ratio - u, axis=1)
-        total += float(stat.sum())
-        total_sq += float((stat * stat).sum())
-        done += b
-    mean = total / m
-    var = max((total_sq - m * mean * mean) / (m - 1), 0.0) if m > 1 else 0.0
-    return CnEstimate(value=mean, se=math.sqrt(var / m))
+def c_of_n(n: int) -> float:
+    """Exact c(n) = E[max_i (i/n - U_(i))] for n uniform order statistics.
 
-
-def c_of_n(n: int, m: int = 100_000, seed: int = 0) -> CnEstimate:
-    """Monte-Carlo estimate of c(n) = E[max_i (i/n - U_(i))] with its SE.
-
-    Deterministic and cached per (n, m, seed); estimates for repeated calls
-    with the same arguments are free.
+    The maximum is the one-sided Kolmogorov-Smirnov statistic D_n^+, whose
+    mean is Q(n) / (2n) with Ramanujan's Q-function
+    Q(n) = sum_{k>=1} prod_{j<k} (1 - j/n) (Knuth, TAOCP vol. 1, 1.2.11.3).
+    The terms fall like exp(-k^2 / 2n), so the sum stops at k = sqrt(80 n),
+    past which they are below e^-40: O(sqrt(n)) time and memory.
     """
     if n < 1:
         raise InvalidSpec("n must be >= 1")
-    if m < 1000:
-        raise InvalidSpec("m must be >= 1000")
-    return _c_of_n_cached(int(n), int(m), int(seed))
+    n = int(n)
+    kmax = min(n, math.isqrt(80 * n) + 1)
+    terms = np.cumprod(1.0 - np.arange(1, kmax) / n)
+    return float((1.0 + terms.sum()) / (2.0 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +386,7 @@ def delta_fs(n: int, k: int, w, c_n: float) -> CorrectionReport:
         value=max(value, 0.0),
         beta_star=beta,
         branch=branch,
+        c_n=float(c_n),
     )
 
 
@@ -444,6 +419,7 @@ def delta_fs_special(spec: ContaminationSpec, n: int, c_n: float) -> CorrectionR
         value=max(value, 0.0),
         beta_star=beta,
         branch=branch,
+        c_n=float(c_n),
     )
 
 
@@ -669,13 +645,12 @@ def delta_asy(
 # ---------------------------------------------------------------------------
 
 
-def delta_star_star_bound(n: int, k: int, w, c_n: float | None = None) -> float:
+def delta_star_star_bound(n: int, k: int, w) -> float:
     """Bound on the expected absolute supremum of the centered process.
 
     Same two linear programs as :func:`delta_fs`, with absolute values on the
     beta coefficients and the analytic envelope sqrt(pi/(2 n)) as the linear
-    weight.  The ``c_n`` argument exists for symmetry with delta_fs and is
-    not used: the bound is only valid with the envelope.
+    weight; the bound is only valid with the envelope, not with c(n).
     """
     w = _as_w(w)
     if w.shape != (k, k):

@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 
 from .errors import EmptyClass, InvalidSpec
 from .noise_model import TransitionMatrix
-from .scores import ScoreMatrix
+from .scores import ScoreMatrix, _require_finite
 
 __all__ = [
     "CalibrationSet",
@@ -60,6 +60,7 @@ class CalibrationSet:
         own = np.asarray(self.own_score, dtype=np.float64)
         if s.ndim != 2 or s.shape[0] < 1:
             raise InvalidSpec(f"scores must be a nonempty n x K matrix, got {s.shape}")
+        _require_finite(s)
         n, k = s.shape
         if y.shape != (n,) or own.shape != (n,):
             raise InvalidSpec("noisy_labels and own_score must have length n")

@@ -28,6 +28,16 @@ __all__ = [
 # is the ingestion contract for stacks of them.
 
 
+def _require_finite(s: NDArray[np.float64]) -> None:
+    """Raise InvalidSpec naming the first non-finite entry of a score matrix."""
+    bad = ~np.isfinite(s)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise InvalidSpec(
+            f"scores must be finite; row {i}, column {j} (0-based) is {s[i, j]}"
+        )
+
+
 @dataclass(frozen=True)
 class ScoreMatrix:
     """An n x K matrix of scores in [0, 1] plus the randomization provenance."""
@@ -40,6 +50,7 @@ class ScoreMatrix:
         s = np.array(self.scores, dtype=np.float64)
         if s.ndim != 2:
             raise InvalidSpec(f"scores must be 2-d, got shape {s.shape}")
+        _require_finite(s)
         if s.size and (s.min() < -1e-9 or s.max() > 1.0 + 1e-9):
             raise InvalidSpec("scores must lie in [0, 1]")
         s = np.clip(s, 0.0, 1.0)

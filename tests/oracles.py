@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy import integrate, special
 
 
 def gauss_inverse(t: np.ndarray) -> np.ndarray:
@@ -158,3 +159,38 @@ def brute_evaluate(sets, labels):
         if int(y) in set(int(v) for v in pset.labels):
             hits += 1
     return hits / len(labels), size / len(labels)
+
+
+def mc_c_of_n(n: int, m: int, seed: int) -> tuple[float, float]:
+    """Monte-Carlo mean and SE of max_i (i/n - U_(i)) over m replicates."""
+    rng = np.random.default_rng(seed)
+    ratio = np.arange(1, n + 1) / n
+    # order statistics of n uniforms via normalized cumulative sums of n+1
+    # standard exponentials (no sorting needed)
+    batch = max(1, int(10_000_000 // (n + 1)))
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < m:
+        b = min(batch, m - done)
+        e = rng.standard_exponential((b, n + 1))
+        np.cumsum(e, axis=1, out=e)
+        u = e[:, :n] / e[:, n:]
+        stat = np.max(ratio - u, axis=1)
+        total += float(stat.sum())
+        total_sq += float((stat * stat).sum())
+        done += b
+    mean = total / m
+    var = max((total_sq - m * mean * mean) / (m - 1), 0.0) if m > 1 else 0.0
+    return mean, math.sqrt(var / m)
+
+
+def smirnov_mean(n: int) -> float:
+    """E[D_n^+] as the integral over [0, 1] of its exact survival function.
+
+    ``scipy.special.smirnov(n, x)`` is the Birnbaum-Tingey P(D_n^+ >= x).
+    """
+    value, _ = integrate.quad(
+        lambda x: special.smirnov(n, x), 0.0, 1.0, limit=500, epsabs=0.0, epsrel=1e-12
+    )
+    return value

@@ -12,7 +12,7 @@ from noisycal import (
     FileFormatError,
     InvalidSpec,
     aps_scores,
-    cn_envelope,
+    c_of_n,
 )
 from noisycal.cli import (
     METHODS,
@@ -44,7 +44,6 @@ def small_config(**kw):
         methods=("standard", "adaptive-fs"),
         repetitions=2,
         seed=3,
-        analytic_cn=True,
     )
     base.update(kw)
     return ExperimentConfig(**base)
@@ -94,7 +93,7 @@ def test_config_validation():
     with pytest.raises(InvalidSpec):
         small_config(family="custom")
     with pytest.raises(InvalidSpec):
-        small_config(cn_m=10)
+        small_config(asy_m=10)
 
 
 def test_config_builders():
@@ -205,7 +204,7 @@ def test_run_from_scores_transition_file_matches_model(tmp_path):
     spec = ContaminationSpec(family=Family.RANDOMIZED_RESPONSE, k=2, eps=0.2)
     t_path = tmp_path / "t.csv"
     write_transition_csv(str(t_path), build_transition(spec))
-    kw = dict(method="adaptive-fs", analytic_cn=True)
+    kw = dict(method="adaptive-fs")
     via_model = run_from_scores(str(cal_path), model="rr", eps=0.2, **kw)
     via_file = run_from_scores(str(cal_path), transition_path=str(t_path), **kw)
     assert via_model["threshold"].tau == pytest.approx(
@@ -224,7 +223,6 @@ def test_run_from_scores_simplified_needs_parametric_model(tmp_path):
             str(cal_path),
             transition_path=str(t_path),
             method="adaptive-fs-simplified",
-            analytic_cn=True,
         )
 
 
@@ -237,13 +235,13 @@ def test_run_from_scores_writes_outputs(tmp_path):
         model="rr",
         eps=0.1,
         method="adaptive-fs",
-        analytic_cn=True,
         out=str(out),
     )
     blob = json.loads((out / "threshold.json").read_text())
     assert blob["tau"] == result["threshold"].tau
     assert blob["method"] == "adaptive"
     assert blob["correction"]["method"] == "finite_sample"
+    assert blob["correction"]["c_n"] == c_of_n(30)
     sets_csv = (out / "prediction_sets.csv").read_text().splitlines()
     assert len(sets_csv) == 31
     results_csv = (out / "results.csv").read_text().splitlines()
@@ -302,12 +300,14 @@ def test_run_from_scores_randomized_deterministic_in_seed(tmp_path):
 
 def test_correction_report_variants():
     spec = ContaminationSpec(family=Family.RANDOMIZED_RESPONSE, k=4, eps=0.1)
-    cn = correction_report(spec, 500, variant="cn", analytic_cn=True)
-    assert cn.value == cn_envelope(500)
+    cn = correction_report(spec, 500, variant="cn")
+    assert cn.value == cn.c_n == c_of_n(500)
     assert cn.condition_number is not None and cn.condition_number >= 1.0
-    fs = correction_report(spec, 500, variant="fs", analytic_cn=True)
-    assert fs.value == pytest.approx(cn_envelope(500), abs=1e-6)
-    simp = correction_report(spec, 500, variant="simplified", analytic_cn=True)
+    fs = correction_report(spec, 500, variant="fs")
+    assert fs.value == pytest.approx(c_of_n(500), abs=1e-6)
+    assert fs.c_n == c_of_n(500)
+    simp = correction_report(spec, 500, variant="simplified")
+    assert simp.c_n == c_of_n(500)
     assert fs.value <= simp.value + 1e-9
     with pytest.raises(InvalidSpec):
         correction_report(spec, 500, variant="bogus")
@@ -332,7 +332,6 @@ def test_main_synth_experiment(tmp_path, capsys):
         "methods": ["standard"],
         "repetitions": 2,
         "out": str(out),
-        "analytic_cn": True,
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -385,12 +384,12 @@ def test_main_correction_prints_json(capsys):
             "1000",
             "--variant",
             "simplified",
-            "--analytic-cn",
         ]
     )
     assert code == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["method"] == "finite_sample"
+    assert blob["c_n"] == c_of_n(1000)
     assert blob["value"] > 0.0
     assert blob["beta_star"]["beta0"] == pytest.approx(1.25, abs=1e-12)
 
@@ -423,9 +422,27 @@ def test_main_domain_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_main_calibrate_nan_score_exits_2(tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    path.write_text("s_1,s_2,y_noisy\n0.2,nan,1\n0.5,0.7,2\n")
+    code = main(
+        ["calibrate", "--scores", str(path), "--model", "rr", "--method", "standard"]
+    )
+    assert code == 2
+    assert "row 0, column 1 (0-based)" in capsys.readouterr().err
+
+
 def test_main_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["calibrate", "--nonsense"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", [["--analytic-cn"], ["--cn-m", "2000"], ["--seed", "1"]])
+def test_main_correction_rejects_removed_cn_flags(flag):
+    argv = ["correction", "--model", "rr", "--k", "4", "--n", "100", *flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
 
 

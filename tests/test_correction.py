@@ -2,9 +2,12 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from noisycal import (
     BetaVector,
@@ -34,7 +37,7 @@ from noisycal import (
     upper_bound_diagnostics,
 )
 
-from oracles import brute_b_term, brute_covariance
+from oracles import brute_b_term, brute_covariance, mc_c_of_n, smirnov_mean
 
 
 # ---------------------------------------------------------------------------
@@ -44,24 +47,71 @@ from oracles import brute_b_term, brute_covariance
 
 def test_c_of_n_n_equals_one_is_one_half():
     # max_i (i/n - U_(i)) with n = 1 is 1 - U, whose mean is 1/2
-    est = c_of_n(1, 200_000, seed=3)
-    assert abs(est.value - 0.5) <= 3.0 * est.se
+    assert c_of_n(1) == 0.5
+
+
+def test_c_of_n_hand_values():
+    # Q(2) = 1 + 1/2 and Q(3) = 1 + 2/3 + 2/9, and c(n) = Q(n) / (2n)
+    assert c_of_n(2) == pytest.approx(3.0 / 8.0, rel=1e-15)
+    assert c_of_n(3) == pytest.approx(17.0 / 54.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 100, 1000])
+def test_c_of_n_matches_smirnov_quadrature(n):
+    assert c_of_n(n) == pytest.approx(smirnov_mean(n), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [7, 50])
+def test_c_of_n_matches_monte_carlo_oracle(n):
+    mean, se = mc_c_of_n(n, 100_000, seed=n)
+    assert abs(c_of_n(n) - mean) <= 4.0 * se
+
+
+def test_c_of_n_large_n_expansion():
+    # c(n) = sqrt(pi / 8n) - 1/(6n) + O(n^-3/2)
+    n = 1_000_000
+    want = math.sqrt(math.pi / (8.0 * n)) - 1.0 / (6.0 * n)
+    assert c_of_n(n) == pytest.approx(want, rel=0.0, abs=1e-9)
+
+
+def test_c_of_n_huge_n_is_fast_and_finite():
+    start = time.perf_counter()
+    value = c_of_n(10_000_000)
+    elapsed = time.perf_counter() - start
+    assert math.isfinite(value) and value > 0.0
+    assert elapsed < 0.05
 
 
 def test_c_of_n_below_envelope():
-    for n in (10, 100, 1000):
-        est = c_of_n(n, 100_000, seed=0)
-        assert est.value <= cn_envelope(n) + 3.0 * est.se
+    for n in (1, 10, 100, 1000):
+        assert c_of_n(n) <= cn_envelope(n)
 
 
 def test_c_of_n_decreases_with_n():
-    assert c_of_n(1000, 100_000).value < c_of_n(100, 100_000).value
+    assert c_of_n(1000) < c_of_n(100)
 
 
 def test_c_of_n_deterministic():
-    a = c_of_n(50, 20_000, seed=9)
-    b = c_of_n(50, 20_000, seed=9)
-    assert a.value == b.value and a.se == b.se
+    a = c_of_n(50)
+    assert type(a) is float and a == c_of_n(50)
+
+
+@given(st.integers(min_value=1, max_value=10_000_000))
+def test_c_of_n_strictly_decreasing_property(n):
+    assert c_of_n(n + 1) < c_of_n(n)
+
+
+@given(st.integers(min_value=1, max_value=10_000_000))
+def test_c_of_n_below_envelope_property(n):
+    assert c_of_n(n) <= cn_envelope(n)
+
+
+@given(st.integers(min_value=1, max_value=100_000))
+def test_sqrt_n_c_of_n_increases_toward_limit_property(n):
+    # sqrt(n) c(n) = sqrt(pi/8) - 1/(6 sqrt(n)) + ...: increasing, below the limit
+    lo = math.sqrt(n) * c_of_n(n)
+    hi = math.sqrt(n + 1) * c_of_n(n + 1)
+    assert lo < hi < math.sqrt(math.pi / 8.0)
 
 
 def test_cn_envelope_formula():
@@ -71,9 +121,9 @@ def test_cn_envelope_formula():
 
 def test_c_of_n_rejects_bad_arguments():
     with pytest.raises(InvalidSpec):
-        c_of_n(0, 10_000)
+        c_of_n(0)
     with pytest.raises(InvalidSpec):
-        c_of_n(10, 0)
+        c_of_n(-10)
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +515,6 @@ def test_delta_star_star_randomized_response_candidate():
     w = closed_form_inverse(spec).W
     v = delta_star_star_bound(n, k, w)
     assert v <= cn_envelope(n) * (1.0 + eps) / (1.0 - eps) + 1e-9
-
-
-def test_delta_star_star_ignores_cn_argument():
-    w = closed_form_inverse(
-        ContaminationSpec(family=Family.BLOCK_RR, k=4, eps=0.1, b=2)
-    ).W
-    assert delta_star_star_bound(300, 4, w, c_n=0.5) == delta_star_star_bound(300, 4, w)
 
 
 def test_delta_star_star_dominates_signed_problem():

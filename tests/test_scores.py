@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from noisycal import (
+    CalibrationSet,
     InvalidProbability,
     InvalidSpec,
+    ScoreMatrix,
     aps_scores,
     one_minus_prob_scores,
     prediction_set,
@@ -98,3 +102,21 @@ def test_one_minus_prob_scores():
     p = np.array([[0.6, 0.3, 0.1]])
     sm = one_minus_prob_scores(p)
     assert np.allclose(sm.scores, 1.0 - p, atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_score_matrix_rejects_non_finite(bad):
+    scores = np.array([[0.2, 0.4], [0.5, 0.7], [0.1, 0.3]])
+    scores[1, 1] = bad
+    with pytest.raises(InvalidSpec, match=r"row 1, column 1 \(0-based\)"):
+        ScoreMatrix(scores=scores, randomized=False, seed=0)
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+def test_non_finite_score_is_not_reported_as_label_mismatch(wrap):
+    # the NaN is row 0's own score, which once failed the own-score check
+    scores = np.array([[0.2, math.nan], [0.5, 0.7]])
+    with pytest.raises(InvalidSpec, match=r"row 0, column 1 \(0-based\)"):
+        if wrap:
+            scores = ScoreMatrix(scores=scores, randomized=False, seed=0)
+        CalibrationSet.from_scores(scores, np.array([1, 0]))
