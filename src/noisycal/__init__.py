@@ -19,15 +19,6 @@ from .calibrate import (
     prediction_sets,
     standard_threshold,
 )
-from .cli import (
-    METHODS,
-    ExperimentConfig,
-    correction_report,
-    main,
-    read_experiment_config,
-    run_from_scores,
-    run_synthetic,
-)
 from .correction import (
     BetaVector,
     CorrectionMethod,
@@ -46,15 +37,7 @@ from .correction import (
     simulate_gbb_sup,
     upper_bound_diagnostics,
 )
-from .empirical import (
-    CalibrationSet,
-    EmpiricalCdfs,
-    InflationCurve,
-    build_cdfs,
-    delta_hat,
-    psi_sup_oracle,
-    psi_values,
-)
+from .empirical import CalibrationSet, InflationCurve, delta_hat
 from .errors import (
     CholeskyFailure,
     DegenerateData,

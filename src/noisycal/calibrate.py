@@ -26,7 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .correction import CorrectionReport
-from .empirical import CalibrationSet, build_cdfs, delta_hat
+from .empirical import CalibrationSet, delta_hat
 from .errors import InvalidSpec, LengthMismatch
 from .scores import ScoreMatrix, prediction_set
 
@@ -151,7 +151,7 @@ def adaptive_threshold(
     _check_alpha(alpha)
     if delta.value < 0.0:
         raise InvalidSpec("delta(n) must be nonnegative")
-    curve = delta_hat(build_cdfs(cal), w)
+    curve = delta_hat(cal, w)
     n = cal.n
     ranks = np.arange(1, n + 1) / n
     rhs = 1.0 - alpha - curve.values + delta.value
@@ -173,7 +173,7 @@ def optimistic_threshold(
     _check_alpha(alpha)
     if delta.value < 0.0:
         raise InvalidSpec("delta(n) must be nonnegative")
-    curve = delta_hat(build_cdfs(cal), w)
+    curve = delta_hat(cal, w)
     n = cal.n
     ranks = np.arange(1, n + 1) / n
     inner = np.maximum(curve.values - delta.value, -(1.0 - alpha) / n)

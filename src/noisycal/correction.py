@@ -27,13 +27,12 @@ from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import LinAlgWarning, cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, cho_solve, lu_factor, lu_solve
 from scipy.optimize import linprog
 
-from .empirical import CalibrationSet
+from .empirical import CalibrationSet, _f_weights, _mean_f
 from .errors import (
     CholeskyFailure,
-    EmptyClass,
     InvalidSpec,
     LadderMismatch,
     SingularM,
@@ -43,6 +42,7 @@ from .noise_model import (
     ContaminationSpec,
     Family,
     TransitionMatrix,
+    _as_w,
     closed_form_inverse,
     two_level_constants,
 )
@@ -99,7 +99,9 @@ class CorrectionReport:
     bound was active, and ``c_n`` the exact c(n) it used; for the asymptotic
     route, ``mc_diagnostics`` records the grid ladder, the per-level
     Monte-Carlo estimates with standard errors, the extrapolated (unscaled)
-    supremum, and the covariance condition number.  ``condition_number``
+    supremum, the covariance condition number, and the Cholesky jitter
+    multiplier used on the finest grid (None when that covariance could not
+    be factored, as for an all-zero covariance).  ``condition_number``
     optionally carries the transition-matrix conditioning for audit.
     """
 
@@ -167,12 +169,6 @@ class GridCovariance:
             arr.setflags(write=False)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "sigma", s)
-
-
-def _as_w(w) -> NDArray[np.float64]:
-    if isinstance(w, TransitionMatrix):
-        return w.W
-    return np.asarray(w, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +246,18 @@ def b_term(k: int, n: int, beta: BetaVector, w) -> tuple[float, str]:
 def _solve_branch_lp(
     k: int,
     w: NDArray[np.float64],
-    lin_beta0: float,
-    lin_betak: float,
+    weight: float,
     z_coef: float,
     per_column: bool,
     abs_objective: bool,
 ) -> BetaVector:
     """Exact LP for one branch of the piecewise-linear bound.
 
-    Variables: beta0, beta_1..K, [u0, u_1..K if abs_objective],
-    [A_kl if per_column], z.  The Omega entries are affine in beta, so
-    |Omega| and the column-sum / entrywise max reduce to linear constraints.
+    Minimizes weight * (beta0 + mean_k beta_k) + z_coef * z, with the betas
+    replaced by their absolute values when ``abs_objective``.  Variables:
+    beta0, beta_1..K, [u0, u_1..K if abs_objective], [A_kl if per_column], z.
+    The Omega entries are affine in beta, so |Omega| and the column-sum /
+    entrywise max reduce to linear constraints.
     """
     nb = 1 + k
     nu = (1 + k) if abs_objective else 0
@@ -308,11 +305,11 @@ def _solve_branch_lp(
 
     cost = np.zeros(nvars)
     if abs_objective:
-        cost[i_u0] = lin_beta0
-        cost[i_u0 + 1 : i_u0 + 1 + k] = lin_betak
+        cost[i_u0] = weight
+        cost[i_u0 + 1 : i_u0 + 1 + k] = weight / k
     else:
-        cost[0] = lin_beta0
-        cost[1 : 1 + k] = lin_betak
+        cost[0] = weight
+        cost[1 : 1 + k] = weight / k
     cost[i_z] = z_coef
 
     res = linprog(
@@ -333,9 +330,26 @@ def _fs_objective(n: int, k: int, w, c_n: float, beta: BetaVector) -> tuple[floa
     return value, branch
 
 
-def _branch_coefs(k: int, n: int) -> tuple[float, float | None]:
-    """z-coefficients of the Massart and chaining subproblems (incl. 2/sqrt(n))."""
+def _branch_minimizers(
+    n: int, k: int, w, weight: float, abs_objective: bool
+) -> list[BetaVector]:
+    """Minimizers of the Massart LP and, for K >= 2, of the chaining LP.
+
+    One LP per branch of the min inside B; the z-coefficients include the
+    2/sqrt(n) scale of B.  The caller evaluates its full objective at each
+    candidate and keeps the smaller.
+    """
+    w = _as_w(w)
+    if w.shape != (k, k):
+        raise InvalidSpec(f"W has shape {w.shape}, expected {(k, k)}")
+    if n < 1:
+        raise InvalidSpec("n must be >= 1")
     massart = (2.0 / math.sqrt(n)) * math.sqrt(math.log(k * n + 1.0))
+    candidates = [
+        _solve_branch_lp(
+            k, w, weight, massart, per_column=True, abs_objective=abs_objective
+        )
+    ]
     if k >= 2:
         log_k = math.log(k)
         chaining = (
@@ -344,9 +358,12 @@ def _branch_coefs(k: int, n: int) -> tuple[float, float | None]:
             * ((2.0 * log_k + 1.0) / (2.0 * log_k - 1.0))
             * math.sqrt(2.0 * k * log_k)
         )
-    else:
-        chaining = None
-    return massart, chaining
+        candidates.append(
+            _solve_branch_lp(
+                k, w, weight, chaining, per_column=False, abs_objective=abs_objective
+            )
+        )
+    return candidates
 
 
 def delta_fs(n: int, k: int, w, c_n: float) -> CorrectionReport:
@@ -358,25 +375,10 @@ def delta_fs(n: int, k: int, w, c_n: float) -> CorrectionReport:
     the objective evaluated at ``beta_star``, which is the optimizer
     certificate.
     """
-    w = _as_w(w)
-    if w.shape != (k, k):
-        raise InvalidSpec(f"W has shape {w.shape}, expected {(k, k)}")
-    if n < 1:
-        raise InvalidSpec("n must be >= 1")
     if not (np.isfinite(c_n) and c_n > 0.0):
         raise InvalidSpec(f"c_n must be positive, got {c_n}")
-    zc_massart, zc_chaining = _branch_coefs(k, n)
-    candidates = [
-        _solve_branch_lp(k, w, c_n, c_n / k, zc_massart, per_column=True, abs_objective=False)
-    ]
-    if zc_chaining is not None:
-        candidates.append(
-            _solve_branch_lp(
-                k, w, c_n, c_n / k, zc_chaining, per_column=False, abs_objective=False
-            )
-        )
     best: tuple[float, str, BetaVector] | None = None
-    for beta in candidates:
+    for beta in _branch_minimizers(n, k, w, c_n, abs_objective=False):
         value, branch = _fs_objective(n, k, w, c_n, beta)
         if best is None or value < best[0]:
             best = (value, branch, beta)
@@ -432,35 +434,25 @@ def estimate_covariance(cal: CalibrationSet, w, grid) -> GridCovariance:
     """Plug-in covariance of the limiting process on a threshold grid.
 
     With f_t(Z_i) = sum_k W[k, Ytilde_i] 1{s(X_i, k) <= t}, the estimate is
-    G(t1, t2) = E_n[f_t1 f_t2] - E_n[f_t1] E_n[f_t2].  Joint indicator mass
+    G(t1, t2) = E_n[f_t1 f_t2] - E_n[f_t1] E_n[f_t2].  E_n[f_t] comes from
+    the cumulative kernel that also yields Delta_hat.  Joint indicator mass
     is scattered onto the grid cell of each score pair and accumulated with a
     two-dimensional cumulative sum, which costs O(n K^2 + N^2) instead of
     evaluating every grid pair directly.
     """
-    w = _as_w(w)
+    v = _f_weights(cal, w)  # v[i, j] = W[j, label_i]
     n, k = cal.scores.shape
-    if w.shape != (k, k):
-        raise InvalidSpec(f"W has shape {w.shape}, expected {(k, k)}")
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.shape[0] < 1:
         raise InvalidSpec("grid must be a nonempty vector")
     if np.any(np.diff(grid) < 0) or grid[0] < 0.0 or grid[-1] > 1.0:
         raise InvalidSpec("grid must be sorted within [0, 1]")
-    counts = np.bincount(cal.noisy_labels, minlength=k)
-    for label in range(k):
-        if counts[label] == 0:
-            raise EmptyClass(label)
     npts = grid.shape[0]
+    e1 = _mean_f(cal, v, grid)
 
     # cell index of each score: first grid point >= s, so s <= t_j iff pos <= j
     pos = np.searchsorted(grid, cal.scores.ravel(), side="left").reshape(n, k)
     valid = pos < npts
-    v = w[:, cal.noisy_labels].T  # v[i, j] = W[j, label_i]
-
-    d1 = np.zeros(npts)
-    np.add.at(d1, pos[valid], v[valid])
-    e1 = np.cumsum(d1) / n
-
     pair_r = np.broadcast_to(pos[:, :, None], (n, k, k))
     pair_c = np.broadcast_to(pos[:, None, :], (n, k, k))
     pair_ok = valid[:, :, None] & valid[:, None, :]
@@ -474,12 +466,40 @@ def estimate_covariance(cal: CalibrationSet, w, grid) -> GridCovariance:
     return GridCovariance(grid=grid, sigma=g)
 
 
+_JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+
+
+def _jittered_cholesky(
+    sigma: NDArray[np.float64],
+) -> tuple[NDArray[np.float64], float]:
+    """Lower Cholesky factor of sigma + mult * mean(diag sigma) * I.
+
+    ``mult`` is the first value of the jitter ladder at which the
+    factorization succeeds; it is returned with the factor.  Raises
+    CholeskyFailure for a nonpositive trace or when the whole ladder fails.
+    """
+    npts = sigma.shape[0]
+    mean_diag = float(np.trace(sigma)) / npts
+    if mean_diag <= 0.0:
+        raise CholeskyFailure("covariance trace is nonpositive")
+    for mult in _JITTER_LADDER:
+        try:
+            chol = np.linalg.cholesky(sigma + (mult * mean_diag) * np.eye(npts))
+        except np.linalg.LinAlgError:
+            continue
+        return chol, mult
+    raise CholeskyFailure(
+        f"Cholesky failed even at jitter {_JITTER_LADDER[-1]} * mean diagonal"
+    )
+
+
 def simulate_gbb_sup(cov: GridCovariance, m: int, seed: int) -> tuple[float, float]:
     """Mean and SE of the absolute supremum of the Gaussian process.
 
     Factorizes sigma + lambda I (jitter ladder 1e-10 to 1e-6 relative to the
-    mean diagonal) and averages max_i |xi_i| over m replicates.  The absolute
-    supremum is the simulation target: the Brownian-bridge special case has
+    mean diagonal, see ``_jittered_cholesky``) and averages max_i |xi_i| over
+    m replicates.  The absolute supremum is the simulation target: the
+    Brownian-bridge special case has
     E[sup |BB|] = sqrt(pi/2) log 2, the constant the estimator is validated
     against.  An all-zero covariance short-circuits to (0, 0).
     """
@@ -489,18 +509,7 @@ def simulate_gbb_sup(cov: GridCovariance, m: int, seed: int) -> tuple[float, flo
     npts = sigma.shape[0]
     if not sigma.any():
         return 0.0, 0.0
-    mean_diag = float(np.trace(sigma)) / npts
-    if mean_diag <= 0.0:
-        raise CholeskyFailure("covariance trace is nonpositive")
-    chol = None
-    for mult in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
-        try:
-            chol = np.linalg.cholesky(sigma + (mult * mean_diag) * np.eye(npts))
-            break
-        except np.linalg.LinAlgError:
-            continue
-    if chol is None:
-        raise CholeskyFailure("Cholesky failed even at jitter 1e-6 * mean diagonal")
+    chol, _ = _jittered_cholesky(sigma)
     rng = np.random.default_rng(seed)
     batch = max(1, int(5_000_000 // npts))
     total = 0.0
@@ -552,42 +561,40 @@ def richardson(estimates, p_assumed: float = 0.5, order: int | None = None) -> f
     return float(col[-1])
 
 
-def _condition_estimate(sigma: NDArray[np.float64]) -> float:
-    """Iterative 2-norm condition estimate of the jittered covariance."""
+def _condition_estimate(sigma: NDArray[np.float64]) -> tuple[float, float | None]:
+    """Iterative 2-norm condition estimate of the jittered covariance.
+
+    Returns the estimate and the jitter multiplier of the factorization, or
+    (inf, None) when sigma cannot be factored.
+    """
+    try:
+        chol, mult = _jittered_cholesky(sigma)
+    except CholeskyFailure:
+        return math.inf, None
     npts = sigma.shape[0]
-    mean_diag = float(np.trace(sigma)) / npts
-    if mean_diag <= 0.0:
-        return math.inf
-    factor = None
-    for mult in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
-        a = sigma + (mult * mean_diag) * np.eye(npts)
-        try:
-            factor = cho_factor(a)
-            break
-        except np.linalg.LinAlgError:
-            continue
-    if factor is None:
-        return math.inf
+    a = sigma + (mult * float(np.trace(sigma)) / npts) * np.eye(npts)
     v = 1.0 + np.linspace(0.0, 1.0, npts)
     v /= np.linalg.norm(v)
     for _ in range(60):
         v = a @ v
         norm = np.linalg.norm(v)
         if norm == 0.0:
-            return math.inf
+            return math.inf, mult
         v /= norm
     lam_max = float(v @ (a @ v))
     u = np.ones(npts) / math.sqrt(npts)
+    # chol.T is the upper factor in Fortran order, which LAPACK reads without
+    # the copy that the C-ordered lower factor would cost on every solve
     for _ in range(60):
-        u = cho_solve(factor, u)
+        u = cho_solve((chol.T, False), u)
         norm = np.linalg.norm(u)
         if norm == 0.0:
-            return math.inf
+            return math.inf, mult
         u /= norm
     lam_min = float(u @ (a @ u))
     if lam_min <= 0.0:
-        return math.inf
-    return lam_max / lam_min
+        return math.inf, mult
+    return lam_max / lam_min, mult
 
 
 def delta_asy(
@@ -626,12 +633,14 @@ def delta_asy(
     extrapolated = richardson(
         [(lv["h"], lv["estimate"]) for lv in levels], p_assumed, order=order
     )
+    condition_number, jitter = _condition_estimate(finest_cov.sigma)
     diagnostics = {
         "h_levels": hs,
         "M": int(m),
         "raw": levels,
         "extrapolated": extrapolated,
-        "condition_number": _condition_estimate(finest_cov.sigma),
+        "condition_number": condition_number,
+        "cholesky_jitter": jitter,
     }
     return CorrectionReport(
         method=CorrectionMethod.ASYMPTOTIC,
@@ -652,24 +661,9 @@ def delta_star_star_bound(n: int, k: int, w) -> float:
     beta coefficients and the analytic envelope sqrt(pi/(2 n)) as the linear
     weight; the bound is only valid with the envelope, not with c(n).
     """
-    w = _as_w(w)
-    if w.shape != (k, k):
-        raise InvalidSpec(f"W has shape {w.shape}, expected {(k, k)}")
-    if n < 1:
-        raise InvalidSpec("n must be >= 1")
     scale = cn_envelope(n)
-    zc_massart, zc_chaining = _branch_coefs(k, n)
-    candidates = [
-        _solve_branch_lp(k, w, scale, scale / k, zc_massart, per_column=True, abs_objective=True)
-    ]
-    if zc_chaining is not None:
-        candidates.append(
-            _solve_branch_lp(
-                k, w, scale, scale / k, zc_chaining, per_column=False, abs_objective=True
-            )
-        )
     best = math.inf
-    for beta in candidates:
+    for beta in _branch_minimizers(n, k, w, scale, abs_objective=True):
         b, _ = b_term(k, n, beta, w)
         value = scale * (
             abs(beta.beta0) + float(np.mean(np.abs(beta.betas)))

@@ -1,18 +1,24 @@
-"""Empirical CDFs, the inflation estimator, and the centered process psi.
+"""Calibration data and the inflation estimator Delta_hat.
 
-Notation: for calibration data (X_i, Y~_i) with scores s(X_i, k), F_hat is
-the empirical CDF of the own scores s(X_i, Y~_i), F_hat_l^k the empirical CDF
-of s(X_i, k) restricted to samples with Y~_i = l, and rho_hat_l the class
-frequencies.  The inflation estimator is
+Notation: for calibration data (X_i, Y~_i) with scores s_ik = s(X_i, k),
+F_hat is the empirical CDF of the own scores s(X_i, Y~_i), F_hat_l^k the
+empirical CDF of s(X_i, k) restricted to samples with Y~_i = l, and rho_hat_l
+the class frequencies.  The inflation estimator is
 
-    Delta_hat(t) = sum_k sum_l W[k, l] * rho_hat[l] * F_hat_l^k(t) - F_hat(t),
+    Delta_hat(t) = sum_k sum_l W[k, l] * rho_hat[l] * F_hat_l^k(t) - F_hat(t)
+                 = (1/n) sum_i f_t(Z_i) - F_hat(t),
 
-evaluated only at the own-score order statistics, which is all the adaptive
-calibration rule ever needs.
+with f_t(Z_i) = sum_k W[k, Y~_i] 1{s_ik <= t}, the same function whose
+covariance drives the asymptotic correction.  One kernel computes the mean
+of f_t at any points: it sorts the nK scores once, takes the cumulative sum
+of their weights W[k, Y~_i] in that order, and reads it off with a
+right-sided binary search.  Delta_hat is evaluated only at the own-score
+order statistics, which is all the adaptive calibration rule ever needs.
 
-Float determinism matters here: Delta_hat must match a brute-force reference
-bit for bit, so the summation order is fixed (l outer, k inner), terms are
-associated as (W[k, l] * rho[l]) * F, and accumulation is Kahan-compensated.
+The summation order differs from the per-class definition, so the values
+are not bitwise equal to a per-class reference: they agree with the
+brute-force oracle within atol 1e-12, and the adaptive index i_hat built
+from them equals the oracle's.
 """
 
 from __future__ import annotations
@@ -23,24 +29,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import EmptyClass, InvalidSpec
-from .noise_model import TransitionMatrix
+from .noise_model import _as_w
 from .scores import ScoreMatrix, _require_finite
 
 __all__ = [
     "CalibrationSet",
-    "EmpiricalCdfs",
     "InflationCurve",
-    "build_cdfs",
     "delta_hat",
-    "psi_values",
-    "psi_sup_oracle",
 ]
-
-
-def _as_w(w) -> NDArray[np.float64]:
-    if isinstance(w, TransitionMatrix):
-        return w.W
-    return np.asarray(w, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -94,41 +90,6 @@ class CalibrationSet:
 
 
 @dataclass(frozen=True)
-class EmpiricalCdfs:
-    """Sorted score columns per class plus own-score order statistics.
-
-    ``sorted_by_class[l]`` holds the class-l score rows with every column
-    sorted ascending, so CDF queries are binary searches.  Classes with no
-    samples are recorded with empty arrays; querying them raises EmptyClass.
-    """
-
-    sorted_by_class: tuple[NDArray[np.float64], ...]
-    sorted_own: NDArray[np.float64]
-    class_counts: NDArray[np.int64]
-    rho_hat: NDArray[np.float64]
-
-    @property
-    def n(self) -> int:
-        return self.sorted_own.shape[0]
-
-    @property
-    def k(self) -> int:
-        return len(self.sorted_by_class)
-
-    def f_hat(self, t) -> NDArray[np.float64]:
-        """Empirical CDF of the own scores, inclusive (<= t)."""
-        return np.searchsorted(self.sorted_own, t, side="right") / self.n
-
-    def class_cdf(self, label: int, k: int, t) -> NDArray[np.float64]:
-        """F_hat_l^k(t): CDF of column-k scores among class-``label`` rows."""
-        nl = int(self.class_counts[label])
-        if nl == 0:
-            raise EmptyClass(label)
-        col = self.sorted_by_class[label][:, k]
-        return np.searchsorted(col, t, side="right") / nl
-
-
-@dataclass(frozen=True)
 class InflationCurve:
     """Delta_hat evaluated at the own-score order statistics."""
 
@@ -136,98 +97,38 @@ class InflationCurve:
     values: NDArray[np.float64]
 
 
-def build_cdfs(cal: CalibrationSet) -> EmpiricalCdfs:
-    """Sort the per-class score columns and the own scores.
+def _f_weights(cal: CalibrationSet, w) -> NDArray[np.float64]:
+    """The n x K weights v[i, k] = W[k, Y~_i] of f_t.
 
-    Succeeds even when some class is empty (the standard method never needs
-    per-class CDFs); delta_hat raises EmptyClass later in that case.
+    Checks that W is K x K and that every class has a calibration sample:
+    F_hat_l^k is undefined for an empty class l.
     """
-    n, k = cal.scores.shape
-    counts = np.bincount(cal.noisy_labels, minlength=k).astype(np.int64)
-    by_class = tuple(
-        np.sort(cal.scores[cal.noisy_labels == label], axis=0) for label in range(k)
-    )
-    return EmpiricalCdfs(
-        sorted_by_class=by_class,
-        sorted_own=np.sort(cal.own_score),
-        class_counts=counts,
-        rho_hat=counts / n,
-    )
+    w = _as_w(w)
+    k = cal.k
+    if w.shape != (k, k):
+        raise InvalidSpec(f"W has shape {w.shape}, expected {(k, k)}")
+    empty = np.flatnonzero(np.bincount(cal.noisy_labels, minlength=k) == 0)
+    if empty.size:
+        raise EmptyClass(int(empty[0]))
+    return w.T[cal.noisy_labels]
 
 
-def delta_hat(cdfs: EmpiricalCdfs, w) -> InflationCurve:
+def _mean_f(cal: CalibrationSet, v: NDArray[np.float64], t) -> NDArray[np.float64]:
+    """(1/n) sum_i f_t(Z_i) at every point t, for weights v from _f_weights."""
+    order = np.argsort(cal.scores, axis=None)
+    cum = np.concatenate(([0.0], np.cumsum(v.ravel()[order])))
+    return cum[np.searchsorted(cal.scores.ravel()[order], t, side="right")] / cal.n
+
+
+def delta_hat(cal: CalibrationSet, w) -> InflationCurve:
     """Inflation estimator at every own-score order statistic.
 
     ``w`` may be a TransitionMatrix or the raw K x K inverse.  F_hat(S_(i))
     is computed by counting (right-sided binary search), not as i/n, so tied
-    own scores are handled exactly.
+    own scores are handled exactly.  Raises EmptyClass when a class has no
+    calibration sample.
     """
-    w = _as_w(w)
-    n, k = cdfs.n, cdfs.k
-    if w.shape != (k, k):
-        raise InvalidSpec(f"W has shape {w.shape}, expected {(k, k)}")
-    for label in range(k):
-        if cdfs.class_counts[label] == 0:
-            raise EmptyClass(label)
-    s = cdfs.sorted_own
-    total = np.zeros(n)
-    comp = np.zeros(n)
-    for l in range(k):
-        nl = int(cdfs.class_counts[l])
-        rho_l = cdfs.rho_hat[l]
-        cols = cdfs.sorted_by_class[l]
-        for kk in range(k):
-            f = np.searchsorted(cols[:, kk], s, side="right") / nl
-            term = (w[kk, l] * rho_l) * f
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-    values = total - np.searchsorted(s, s, side="right") / n
+    v = _f_weights(cal, w)
+    s = np.sort(cal.own_score)
+    values = _mean_f(cal, v, s) - np.searchsorted(s, s, side="right") / cal.n
     return InflationCurve(order_stats=s, values=values)
-
-
-def psi_values(
-    cdfs: EmpiricalCdfs,
-    w,
-    population_cdfs: EmpiricalCdfs,
-    t: NDArray[np.float64],
-) -> NDArray[np.float64]:
-    """The centered process psi_hat at the given points.
-
-    psi_hat(t) = sum_k sum_l W[k, l] (rho_hat[l] F_hat_l^k(t)
-                                      - rho_tilde[l] F_tilde_l^k(t)),
-    with the population pieces supplied by an EmpiricalCdfs built on a large
-    fresh sample.
-    """
-    w = _as_w(w)
-    k = cdfs.k
-    if population_cdfs.k != k:
-        raise InvalidSpec("population CDFs have a different number of classes")
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    total = np.zeros(t.shape[0])
-    comp = np.zeros(t.shape[0])
-    for l in range(k):
-        for kk in range(k):
-            diff = cdfs.rho_hat[l] * cdfs.class_cdf(l, kk, t) - population_cdfs.rho_hat[
-                l
-            ] * population_cdfs.class_cdf(l, kk, t)
-            term = w[kk, l] * diff
-            y = term - comp
-            tt = total + y
-            comp = (tt - total) - y
-            total = tt
-    return total
-
-
-def psi_sup_oracle(cal: CalibrationSet, w, population_cdfs: EmpiricalCdfs) -> float:
-    """Supremum of psi_hat over {0} + own-score order statistics + {1}.
-
-    A validation oracle: the adaptive machinery never calls this at run time.
-    The evaluation points follow the calibration order statistics, so this is
-    a sup over the contractual grid rather than over every breakpoint of the
-    population CDFs.
-    """
-    cdfs = build_cdfs(cal)
-    points = np.concatenate(([0.0], cdfs.sorted_own, [1.0]))
-    return float(np.max(psi_values(cdfs, w, population_cdfs, points)))

@@ -30,12 +30,9 @@ __all__ = [
     "write_scores_csv",
     "read_transition_csv",
     "write_transition_csv",
-    "read_dataset_csv",
-    "write_dataset_csv",
     "write_results_csv",
     "write_summary_csv",
     "write_prediction_sets_csv",
-    "read_prediction_sets_csv",
     "write_threshold_json",
 ]
 
@@ -226,63 +223,6 @@ def write_transition_csv(path: str, tm: TransitionMatrix) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def read_dataset_csv(
-    path: str,
-) -> tuple[NDArray[np.float64], NDArray[np.int64], NDArray[np.int64]]:
-    """Read ``x_1..x_d,y_true,y_noisy`` rows."""
-    rows = _read_rows(path)
-    if not rows:
-        raise FileFormatError(f"{path} is empty")
-    header = [cell.strip() for cell in rows[0]]
-    d = _numbered_header(header, "x")
-    if d == 0 or header[d:] != ["y_true", "y_noisy"]:
-        raise FileFormatError(
-            "header must be x_1,...,x_d,y_true,y_noisy", line=1
-        )
-    n = len(rows) - 1
-    if n == 0:
-        raise FileFormatError(f"{path} has a header but no data rows")
-    x = np.empty((n, d))
-    y_true = np.empty(n, dtype=np.int64)
-    y_noisy = np.empty(n, dtype=np.int64)
-    for i, row in enumerate(rows[1:]):
-        line = i + 2
-        if len(row) != d + 2:
-            raise FileFormatError(
-                f"expected {d + 2} cells, got {len(row)}", line=line
-            )
-        x[i] = [_parse_float(cell, line) for cell in row[:d]]
-        for target, cell in ((y_true, row[d]), (y_noisy, row[d + 1])):
-            try:
-                label = int(cell)
-            except ValueError as exc:
-                raise FileFormatError(
-                    f"not an integer label: {cell!r}", line=line
-                ) from exc
-            if label < 1:
-                raise FileFormatError(f"label {label} is not 1-based", line=line)
-            target[i] = label - 1
-    return x, y_true, y_noisy
-
-
-def write_dataset_csv(
-    path: str,
-    x: NDArray[np.float64],
-    y_true: NDArray[np.int64],
-    y_noisy: NDArray[np.int64],
-) -> None:
-    x = np.asarray(x, dtype=np.float64)
-    header = [f"x_{j + 1}" for j in range(x.shape[1])] + ["y_true", "y_noisy"]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for i in range(x.shape[0]):
-            row = [repr(float(v)) for v in x[i]]
-            row.append(str(int(y_true[i]) + 1))
-            row.append(str(int(y_noisy[i]) + 1))
-            writer.writerow(row)
-
-
 def _format_cell(value: object) -> str:
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value))
@@ -327,40 +267,6 @@ def write_prediction_sets_csv(path: str, sets: Sequence[PredictionSet]) -> None:
             writer.writerow(
                 [str(i + 1), repr(float(pset.tau)), str(len(pset.labels)), labels]
             )
-
-
-def read_prediction_sets_csv(path: str) -> list[PredictionSet]:
-    rows = _read_rows(path)
-    if not rows or [cell.strip() for cell in rows[0]] != [
-        "row",
-        "tau",
-        "set_size",
-        "labels",
-    ]:
-        raise FileFormatError("header must be row,tau,set_size,labels", line=1)
-    sets = []
-    for i, row in enumerate(rows[1:]):
-        line = i + 2
-        if len(row) != 4:
-            raise FileFormatError(f"expected 4 cells, got {len(row)}", line=line)
-        tau = _parse_float(row[1], line)
-        if row[3] == "":
-            labels = np.empty(0, dtype=np.int64)
-        else:
-            try:
-                labels = np.array(
-                    [int(cell) - 1 for cell in row[3].split(";")], dtype=np.int64
-                )
-            except ValueError as exc:
-                raise FileFormatError(
-                    f"bad label list {row[3]!r}", line=line
-                ) from exc
-        if int(row[2]) != labels.size:
-            raise FileFormatError(
-                f"set_size {row[2]} does not match {labels.size} labels", line=line
-            )
-        sets.append(PredictionSet(labels=labels, tau=tau))
-    return sets
 
 
 def write_threshold_json(path: str, result: ThresholdResult) -> None:

@@ -164,6 +164,13 @@ class TransitionMatrix:
         return float(np.linalg.cond(self.T))
 
 
+def _as_w(w) -> NDArray[np.float64]:
+    """The inverse matrix W of a TransitionMatrix, or a raw K x K array as floats."""
+    if isinstance(w, TransitionMatrix):
+        return w.W
+    return np.asarray(w, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class TwoLevelDerived:
     """Intermediate constants of the two-level closed-form inverse."""

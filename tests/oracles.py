@@ -1,9 +1,10 @@
-"""Brute-force reference implementations used only by the tests.
+"""Reference implementations and validation oracles used only by the tests.
 
 Each oracle recomputes its quantity from the defining formula with a
-different algorithm than the library (boolean-matrix counting instead of
-sorted-column binary search, Gauss-Jordan instead of LU, scalar enumeration
-instead of vectorized masks), so agreement is evidence, not tautology.
+different algorithm than the library (boolean-matrix counting instead of a
+cumulative sum over sorted scores, Gauss-Jordan instead of LU, scalar
+enumeration instead of vectorized masks), so agreement is evidence, not
+tautology.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, special
+
+from noisycal import EmptyClass
 
 
 def gauss_inverse(t: np.ndarray) -> np.ndarray:
@@ -128,6 +131,58 @@ def brute_psi(
             f_hat = float((scores[mask, k] <= t).sum()) / nl if nl else 0.0
             total += w[k, l] * (rho_hat * f_hat - pop_rho[l] * pop_cdf(l, k, t))
     return total
+
+
+class ClassCdfs:
+    """Per-class empirical CDFs F_hat_l^k by binary search in sorted columns.
+
+    Built from a CalibrationSet; ``rho_hat`` holds the class frequencies.
+    Querying a class with no samples raises EmptyClass.
+    """
+
+    def __init__(self, cal):
+        self.columns = [
+            np.sort(cal.scores[cal.noisy_labels == label], axis=0)
+            for label in range(cal.k)
+        ]
+        self.rho_hat = np.bincount(cal.noisy_labels, minlength=cal.k) / cal.n
+        self.sorted_own = np.sort(cal.own_score)
+
+    @property
+    def k(self) -> int:
+        return len(self.columns)
+
+    def class_cdf(self, label: int, k: int, t):
+        col = self.columns[label][:, k]
+        if col.size == 0:
+            raise EmptyClass(label)
+        return np.searchsorted(col, t, side="right") / col.size
+
+
+def psi_values(cdfs: ClassCdfs, w, population_cdfs: ClassCdfs, t) -> np.ndarray:
+    """The centered process psi_hat at the given points.
+
+    psi_hat(t) = sum_k sum_l W[k, l] (rho_hat[l] F_hat_l^k(t)
+                                      - rho_tilde[l] F_tilde_l^k(t)),
+    with the population pieces taken from ClassCdfs of a large fresh sample.
+    """
+    w = np.asarray(getattr(w, "W", w), dtype=np.float64)
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    total = np.zeros(t.shape[0])
+    for l in range(cdfs.k):
+        for kk in range(cdfs.k):
+            total += w[kk, l] * (
+                cdfs.rho_hat[l] * cdfs.class_cdf(l, kk, t)
+                - population_cdfs.rho_hat[l] * population_cdfs.class_cdf(l, kk, t)
+            )
+    return total
+
+
+def psi_sup_oracle(cal, w, population_cdfs: ClassCdfs) -> float:
+    """Supremum of psi_hat over {0} + own-score order statistics + {1}."""
+    cdfs = ClassCdfs(cal)
+    points = np.concatenate(([0.0], cdfs.sorted_own, [1.0]))
+    return float(np.max(psi_values(cdfs, w, population_cdfs, points)))
 
 
 def brute_b_term(k: int, n: int, beta0: float, betas: np.ndarray, w: np.ndarray):

@@ -21,7 +21,6 @@ from noisycal import (
     adaptive_threshold,
     aps_scores,
     b_term,
-    build_cdfs,
     build_transition,
     c_of_n,
     closed_form_inverse,
@@ -252,7 +251,7 @@ def test_06_clean_experiment_standard_coverage_window():
 
 def test_07_module_outputs_equal_enumeration_oracles(oracle_instances):
     for cal, w, alpha, delta in oracle_instances:
-        curve = delta_hat(build_cdfs(cal), w)
+        curve = delta_hat(cal, w)
         order_want, values_want = brute_delta_hat(cal.scores, cal.noisy_labels, w)
         assert np.array_equal(curve.order_stats, order_want)
         assert np.allclose(curve.values, values_want, rtol=0.0, atol=1e-12)
@@ -279,7 +278,7 @@ def test_08_optimistic_dominance(oracle_instances, contaminated_run):
         plus = optimistic_threshold(cal, w, alpha, _report(delta))
         plain = adaptive_threshold(cal, w, alpha, _report(delta))
         assert plus.tau <= plain.tau
-        curve = delta_hat(build_cdfs(cal), w)
+        curve = delta_hat(cal, w)
         order_want, values_want = brute_delta_hat(cal.scores, cal.noisy_labels, w)
         i_want, tau_want, _ = brute_optimistic(order_want, values_want, alpha, delta)
         assert plus.i_hat == i_want

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from noisycal import (
     OPTIMISTIC_CAVEAT,
@@ -16,7 +18,6 @@ from noisycal import (
     PredictionSet,
     ScoreMatrix,
     adaptive_threshold,
-    build_cdfs,
     closed_form_inverse,
     delta_hat,
     evaluate,
@@ -141,7 +142,7 @@ def test_adaptive_matches_enumeration_oracle():
         alpha = float(rng.uniform(0.05, 0.3))
         delta = float(rng.uniform(0.0, 0.1))
         res = adaptive_threshold(cal, w, alpha, report(delta))
-        curve = delta_hat(build_cdfs(cal), w)
+        curve = delta_hat(cal, w)
         i_want, tau_want, _ = brute_adaptive(curve.order_stats, curve.values, alpha, delta)
         assert res.i_hat == i_want
         assert res.tau == tau_want
@@ -154,6 +155,37 @@ def test_adaptive_threshold_monotone_in_delta_and_alpha():
     assert taus == sorted(taus)
     by_alpha = [adaptive_threshold(cal, w, a, report(0.01)).tau for a in (0.05, 0.1, 0.2, 0.4)]
     assert by_alpha == sorted(by_alpha, reverse=True)
+
+
+@st.composite
+def adaptive_problems(draw):
+    """A calibration set, an RR inverse and two (alpha, delta) pairs."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    k = draw(st.integers(min_value=2, max_value=5))
+    cal = random_calibration(draw(st.integers(0, 2**32 - 1)), max(n, k), k)
+    w = rr_w(k, draw(st.floats(min_value=0.0, max_value=0.5)))
+    alphas = sorted(draw(st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2)))
+    deltas = sorted(draw(st.lists(st.floats(0.0, 0.5), min_size=2, max_size=2)))
+    return cal, w, alphas, deltas
+
+
+@given(adaptive_problems())
+def test_adaptive_tau_monotone_in_alpha_and_delta_property(problem):
+    cal, w, (alpha_lo, alpha_hi), (delta_lo, delta_hi) = problem
+
+    def tau(alpha, delta):
+        return adaptive_threshold(cal, w, alpha, report(delta)).tau
+
+    assert tau(alpha_hi, delta_lo) <= tau(alpha_lo, delta_lo)
+    assert tau(alpha_lo, delta_lo) <= tau(alpha_lo, delta_hi)
+
+
+@given(adaptive_problems())
+def test_optimistic_tau_never_exceeds_adaptive_property(problem):
+    cal, w, (alpha, _), (delta, _) = problem
+    plus = optimistic_threshold(cal, w, alpha, report(delta))
+    plain = adaptive_threshold(cal, w, alpha, report(delta))
+    assert plus.tau <= plain.tau
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +236,7 @@ def test_optimistic_matches_enumeration_oracle():
         alpha = float(rng.uniform(0.05, 0.3))
         delta = float(rng.uniform(0.0, 0.15))
         res = optimistic_threshold(cal, w, alpha, report(delta))
-        curve = delta_hat(build_cdfs(cal), w)
+        curve = delta_hat(cal, w)
         i_want, tau_want, _ = brute_optimistic(curve.order_stats, curve.values, alpha, delta)
         assert res.i_hat == i_want
         assert res.tau == tau_want

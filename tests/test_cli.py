@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -471,6 +474,26 @@ def test_main_calibrate_asy_method(tmp_path, capsys):
     blob = json.loads((out / "threshold.json").read_text())
     assert blob["correction"]["method"] == "asymptotic"
     assert blob["correction"]["mc_diagnostics"]["M"] == 2000
+    assert blob["correction"]["mc_diagnostics"]["cholesky_jitter"] in (
+        1e-10,
+        1e-9,
+        1e-8,
+        1e-7,
+        1e-6,
+    )
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    # the package must not import its CLI module, or runpy warns on -m
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "noisycal.cli"]
+    argv += ["correction", "--model", "rr", "--eps", "0.1", "--k", "4", "--n", "1000"]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["method"] == "finite_sample"
 
 
 def test_methods_tuple_is_canonical():

@@ -471,7 +471,15 @@ def test_delta_asy_diagnostics_contents():
     cal, w = asy_inputs(seed=5, n=500)
     rep = delta_asy(cal, w, h_ladder=(1 / 50, 1 / 100), m=5_000, seed=0)
     d = rep.mc_diagnostics
-    assert set(d) == {"h_levels", "M", "raw", "extrapolated", "condition_number"}
+    assert set(d) == {
+        "h_levels",
+        "M",
+        "raw",
+        "extrapolated",
+        "condition_number",
+        "cholesky_jitter",
+    }
+    assert d["cholesky_jitter"] in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
     assert d["h_levels"] == [1 / 50, 1 / 100]
     assert d["M"] == 5_000
     assert [lv["h"] for lv in d["raw"]] == [1 / 50, 1 / 100]

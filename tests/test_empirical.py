@@ -2,22 +2,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from noisycal import (
     CalibrationSet,
     ContaminationSpec,
+    CorrectionMethod,
+    CorrectionReport,
     EmptyClass,
     Family,
     InvalidSpec,
+    adaptive_threshold,
     aps_scores,
-    build_cdfs,
     build_transition,
     delta_hat,
+    sample_noisy_labels,
+    standard_threshold,
+)
+from oracles import (
+    ClassCdfs,
+    brute_adaptive,
+    brute_delta_hat,
+    brute_psi,
     psi_sup_oracle,
     psi_values,
-    sample_noisy_labels,
 )
-from oracles import brute_delta_hat, brute_psi
 
 
 def small_cal(seed=0, n=40, k=3):
@@ -41,37 +52,19 @@ def test_calibration_set_validates_own_score():
     assert np.array_equal(ok.own_score, [0.2, 0.8])
 
 
-def test_build_cdfs_single_point():
-    cal = CalibrationSet.from_scores(np.array([[0.3]]), np.array([0]))
-    cdfs = build_cdfs(cal)
-    assert cdfs.f_hat(0.29) == 0.0
-    assert cdfs.f_hat(0.3) == 1.0
-
-
-def test_build_cdfs_counts_and_limits():
-    scores = np.array([[0.2], [0.4], [0.6]])
-    cal = CalibrationSet.from_scores(scores, np.zeros(3, dtype=np.int64))
-    cdfs = build_cdfs(cal)
-    assert cdfs.f_hat(0.4) == pytest.approx(2 / 3)
-    assert cdfs.class_cdf(0, 0, 0.4) == pytest.approx(2 / 3)
-    assert cdfs.f_hat(0.1) == 0.0
-    assert cdfs.f_hat(0.99) == 1.0
-
-
 def test_build_cdfs_empty_class_is_lazy():
     scores = np.array([[0.2, 0.5], [0.6, 0.7]])
     cal = CalibrationSet.from_scores(scores, np.array([0, 0]))
-    cdfs = build_cdfs(cal)  # class 1 empty: fine for standard calibration
+    # class 1 empty: fine for standard calibration, fatal for Delta_hat
+    assert standard_threshold(cal, 0.5).tau == 0.6
     with pytest.raises(EmptyClass) as exc:
-        cdfs.class_cdf(1, 0, 0.5)
+        delta_hat(cal, np.eye(2))
     assert exc.value.label == 1
-    with pytest.raises(EmptyClass):
-        delta_hat(cdfs, np.eye(2))
 
 
 def test_delta_hat_identity_w_is_zero():
     cal = small_cal(seed=1, n=120, k=4)
-    curve = delta_hat(build_cdfs(cal), np.eye(4))
+    curve = delta_hat(cal, np.eye(4))
     assert np.max(np.abs(curve.values)) <= 1e-12
 
 
@@ -86,7 +79,7 @@ def test_delta_hat_hand_instance_against_oracle():
     )
     labels = np.array([0, 1, 0, 1])
     w = np.array([[1.5, -0.5], [-0.5, 1.5]])
-    curve = delta_hat(build_cdfs(CalibrationSet.from_scores(scores, labels)), w)
+    curve = delta_hat(CalibrationSet.from_scores(scores, labels), w)
     order, values = brute_delta_hat(scores, labels, w)
     assert np.array_equal(curve.order_stats, order)
     assert np.allclose(curve.values, values, atol=1e-12, rtol=0.0)
@@ -99,12 +92,13 @@ def test_delta_hat_at_t_equal_one():
     labels = rng.integers(0, 3, size=60)
     labels[:3] = np.arange(3)
     w = np.array([[1.2, -0.1, -0.1], [-0.1, 1.2, -0.1], [-0.1, -0.1, 1.2]])
-    cdfs = build_cdfs(CalibrationSet.from_scores(scores, labels))
-    curve = delta_hat(cdfs, w)
+    cal = CalibrationSet.from_scores(scores, labels)
+    curve = delta_hat(cal, w)
     # at t = 1: Delta_hat(1) = sum_kl W_kl rho_hat_l - 1
-    expected = float(np.sum(w * cdfs.rho_hat[None, :])) - 1.0
+    rho_hat = np.bincount(labels, minlength=3) / 60
+    expected = float(np.sum(w * rho_hat[None, :])) - 1.0
     assert curve.values[-1] == pytest.approx(expected, abs=1e-12)
-    identity = delta_hat(cdfs, np.eye(3))
+    identity = delta_hat(cal, np.eye(3))
     assert identity.values[-1] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -117,9 +111,40 @@ def test_delta_hat_matches_oracle_on_random_instances():
         labels = rng.integers(0, k, size=n)
         labels[:k] = np.arange(k)
         w = np.eye(k) + rng.normal(scale=0.2, size=(k, k))
-        curve = delta_hat(build_cdfs(CalibrationSet.from_scores(scores, labels)), w)
+        curve = delta_hat(CalibrationSet.from_scores(scores, labels), w)
         order, values = brute_delta_hat(scores, labels, w)
         assert np.allclose(curve.values, values, atol=1e-12, rtol=0.0)
+
+
+@st.composite
+def tied_instances(draw):
+    """Scores rounded to 1 or 2 decimals (heavy ties), every class present."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    k = draw(st.integers(min_value=1, max_value=5))
+    n = max(n, k)
+    decimals = draw(st.integers(min_value=1, max_value=2))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    scores = np.round(draw(arrays(np.float64, (n, k), elements=unit)), decimals)
+    rest = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    labels = np.array(list(range(k)) + rest, dtype=np.int64)
+    w = draw(arrays(np.float64, (k, k), elements=st.floats(-2.0, 2.0)))
+    alpha = draw(st.floats(min_value=0.01, max_value=0.99))
+    delta = draw(st.floats(min_value=0.0, max_value=0.5))
+    return CalibrationSet.from_scores(scores, labels), w, alpha, delta
+
+
+@given(tied_instances())
+def test_delta_hat_and_i_hat_match_oracle_under_ties_property(instance):
+    cal, w, alpha, delta = instance
+    curve = delta_hat(cal, w)
+    order, values = brute_delta_hat(cal.scores, cal.noisy_labels, w)
+    assert np.array_equal(curve.order_stats, order)
+    assert np.allclose(curve.values, values, atol=1e-12, rtol=0.0)
+    report = CorrectionReport(method=CorrectionMethod.CN_ONLY, value=delta)
+    i_want, tau_want, _ = brute_adaptive(order, values, alpha, delta)
+    res = adaptive_threshold(cal, w, alpha, report)
+    assert res.i_hat == i_want
+    assert res.tau == tau_want
 
 
 def population(seed, k, n_pop=200_000):
@@ -138,9 +163,9 @@ def population(seed, k, n_pop=200_000):
 def test_psi_at_one_is_rho_difference():
     k = 3
     scores, noisy, tm = population(3, k, n_pop=50_000)
-    pop = build_cdfs(CalibrationSet.from_scores(scores, noisy))
+    pop = ClassCdfs(CalibrationSet.from_scores(scores, noisy))
     cal = CalibrationSet.from_scores(scores[:80], noisy[:80])
-    cdfs = build_cdfs(cal)
+    cdfs = ClassCdfs(cal)
     value = psi_values(cdfs, tm, pop, np.array([1.0]))[0]
     expected = float(np.sum(tm.W * (cdfs.rho_hat - pop.rho_hat)[None, :]))
     assert value == pytest.approx(expected, abs=1e-12)
@@ -149,9 +174,9 @@ def test_psi_at_one_is_rho_difference():
 def test_psi_matches_scalar_oracle():
     k = 3
     scores, noisy, tm = population(4, k, n_pop=20_000)
-    pop = build_cdfs(CalibrationSet.from_scores(scores, noisy))
+    pop = ClassCdfs(CalibrationSet.from_scores(scores, noisy))
     cal = CalibrationSet.from_scores(scores[:60], noisy[:60])
-    cdfs = build_cdfs(cal)
+    cdfs = ClassCdfs(cal)
     for t in (0.0, 0.25, 0.5, 0.9, 1.0):
         got = psi_values(cdfs, tm, pop, np.array([t]))[0]
         want = brute_psi(
@@ -169,7 +194,7 @@ def test_psi_is_centered():
     # E[psi_hat(t)] = 0: average over resampled calibration sets
     k = 3
     scores, noisy, tm = population(5, k, n_pop=200_000)
-    pop = build_cdfs(CalibrationSet.from_scores(scores, noisy))
+    pop = ClassCdfs(CalibrationSet.from_scores(scores, noisy))
     rng = np.random.default_rng(6)
     n = 50
     t_points = np.array([0.2, 0.4, 0.6, 0.8, 0.95])
@@ -178,7 +203,7 @@ def test_psi_is_centered():
         idx = rng.integers(0, scores.shape[0], size=n)
         while np.unique(noisy[idx]).size < k:
             idx = rng.integers(0, scores.shape[0], size=n)
-        cdfs = build_cdfs(CalibrationSet.from_scores(scores[idx], noisy[idx]))
+        cdfs = ClassCdfs(CalibrationSet.from_scores(scores[idx], noisy[idx]))
         draws[r] = psi_values(cdfs, tm, pop, t_points)
     mean = draws.mean(axis=0)
     se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
@@ -191,7 +216,7 @@ def test_psi_sup_identity_w_is_ks_like():
     rng = np.random.default_rng(8)
     n_pop = 300_000
     pop_scores = rng.random((n_pop, 1))
-    pop = build_cdfs(
+    pop = ClassCdfs(
         CalibrationSet.from_scores(pop_scores, np.zeros(n_pop, dtype=np.int64))
     )
     n = 40

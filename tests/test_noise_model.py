@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from noisycal import (
     ContaminationSpec,
@@ -187,3 +189,38 @@ def test_sample_noisy_deterministic():
 def test_condition_number_surfaces():
     tm = build_transition(rr(4, 0.1))
     assert tm.condition_number == pytest.approx(np.linalg.cond(tm.T), rel=1e-12)
+
+
+@st.composite
+def parametric_specs(draw, eps=st.floats(min_value=0.0, max_value=0.9)):
+    family = draw(
+        st.sampled_from([Family.RANDOMIZED_RESPONSE, Family.BLOCK_RR, Family.TWO_LEVEL_RR])
+    )
+    eps = draw(eps)
+    if family is Family.BLOCK_RR:
+        b = draw(st.integers(min_value=1, max_value=5))
+        k = b * draw(st.integers(min_value=1, max_value=5))
+        return ContaminationSpec(family=family, k=k, eps=eps, b=b)
+    if family is Family.TWO_LEVEL_RR:
+        k = 2 * draw(st.integers(min_value=1, max_value=10))
+        nu = draw(st.floats(min_value=0.0, max_value=1.0))
+        return ContaminationSpec(family=family, k=k, eps=eps, nu=nu)
+    k = draw(st.integers(min_value=1, max_value=20))
+    return ContaminationSpec(family=family, k=k, eps=eps)
+
+
+@given(parametric_specs())
+def test_closed_form_inverse_inverts_built_transition_property(spec):
+    w = closed_form_inverse(spec).W
+    t = build_transition(spec).T
+    assert np.max(np.abs(w @ t - np.eye(spec.k))) <= 1e-10
+
+
+@given(
+    parametric_specs(eps=st.just(0.0)),
+    st.lists(st.integers(min_value=0, max_value=1_000), min_size=1, max_size=50),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_sample_noisy_is_identity_without_noise_property(spec, draws, seed):
+    y = np.array(draws) % spec.k
+    assert np.array_equal(sample_noisy_labels(y, build_transition(spec), seed=seed), y)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from noisycal import (
     CalibrationSet,
@@ -120,3 +123,13 @@ def test_non_finite_score_is_not_reported_as_label_mismatch(wrap):
         if wrap:
             scores = ScoreMatrix(scores=scores, randomized=False, seed=0)
         CalibrationSet.from_scores(scores, np.array([1, 0]))
+
+
+@given(
+    arrays(np.float64, st.integers(1, 12), elements=st.floats(0.0, 1.0)),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_prediction_set_monotone_in_tau_property(row, tau_a, tau_b):
+    lo, hi = sorted((tau_a, tau_b))
+    assert set(prediction_set(row, lo).tolist()) <= set(prediction_set(row, hi).tolist())
