@@ -122,7 +122,6 @@ class ExperimentConfig:
     out: str | None = None
     randomized_scores: bool = True
     asy_m: int = 100_000
-    asy_order: int = 1
 
     def __post_init__(self) -> None:
         methods = tuple(self.methods)
@@ -204,7 +203,6 @@ def _threshold_for_method(
     alpha: float,
     *,
     asy_m: int,
-    asy_order: int,
     asy_seed: int,
     asy_report: CorrectionReport | None = None,
 ) -> tuple[ThresholdResult, CorrectionReport | None]:
@@ -223,7 +221,7 @@ def _threshold_for_method(
         return adaptive_threshold(cal, tm, alpha, report), asy_report
     if method in ("adaptive-asy", "adaptive-plus"):
         if asy_report is None:
-            asy_report = delta_asy(cal, tm, m=asy_m, seed=asy_seed, order=asy_order)
+            asy_report = delta_asy(cal, tm, m=asy_m, seed=asy_seed)
         if method == "adaptive-asy":
             return adaptive_threshold(cal, tm, alpha, asy_report), asy_report
         return optimistic_threshold(cal, tm, alpha, asy_report), asy_report
@@ -280,7 +278,6 @@ def _run_rep_inner(
             spec,
             config.alpha,
             asy_m=config.asy_m,
-            asy_order=config.asy_order,
             asy_seed=int(sub[3]),
             asy_report=asy_report,
         )
@@ -386,7 +383,6 @@ def run_from_scores(
     randomized: bool = False,
     seed: int = 0,
     asy_m: int = 100_000,
-    asy_order: int = 1,
 ) -> dict:
     """Calibrate a threshold from a file of probability or score rows.
 
@@ -426,7 +422,6 @@ def run_from_scores(
         spec,
         alpha,
         asy_m=asy_m,
-        asy_order=asy_order,
         asy_seed=int(seeds[1]),
     )
 
@@ -522,7 +517,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         randomized=args.randomized,
         seed=args.seed,
         asy_m=args.asy_m,
-        asy_order=args.asy_order,
     )
     thr = result["threshold"]
     print(f"tau_hat = {thr.tau!r} ({args.method})")
@@ -589,7 +583,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cal.add_argument("--seed", type=int, default=0)
     cal.add_argument("--asy-m", type=int, default=100_000, dest="asy_m")
-    cal.add_argument("--asy-order", type=int, default=1, dest="asy_order")
     cal.set_defaults(func=_cmd_calibrate)
 
     cor = sub.add_parser("correction", help="print a correction report as JSON")

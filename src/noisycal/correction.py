@@ -8,10 +8,10 @@ Three routes produce a correction:
 * ``delta_fs``: finite-sample bound c(n) (beta_0 + mean_k beta_k)
   + B(K, n, beta)/sqrt(n), minimized exactly over beta by solving two linear
   programs (one per branch of the min inside B).
-* ``delta_asy``: asymptotic route; estimates the covariance of the limiting
-  Gaussian process on a grid, simulates its absolute supremum, Richardson-
-  extrapolates across a ladder of grid resolutions, and rescales by
-  1/sqrt(n).
+* ``delta_asy``: asymptotic route; estimates and factors the covariance of
+  the limiting Gaussian process once, on the finest grid of a halving
+  ladder, simulates its absolute supremum on every level from one batch of
+  draws, Richardson-extrapolates, and rescales by 1/sqrt(n).
 
 ``delta_star_star_bound`` and ``upper_bound_diagnostics`` compute the purely
 diagnostic quantities (the bound on the expected absolute supremum of the
@@ -99,9 +99,9 @@ class CorrectionReport:
     bound was active, and ``c_n`` the exact c(n) it used; for the asymptotic
     route, ``mc_diagnostics`` records the grid ladder, the per-level
     Monte-Carlo estimates with standard errors, the extrapolated (unscaled)
-    supremum, the covariance condition number, and the Cholesky jitter
-    multiplier used on the finest grid (None when that covariance could not
-    be factored, as for an all-zero covariance).  ``condition_number``
+    supremum and its standard error, the covariance condition number, and the
+    Cholesky jitter multiplier of the finest-grid factorization (None for an
+    all-zero covariance, which is not factored).  ``condition_number``
     optionally carries the transition-matrix conditioning for audit.
     """
 
@@ -493,6 +493,39 @@ def _jittered_cholesky(
     )
 
 
+def _ladder_sups(
+    sigma: NDArray[np.float64], strides, m: int, seed: int
+) -> tuple[NDArray[np.float64], NDArray[np.float64] | None, float | None]:
+    """Absolute suprema of m draws x = L z, L L^T the jittered sigma.
+
+    Row j holds, per replicate, max |x| over every strides[j]-th point, all
+    rows from the same draws of one ``default_rng(seed)`` stream.  Returns
+    the suprema, L and its jitter multiplier; an all-zero sigma is not
+    factored, so its suprema are 0 and L and the multiplier None.
+    """
+    if m < 1000:
+        raise InvalidSpec("m must be >= 1000")
+    if not sigma.any():
+        return np.zeros((len(strides), m)), None, None
+    chol, mult = _jittered_cholesky(sigma)
+    rng = np.random.default_rng(seed)
+    npts = sigma.shape[0]
+    batch = max(1, int(5_000_000 // npts))
+    sups = np.empty((len(strides), m))
+    for start in range(0, m, batch):
+        b = min(batch, m - start)
+        x = rng.standard_normal((b, npts)) @ chol.T
+        np.abs(x, out=x)
+        for j, stride in enumerate(strides):
+            np.max(x[:, ::stride], axis=1, out=sups[j, start : start + b])
+    return sups, chol, mult
+
+
+def _mean_se(stat: NDArray[np.float64]):
+    """Mean and standard error along the last axis."""
+    return stat.mean(axis=-1), stat.std(axis=-1, ddof=1) / math.sqrt(stat.shape[-1])
+
+
 def simulate_gbb_sup(cov: GridCovariance, m: int, seed: int) -> tuple[float, float]:
     """Mean and SE of the absolute supremum of the Gaussian process.
 
@@ -503,29 +536,8 @@ def simulate_gbb_sup(cov: GridCovariance, m: int, seed: int) -> tuple[float, flo
     E[sup |BB|] = sqrt(pi/2) log 2, the constant the estimator is validated
     against.  An all-zero covariance short-circuits to (0, 0).
     """
-    if m < 1000:
-        raise InvalidSpec("m must be >= 1000")
-    sigma = cov.sigma
-    npts = sigma.shape[0]
-    if not sigma.any():
-        return 0.0, 0.0
-    chol, _ = _jittered_cholesky(sigma)
-    rng = np.random.default_rng(seed)
-    batch = max(1, int(5_000_000 // npts))
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < m:
-        b = min(batch, m - done)
-        z = rng.standard_normal((b, npts))
-        x = z @ chol.T
-        stat = np.max(np.abs(x), axis=1)
-        total += float(stat.sum())
-        total_sq += float((stat * stat).sum())
-        done += b
-    mean = total / m
-    var = max((total_sq - m * mean * mean) / (m - 1), 0.0) if m > 1 else 0.0
-    return float(mean), float(math.sqrt(var / m))
+    mean, se = _mean_se(_ladder_sups(cov.sigma, (1,), m, seed)[0][0])
+    return float(mean), float(se)
 
 
 def richardson(estimates, p_assumed: float = 0.5, order: int | None = None) -> float:
@@ -561,40 +573,25 @@ def richardson(estimates, p_assumed: float = 0.5, order: int | None = None) -> f
     return float(col[-1])
 
 
-def _condition_estimate(sigma: NDArray[np.float64]) -> tuple[float, float | None]:
-    """Iterative 2-norm condition estimate of the jittered covariance.
+def _condition_estimate(chol: NDArray[np.float64]) -> float:
+    """Iterative 2-norm condition estimate of the factored covariance L L^T.
 
-    Returns the estimate and the jitter multiplier of the factorization, or
-    (inf, None) when sigma cannot be factored.
+    Power iteration gives the largest eigenvalue and inverse iteration, by
+    solves against the factor, the smallest; each is read as ||L^T u||^2 for
+    a unit vector u, which is positive because the factor is nonsingular.
     """
-    try:
-        chol, mult = _jittered_cholesky(sigma)
-    except CholeskyFailure:
-        return math.inf, None
-    npts = sigma.shape[0]
-    a = sigma + (mult * float(np.trace(sigma)) / npts) * np.eye(npts)
-    v = 1.0 + np.linspace(0.0, 1.0, npts)
-    v /= np.linalg.norm(v)
-    for _ in range(60):
-        v = a @ v
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            return math.inf, mult
-        v /= norm
-    lam_max = float(v @ (a @ v))
-    u = np.ones(npts) / math.sqrt(npts)
+    npts = chol.shape[0]
     # chol.T is the upper factor in Fortran order, which LAPACK reads without
     # the copy that the C-ordered lower factor would cost on every solve
+    upper = chol.T
+    v = 1.0 + np.linspace(0.0, 1.0, npts)
+    u = np.ones(npts)
     for _ in range(60):
-        u = cho_solve((chol.T, False), u)
-        norm = np.linalg.norm(u)
-        if norm == 0.0:
-            return math.inf, mult
-        u /= norm
-    lam_min = float(u @ (a @ u))
-    if lam_min <= 0.0:
-        return math.inf, mult
-    return lam_max / lam_min, mult
+        v = chol @ (upper @ v)
+        v /= np.linalg.norm(v)
+        u = cho_solve((upper, False), u)
+        u /= np.linalg.norm(u)
+    return float(np.linalg.norm(upper @ v) / np.linalg.norm(upper @ u)) ** 2
 
 
 def delta_asy(
@@ -603,17 +600,16 @@ def delta_asy(
     h_ladder=(1.0 / 400.0, 1.0 / 800.0, 1.0 / 1600.0),
     m: int = 100_000,
     seed: int = 0,
-    order: int = 1,
-    p_assumed: float = 0.5,
 ) -> CorrectionReport:
     """Asymptotic correction via Gaussian suprema plus Richardson.
 
     For each step h the unit interval is discretized at the 1/h + 1 points
-    {0, h, 2h, ..., 1}; the covariance is estimated on that grid and the
-    absolute supremum simulated with its own substream of the seed.  The
-    ladder of estimates is extrapolated (default order 1 with exponent 1/2,
-    since the grid bias of a Gaussian supremum is O(sqrt(h))) and scaled by
-    1/sqrt(n).
+    {0, h, 2h, ..., 1}.  The steps must halve, so each grid is a strided
+    sub-grid of the finest: one covariance, one factor and one batch of m
+    draws serve every level.  The levels are extrapolated by one Richardson
+    pass with exponent 1/2 (the grid bias of a Gaussian supremum is
+    O(sqrt(h))), per replicate, which gives the SE of the extrapolated value,
+    and scaled by 1/sqrt(n).
     """
     hs = sorted((float(h) for h in h_ladder), reverse=True)
     if not hs:
@@ -621,24 +617,27 @@ def delta_asy(
     for h in hs:
         if h <= 0.0 or abs(round(1.0 / h) - 1.0 / h) > 1e-9:
             raise InvalidSpec(f"1/h must be a positive integer, got h={h}")
-    level_seeds = np.random.SeedSequence(seed).generate_state(len(hs))
-    levels = []
-    finest_cov = None
-    for h, level_seed in zip(hs, level_seeds):
-        grid = np.linspace(0.0, 1.0, int(round(1.0 / h)) + 1)
-        cov = estimate_covariance(cal, w, grid)
-        estimate, se = simulate_gbb_sup(cov, m, int(level_seed))
-        levels.append({"h": h, "estimate": estimate, "se": se})
-        finest_cov = cov
-    extrapolated = richardson(
-        [(lv["h"], lv["estimate"]) for lv in levels], p_assumed, order=order
+    # Richardson is linear, so its weights are its values at the unit
+    # vectors; computing them first rejects a ladder that does not halve
+    weights = np.array(
+        [richardson(zip(hs, unit), 0.5, order=1) for unit in np.eye(len(hs))]
     )
-    condition_number, jitter = _condition_estimate(finest_cov.sigma)
+    grid = np.linspace(0.0, 1.0, int(round(1.0 / hs[-1])) + 1)
+    strides = [int(round(h / hs[-1])) for h in hs]
+    sigma = estimate_covariance(cal, w, grid).sigma
+    sups, chol, jitter = _ladder_sups(sigma, strides, m, seed)
+    condition_number = math.inf if chol is None else _condition_estimate(chol)
+    means, ses = _mean_se(sups)
+    extrapolated, extrapolated_se = _mean_se(weights @ sups)
     diagnostics = {
         "h_levels": hs,
         "M": int(m),
-        "raw": levels,
-        "extrapolated": extrapolated,
+        "raw": [
+            {"h": h, "estimate": float(e), "se": float(se)}
+            for h, e, se in zip(hs, means, ses)
+        ],
+        "extrapolated": float(extrapolated),
+        "extrapolated_se": float(extrapolated_se),
         "condition_number": condition_number,
         "cholesky_jitter": jitter,
     }

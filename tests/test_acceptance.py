@@ -135,7 +135,6 @@ def test_01_bridge_constant_from_mc_ladder():
         h_ladder=(1.0 / 400.0, 1.0 / 800.0, 1.0 / 1600.0),
         m=100_000,
         seed=0,
-        order=1,
     )
     elapsed = time.monotonic() - start
     assert abs(math.sqrt(n) * rep.value - BRIDGE_TARGET) <= 0.01

@@ -97,6 +97,10 @@ def test_config_validation():
         small_config(family="custom")
     with pytest.raises(InvalidSpec):
         small_config(asy_m=10)
+    with pytest.raises(InvalidSpec):
+        ExperimentConfig.from_dict(
+            {"k": 2, "d": 4, "n_train": 10, "n_cal": 10, "n_test": 10, "asy_order": 1}
+        )
 
 
 def test_config_builders():
@@ -441,11 +445,25 @@ def test_main_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flag", [["--analytic-cn"], ["--cn-m", "2000"], ["--seed", "1"]])
-def test_main_correction_rejects_removed_cn_flags(flag):
-    argv = ["correction", "--model", "rr", "--k", "4", "--n", "100", *flag]
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["correction", "--analytic-cn"],
+        ["correction", "--cn-m", "2000"],
+        ["correction", "--seed", "1"],
+        ["calibrate", "--asy-order", "2"],
+    ],
+)
+def test_main_correction_rejects_removed_cn_flags(flag, tmp_path):
+    command, *removed = flag
+    path = tmp_path / "cal.csv"
+    write_cal_csv(path, seed=15, n=20, k=4)
+    valid = {
+        "correction": ["--model", "rr", "--k", "4", "--n", "100"],
+        "calibrate": ["--scores", str(path), "--model", "rr", "--method", "standard"],
+    }
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([command, *valid[command], *removed])
     assert exc.value.code == 2
 
 
@@ -474,6 +492,7 @@ def test_main_calibrate_asy_method(tmp_path, capsys):
     blob = json.loads((out / "threshold.json").read_text())
     assert blob["correction"]["method"] == "asymptotic"
     assert blob["correction"]["mc_diagnostics"]["M"] == 2000
+    assert blob["correction"]["mc_diagnostics"]["extrapolated_se"] > 0.0
     assert blob["correction"]["mc_diagnostics"]["cholesky_jitter"] in (
         1e-10,
         1e-9,

@@ -3,6 +3,7 @@
 import json
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ from noisycal import (
     InvalidSpec,
     LadderMismatch,
     SingularM,
+    aps_scores,
     b_term,
     c_of_n,
     closed_form_inverse,
     cn_envelope,
+    correction,
     delta_asy,
     delta_fs,
     delta_fs_special,
@@ -37,7 +40,13 @@ from noisycal import (
     upper_bound_diagnostics,
 )
 
-from oracles import brute_b_term, brute_covariance, mc_c_of_n, smirnov_mean
+from oracles import (
+    brute_b_term,
+    brute_covariance,
+    mc_c_of_n,
+    multiplier_sup,
+    smirnov_mean,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +485,7 @@ def test_delta_asy_diagnostics_contents():
         "M",
         "raw",
         "extrapolated",
+        "extrapolated_se",
         "condition_number",
         "cholesky_jitter",
     }
@@ -487,6 +497,12 @@ def test_delta_asy_diagnostics_contents():
     assert d["condition_number"] >= 1.0
     # grid refinement only reveals more of the supremum
     assert d["extrapolated"] >= d["raw"][-1]["estimate"] - 1e-12
+    # the extrapolation weighs the two levels by sqrt(2)/(sqrt(2) - 1) and
+    # -1/(sqrt(2) - 1); whatever their correlation, the SE of the weighted
+    # difference is at most the weighted sum of their SEs
+    r2 = math.sqrt(2.0)
+    bound = (r2 * d["raw"][-1]["se"] + d["raw"][-2]["se"]) / (r2 - 1.0)
+    assert 0.0 < d["extrapolated_se"] <= bound
 
 
 def test_delta_asy_seed_changes_estimate():
@@ -502,6 +518,73 @@ def test_delta_asy_rejects_non_integer_inverse_step():
         delta_asy(cal, w, h_ladder=(0.003,), m=5_000, seed=0)
     with pytest.raises(InvalidSpec):
         delta_asy(cal, w, h_ladder=(), m=5_000, seed=0)
+    with pytest.raises(LadderMismatch):
+        delta_asy(cal, w, h_ladder=(1 / 300, 1 / 400), m=5_000, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_delta_asy_coupled_levels_grow_down_the_ladder(seed):
+    # every coarse grid is a sub-grid of the finest and all levels read the
+    # same draws, so each replicate's supremum can only grow down the ladder:
+    # the ordering is exact, not statistical
+    cal, w = asy_inputs(seed=8, n=400)
+    d = delta_asy(cal, w, h_ladder=(1 / 50, 1 / 100, 1 / 200), m=2_000, seed=seed)
+    raw = [lv["estimate"] for lv in d.mc_diagnostics["raw"]]
+    assert raw == sorted(raw)
+    assert d.mc_diagnostics["extrapolated"] >= raw[-1]
+
+
+def test_delta_asy_builds_one_covariance_one_factor_one_stream(monkeypatch):
+    cal, w = asy_inputs(seed=9, n=300)
+    calls = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(correction, "estimate_covariance")
+    count(correction, "_jittered_cholesky")
+    count(np.random, "default_rng")
+    with pytest.raises(LadderMismatch):
+        delta_asy(cal, w, h_ladder=(1 / 300, 1 / 400), m=1_000, seed=0)
+    assert not calls  # rejected before any covariance or draw
+    delta_asy(cal, w, h_ladder=(1 / 50, 1 / 100, 1 / 200), m=1_000, seed=0)
+    assert calls == {"estimate_covariance": 1, "_jittered_cholesky": 1, "default_rng": 1}
+
+
+def test_delta_asy_zero_covariance():
+    # f_t is 0 for every sample below t = 1 and W at t = 1: no variance
+    cal = CalibrationSet.from_scores(np.ones((20, 1)), np.zeros(20, dtype=np.int64))
+    rep = delta_asy(cal, np.eye(1), h_ladder=(1 / 50, 1 / 100), m=1_000, seed=0)
+    d = rep.mc_diagnostics
+    assert [(lv["estimate"], lv["se"]) for lv in d["raw"]] == [(0.0, 0.0), (0.0, 0.0)]
+    assert (d["extrapolated"], d["extrapolated_se"]) == (0.0, 0.0)
+    assert d["condition_number"] == math.inf and d["cholesky_jitter"] is None
+    assert rep.value == 0.0
+
+
+def test_delta_asy_agrees_with_multiplier_oracle():
+    # The multiplier process has exactly the plug-in covariance and its
+    # supremum over [0, 1] needs no grid, so it is the continuum value the
+    # extrapolated ladder estimates.  Tolerance: 4 SE of the difference of
+    # the two independent estimates, plus 1% of the reference for the
+    # Richardson overshoot measured at n = 5000, K = 4 (1.0318 extrapolated
+    # against 1.0221 exact).
+    rng = np.random.default_rng(21)
+    n, k = 2000, 4
+    scores = aps_scores(rng.dirichlet(np.ones(k), size=n), randomized=True, seed=22)
+    cal = CalibrationSet.from_scores(scores, rng.integers(0, k, size=n))
+    spec = ContaminationSpec(family=Family.TWO_LEVEL_RR, k=k, eps=0.2, nu=0.2)
+    w = closed_form_inverse(spec).W
+    d = delta_asy(cal, w, m=4_000, seed=0).mc_diagnostics
+    exact, exact_se = multiplier_sup(cal.scores, cal.noisy_labels, w, 4_000, seed=1)
+    tol = 4.0 * math.hypot(d["extrapolated_se"], exact_se) + 0.01 * exact
+    assert abs(d["extrapolated"] - exact) <= tol
 
 
 # ---------------------------------------------------------------------------
