@@ -11,7 +11,6 @@ despite the contamination.
 from .calibrate import (
     OPTIMISTIC_CAVEAT,
     CalibrationMethod,
-    PredictionSet,
     ThresholdResult,
     adaptive_threshold,
     evaluate,
@@ -71,7 +70,6 @@ from .scores import (
     ScoreMatrix,
     aps_scores,
     one_minus_prob_scores,
-    prediction_set,
     validate_probability_rows,
 )
 from .synth import (

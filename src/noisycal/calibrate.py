@@ -1,4 +1,4 @@
-"""Calibration thresholds and prediction-set evaluation.
+"""Calibration thresholds, prediction sets and their evaluation.
 
 Three rules, all operating on the own-score order statistics S_(1) <= ... <=
 S_(n):
@@ -13,6 +13,10 @@ S_(n):
 
 The adaptive rules never compute delta(n) themselves; the caller passes a
 CorrectionReport so the provenance travels with the result.
+
+Prediction sets over K labels at threshold tau are one boolean n x K
+membership matrix, ``scores <= tau``: entry [i, k] is true when label k is in
+row i's set.
 """
 
 from __future__ import annotations
@@ -28,12 +32,11 @@ from numpy.typing import NDArray
 from .correction import CorrectionReport
 from .empirical import CalibrationSet, delta_hat
 from .errors import InvalidSpec, LengthMismatch
-from .scores import ScoreMatrix, prediction_set
+from .scores import ScoreMatrix
 
 __all__ = [
     "CalibrationMethod",
     "ThresholdResult",
-    "PredictionSet",
     "standard_threshold",
     "adaptive_threshold",
     "optimistic_threshold",
@@ -70,14 +73,6 @@ class ThresholdResult:
     correction: CorrectionReport | None
     set_I_empty: bool
     warning: str | None = None
-
-
-@dataclass(frozen=True)
-class PredictionSet:
-    """Labels (0-based) admitted at threshold tau for one test row."""
-
-    labels: NDArray[np.int64]
-    tau: float
 
 
 def _check_alpha(alpha: float) -> None:
@@ -187,21 +182,37 @@ def optimistic_threshold(
     )
 
 
-def prediction_sets(scores, tau: float) -> list[PredictionSet]:
-    """Threshold every score row into a PredictionSet."""
+def prediction_sets(scores, tau: float) -> NDArray[np.bool_]:
+    """The n x K membership matrix ``scores <= tau`` of a ScoreMatrix or array.
+
+    Monotone in tau; tau = 1 admits every label because scores live in
+    [0, 1].  An all-false row (the empty set) is a legitimate output.
+    """
+    if not 0.0 <= tau <= 1.0:
+        raise InvalidSpec(f"tau must lie in [0, 1], got {tau}")
     s = scores.scores if isinstance(scores, ScoreMatrix) else np.asarray(scores)
-    return [PredictionSet(labels=prediction_set(row, tau), tau=tau) for row in s]
+    return s <= tau
 
 
-def evaluate(sets: list[PredictionSet], true_labels) -> dict:
-    """Empirical coverage and average set size against true labels."""
+def evaluate(sets: NDArray[np.bool_], true_labels) -> dict:
+    """Empirical coverage and average set size of a membership matrix.
+
+    ``true_labels`` are 0-based; a label outside [0, K) raises InvalidSpec.
+    """
+    mask = np.asarray(sets, dtype=bool)
     y = np.asarray(true_labels)
-    if len(sets) != y.shape[0]:
-        raise LengthMismatch(
-            f"{len(sets)} prediction sets vs {y.shape[0]} labels"
-        )
-    if len(sets) == 0:
+    if mask.ndim != 2:
+        raise InvalidSpec(f"prediction sets must be n x K, got shape {mask.shape}")
+    n, k = mask.shape
+    if n != y.shape[0]:
+        raise LengthMismatch(f"{n} prediction sets vs {y.shape[0]} labels")
+    if n == 0:
         raise LengthMismatch("cannot evaluate zero prediction sets")
-    hits = sum(1 for ps, label in zip(sets, y) if label in ps.labels)
-    sizes = [ps.labels.shape[0] for ps in sets]
-    return {"coverage": hits / len(sets), "avg_size": float(np.mean(sizes))}
+    if not np.issubdtype(y.dtype, np.integer):
+        raise InvalidSpec(f"true labels must be integers, got dtype {y.dtype}")
+    bad = (y < 0) | (y >= k)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidSpec(f"true label {int(y[i])} of row {i} lies outside [0, {k})")
+    hits = int(mask[np.arange(n), y].sum())
+    return {"coverage": hits / n, "avg_size": float(mask.sum(axis=1).mean())}

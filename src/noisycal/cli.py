@@ -282,21 +282,31 @@ def _run_rep_inner(
             asy_report=asy_report,
         )
         metrics = evaluate(prediction_sets(sm_test, thr.tau), y[test])
-        rows.append(
-            {
-                "method": method,
-                "n": config.n_cal,
-                "K": config.k,
-                "alpha": config.alpha,
-                "delta_method": _DELTA_NAMES[method],
-                "delta_value": 0.0 if thr.correction is None else thr.correction.value,
-                "tau_hat": thr.tau,
-                "coverage": metrics["coverage"],
-                "avg_size": metrics["avg_size"],
-                "seed": rep_seed,
-            }
-        )
+        rows.append(_results_row(method, cal, config.alpha, thr, metrics, rep_seed))
     return rows
+
+
+def _results_row(
+    method: str,
+    cal: CalibrationSet,
+    alpha: float,
+    thr: ThresholdResult,
+    metrics: dict,
+    seed: int,
+) -> dict:
+    """One ``results.csv`` row (see ``fileio.RESULTS_HEADER``)."""
+    return {
+        "method": method,
+        "n": cal.n,
+        "K": cal.k,
+        "alpha": alpha,
+        "delta_method": _DELTA_NAMES[method],
+        "delta_value": 0.0 if thr.correction is None else thr.correction.value,
+        "tau_hat": thr.tau,
+        "coverage": metrics["coverage"],
+        "avg_size": metrics["avg_size"],
+        "seed": seed,
+    }
 
 
 def _summarize(config: ExperimentConfig, rows: list[dict]) -> list[dict]:
@@ -386,13 +396,17 @@ def run_from_scores(
 ) -> dict:
     """Calibrate a threshold from a file of probability or score rows.
 
-    The calibration file must carry ``y_noisy``.  Prediction sets are
-    produced for the test file when given, otherwise for the calibration
-    rows themselves; coverage is reported whenever the evaluated rows carry
-    ``y_true``.
+    The calibration file must carry ``y_noisy``.  Prediction sets (the
+    boolean n x K membership matrix under ``"sets"``) are produced for the
+    test file when given, otherwise for the calibration rows themselves;
+    coverage is reported whenever the evaluated rows carry ``y_true``.
     """
     if method not in METHODS:
         raise InvalidSpec(f"unknown method {method!r}; valid: {list(METHODS)}")
+    if (transition_path is None) == (model is None):
+        raise InvalidSpec(
+            "provide exactly one of a transition CSV and a contamination model"
+        )
     kind, values, y_noisy, y_true_cal = _read_values(scores_path)
     if y_noisy is None:
         raise FileFormatError(f"{scores_path} needs a y_noisy column for calibration")
@@ -401,18 +415,15 @@ def run_from_scores(
     k = sm_cal.k
 
     spec = None
-    if model is not None:
-        spec = ContaminationSpec(family=Family(model), k=k, eps=eps, nu=nu, b=b)
     if transition_path is not None:
         tm = fileio.read_transition_csv(transition_path)
         if tm.k != k:
             raise InvalidSpec(
                 f"transition matrix is {tm.k} x {tm.k} but rows have {k} classes"
             )
-    elif spec is not None:
-        tm = build_transition(spec)
     else:
-        raise InvalidSpec("provide either a transition CSV or a contamination model")
+        spec = ContaminationSpec(family=Family(model), k=k, eps=eps, nu=nu, b=b)
+        tm = build_transition(spec)
 
     cal = CalibrationSet.from_scores(sm_cal, y_noisy)
     thr, _ = _threshold_for_method(
@@ -442,27 +453,12 @@ def run_from_scores(
         os.makedirs(out, exist_ok=True)
         fileio.write_threshold_json(os.path.join(out, "threshold.json"), thr)
         fileio.write_prediction_sets_csv(
-            os.path.join(out, "prediction_sets.csv"), sets
+            os.path.join(out, "prediction_sets.csv"), sets, thr.tau
         )
         if metrics is not None:
             fileio.write_results_csv(
                 os.path.join(out, "results.csv"),
-                [
-                    {
-                        "method": method,
-                        "n": cal.n,
-                        "K": k,
-                        "alpha": alpha,
-                        "delta_method": _DELTA_NAMES[method],
-                        "delta_value": 0.0
-                        if thr.correction is None
-                        else thr.correction.value,
-                        "tau_hat": thr.tau,
-                        "coverage": metrics["coverage"],
-                        "avg_size": metrics["avg_size"],
-                        "seed": seed,
-                    }
-                ],
+                [_results_row(method, cal, alpha, thr, metrics, seed)],
             )
     return {"threshold": thr, "sets": sets, "metrics": metrics}
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .calibrate import PredictionSet, ThresholdResult
+from .calibrate import ThresholdResult
 from .errors import FileFormatError
 from .noise_model import TransitionMatrix, transition_from_matrix
 
@@ -257,15 +257,19 @@ def write_summary_csv(path: str, rows: Sequence[dict]) -> None:
             writer.writerow(_row_cells(row, SUMMARY_HEADER))
 
 
-def write_prediction_sets_csv(path: str, sets: Sequence[PredictionSet]) -> None:
-    """Rows of ``row,tau,set_size,labels`` with 1-based ;-joined labels."""
+def write_prediction_sets_csv(path: str, sets: NDArray[np.bool_], tau: float) -> None:
+    """Rows of ``row,tau,set_size,labels`` from an n x K membership matrix.
+
+    Labels are written 1-based and ;-joined; an empty set leaves the cell empty.
+    """
+    tau_cell = repr(float(tau))
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["row", "tau", "set_size", "labels"])
-        for i, pset in enumerate(sets):
-            labels = ";".join(str(int(v) + 1) for v in pset.labels)
+        for i, row in enumerate(np.asarray(sets, dtype=bool), start=1):
+            labels = np.flatnonzero(row) + 1
             writer.writerow(
-                [str(i + 1), repr(float(pset.tau)), str(len(pset.labels)), labels]
+                [str(i), tau_cell, str(labels.size), ";".join(map(str, labels))]
             )
 
 

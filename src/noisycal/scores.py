@@ -1,4 +1,4 @@
-"""Non-conformity scores (APS family) and thresholded prediction sets.
+"""Non-conformity scores (APS family).
 
 A probability row is a length-K vector summing to 1.  The APS score of label
 k is the cumulative sum of the descending sorted probabilities down to and
@@ -21,7 +21,6 @@ __all__ = [
     "validate_probability_rows",
     "aps_scores",
     "one_minus_prob_scores",
-    "prediction_set",
 ]
 
 # A ProbabilityRow is a plain length-K float vector; validate_probability_rows
@@ -96,7 +95,6 @@ def aps_scores(
     probs: NDArray[np.float64],
     randomized: bool = False,
     seed: int = 0,
-    jitter: bool = False,
 ) -> ScoreMatrix:
     """Generalized inverse-quantile (APS) scores for each row and label.
 
@@ -107,11 +105,8 @@ def aps_scores(
     randomized : bool
         Subtract U * probs with one uniform U per row, shared across labels.
     seed : int
-        Seed for the randomization (and jitter) draws; the deterministic
-        variant consumes no randomness.
-    jitter : bool
-        Add a uniform perturbation on [0, 1e-8] per entry so that scores are
-        almost surely distinct.  Off by default.
+        Seed for the randomization draws; the deterministic variant consumes
+        no randomness.
 
     Returns
     -------
@@ -127,12 +122,8 @@ def aps_scores(
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.broadcast_to(np.arange(k), (n, k)), axis=1)
     s = np.take_along_axis(csum, ranks, axis=1)
-    if randomized or jitter:
-        rng = np.random.default_rng(seed)
-        if randomized:
-            s = s - rng.random(n)[:, None] * p
-        if jitter:
-            s = s + rng.random((n, k)) * 1e-8
+    if randomized:
+        s = s - np.random.default_rng(seed).random(n)[:, None] * p
     return ScoreMatrix(scores=np.clip(s, 0.0, 1.0), randomized=randomized, seed=seed)
 
 
@@ -140,15 +131,3 @@ def one_minus_prob_scores(probs: NDArray[np.float64]) -> ScoreMatrix:
     """The plain 1 - pi(x, k) score, included as a simple alternative."""
     p = validate_probability_rows(probs)
     return ScoreMatrix(scores=1.0 - p, randomized=False, seed=0)
-
-
-def prediction_set(score_row: NDArray[np.float64], tau: float) -> NDArray[np.int64]:
-    """Labels whose score is at most tau (0-based, ascending).
-
-    Monotone in tau; tau = 1 returns every label because scores live in
-    [0, 1].  The empty set is a legitimate output.
-    """
-    if not 0.0 <= tau <= 1.0:
-        raise InvalidSpec(f"tau must lie in [0, 1], got {tau}")
-    row = np.asarray(score_row, dtype=np.float64)
-    return np.flatnonzero(row <= tau).astype(np.int64)

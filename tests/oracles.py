@@ -207,11 +207,13 @@ def brute_b_term(k: int, n: int, beta0: float, betas: np.ndarray, w: np.ndarray)
 
 
 def brute_evaluate(sets, labels):
+    """Coverage and mean set size of a membership matrix, one row at a time."""
     hits = 0
     size = 0
-    for pset, y in zip(sets, labels):
-        size += len(pset.labels)
-        if int(y) in set(int(v) for v in pset.labels):
+    for row, y in zip(sets, labels):
+        members = {k for k, inside in enumerate(row) if inside}
+        size += len(members)
+        if int(y) in members:
             hits += 1
     return hits / len(labels), size / len(labels)
 

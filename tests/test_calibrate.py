@@ -15,7 +15,6 @@ from noisycal import (
     Family,
     InvalidSpec,
     LengthMismatch,
-    PredictionSet,
     ScoreMatrix,
     adaptive_threshold,
     closed_form_inverse,
@@ -250,8 +249,8 @@ def test_optimistic_matches_enumeration_oracle():
 def test_prediction_sets_thresholds_each_row():
     scores = np.array([[0.2, 0.6, 1.0], [0.5, 0.5, 1.0]])
     sets = prediction_sets(scores, 0.5)
-    assert [list(ps.labels) for ps in sets] == [[0], [0, 1]]
-    assert all(ps.tau == 0.5 for ps in sets)
+    assert sets.dtype == np.bool_
+    assert sets.tolist() == [[True, False, False], [True, True, False]]
 
 
 def test_prediction_sets_accepts_score_matrix():
@@ -259,51 +258,49 @@ def test_prediction_sets_accepts_score_matrix():
     wrapped = ScoreMatrix(scores=scores, randomized=False, seed=0)
     plain = prediction_sets(scores, 0.5)
     rich = prediction_sets(wrapped, 0.5)
-    assert [list(p.labels) for p in plain] == [list(p.labels) for p in rich]
+    assert np.array_equal(plain, rich)
 
 
 def test_prediction_sets_tau_one_admits_everything():
     scores = np.random.default_rng(0).uniform(size=(5, 4))
     scores = np.sort(scores, axis=1)
     scores[:, -1] = 1.0
-    for ps in prediction_sets(scores, 1.0):
-        assert list(ps.labels) == [0, 1, 2, 3]
+    assert prediction_sets(scores, 1.0).all()
 
 
 def test_evaluate_hand_example():
-    sets = [
-        PredictionSet(labels=np.array([0]), tau=0.5),
-        PredictionSet(labels=np.array([0, 1]), tau=0.5),
-    ]
+    sets = np.array([[True, False], [True, True]])
     out = evaluate(sets, [1, 1])
     assert out == {"coverage": 0.5, "avg_size": 1.5}
 
 
 def test_evaluate_empty_sets():
-    sets = [PredictionSet(labels=np.array([], dtype=np.int64), tau=0.0)] * 3
+    sets = np.zeros((3, 3), dtype=bool)
     out = evaluate(sets, [0, 1, 2])
     assert out == {"coverage": 0.0, "avg_size": 0.0}
 
 
 def test_evaluate_validation():
-    sets = [PredictionSet(labels=np.array([0]), tau=0.5)]
-    with pytest.raises(LengthMismatch):
+    sets = np.array([[True, False]])
+    with pytest.raises(LengthMismatch, match="1 prediction sets vs 2 labels"):
         evaluate(sets, [0, 1])
     with pytest.raises(LengthMismatch):
-        evaluate([], [])
+        evaluate(np.zeros((0, 2), dtype=bool), [])
+
+
+@pytest.mark.parametrize("label", [-1, 3])
+def test_evaluate_rejects_label_outside_range(label):
+    # -1 would otherwise read column K-1 and 3 would count as a miss
+    sets = np.array([[True, False, True], [False, True, False]])
+    with pytest.raises(InvalidSpec, match="outside"):
+        evaluate(sets, [0, label])
 
 
 def test_evaluate_matches_oracle():
     rng = np.random.default_rng(11)
     for _ in range(20):
         n, k = int(rng.integers(1, 30)), int(rng.integers(2, 6))
-        sets = [
-            PredictionSet(
-                labels=np.flatnonzero(rng.uniform(size=k) < 0.5).astype(np.int64),
-                tau=0.5,
-            )
-            for _ in range(n)
-        ]
+        sets = rng.uniform(size=(n, k)) < 0.5
         y = rng.integers(0, k, size=n)
         out = evaluate(sets, y)
         cov, size = brute_evaluate(sets, y)

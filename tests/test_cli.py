@@ -439,6 +439,33 @@ def test_main_calibrate_nan_score_exits_2(tmp_path, capsys):
     assert "row 0, column 1 (0-based)" in capsys.readouterr().err
 
 
+def test_main_calibrate_transition_with_model_exits_2(tmp_path, capsys):
+    # accepting both would take the correction from the model and W from the file
+    cal_path, t_path = tmp_path / "cal.csv", tmp_path / "t.csv"
+    write_cal_csv(cal_path, seed=8, n=40, k=2)
+    spec = ContaminationSpec(family=Family.RANDOMIZED_RESPONSE, k=2, eps=0.4)
+    write_transition_csv(str(t_path), build_transition(spec))
+    code = main(
+        [
+            "calibrate",
+            "--scores",
+            str(cal_path),
+            "--transition",
+            str(t_path),
+            "--model",
+            "rr",
+            "--eps",
+            "0.05",
+            "--method",
+            "adaptive-fs-simplified",
+        ]
+    )
+    assert code == 2
+    assert "exactly one of a transition CSV and a contamination model" in (
+        capsys.readouterr().err
+    )
+
+
 def test_main_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["calibrate", "--nonsense"])

@@ -11,7 +11,6 @@ from noisycal import (
     CorrectionMethod,
     CorrectionReport,
     FileFormatError,
-    PredictionSet,
     ThresholdResult,
     transition_from_matrix,
 )
@@ -242,13 +241,9 @@ def test_summary_csv_header(tmp_path):
 
 
 def test_prediction_sets_roundtrip(tmp_path):
-    sets = [
-        PredictionSet(labels=np.array([0, 2]), tau=0.75),
-        PredictionSet(labels=np.array([], dtype=np.int64), tau=0.75),
-        PredictionSet(labels=np.array([1]), tau=0.75),
-    ]
+    sets = np.array([[True, False, True], [False, False, False], [False, True, False]])
     path = str(tmp_path / "sets.csv")
-    write_prediction_sets_csv(path, sets)
+    write_prediction_sets_csv(path, sets, 0.75)
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["row", "tau", "set_size", "labels"]

@@ -13,7 +13,7 @@ from noisycal import (
     ScoreMatrix,
     aps_scores,
     one_minus_prob_scores,
-    prediction_set,
+    prediction_sets,
     validate_probability_rows,
 )
 from oracles import brute_aps
@@ -59,13 +59,6 @@ def test_aps_randomized_bracket():
     assert np.array_equal(ran, again)
 
 
-def test_aps_jitter_separates_ties():
-    p = np.full((1, 4), 0.25)
-    sm = aps_scores(p, jitter=True, seed=1)
-    assert np.unique(sm.scores).size == 4
-    assert np.max(np.abs(sm.scores - aps_scores(p).scores)) <= 1e-8 + 1e-15
-
-
 def test_validate_probability_rows():
     with pytest.raises(InvalidProbability):
         validate_probability_rows(np.array([[0.7, 0.2]]))
@@ -77,28 +70,41 @@ def test_validate_probability_rows():
 
 
 def test_prediction_set_examples():
-    row = np.array([0.5, 0.8, 1.0])
-    assert prediction_set(row, 1.0).tolist() == [0, 1, 2]
-    assert prediction_set(row, 0.8).tolist() == [0, 1]
-    assert prediction_set(row, 0.49).tolist() == []
+    row = np.array([[0.5, 0.8, 1.0]])
+    assert prediction_sets(row, 1.0).tolist() == [[True, True, True]]
+    assert prediction_sets(row, 0.8).tolist() == [[True, True, False]]
+    assert prediction_sets(row, 0.49).tolist() == [[False, False, False]]
     with pytest.raises(InvalidSpec):
-        prediction_set(row, 1.1)
+        prediction_sets(row, 1.1)
+    rows = np.array([[0.5, 0.8, 1.0], [0.1, 1.0, 0.3], [0.6, 0.7, 1.0]])
+    assert prediction_sets(rows, 0.5).tolist() == [
+        [True, False, False],
+        [True, False, True],
+        [False, False, False],
+    ]
+    with pytest.raises(InvalidSpec):
+        prediction_sets(rows, 1.1)
+    with pytest.raises(InvalidSpec):
+        prediction_sets(rows, -0.1)
 
 
 def test_prediction_set_round_trip_and_monotone():
     rng = np.random.default_rng(7)
     taus = np.linspace(0.0, 1.0, 101)
     for _ in range(20):
-        k = int(rng.integers(2, 7))
-        p = rng.dirichlet(np.ones(k))
-        row = aps_scores(p[None, :]).scores[0]
-        previous = set()
+        n, k = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+        p = rng.dirichlet(np.ones(k), size=n)
+        scores = aps_scores(p).scores
+        previous = np.zeros((n, k), dtype=bool)
         for tau in taus:
-            chosen = set(prediction_set(row, tau).tolist())
-            assert chosen == {i for i in range(k) if row[i] <= tau}
-            assert previous <= chosen
-            previous = chosen
-        assert previous == set(range(k))
+            mask = prediction_sets(scores, tau)
+            assert mask.shape == (n, k) and mask.dtype == np.bool_
+            for i in range(n):
+                chosen = set(np.flatnonzero(mask[i]).tolist())
+                assert chosen == {j for j in range(k) if scores[i, j] <= tau}
+            assert not np.any(previous & ~mask)
+            previous = mask
+        assert previous.all()
 
 
 def test_one_minus_prob_scores():
@@ -126,10 +132,14 @@ def test_non_finite_score_is_not_reported_as_label_mismatch(wrap):
 
 
 @given(
-    arrays(np.float64, st.integers(1, 12), elements=st.floats(0.0, 1.0)),
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 5), st.integers(1, 12)),
+        elements=st.floats(0.0, 1.0),
+    ),
     st.floats(min_value=0.0, max_value=1.0),
     st.floats(min_value=0.0, max_value=1.0),
 )
-def test_prediction_set_monotone_in_tau_property(row, tau_a, tau_b):
+def test_prediction_set_monotone_in_tau_property(scores, tau_a, tau_b):
     lo, hi = sorted((tau_a, tau_b))
-    assert set(prediction_set(row, lo).tolist()) <= set(prediction_set(row, hi).tolist())
+    assert not np.any(prediction_sets(scores, lo) & ~prediction_sets(scores, hi))
