@@ -6,8 +6,10 @@ Three routes produce a correction:
   one-sided Kolmogorov-Smirnov statistic, in closed form as Q(n) / (2n)
   with Ramanujan's Q-function; bounded above by sqrt(pi / (2 n)).
 * ``delta_fs``: finite-sample bound c(n) (beta_0 + mean_k beta_k)
-  + B(K, n, beta)/sqrt(n), minimized exactly over beta by solving two linear
-  programs (one per branch of the min inside B).
+  + B(K, n, beta)/sqrt(n), minimized exactly over beta one branch of the min
+  inside B at a time: the chaining branch in closed form (a 1-D convex
+  piecewise-linear minimization over beta_0, O(K^2)), the Massart branch as
+  a sparse linear program solved by interior point (O(K^2) memory).
 * ``delta_asy``: asymptotic route; estimates and factors the covariance of
   the limiting Gaussian process once, on the finest grid of a halving
   ladder, simulates its absolute supremum on every level from one batch of
@@ -27,6 +29,7 @@ from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy import sparse
 from scipy.linalg import LinAlgWarning, cho_solve, lu_factor, lu_solve
 from scipy.optimize import linprog
 
@@ -96,7 +99,10 @@ class CorrectionReport:
 
     ``value`` is delta(n) itself.  For the finite-sample route, ``beta_star``
     and ``branch`` record the attaining coefficients and which branch of the
-    bound was active, and ``c_n`` the exact c(n) it used; for the asymptotic
+    bound was active, ``branch_values`` the bound with each branch alone
+    (``{"massart": ..., "chaining": ...}``, chaining None for K = 1; from
+    ``delta_fs`` each at its own branch's minimizer, so ``value`` is the
+    smaller), and ``c_n`` the exact c(n) it used; for the asymptotic
     route, ``mc_diagnostics`` records the grid ladder, the per-level
     Monte-Carlo estimates with standard errors, the extrapolated (unscaled)
     supremum and its standard error, the covariance condition number, and the
@@ -112,6 +118,7 @@ class CorrectionReport:
     mc_diagnostics: dict | None = None
     condition_number: float | None = None
     c_n: float | None = None
+    branch_values: dict | None = None
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.value) or self.value < 0.0:
@@ -134,6 +141,7 @@ class CorrectionReport:
             if self.condition_number is None
             else float(self.condition_number),
             "c_n": None if self.c_n is None else float(self.c_n),
+            "branch_values": _jsonable(self.branch_values),
         }
 
 
@@ -214,6 +222,29 @@ def omega_matrix(w, beta: BetaVector) -> NDArray[np.float64]:
     return w - beta.beta0 * np.eye(k) - beta.betas[:, None] / k
 
 
+def _branch_terms(k: int, n: int, beta: BetaVector, w) -> dict[str, float | None]:
+    """The two branches inside the min of B(K, n, beta), before the factor 2.
+
+    ``massart`` is max_l sum_k |Omega[k, l]| * sqrt(log(K n + 1)) and
+    ``chaining`` is 24 max|Omega| (2 log K + 1)/(2 log K - 1) sqrt(2 K log K);
+    the chaining branch needs 2 log K > 1, so it is None for K = 1.
+    """
+    if k < 1 or n < 1:
+        raise InvalidSpec("k and n must be >= 1")
+    abs_omega = np.abs(omega_matrix(w, beta))
+    massart = float(abs_omega.sum(axis=0).max()) * math.sqrt(math.log(k * n + 1.0))
+    chaining = None
+    if k >= 2:
+        chaining = float(abs_omega.max()) * _chaining_constant(k)
+    return {"massart": massart, "chaining": chaining}
+
+
+def _chaining_constant(k: int) -> float:
+    """24 (2 log K + 1)/(2 log K - 1) sqrt(2 K log K), for K >= 2."""
+    log_k = math.log(k)
+    return 24.0 * ((2.0 * log_k + 1.0) / (2.0 * log_k - 1.0)) * math.sqrt(2.0 * k * log_k)
+
+
 def b_term(k: int, n: int, beta: BetaVector, w) -> tuple[float, str]:
     """The deviation term B(K, n, beta) and which branch attained it.
 
@@ -223,27 +254,14 @@ def b_term(k: int, n: int, beta: BetaVector, w) -> tuple[float, str]:
     The chaining branch needs 2 log K > 1; for K = 1 it is undefined and the
     Massart branch is used alone.
     """
-    if k < 1 or n < 1:
-        raise InvalidSpec("k and n must be >= 1")
-    omega = omega_matrix(w, beta)
-    abs_omega = np.abs(omega)
-    massart = float(abs_omega.sum(axis=0).max()) * math.sqrt(math.log(k * n + 1.0))
-    if k >= 2:
-        log_k = math.log(k)
-        chaining = (
-            24.0
-            * float(abs_omega.max())
-            * ((2.0 * log_k + 1.0) / (2.0 * log_k - 1.0))
-            * math.sqrt(2.0 * k * log_k)
-        )
-    else:
-        chaining = math.inf
-    if massart <= chaining:
-        return 2.0 * massart, "massart"
+    terms = _branch_terms(k, n, beta, w)
+    chaining = terms["chaining"]
+    if chaining is None or terms["massart"] <= chaining:
+        return 2.0 * terms["massart"], "massart"
     return 2.0 * chaining, "chaining"
 
 
-def _solve_branch_lp(
+def _branch_lp(
     k: int,
     w: NDArray[np.float64],
     weight: float,
@@ -251,135 +269,202 @@ def _solve_branch_lp(
     per_column: bool,
     abs_objective: bool,
 ) -> BetaVector:
-    """Exact LP for one branch of the piecewise-linear bound.
+    """Exact LP for one branch of the piecewise-linear bound, sparse, by IPM.
 
     Minimizes weight * (beta0 + mean_k beta_k) + z_coef * z, with the betas
     replaced by their absolute values when ``abs_objective``.  Variables:
     beta0, beta_1..K, [u0, u_1..K if abs_objective], [A_kl if per_column], z.
-    The Omega entries are affine in beta, so |Omega| and the column-sum /
-    entrywise max reduce to linear constraints.
+    The Omega entries are affine in beta, so |Omega| and the column-sum
+    (``per_column``, the Massart branch) or entrywise (the chaining branch)
+    max reduce to linear constraints.  ``A_ub`` is built as a sparse matrix
+    (at most 3 nonzeros per row outside the K column-sum rows, so O(K^2)
+    memory) and solved by HiGHS's interior-point method with crossover,
+    which scales in K where the default simplex does not.
     """
     nb = 1 + k
-    nu = (1 + k) if abs_objective else 0
+    nu = nb if abs_objective else 0
     na = k * k if per_column else 0
     nvars = nb + nu + na + 1
-    i_u0 = nb
     i_a = nb + nu
     i_z = nvars - 1
 
-    rows: list[NDArray[np.float64]] = []
-    rhs: list[float] = []
-
-    def omega_row(kk: int, ll: int, sign: float, aux_index: int) -> None:
-        # encode sign * Omega[kk, ll] <= aux where
-        # Omega[kk, ll] = W[kk, ll] - beta0 * 1[kk = ll] - beta_kk / K
-        row = np.zeros(nvars)
-        if kk == ll:
-            row[0] = -sign
-        row[1 + kk] = -sign / k
-        row[aux_index] = -1.0
-        rows.append(row)
-        rhs.append(-sign * w[kk, ll])
-
-    for kk in range(k):
-        for ll in range(k):
-            aux = (i_a + kk * k + ll) if per_column else i_z
-            omega_row(kk, ll, +1.0, aux)
-            omega_row(kk, ll, -1.0, aux)
+    # rows 2c and 2c + 1 encode +Omega[kk, ll] <= aux and -Omega[kk, ll] <= aux
+    # for the cell c = kk * K + ll, where
+    # Omega[kk, ll] = W[kk, ll] - beta0 * 1[kk = ll] - beta_kk / K
+    cell = np.repeat(np.arange(k * k), 2)
+    kk, ll = np.divmod(cell, k)
+    sign = np.tile([1.0, -1.0], k * k)
+    row = np.arange(2 * k * k)
+    aux = (i_a + cell) if per_column else np.full(row.shape, i_z)
+    on_diag = kk == ll
+    rows = [row, row, row[on_diag]]
+    cols = [1 + kk, aux, np.zeros(int(on_diag.sum()), dtype=np.intp)]
+    vals = [-sign / k, -np.ones(row.shape), -sign[on_diag]]
+    rhs = [-sign * w.ravel()[cell]]
+    nrows = row.shape[0]
     if per_column:
-        for ll in range(k):
-            row = np.zeros(nvars)
-            for kk in range(k):
-                row[i_a + kk * k + ll] = 1.0
-            row[i_z] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
+        # sum_kk A[kk, ll] <= z for every column ll
+        a_cell = np.arange(k * k)
+        rows += [nrows + a_cell % k, nrows + np.arange(k)]
+        cols += [i_a + a_cell, np.full(k, i_z)]
+        vals += [np.ones(k * k), -np.ones(k)]
+        rhs.append(np.zeros(k))
+        nrows += k
     if abs_objective:
-        for j in range(1 + k):
-            for sign in (+1.0, -1.0):
-                row = np.zeros(nvars)
-                row[j] = sign
-                row[i_u0 + j] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
+        # +-beta_j <= u_j
+        j = np.repeat(np.arange(nb), 2)
+        row = nrows + np.arange(2 * nb)
+        rows += [row, row]
+        cols += [j, nb + j]
+        vals += [np.tile([1.0, -1.0], nb), -np.ones(2 * nb)]
+        rhs.append(np.zeros(2 * nb))
+        nrows += 2 * nb
+    a_ub = sparse.csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nrows, nvars),
+    )
 
     cost = np.zeros(nvars)
-    if abs_objective:
-        cost[i_u0] = weight
-        cost[i_u0 + 1 : i_u0 + 1 + k] = weight / k
-    else:
-        cost[0] = weight
-        cost[1 : 1 + k] = weight / k
+    first = nb if abs_objective else 0
+    cost[first] = weight
+    cost[first + 1 : first + nb] = weight / k
     cost[i_z] = z_coef
 
     res = linprog(
         cost,
-        A_ub=np.array(rows),
-        b_ub=np.array(rhs),
+        A_ub=a_ub,
+        b_ub=np.concatenate(rhs),
         bounds=(None, None),
-        method="highs",
+        method="highs-ipm",
     )
     if res.status != 0 or res.x is None:
         raise SolverFailure(f"LP did not reach an optimum: {res.message}")
-    return BetaVector(beta0=float(res.x[0]), betas=res.x[1 : 1 + k].copy())
+    return BetaVector(beta0=float(res.x[0]), betas=res.x[1:nb].copy())
 
 
-def _fs_objective(n: int, k: int, w, c_n: float, beta: BetaVector) -> tuple[float, str]:
-    b, branch = b_term(k, n, beta, w)
-    value = c_n * (beta.beta0 + float(np.mean(beta.betas))) + b / math.sqrt(n)
-    return value, branch
+def _chaining_minimizer(
+    k: int, w: NDArray[np.float64], weight: float, z_coef: float
+) -> BetaVector:
+    """Exact minimizer of the signed chaining branch, in closed form.
+
+    Minimizes weight * (beta0 + mean_k beta_k) + z_coef * max|Omega| for
+    K >= 2.  With b_k = beta_k / K, row k needs |W'[k, l] - b_k| <= z for
+    W' = W - beta0 I, and the smallest sum of b_k is b_k = max_l W'[k, l] - z.
+    That leaves (z_coef - K weight) z to minimize: the problem is unbounded
+    below when z_coef < K weight, and otherwise z is half the largest row
+    range.  With a_k = W[k, k], M_k and m_k the max and min of W[k, l] over
+    l != k, C = max_k(M_k - m_k), A = max_k(a_k - m_k), B = min_k(a_k - M_k):
+
+        z(beta0)  = max(C, A - beta0, beta0 - B) / 2,
+        b_k       = max(a_k - beta0, M_k) - z,
+
+    and the objective is convex piecewise linear in beta0 with kinks among
+    {a_k - M_k} and {A - C, B + C, (A + B)/2}; the minimum is the best kink.
+    O(K^2) work, no solver.
+    """
+    slack = z_coef - k * weight
+    if not slack >= 0.0:
+        raise SolverFailure(
+            f"the chaining branch is unbounded below: its z coefficient {z_coef} "
+            f"is below K * weight = {k * weight}"
+        )
+    diag = np.diag(w)
+    off = w.copy()
+    np.fill_diagonal(off, -np.inf)
+    big = off.max(axis=1)
+    np.fill_diagonal(off, np.inf)
+    small = off.min(axis=1)
+    c_range = float(np.max(big - small))
+    a_top = float(np.max(diag - small))
+    b_bot = float(np.min(diag - big))
+    beta0 = np.concatenate(
+        [diag - big, [a_top - c_range, b_bot + c_range, 0.5 * (a_top + b_bot)]]
+    )
+    tops = np.maximum(diag[None, :] - beta0[:, None], big[None, :])
+    z = 0.5 * np.maximum(c_range, np.maximum(a_top - beta0, beta0 - b_bot))
+    objective = weight * (beta0 + tops.sum(axis=1)) + slack * z
+    best = int(np.argmin(objective))
+    return BetaVector(beta0=float(beta0[best]), betas=k * (tops[best] - z[best]))
+
+
+def _fs_values(
+    n: int, k: int, w, weight: float, beta: BetaVector, absolute: bool = False
+) -> dict[str, float | None]:
+    """The objective at beta with each branch of B alone (None: undefined).
+
+    weight * (beta0 + mean_k beta_k) + 2 branch / sqrt(n), with absolute
+    values on the betas when ``absolute``; the bound is the smaller value.
+    """
+    if absolute:
+        linear = weight * (abs(beta.beta0) + float(np.mean(np.abs(beta.betas))))
+    else:
+        linear = weight * (beta.beta0 + float(np.mean(beta.betas)))
+    scale = 2.0 / math.sqrt(n)
+    return {
+        name: None if term is None else linear + scale * term
+        for name, term in _branch_terms(k, n, beta, w).items()
+    }
+
+
+def _smallest(values: dict[str, float | None]) -> tuple[float, str]:
+    """The smallest defined value and its key; the first key wins a tie."""
+    defined = [(v, name) for name, v in values.items() if v is not None]
+    return min(defined, key=lambda pair: pair[0])
 
 
 def _branch_minimizers(
     n: int, k: int, w, weight: float, abs_objective: bool
-) -> list[BetaVector]:
-    """Minimizers of the Massart LP and, for K >= 2, of the chaining LP.
+) -> dict[str, BetaVector]:
+    """Minimizers of the Massart branch and, for K >= 2, of the chaining branch.
 
-    One LP per branch of the min inside B; the z-coefficients include the
-    2/sqrt(n) scale of B.  The caller evaluates its full objective at each
-    candidate and keeps the smaller.
+    One problem per branch of the min inside B; the z-coefficients include
+    the 2/sqrt(n) scale of B.  The signed chaining branch is solved in
+    closed form (:func:`_chaining_minimizer`); the Massart branch, and both
+    branches of the ``abs_objective`` variant, by the sparse interior-point
+    LP (:func:`_branch_lp`).  The closed form runs first, so an unbounded
+    chaining branch fails before any LP is built.
     """
     w = _as_w(w)
     if w.shape != (k, k):
         raise InvalidSpec(f"W has shape {w.shape}, expected {(k, k)}")
     if n < 1:
         raise InvalidSpec("n must be >= 1")
-    massart = (2.0 / math.sqrt(n)) * math.sqrt(math.log(k * n + 1.0))
-    candidates = [
-        _solve_branch_lp(
-            k, w, weight, massart, per_column=True, abs_objective=abs_objective
-        )
-    ]
+    scale = 2.0 / math.sqrt(n)
+    chaining = {}
     if k >= 2:
-        log_k = math.log(k)
-        chaining = (
-            (2.0 / math.sqrt(n))
-            * 24.0
-            * ((2.0 * log_k + 1.0) / (2.0 * log_k - 1.0))
-            * math.sqrt(2.0 * k * log_k)
+        z_coef = scale * _chaining_constant(k)
+        chaining["chaining"] = (
+            _branch_lp(k, w, weight, z_coef, per_column=False, abs_objective=True)
+            if abs_objective
+            else _chaining_minimizer(k, w, weight, z_coef)
         )
-        candidates.append(
-            _solve_branch_lp(
-                k, w, weight, chaining, per_column=False, abs_objective=abs_objective
-            )
-        )
-    return candidates
+    z_coef = scale * math.sqrt(math.log(k * n + 1.0))
+    massart = _branch_lp(
+        k, w, weight, z_coef, per_column=True, abs_objective=abs_objective
+    )
+    return {"massart": massart, **chaining}
 
 
 def delta_fs(n: int, k: int, w, c_n: float) -> CorrectionReport:
     """Finite-sample correction, minimized exactly over beta.
 
-    Solves the two convex piecewise-linear subproblems (one per branch of the
-    min inside B) as linear programs, then reports the smaller full objective
-    together with the attaining beta and branch.  The reported value equals
-    the objective evaluated at ``beta_star``, which is the optimizer
+    Minimizes each branch of the min inside B exactly: the chaining branch
+    in closed form, the Massart branch as a sparse LP by interior point (see
+    :func:`_branch_minimizers`).  ``branch_values`` records each branch's
+    optimum, its own term at its own minimizer (None for the chaining
+    branch at K = 1).  The report carries the minimizer with the smaller
+    bound and the branch active there; the reported value equals the
+    objective evaluated at ``beta_star``, which is the optimizer
     certificate.
     """
     if not (np.isfinite(c_n) and c_n > 0.0):
         raise InvalidSpec(f"c_n must be positive, got {c_n}")
-    best: tuple[float, str, BetaVector] | None = None
-    for beta in _branch_minimizers(n, k, w, c_n, abs_objective=False):
-        value, branch = _fs_objective(n, k, w, c_n, beta)
+    branch_values: dict[str, float | None] = {"massart": None, "chaining": None}
+    best = None
+    for name, beta in _branch_minimizers(n, k, w, c_n, abs_objective=False).items():
+        values = _fs_values(n, k, w, c_n, beta)
+        branch_values[name] = values[name]
+        value, branch = _smallest(values)
         if best is None or value < best[0]:
             best = (value, branch, beta)
     value, branch, beta = best
@@ -389,6 +474,7 @@ def delta_fs(n: int, k: int, w, c_n: float) -> CorrectionReport:
         beta_star=beta,
         branch=branch,
         c_n=float(c_n),
+        branch_values=branch_values,
     )
 
 
@@ -414,14 +500,15 @@ def delta_fs_special(spec: ContaminationSpec, n: int, c_n: float) -> CorrectionR
     else:
         raise InvalidSpec("delta_fs_special supports only the parametric families")
     beta = BetaVector(beta0=1.0 / (1.0 - eps), betas=betas)
-    w = closed_form_inverse(spec).W
-    value, branch = _fs_objective(n, k, w, c_n, beta)
+    values = _fs_values(n, k, closed_form_inverse(spec).W, c_n, beta)
+    value, branch = _smallest(values)
     return CorrectionReport(
         method=CorrectionMethod.FINITE_SAMPLE,
         value=max(value, 0.0),
         beta_star=beta,
         branch=branch,
         c_n=float(c_n),
+        branch_values=values,
     )
 
 
@@ -656,18 +743,17 @@ def delta_asy(
 def delta_star_star_bound(n: int, k: int, w) -> float:
     """Bound on the expected absolute supremum of the centered process.
 
-    Same two linear programs as :func:`delta_fs`, with absolute values on the
+    The same two branches as :func:`delta_fs`, with absolute values on the
     beta coefficients and the analytic envelope sqrt(pi/(2 n)) as the linear
-    weight; the bound is only valid with the envelope, not with c(n).
+    weight; the bound is only valid with the envelope, not with c(n).  With
+    absolute values the chaining branch has no closed form, so both branches
+    are sparse interior-point LPs.
     """
     scale = cn_envelope(n)
-    best = math.inf
-    for beta in _branch_minimizers(n, k, w, scale, abs_objective=True):
-        b, _ = b_term(k, n, beta, w)
-        value = scale * (
-            abs(beta.beta0) + float(np.mean(np.abs(beta.betas)))
-        ) + b / math.sqrt(n)
-        best = min(best, value)
+    best = min(
+        _smallest(_fs_values(n, k, w, scale, beta, absolute=True))[0]
+        for beta in _branch_minimizers(n, k, w, scale, abs_objective=True).values()
+    )
     return float(max(best, 0.0))
 
 

@@ -75,7 +75,7 @@ class InsufficientVertices(NoisycalError):
 
 
 class SolverFailure(NoisycalError):
-    """The linear-programming solver did not return a certified optimum."""
+    """A finite-sample branch has no certified optimum (solver failure or unbounded)."""
 
 
 class CholeskyFailure(NoisycalError):

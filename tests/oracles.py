@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 
 from noisycal import EmptyClass
 
@@ -284,3 +284,77 @@ def multiplier_sup(
         g = path - xi.sum(axis=1, keepdims=True) * f_mean
         stat[start : start + b] = np.abs(g).max(axis=1) / math.sqrt(n)
     return float(stat.mean()), float(stat.std(ddof=1) / math.sqrt(m))
+
+
+def dense_branch_lp(
+    k: int,
+    w: np.ndarray,
+    weight: float,
+    z_coef: float,
+    per_column: bool,
+    abs_objective: bool,
+):
+    """One branch of the finite-sample bound as a dense LP, row by row.
+
+    Minimizes weight * (beta0 + mean_k beta_k) + z_coef * z, with the betas
+    replaced by their absolute values when ``abs_objective``, subject to
+    |Omega[k, l]| <= A_kl with sum_k A_kl <= z for every column l
+    (``per_column``, the Massart branch) or |Omega[k, l]| <= z (the chaining
+    branch).  Variables: beta0, beta_1..K, [u0, u_1..K], [A_kl], z.  Solved
+    by the HiGHS simplex; returns the scipy result, or raises ValueError when
+    it does not reach an optimum.  O(K^4) memory, so only for small K.
+    """
+    nb = 1 + k
+    nu = (1 + k) if abs_objective else 0
+    na = k * k if per_column else 0
+    nvars = nb + nu + na + 1
+    i_u0 = nb
+    i_a = nb + nu
+    i_z = nvars - 1
+
+    rows, rhs = [], []
+
+    def omega_row(kk: int, ll: int, sign: float, aux_index: int) -> None:
+        # sign * Omega[kk, ll] <= aux, with
+        # Omega[kk, ll] = W[kk, ll] - beta0 * 1[kk = ll] - beta_kk / K
+        row = np.zeros(nvars)
+        if kk == ll:
+            row[0] = -sign
+        row[1 + kk] = -sign / k
+        row[aux_index] = -1.0
+        rows.append(row)
+        rhs.append(-sign * w[kk, ll])
+
+    for kk in range(k):
+        for ll in range(k):
+            aux = (i_a + kk * k + ll) if per_column else i_z
+            omega_row(kk, ll, +1.0, aux)
+            omega_row(kk, ll, -1.0, aux)
+    if per_column:
+        for ll in range(k):
+            row = np.zeros(nvars)
+            for kk in range(k):
+                row[i_a + kk * k + ll] = 1.0
+            row[i_z] = -1.0
+            rows.append(row)
+            rhs.append(0.0)
+    if abs_objective:
+        for j in range(1 + k):
+            for sign in (+1.0, -1.0):
+                row = np.zeros(nvars)
+                row[j] = sign
+                row[i_u0 + j] = -1.0
+                rows.append(row)
+                rhs.append(0.0)
+
+    cost = np.zeros(nvars)
+    first = i_u0 if abs_objective else 0
+    cost[first] = weight
+    cost[first + 1 : first + 1 + k] = weight / k
+    cost[i_z] = z_coef
+    res = optimize.linprog(
+        cost, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=(None, None), method="highs"
+    )
+    if res.status != 0:
+        raise ValueError(f"dense LP did not reach an optimum: {res.message}")
+    return res

@@ -401,6 +401,29 @@ def test_main_correction_prints_json(capsys):
     assert blob["beta_star"]["beta0"] == pytest.approx(1.25, abs=1e-12)
 
 
+def test_main_correction_large_k_randomized_response(capsys):
+    # K = 100 was out of reach of the dense LP; Omega = 0 gives exactly c(n)
+    argv = ["correction", "--model", "rr", "--eps", "0.2", "--k", "100", "--n", "5000"]
+    assert main([*argv, "--variant", "fs"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["c_n"] == c_of_n(5000)
+    assert blob["value"] == pytest.approx(blob["c_n"], rel=1e-12)
+    assert blob["branch"] == "massart"
+    assert set(blob["branch_values"]) == {"massart", "chaining"}
+    assert blob["value"] == pytest.approx(min(blob["branch_values"].values()), rel=1e-9)
+
+
+def test_threshold_json_records_branch_values(tmp_path):
+    cal_path = tmp_path / "cal.csv"
+    write_cal_csv(cal_path, seed=7, n=30, k=3, with_true=True)
+    out = tmp_path / "out"
+    run_from_scores(str(cal_path), model="rr", eps=0.1, method="adaptive-fs", out=str(out))
+    correction = json.loads((out / "threshold.json").read_text())["correction"]
+    values = correction["branch_values"]
+    assert set(values) == {"massart", "chaining"}
+    assert correction["value"] == pytest.approx(min(values.values()), rel=1e-9)
+
+
 def test_main_domain_errors_exit_2(tmp_path, capsys):
     # block count must divide K
     code = main(

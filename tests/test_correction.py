@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given
+from scipy import sparse as scipy_sparse
 from hypothesis import strategies as st
 
 from noisycal import (
@@ -23,6 +24,7 @@ from noisycal import (
     InvalidSpec,
     LadderMismatch,
     SingularM,
+    SolverFailure,
     aps_scores,
     b_term,
     c_of_n,
@@ -43,6 +45,7 @@ from noisycal import (
 from oracles import (
     brute_b_term,
     brute_covariance,
+    dense_branch_lp,
     mc_c_of_n,
     multiplier_sup,
     smirnov_mean,
@@ -286,6 +289,168 @@ def test_delta_fs_special_rejects_custom_family():
     spec = ContaminationSpec(family=Family.CUSTOM, k=2, custom_matrix=np.eye(2))
     with pytest.raises(InvalidSpec):
         delta_fs_special(spec, 100, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# finite-sample solvers against the dense-LP oracle
+# ---------------------------------------------------------------------------
+
+
+def _random_dense_w(k, seed):
+    rng = np.random.default_rng(seed)
+    t = 0.7 * np.eye(k) + 0.3 * rng.dirichlet(np.full(k, 0.3), size=k)
+    return np.linalg.inv(t)
+
+
+def _family_w(family, k, **kwargs):
+    spec = ContaminationSpec(family=family, k=k, eps=0.2, **kwargs)
+    return closed_form_inverse(spec).W
+
+
+FS_CASES = {
+    **{f"dense-k{k}": (k, 500 if k % 2 else 5000, _random_dense_w(k, 100 + k))
+       for k in (2, 3, 5, 8, 13, 20, 40)},
+    **{f"rr-k{k}": (k, 1000, _family_w(Family.RANDOMIZED_RESPONSE, k)) for k in (2, 12, 40)},
+    **{f"two-level-k{k}": (k, 2000, _family_w(Family.TWO_LEVEL_RR, k, nu=0.4))
+       for k in (6, 40)},
+    **{f"block-k{k}": (k, 5000, _family_w(Family.BLOCK_RR, k, b=b))
+       for k, b in ((4, 2), (12, 3), (40, 5))},
+}
+
+
+def _oracle_bound(n, k, w, weight, absolute):
+    """Best full objective over the dense-LP minimizers of both branches."""
+    scale = 2.0 / math.sqrt(n)
+    branches = [(scale * math.sqrt(math.log(k * n + 1.0)), True)]
+    if k >= 2:
+        log_k = math.log(k)
+        chaining = 24.0 * (2 * log_k + 1) / (2 * log_k - 1) * math.sqrt(2 * k * log_k)
+        branches.append((scale * chaining, False))
+    best = math.inf
+    for z_coef, per_column in branches:
+        x = dense_branch_lp(k, w, weight, z_coef, per_column, absolute).x
+        beta0, betas = x[0], x[1 : 1 + k]
+        b, _ = brute_b_term(k, n, beta0, betas, w)
+        if absolute:
+            linear = abs(beta0) + float(np.mean(np.abs(betas)))
+        else:
+            linear = beta0 + float(np.mean(betas))
+        best = min(best, weight * linear + b / math.sqrt(n))
+    return best
+
+
+@pytest.mark.parametrize("case", list(FS_CASES))
+def test_delta_fs_matches_dense_lp_oracle(case):
+    k, n, w = FS_CASES[case]
+    cn = c_of_n(n)
+    rep = delta_fs(n, k, w, cn)
+    assert rep.value == pytest.approx(_oracle_bound(n, k, w, cn, False), rel=1e-9)
+
+
+@pytest.mark.parametrize("case", list(FS_CASES))
+def test_delta_star_star_matches_dense_lp_oracle(case):
+    k, n, w = FS_CASES[case]
+    want = _oracle_bound(n, k, w, cn_envelope(n), True)
+    assert delta_star_star_bound(n, k, w) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("case", list(FS_CASES))
+def test_chaining_closed_form_matches_dense_lp_oracle(case):
+    k, n, w = FS_CASES[case]
+    cn = c_of_n(n)
+    z_coef = (2.0 / math.sqrt(n)) * correction._chaining_constant(k)
+    beta = correction._chaining_minimizer(k, w, cn, z_coef)
+    objective = cn * (beta.beta0 + float(np.mean(beta.betas)))
+    objective += z_coef * float(np.abs(omega_matrix(w, beta)).max())
+    want = dense_branch_lp(k, w, cn, z_coef, per_column=False, abs_objective=False).fun
+    assert objective == pytest.approx(want, rel=1e-9)
+
+
+def test_chaining_closed_form_at_the_boundedness_edge():
+    # z coefficient exactly K * weight: bounded, z is no longer pinned
+    w = _family_w(Family.BLOCK_RR, 4, b=2)
+    for weight in (0.5, 2.0):
+        beta = correction._chaining_minimizer(4, w, weight, 4.0 * weight)
+        objective = weight * (beta.beta0 + float(np.mean(beta.betas)))
+        objective += 4.0 * weight * float(np.abs(omega_matrix(w, beta)).max())
+        want = dense_branch_lp(4, w, weight, 4.0 * weight, False, False).fun
+        assert objective == pytest.approx(want, rel=1e-12)
+
+
+def test_unbounded_chaining_branch_raises_solver_failure():
+    # below K * weight the chaining problem is unbounded below, as the dense
+    # LP reports; the closed form must fail the same way, not return a value
+    w = _family_w(Family.RANDOMIZED_RESPONSE, 4)
+    with pytest.raises(ValueError, match="unbounded"):
+        dense_branch_lp(4, w, 1.0, 3.9, per_column=False, abs_objective=False)
+    with pytest.raises(SolverFailure, match="unbounded"):
+        correction._chaining_minimizer(4, w, 1.0, 3.9)
+    # delta_fs at a weight far above c(n): chaining z coefficient 34.02 < 4 * 10
+    with pytest.raises(SolverFailure, match="chaining"):
+        delta_fs(100, 4, w, 10.0)
+    # and at weight 1 the chaining branch is bounded but the Massart LP is not
+    with pytest.raises(SolverFailure, match="unbounded"):
+        delta_fs(100, 4, w, 1.0)
+
+
+def test_delta_fs_builds_one_sparse_lp(monkeypatch):
+    calls = []
+    real = correction.linprog
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(correction, "linprog", spy)
+    k = 12
+    delta_fs(1000, k, _family_w(Family.BLOCK_RR, k, b=3), c_of_n(1000))
+    assert len(calls) == 1
+    a_ub = calls[0]["A_ub"]
+    assert scipy_sparse.issparse(a_ub)
+    assert a_ub.shape == (2 * k * k + k, k * k + k + 2)
+    per_row = np.diff(a_ub.tocsr().indptr)
+    assert per_row[: 2 * k * k].max() <= 3
+    assert calls[0]["method"] == "highs-ipm"
+
+
+def test_delta_fs_large_k_randomized_response_is_cn():
+    # Omega = 0 is attainable, so the optimum is exactly c(n); the dense LP
+    # needed ~20 s and a 1.6 GB constraint matrix here
+    n, k = 5000, 100
+    cn = c_of_n(n)
+    rep = delta_fs(n, k, _family_w(Family.RANDOMIZED_RESPONSE, k), cn)
+    assert rep.value == pytest.approx(cn, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "k, w",
+    [
+        (1, np.array([[1.3]])),
+        (4, _family_w(Family.BLOCK_RR, 4, b=2)),
+        (6, _family_w(Family.TWO_LEVEL_RR, 6, nu=0.4)),
+        (8, _random_dense_w(8, 3)),
+    ],
+)
+def test_delta_fs_branch_values(k, w):
+    n, cn = 800, c_of_n(800)
+    rep = delta_fs(n, k, w, cn)
+    assert set(rep.branch_values) == {"massart", "chaining"}
+    assert (rep.branch_values["chaining"] is None) == (k == 1)
+    defined = {name: v for name, v in rep.branch_values.items() if v is not None}
+    assert rep.value == pytest.approx(min(defined.values()), rel=1e-9)
+    assert rep.branch == min(defined, key=defined.get)
+    blob = json.loads(json.dumps(rep.to_dict()))
+    assert blob["branch_values"] == rep.branch_values
+
+
+def test_delta_fs_special_branch_values():
+    for spec in (
+        ContaminationSpec(family=Family.BLOCK_RR, k=4, eps=0.1, b=2),
+        ContaminationSpec(family=Family.TWO_LEVEL_RR, k=8, eps=0.2, nu=0.2),
+    ):
+        rep = delta_fs_special(spec, 1000, 0.04)
+        assert rep.value == min(rep.branch_values.values())
+        assert rep.branch == min(rep.branch_values, key=rep.branch_values.get)
 
 
 # ---------------------------------------------------------------------------
