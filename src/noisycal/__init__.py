@@ -22,7 +22,6 @@ from .correction import (
     BetaVector,
     CorrectionMethod,
     CorrectionReport,
-    GridCovariance,
     b_term,
     c_of_n,
     cn_envelope,
@@ -32,8 +31,6 @@ from .correction import (
     delta_star_star_bound,
     estimate_covariance,
     omega_matrix,
-    richardson,
-    simulate_gbb_sup,
     upper_bound_diagnostics,
 )
 from .empirical import CalibrationSet, InflationCurve, delta_hat

@@ -10,10 +10,11 @@ Three routes produce a correction:
   inside B at a time: the chaining branch in closed form (a 1-D convex
   piecewise-linear minimization over beta_0, O(K^2)), the Massart branch as
   a sparse linear program solved by interior point (O(K^2) memory).
-* ``delta_asy``: asymptotic route; estimates and factors the covariance of
-  the limiting Gaussian process once, on the finest grid of a halving
-  ladder, simulates its absolute supremum on every level from one batch of
-  draws, Richardson-extrapolates, and rescales by 1/sqrt(n).
+* ``delta_asy``: asymptotic route; estimates the plug-in covariance of the
+  limiting Gaussian process once, on the finest grid of a halving ladder
+  (``estimate_covariance``), factors it, simulates its absolute supremum on
+  every level from one batch of draws, extrapolates the two finest levels
+  by one Richardson pass, and rescales by 1/sqrt(n).
 
 ``delta_star_star_bound`` and ``upper_bound_diagnostics`` compute the purely
 diagnostic quantities (the bound on the expected absolute supremum of the
@@ -23,14 +24,13 @@ centered process, d(n), phi(n), and the inflation-floor threshold).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy import sparse
-from scipy.linalg import LinAlgWarning, cho_solve, lu_factor, lu_solve
+from scipy.linalg import cho_solve
 from scipy.optimize import linprog
 
 from .empirical import CalibrationSet, _f_weights, _mean_f
@@ -46,6 +46,7 @@ from .noise_model import (
     Family,
     TransitionMatrix,
     _as_w,
+    _lu_inverse,
     closed_form_inverse,
     two_level_constants,
 )
@@ -54,7 +55,6 @@ __all__ = [
     "CorrectionMethod",
     "BetaVector",
     "CorrectionReport",
-    "GridCovariance",
     "c_of_n",
     "cn_envelope",
     "omega_matrix",
@@ -62,8 +62,6 @@ __all__ = [
     "delta_fs",
     "delta_fs_special",
     "estimate_covariance",
-    "simulate_gbb_sup",
-    "richardson",
     "delta_asy",
     "delta_star_star_bound",
     "upper_bound_diagnostics",
@@ -157,26 +155,6 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return obj
-
-
-@dataclass(frozen=True)
-class GridCovariance:
-    """Estimated process covariance on a grid of thresholds."""
-
-    grid: NDArray[np.float64]
-    sigma: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.grid, dtype=np.float64)
-        s = np.asarray(self.sigma, dtype=np.float64)
-        if s.shape != (g.shape[0], g.shape[0]):
-            raise InvalidSpec("sigma must be N x N for an N-point grid")
-        if np.max(np.abs(s - s.T), initial=0.0) > 1e-12:
-            raise InvalidSpec("sigma must be symmetric within 1e-12")
-        for arr in (g, s):
-            arr.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "sigma", s)
 
 
 # ---------------------------------------------------------------------------
@@ -517,15 +495,17 @@ def delta_fs_special(spec: ContaminationSpec, n: int, c_n: float) -> CorrectionR
 # ---------------------------------------------------------------------------
 
 
-def estimate_covariance(cal: CalibrationSet, w, grid) -> GridCovariance:
+def estimate_covariance(cal: CalibrationSet, w, grid) -> NDArray[np.float64]:
     """Plug-in covariance of the limiting process on a threshold grid.
 
     With f_t(Z_i) = sum_k W[k, Ytilde_i] 1{s(X_i, k) <= t}, the estimate is
-    G(t1, t2) = E_n[f_t1 f_t2] - E_n[f_t1] E_n[f_t2].  E_n[f_t] comes from
-    the cumulative kernel that also yields Delta_hat.  Joint indicator mass
-    is scattered onto the grid cell of each score pair and accumulated with a
-    two-dimensional cumulative sum, which costs O(n K^2 + N^2) instead of
-    evaluating every grid pair directly.
+    G(t1, t2) = E_n[f_t1 f_t2] - E_n[f_t1] E_n[f_t2], returned as a
+    symmetric N x N array for the N grid points.  E_n[f_t] comes from the
+    cumulative kernel that also yields Delta_hat.  Joint indicator mass is
+    scattered onto the grid cell of each score pair, one score column at a
+    time, and accumulated with a two-dimensional cumulative sum: O(n K^2 +
+    K N^2) time and O(n K + N^2) memory, instead of evaluating every grid
+    pair directly.
     """
     v = _f_weights(cal, w)  # v[i, j] = W[j, label_i]
     n, k = cal.scores.shape
@@ -537,20 +517,23 @@ def estimate_covariance(cal: CalibrationSet, w, grid) -> GridCovariance:
     npts = grid.shape[0]
     e1 = _mean_f(cal, v, grid)
 
-    # cell index of each score: first grid point >= s, so s <= t_j iff pos <= j
+    # cell index of each score: first grid point >= s, so s <= t_j iff pos <= j;
+    # cell npts holds the scores past the last grid point and is sliced away
     pos = np.searchsorted(grid, cal.scores.ravel(), side="left").reshape(n, k)
-    valid = pos < npts
-    pair_r = np.broadcast_to(pos[:, :, None], (n, k, k))
-    pair_c = np.broadcast_to(pos[:, None, :], (n, k, k))
-    pair_ok = valid[:, :, None] & valid[:, None, :]
-    pair_v = v[:, :, None] * v[:, None, :]
-    d2 = np.zeros((npts, npts))
-    np.add.at(d2, (pair_r[pair_ok], pair_c[pair_ok]), pair_v[pair_ok])
+    width = npts + 1
+    row = pos * width
+    d2 = np.zeros(width * width)
+    for j in range(k):
+        d2 += np.bincount(
+            (row + pos[:, j, None]).ravel(),
+            weights=(v * v[:, j, None]).ravel(),
+            minlength=width * width,
+        )
+    d2 = d2.reshape(width, width)[:npts, :npts]
     e2 = d2.cumsum(axis=0).cumsum(axis=1) / n
 
     g = e2 - np.outer(e1, e1)
-    g = 0.5 * (g + g.T)
-    return GridCovariance(grid=grid, sigma=g)
+    return 0.5 * (g + g.T)
 
 
 _JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
@@ -613,53 +596,6 @@ def _mean_se(stat: NDArray[np.float64]):
     return stat.mean(axis=-1), stat.std(axis=-1, ddof=1) / math.sqrt(stat.shape[-1])
 
 
-def simulate_gbb_sup(cov: GridCovariance, m: int, seed: int) -> tuple[float, float]:
-    """Mean and SE of the absolute supremum of the Gaussian process.
-
-    Factorizes sigma + lambda I (jitter ladder 1e-10 to 1e-6 relative to the
-    mean diagonal, see ``_jittered_cholesky``) and averages max_i |xi_i| over
-    m replicates.  The absolute supremum is the simulation target: the
-    Brownian-bridge special case has
-    E[sup |BB|] = sqrt(pi/2) log 2, the constant the estimator is validated
-    against.  An all-zero covariance short-circuits to (0, 0).
-    """
-    mean, se = _mean_se(_ladder_sups(cov.sigma, (1,), m, seed)[0][0])
-    return float(mean), float(se)
-
-
-def richardson(estimates, p_assumed: float = 0.5, order: int | None = None) -> float:
-    """Richardson extrapolation on a halving ladder of step sizes.
-
-    ``estimates`` is a sequence of (h, value) pairs whose steps halve.  One
-    elimination pass with exponent p maps neighboring levels (A(h), A(h/2))
-    to (2^p A(h/2) - A(h)) / (2^p - 1); successive passes use exponents
-    p + 1/2, p + 1, ...  Order r applies r passes and returns the entry built
-    from the finest levels.  The default order uses the whole ladder.
-    """
-    pts = sorted(((float(h), float(v)) for h, v in estimates), key=lambda e: -e[0])
-    if not pts:
-        raise InvalidSpec("estimates must be nonempty")
-    if p_assumed <= 0.0:
-        raise InvalidSpec("p_assumed must be positive")
-    levels = len(pts)
-    if order is None:
-        order = levels - 1
-    if not 0 <= order <= levels - 1:
-        raise InvalidSpec(f"order must lie in [0, {levels - 1}], got {order}")
-    for (h_coarse, _), (h_fine, _) in zip(pts, pts[1:]):
-        if h_fine <= 0.0 or abs(h_coarse / h_fine - 2.0) > 1e-12:
-            raise LadderMismatch(
-                f"steps {h_coarse} and {h_fine} do not halve (ratio must be 2)"
-            )
-    col = [v for _, v in pts]
-    for j in range(order):
-        factor = 2.0 ** (p_assumed + 0.5 * j)
-        col = [
-            (factor * col[i + 1] - col[i]) / (factor - 1.0) for i in range(len(col) - 1)
-        ]
-    return float(col[-1])
-
-
 def _condition_estimate(chol: NDArray[np.float64]) -> float:
     """Iterative 2-norm condition estimate of the factored covariance L L^T.
 
@@ -691,27 +627,32 @@ def delta_asy(
     """Asymptotic correction via Gaussian suprema plus Richardson.
 
     For each step h the unit interval is discretized at the 1/h + 1 points
-    {0, h, 2h, ..., 1}.  The steps must halve, so each grid is a strided
-    sub-grid of the finest: one covariance, one factor and one batch of m
-    draws serve every level.  The levels are extrapolated by one Richardson
+    {0, h, 2h, ..., 1}.  The ladder needs at least two steps and they must
+    halve, so each grid is a strided sub-grid of the finest: one covariance,
+    one factor and one batch of m draws serve every level.  One Richardson
     pass with exponent 1/2 (the grid bias of a Gaussian supremum is
-    O(sqrt(h))), per replicate, which gives the SE of the extrapolated value,
-    and scaled by 1/sqrt(n).
+    O(sqrt(h))) extrapolates the two finest levels A(h) and A(h/2) to
+    (sqrt(2) A(h/2) - A(h)) / (sqrt(2) - 1); coarser levels are only
+    reported.  The pass runs per replicate, which gives the SE of the
+    extrapolated value, and the result is scaled by 1/sqrt(n).
     """
     hs = sorted((float(h) for h in h_ladder), reverse=True)
-    if not hs:
-        raise InvalidSpec("h_ladder must be nonempty")
     for h in hs:
         if h <= 0.0 or abs(round(1.0 / h) - 1.0 / h) > 1e-9:
             raise InvalidSpec(f"1/h must be a positive integer, got h={h}")
-    # Richardson is linear, so its weights are its values at the unit
-    # vectors; computing them first rejects a ladder that does not halve
-    weights = np.array(
-        [richardson(zip(hs, unit), 0.5, order=1) for unit in np.eye(len(hs))]
-    )
+    if len(hs) < 2:
+        raise InvalidSpec("h_ladder needs at least two halving steps")
+    for coarse, fine in zip(hs, hs[1:]):
+        if abs(coarse / fine - 2.0) > 1e-12:
+            raise LadderMismatch(
+                f"steps {coarse} and {fine} do not halve (ratio must be 2)"
+            )
+    r2 = math.sqrt(2.0)
+    weights = np.zeros(len(hs))
+    weights[-2:] = np.array([-1.0, r2]) / (r2 - 1.0)
     grid = np.linspace(0.0, 1.0, int(round(1.0 / hs[-1])) + 1)
     strides = [int(round(h / hs[-1])) for h in hs]
-    sigma = estimate_covariance(cal, w, grid).sigma
+    sigma = estimate_covariance(cal, w, grid)
     sups, chol, jitter = _ladder_sups(sigma, strides, m, seed)
     condition_number = math.inf if chol is None else _condition_estimate(chol)
     means, ses = _mean_se(sups)
@@ -801,17 +742,7 @@ def upper_bound_diagnostics(
     if delta_n < 0.0 or delta_ss_n < 0.0:
         raise InvalidSpec("delta_n and delta_ss_n must be nonnegative")
     mix = t * rho[None, :] / rho_tilde[:, None]
-    norm_inf = float(np.max(np.abs(mix).sum(axis=1)))
-    try:
-        with warnings.catch_warnings():
-            # exact singularity is reported through the pivot check below
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(mix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SingularM(str(exc)) from exc
-    if np.min(np.abs(np.diag(lu))) <= 1e-12 * max(norm_inf, np.finfo(float).tiny):
-        raise SingularM("mixing matrix M is numerically singular")
-    v = lu_solve((lu, piv), np.eye(k))
+    v = _lu_inverse(mix, SingularM, "mixing matrix M is numerically singular")
     bracket = float(np.max(rho / rho_tilde * np.abs(v).sum(axis=1)))
     d_n = n**0.25 * delta_ss_n
     phi_n = 3.0 * delta_ss_n + 2.0 / n + n**-0.25 + (bracket - 1.0) / (n + 1.0)

@@ -30,7 +30,7 @@ from numpy.typing import NDArray
 
 from .errors import EmptyClass, InvalidSpec
 from .noise_model import _as_w
-from .scores import ScoreMatrix, _require_finite
+from .scores import ScoreMatrix, _require_scores
 
 __all__ = [
     "CalibrationSet",
@@ -43,6 +43,7 @@ __all__ = [
 class CalibrationSet:
     """Calibration scores with their noisy labels.
 
+    Scores must lie in [0, 1]; they are checked, never clipped, so
     ``own_score[i]`` must equal ``scores[i, noisy_labels[i]]`` exactly.
     """
 
@@ -56,7 +57,7 @@ class CalibrationSet:
         own = np.asarray(self.own_score, dtype=np.float64)
         if s.ndim != 2 or s.shape[0] < 1:
             raise InvalidSpec(f"scores must be a nonempty n x K matrix, got {s.shape}")
-        _require_finite(s)
+        _require_scores(s, tol=0.0)
         n, k = s.shape
         if y.shape != (n,) or own.shape != (n,):
             raise InvalidSpec("noisy_labels and own_score must have length n")

@@ -217,24 +217,27 @@ def _family_matrix(spec: ContaminationSpec) -> NDArray[np.float64]:
     return np.array(spec.custom_matrix, dtype=np.float64)
 
 
-def _numeric_inverse(t: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Dense inverse by LU with partial pivoting.
+_SINGULAR_T = "LU pivot below 1e-12 * ||T||_inf; transition matrix is singular"
 
-    Raises SingularTransition when a pivot falls below 1e-12 * ||T||_inf.
+
+def _lu_inverse(
+    a: NDArray[np.float64], error: type[Exception], message: str
+) -> NDArray[np.float64]:
+    """Dense inverse of a square matrix by LU with partial pivoting.
+
+    Raises ``error(message)`` when a pivot falls below 1e-12 * ||a||_inf.
     """
-    norm_inf = float(np.max(np.abs(t).sum(axis=1)))
+    norm_inf = float(np.max(np.abs(a).sum(axis=1)))
     try:
         with warnings.catch_warnings():
             # the pivot check below is the error path for singular input
             warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(t)
+            lu, piv = lu_factor(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy rarely raises here
-        raise SingularTransition(str(exc)) from exc
+        raise error(str(exc)) from exc
     if np.min(np.abs(np.diag(lu))) <= 1e-12 * max(norm_inf, np.finfo(float).tiny):
-        raise SingularTransition(
-            "LU pivot below 1e-12 * ||T||_inf; transition matrix is singular"
-        )
-    return lu_solve((lu, piv), np.eye(t.shape[0]))
+        raise error(message)
+    return lu_solve((lu, piv), np.eye(a.shape[0]))
 
 
 def build_transition(spec: ContaminationSpec) -> TransitionMatrix:
@@ -244,13 +247,13 @@ def build_transition(spec: ContaminationSpec) -> TransitionMatrix:
     :func:`closed_form_inverse` for the analytic W of the parametric families.
     """
     t = _family_matrix(spec)
-    return TransitionMatrix(T=t, W=_numeric_inverse(t))
+    return TransitionMatrix(T=t, W=_lu_inverse(t, SingularTransition, _SINGULAR_T))
 
 
 def transition_from_matrix(t: NDArray[np.float64]) -> TransitionMatrix:
     """Wrap an explicit matrix, inverting it numerically."""
     t = np.array(t, dtype=np.float64)
-    return TransitionMatrix(T=t, W=_numeric_inverse(t))
+    return TransitionMatrix(T=t, W=_lu_inverse(t, SingularTransition, _SINGULAR_T))
 
 
 def closed_form_inverse(spec: ContaminationSpec) -> TransitionMatrix:
@@ -315,7 +318,7 @@ def estimate_transition(
         if col_totals[label] == 0:
             raise MissingClass(label)
     t = counts / col_totals
-    return TransitionMatrix(T=t, W=_numeric_inverse(t))
+    return TransitionMatrix(T=t, W=_lu_inverse(t, SingularTransition, _SINGULAR_T))
 
 
 def sample_noisy_labels(

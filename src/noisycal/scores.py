@@ -27,14 +27,18 @@ __all__ = [
 # is the ingestion contract for stacks of them.
 
 
-def _require_finite(s: NDArray[np.float64]) -> None:
-    """Raise InvalidSpec naming the first non-finite entry of a score matrix."""
-    bad = ~np.isfinite(s)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise InvalidSpec(
-            f"scores must be finite; row {i}, column {j} (0-based) is {s[i, j]}"
-        )
+def _require_scores(s: NDArray[np.float64], tol: float) -> None:
+    """Raise InvalidSpec naming the first entry of a score matrix that is not
+    finite or lies outside [-tol, 1 + tol]."""
+    for bad, rule in (
+        (~np.isfinite(s), "finite"),
+        ((s < -tol) | (s > 1.0 + tol), "in [0, 1]"),
+    ):
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise InvalidSpec(
+                f"scores must be {rule}; row {i}, column {j} (0-based) is {s[i, j]}"
+            )
 
 
 @dataclass(frozen=True)
@@ -49,9 +53,8 @@ class ScoreMatrix:
         s = np.array(self.scores, dtype=np.float64)
         if s.ndim != 2:
             raise InvalidSpec(f"scores must be 2-d, got shape {s.shape}")
-        _require_finite(s)
-        if s.size and (s.min() < -1e-9 or s.max() > 1.0 + 1e-9):
-            raise InvalidSpec("scores must lie in [0, 1]")
+        # APS cumulative sums may overshoot [0, 1] by rounding; clip that away
+        _require_scores(s, tol=1e-9)
         s = np.clip(s, 0.0, 1.0)
         s.setflags(write=False)
         object.__setattr__(self, "scores", s)

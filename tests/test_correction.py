@@ -20,7 +20,6 @@ from noisycal import (
     CorrectionReport,
     EmptyClass,
     Family,
-    GridCovariance,
     InvalidSpec,
     LadderMismatch,
     SingularM,
@@ -37,8 +36,6 @@ from noisycal import (
     delta_star_star_bound,
     estimate_covariance,
     omega_matrix,
-    richardson,
-    simulate_gbb_sup,
     upper_bound_diagnostics,
 )
 
@@ -470,17 +467,17 @@ def test_covariance_single_point_grid_is_score_free_variance():
     # the observed label and G(1, 1) is its plug-in variance
     cal = small_calibration(0, 50, 3)
     w = np.linalg.inv(np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]))
-    cov = estimate_covariance(cal, w, np.array([1.0]))
+    sigma = estimate_covariance(cal, w, np.array([1.0]))
     v = w[:, cal.noisy_labels].sum(axis=0)
-    assert cov.sigma[0, 0] == pytest.approx(float(np.var(v)), abs=1e-12)
+    assert sigma[0, 0] == pytest.approx(float(np.var(v)), abs=1e-12)
 
 
 def test_covariance_vanishes_for_stochastic_inverse_at_one():
     # column-stochastic W makes f identically 1 at t = 1
     cal = small_calibration(1, 40, 2)
     w = np.array([[0.7, 0.4], [0.3, 0.6]])
-    cov = estimate_covariance(cal, w, np.array([1.0]))
-    assert abs(cov.sigma[0, 0]) <= 1e-12
+    sigma = estimate_covariance(cal, w, np.array([1.0]))
+    assert abs(sigma[0, 0]) <= 1e-12
 
 
 def test_covariance_matches_brute_force():
@@ -488,11 +485,29 @@ def test_covariance_matches_brute_force():
     rng = np.random.default_rng(7)
     w = rng.normal(size=(3, 3))
     grid = np.linspace(0.0, 1.0, 9)
-    cov = estimate_covariance(cal, w, grid)
+    sigma = estimate_covariance(cal, w, grid)
     want = brute_covariance(cal.scores, cal.noisy_labels, w, grid)
-    assert np.allclose(cov.sigma, want, atol=1e-12)
-    assert np.array_equal(cov.sigma, cov.sigma.T)
-    assert np.min(np.diag(cov.sigma)) >= -1e-12
+    assert np.allclose(sigma, want, atol=1e-12)
+    assert np.array_equal(sigma, sigma.T)
+    assert np.min(np.diag(sigma)) >= -1e-12
+
+
+@pytest.mark.parametrize("k", [3, 12])
+def test_covariance_matches_brute_force_on_tied_scores(k):
+    # scores rounded to one decimal sit exactly on points of the first grid;
+    # the second grid stops below the largest score, so the scores past its
+    # last point must drop out of every cell
+    rng = np.random.default_rng(30 + k)
+    n = 80
+    ticks = np.linspace(0.0, 1.0, 11)
+    scores = ticks[np.rint(10.0 * rng.uniform(size=(n, k))).astype(np.int64)]
+    labels = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+    cal = CalibrationSet.from_scores(scores, labels)
+    w = rng.normal(size=(k, k))
+    for grid in (ticks, ticks[:8]):
+        sigma = estimate_covariance(cal, w, grid)
+        want = brute_covariance(scores, labels, w, grid)
+        assert np.max(np.abs(sigma - want)) <= 1e-12
 
 
 def test_covariance_single_class_is_scaled_bridge():
@@ -501,10 +516,10 @@ def test_covariance_single_class_is_scaled_bridge():
     scores = rng.uniform(size=(30, 1))
     cal = CalibrationSet.from_scores(scores, np.zeros(30, dtype=np.int64))
     grid = np.array([0.2, 0.5, 0.9])
-    cov = estimate_covariance(cal, np.array([[1.0]]), grid)
+    sigma = estimate_covariance(cal, np.array([[1.0]]), grid)
     f = np.array([(scores[:, 0] <= t).mean() for t in grid])
     want = np.minimum.outer(f, f) - np.outer(f, f)
-    assert np.allclose(cov.sigma, want, atol=1e-12)
+    assert np.allclose(sigma, want, atol=1e-12)
 
 
 def test_covariance_grid_validation():
@@ -534,21 +549,25 @@ def test_covariance_empty_class():
 # ---------------------------------------------------------------------------
 
 
+def gbb_sup(sigma, m, seed):
+    """Mean and SE of the absolute supremum, sampled on every grid point."""
+    mean, se = correction._mean_se(correction._ladder_sups(sigma, (1,), m, seed)[0][0])
+    return float(mean), float(se)
+
+
 def test_gbb_sup_zero_covariance_short_circuits():
-    cov = GridCovariance(grid=np.array([0.0, 1.0]), sigma=np.zeros((2, 2)))
-    assert simulate_gbb_sup(cov, 10_000, seed=0) == (0.0, 0.0)
+    assert gbb_sup(np.zeros((2, 2)), 10_000, seed=0) == (0.0, 0.0)
 
 
 def test_gbb_sup_scalar_standard_normal():
     # absolute supremum of a single N(0, 1) coordinate has mean sqrt(2/pi)
-    cov = GridCovariance(grid=np.array([0.5]), sigma=np.array([[1.0]]))
-    mean, se = simulate_gbb_sup(cov, 200_000, seed=1)
+    mean, se = gbb_sup(np.array([[1.0]]), 200_000, seed=1)
     assert abs(mean - math.sqrt(2.0 / math.pi)) <= 4.0 * se
 
 
 def test_gbb_sup_deterministic():
-    cov = GridCovariance(grid=np.array([0.25, 0.75]), sigma=np.array([[0.2, 0.1], [0.1, 0.3]]))
-    assert simulate_gbb_sup(cov, 5_000, seed=2) == simulate_gbb_sup(cov, 5_000, seed=2)
+    sigma = np.array([[0.2, 0.1], [0.1, 0.3]])
+    assert gbb_sup(sigma, 5_000, seed=2) == gbb_sup(sigma, 5_000, seed=2)
 
 
 def test_gbb_sup_brownian_bridge_grid_estimate():
@@ -556,62 +575,65 @@ def test_gbb_sup_brownian_bridge_grid_estimate():
     # sqrt(pi/2) log 2 but already within a few percent at h = 1/200
     grid = np.linspace(0.0, 1.0, 201)
     sigma = np.minimum.outer(grid, grid) - np.outer(grid, grid)
-    cov = GridCovariance(grid=grid, sigma=0.5 * (sigma + sigma.T))
-    mean, se = simulate_gbb_sup(cov, 50_000, seed=3)
+    mean, se = gbb_sup(0.5 * (sigma + sigma.T), 50_000, seed=3)
     target = math.sqrt(math.pi / 2.0) * math.log(2.0)
     assert mean < target
     assert target - mean <= 0.06
 
 
 def test_gbb_sup_rejects_small_m():
-    cov = GridCovariance(grid=np.array([0.5]), sigma=np.array([[1.0]]))
     with pytest.raises(InvalidSpec):
-        simulate_gbb_sup(cov, 999, seed=0)
+        gbb_sup(np.array([[1.0]]), 999, seed=0)
 
 
 # ---------------------------------------------------------------------------
-# Richardson extrapolation
+# Richardson extrapolation inside delta_asy
 # ---------------------------------------------------------------------------
 
 
-def test_richardson_recovers_sqrt_bias_exactly():
+def extrapolate(monkeypatch, levels):
+    """delta_asy's extrapolated supremum when every replicate at step h reads
+    levels[h], i.e. its Richardson weights applied to those values."""
+    rows = np.array([levels[h] for h in sorted(levels, reverse=True)])
+
+    def fixed_sups(sigma, strides, m, seed):
+        return np.repeat(rows[:, None], m, axis=1), None, None
+
+    monkeypatch.setattr(correction, "_ladder_sups", fixed_sups)
+    cal, w = asy_inputs(seed=12, n=200)
+    rep = delta_asy(cal, w, h_ladder=tuple(levels), m=1_000, seed=0)
+    return rep.mc_diagnostics["extrapolated"]
+
+
+def test_richardson_recovers_sqrt_bias_exactly(monkeypatch):
+    # one pass with exponent 1/2 on the two finest levels; the coarsest
+    # level carries no weight, so its value does not matter
     a, c = 0.7, 3.1
-    pairs = [(0.01, a + c * math.sqrt(0.01)), (0.005, a + c * math.sqrt(0.005))]
-    assert richardson(pairs, p_assumed=0.5) == pytest.approx(a, abs=1e-12)
+    levels = {h: a + c * math.sqrt(h) for h in (0.01, 0.005)}
+    levels[0.02] = -50.0
+    assert extrapolate(monkeypatch, levels) == pytest.approx(a, abs=1e-12)
 
 
-def test_richardson_two_term_expansion_full_ladder():
-    # passes use exponents 1/2 then 1, killing sqrt(h) and h terms in turn
-    a, c1, c2 = -0.3, 2.0, -5.0
-    pairs = [(h, a + c1 * math.sqrt(h) + c2 * h) for h in (0.02, 0.01, 0.005)]
-    assert richardson(pairs) == pytest.approx(a, abs=1e-9)
-
-
-def test_richardson_constant_is_fixed_point():
-    pairs = [(0.04, 1.25), (0.02, 1.25), (0.01, 1.25)]
-    for order in (0, 1, 2):
-        assert richardson(pairs, order=order) == pytest.approx(1.25, abs=1e-14)
-
-
-def test_richardson_order_zero_returns_finest():
-    pairs = [(0.02, 1.0), (0.01, 2.0)]
-    assert richardson(pairs, order=0) == 2.0
+def test_richardson_constant_is_fixed_point(monkeypatch):
+    levels = {0.04: 1.25, 0.02: 1.25, 0.01: 1.25}
+    assert extrapolate(monkeypatch, levels) == pytest.approx(1.25, abs=1e-14)
 
 
 def test_richardson_input_order_irrelevant():
-    pairs = [(0.005, 0.9), (0.02, 0.5), (0.01, 0.7)]
-    assert richardson(pairs) == richardson(list(reversed(pairs)))
+    cal, w = asy_inputs(seed=12, n=200)
+    a = delta_asy(cal, w, h_ladder=(1 / 200, 1 / 50, 1 / 100), m=1_000, seed=4)
+    b = delta_asy(cal, w, h_ladder=(1 / 100, 1 / 200, 1 / 50), m=1_000, seed=4)
+    assert a.to_dict() == b.to_dict()
 
 
 def test_richardson_ladder_and_argument_validation():
+    cal, w = asy_inputs(seed=7, n=100)
     with pytest.raises(LadderMismatch):
-        richardson([(0.01, 1.0), (0.004, 1.1)])
+        delta_asy(cal, w, h_ladder=(0.01, 0.004), m=1_000)
+    with pytest.raises(LadderMismatch):
+        delta_asy(cal, w, h_ladder=(0.01, 0.01), m=1_000)
     with pytest.raises(InvalidSpec):
-        richardson([])
-    with pytest.raises(InvalidSpec):
-        richardson([(0.01, 1.0), (0.005, 1.1)], order=2)
-    with pytest.raises(InvalidSpec):
-        richardson([(0.01, 1.0)], p_assumed=0.0)
+        delta_asy(cal, w, h_ladder=[], m=1_000)
 
 
 # ---------------------------------------------------------------------------
@@ -683,6 +705,8 @@ def test_delta_asy_rejects_non_integer_inverse_step():
         delta_asy(cal, w, h_ladder=(0.003,), m=5_000, seed=0)
     with pytest.raises(InvalidSpec):
         delta_asy(cal, w, h_ladder=(), m=5_000, seed=0)
+    with pytest.raises(InvalidSpec, match="at least two halving steps"):
+        delta_asy(cal, w, h_ladder=(1 / 100,), m=5_000, seed=0)
     with pytest.raises(LadderMismatch):
         delta_asy(cal, w, h_ladder=(1 / 300, 1 / 400), m=5_000, seed=0)
 
@@ -717,6 +741,8 @@ def test_delta_asy_builds_one_covariance_one_factor_one_stream(monkeypatch):
     count(np.random, "default_rng")
     with pytest.raises(LadderMismatch):
         delta_asy(cal, w, h_ladder=(1 / 300, 1 / 400), m=1_000, seed=0)
+    with pytest.raises(InvalidSpec):
+        delta_asy(cal, w, h_ladder=(1 / 100,), m=1_000, seed=0)
     assert not calls  # rejected before any covariance or draw
     delta_asy(cal, w, h_ladder=(1 / 50, 1 / 100, 1 / 200), m=1_000, seed=0)
     assert calls == {"estimate_covariance": 1, "_jittered_cholesky": 1, "default_rng": 1}
@@ -849,7 +875,3 @@ def test_correction_report_to_dict_is_json_ready():
     assert blob["value"] == rep.value
     assert blob["beta_star"]["beta0"] == rep.beta_star.beta0
 
-
-def test_grid_covariance_rejects_asymmetry():
-    with pytest.raises(InvalidSpec):
-        GridCovariance(grid=np.array([0.0, 1.0]), sigma=np.array([[1.0, 0.5], [0.2, 1.0]]))

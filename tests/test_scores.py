@@ -131,6 +131,14 @@ def test_non_finite_score_is_not_reported_as_label_mismatch(wrap):
         CalibrationSet.from_scores(scores, np.array([1, 0]))
 
 
+@pytest.mark.parametrize("bad", [1.5, -0.5])
+def test_calibration_set_rejects_score_outside_unit_interval(bad):
+    # checked, never clipped: a clipped score would no longer be its own score
+    scores = np.array([[0.2, 0.4], [0.5, bad], [0.1, 0.3]])
+    with pytest.raises(InvalidSpec, match=r"in \[0, 1\]; row 1, column 1 \(0-based\)"):
+        CalibrationSet.from_scores(scores, np.array([0, 1, 0]))
+
+
 @given(
     arrays(
         np.float64,
