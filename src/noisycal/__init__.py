@@ -63,12 +63,7 @@ from .noise_model import (
     transition_from_matrix,
     two_level_constants,
 )
-from .scores import (
-    ScoreMatrix,
-    aps_scores,
-    one_minus_prob_scores,
-    validate_probability_rows,
-)
+from .scores import aps_scores, one_minus_prob_scores, validate_probability_rows
 from .synth import (
     SoftmaxModel,
     SynthConfig,

@@ -32,7 +32,7 @@ from numpy.typing import NDArray
 from .correction import CorrectionReport
 from .empirical import CalibrationSet, delta_hat
 from .errors import InvalidSpec, LengthMismatch
-from .scores import ScoreMatrix
+from .scores import _require_scores
 
 __all__ = [
     "CalibrationMethod",
@@ -183,15 +183,16 @@ def optimistic_threshold(
 
 
 def prediction_sets(scores, tau: float) -> NDArray[np.bool_]:
-    """The n x K membership matrix ``scores <= tau`` of a ScoreMatrix or array.
+    """The n x K membership matrix ``scores <= tau`` of an n x K score array.
 
-    Monotone in tau; tau = 1 admits every label because scores live in
-    [0, 1].  An all-false row (the empty set) is a legitimate output.
+    Monotone in tau; tau = 1 admits every label because scores must lie in
+    [0, 1]: a score that is not finite or lies outside it, like a tau
+    outside [0, 1] or an array that is not 2-d, raises InvalidSpec.  An
+    all-false row (the empty set) is a legitimate output.
     """
     if not 0.0 <= tau <= 1.0:
         raise InvalidSpec(f"tau must lie in [0, 1], got {tau}")
-    s = scores.scores if isinstance(scores, ScoreMatrix) else np.asarray(scores)
-    return s <= tau
+    return _require_scores(scores, tol=0.0) <= tau
 
 
 def evaluate(sets: NDArray[np.bool_], true_labels) -> dict:

@@ -67,7 +67,7 @@ from .noise_model import (
     build_transition,
     sample_noisy_labels,
 )
-from .scores import ScoreMatrix, aps_scores
+from .scores import _clip_scores, aps_scores
 from .synth import SynthConfig, generate, predict_probs, train_softmax
 
 __all__ = [
@@ -96,7 +96,7 @@ _DELTA_NAMES = {
     "adaptive-plus": "asy",
 }
 
-_PARAMETRIC = tuple(f.value for f in Family if f is not Family.CUSTOM)
+_PARAMETRIC = tuple(f.value for f in Family)
 
 
 @dataclass(frozen=True)
@@ -256,17 +256,17 @@ def _run_rep_inner(
     test = slice(config.n_train + config.n_cal, None)
 
     model = train_softmax(x[train], noisy[train], n_classes=config.k)
-    sm_cal = aps_scores(
+    s_cal = aps_scores(
         predict_probs(model, x[calib]),
         randomized=config.randomized_scores,
         seed=int(sub[1]),
     )
-    sm_test = aps_scores(
+    s_test = aps_scores(
         predict_probs(model, x[test]),
         randomized=config.randomized_scores,
         seed=int(sub[2]),
     )
-    cal = CalibrationSet.from_scores(sm_cal, noisy[calib])
+    cal = CalibrationSet.from_scores(s_cal, noisy[calib])
 
     rows = []
     asy_report = None
@@ -281,7 +281,7 @@ def _run_rep_inner(
             asy_seed=int(sub[3]),
             asy_report=asy_report,
         )
-        metrics = evaluate(prediction_sets(sm_test, thr.tau), y[test])
+        metrics = evaluate(prediction_sets(s_test, thr.tau), y[test])
         rows.append(_results_row(method, cal, config.alpha, thr, metrics, rep_seed))
     return rows
 
@@ -353,30 +353,13 @@ def run_synthetic(config: ExperimentConfig) -> dict:
     return {"rows": rows, "summary": summary}
 
 
-def _read_values(path: str):
-    """Read a probability (p_*) or score (s_*) CSV, detecting which by header."""
-    try:
-        with open(path, newline="") as handle:
-            first = handle.readline()
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    head = first.split(",")[0].strip() if first else ""
-    if head == "p_1":
-        kind = "p"
-    elif head == "s_1":
-        kind = "s"
-    else:
-        raise FileFormatError("header must start with p_1 or s_1", line=1)
-    values, y_noisy, y_true = fileio.read_probability_csv(path, prefix=kind)
-    return kind, values, y_noisy, y_true
-
-
-def _as_score_matrix(
-    kind: str, values: np.ndarray, randomized: bool, seed: int
-) -> ScoreMatrix:
+def _read_scores(path: str, randomized: bool, seed: int):
+    """Scores and labels of a p_* or s_* CSV: APS scores of p_* rows, or the
+    s_* rows checked and clipped to [0, 1]."""
+    kind, values, y_noisy, y_true = fileio.read_probability_csv(path)
     if kind == "p":
-        return aps_scores(values, randomized=randomized, seed=seed)
-    return ScoreMatrix(scores=values, randomized=False, seed=0)
+        return aps_scores(values, randomized=randomized, seed=seed), y_noisy, y_true
+    return _clip_scores(values), y_noisy, y_true
 
 
 def run_from_scores(
@@ -407,12 +390,11 @@ def run_from_scores(
         raise InvalidSpec(
             "provide exactly one of a transition CSV and a contamination model"
         )
-    kind, values, y_noisy, y_true_cal = _read_values(scores_path)
+    seeds = np.random.SeedSequence(seed).generate_state(3)
+    s_cal, y_noisy, y_true_cal = _read_scores(scores_path, randomized, int(seeds[0]))
     if y_noisy is None:
         raise FileFormatError(f"{scores_path} needs a y_noisy column for calibration")
-    seeds = np.random.SeedSequence(seed).generate_state(3)
-    sm_cal = _as_score_matrix(kind, values, randomized, int(seeds[0]))
-    k = sm_cal.k
+    k = s_cal.shape[1]
 
     spec = None
     if transition_path is not None:
@@ -425,7 +407,7 @@ def run_from_scores(
         spec = ContaminationSpec(family=Family(model), k=k, eps=eps, nu=nu, b=b)
         tm = build_transition(spec)
 
-    cal = CalibrationSet.from_scores(sm_cal, y_noisy)
+    cal = CalibrationSet.from_scores(s_cal, y_noisy)
     thr, _ = _threshold_for_method(
         method,
         cal,
@@ -437,16 +419,14 @@ def run_from_scores(
     )
 
     if test_path is not None:
-        kind2, values2, _, y_true_eval = _read_values(test_path)
-        sm_eval = _as_score_matrix(kind2, values2, randomized, int(seeds[2]))
-        if sm_eval.k != k:
+        s_eval, _, y_true_eval = _read_scores(test_path, randomized, int(seeds[2]))
+        if s_eval.shape[1] != k:
             raise InvalidSpec(
-                f"test rows have {sm_eval.k} classes, calibration rows {k}"
+                f"test rows have {s_eval.shape[1]} classes, calibration rows {k}"
             )
     else:
-        sm_eval = sm_cal
-        y_true_eval = y_true_cal
-    sets = prediction_sets(sm_eval, thr.tau)
+        s_eval, y_true_eval = s_cal, y_true_cal
+    sets = prediction_sets(s_eval, thr.tau)
     metrics = evaluate(sets, y_true_eval) if y_true_eval is not None else None
 
     if out is not None:

@@ -473,10 +473,8 @@ def delta_fs_special(spec: ContaminationSpec, n: int, c_n: float) -> CorrectionR
         betas = np.full(k, -eps / (1.0 - eps))
     elif spec.family is Family.BLOCK_RR:
         betas = np.full(k, -spec.b * eps / (1.0 - eps))
-    elif spec.family is Family.TWO_LEVEL_RR:
-        betas = np.full(k, -two_level_constants(eps, spec.nu).p)
     else:
-        raise InvalidSpec("delta_fs_special supports only the parametric families")
+        betas = np.full(k, -two_level_constants(eps, spec.nu).p)
     beta = BetaVector(beta0=1.0 / (1.0 - eps), betas=betas)
     values = _fs_values(n, k, closed_form_inverse(spec).W, c_n, beta)
     value, branch = _smallest(values)

@@ -30,13 +30,28 @@ from numpy.typing import NDArray
 
 from .errors import EmptyClass, InvalidSpec
 from .noise_model import _as_w
-from .scores import ScoreMatrix, _require_scores
+from .scores import _require_scores
 
 __all__ = [
     "CalibrationSet",
     "InflationCurve",
     "delta_hat",
 ]
+
+
+def _require_labels(labels, shape: tuple[int, int]) -> NDArray[np.int64]:
+    """Noisy labels checked against an n x K score shape (n >= 1)."""
+    n, k = shape
+    y = np.asarray(labels)
+    if n < 1:
+        raise InvalidSpec("scores must have at least one row")
+    if y.shape != (n,):
+        raise InvalidSpec(f"noisy_labels must have shape ({n},), got {y.shape}")
+    if not np.issubdtype(y.dtype, np.integer):
+        raise InvalidSpec(f"noisy_labels must be integers, got dtype {y.dtype}")
+    if y.min() < 0 or y.max() >= k:
+        raise InvalidSpec(f"labels must lie in [0, {k - 1}] (0-based)")
+    return y.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -52,34 +67,29 @@ class CalibrationSet:
     own_score: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.scores, dtype=np.float64)
-        y = np.asarray(self.noisy_labels)
+        s = _require_scores(self.scores, tol=0.0)
+        y = _require_labels(self.noisy_labels, s.shape)
         own = np.asarray(self.own_score, dtype=np.float64)
-        if s.ndim != 2 or s.shape[0] < 1:
-            raise InvalidSpec(f"scores must be a nonempty n x K matrix, got {s.shape}")
-        _require_scores(s, tol=0.0)
-        n, k = s.shape
-        if y.shape != (n,) or own.shape != (n,):
-            raise InvalidSpec("noisy_labels and own_score must have length n")
-        if y.min() < 0 or y.max() >= k:
-            raise InvalidSpec(f"labels must lie in [0, {k - 1}] (0-based)")
-        if not np.array_equal(s[np.arange(n), y], own):
+        if own.shape != y.shape:
+            raise InvalidSpec("own_score must have length n")
+        if not np.array_equal(s[np.arange(s.shape[0]), y], own):
             raise InvalidSpec("own_score[i] must equal scores[i, noisy_labels[i]]")
         for arr in (s, own):
             arr.setflags(write=False)
         object.__setattr__(self, "scores", s)
-        object.__setattr__(self, "noisy_labels", y.astype(np.int64))
+        object.__setattr__(self, "noisy_labels", y)
         object.__setattr__(self, "own_score", own)
 
     @classmethod
     def from_scores(cls, scores, noisy_labels) -> "CalibrationSet":
-        """Build from a ScoreMatrix (or raw n x K array) plus labels."""
-        s = scores.scores if isinstance(scores, ScoreMatrix) else np.asarray(scores)
-        y = np.asarray(noisy_labels, dtype=np.int64)
-        if y.ndim != 1 or y.shape[0] != s.shape[0]:
-            raise InvalidSpec("noisy_labels must be a length-n vector")
-        own = s[np.arange(s.shape[0]), y]
-        return cls(scores=s, noisy_labels=y, own_score=own)
+        """Build from an n x K score array plus 0-based integer labels.
+
+        Scores that are not a 2-d array in [0, 1], and labels that are not
+        integers in [0, K) with one per row, raise InvalidSpec.
+        """
+        s = _require_scores(scores, tol=0.0)
+        y = _require_labels(noisy_labels, s.shape)
+        return cls(scores=s, noisy_labels=y, own_score=s[np.arange(s.shape[0]), y])
 
     @property
     def n(self) -> int:

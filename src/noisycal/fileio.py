@@ -93,28 +93,29 @@ def _numbered_header(header: list[str], prefix: str) -> int:
 
 
 def read_probability_csv(
-    path: str, prefix: str = "p"
+    path: str,
 ) -> tuple[
-    NDArray[np.float64], NDArray[np.int64] | None, NDArray[np.int64] | None
+    str, NDArray[np.float64], NDArray[np.int64] | None, NDArray[np.int64] | None
 ]:
-    """Read rows of ``p_1..p_K[,y_noisy][,y_true]``.
+    """Read rows of ``p_1..p_K[,y_noisy][,y_true]`` or ``s_1..s_K[,...]``.
 
-    Returns (values, y_noisy, y_true) with absent label columns as None.
-    With ``prefix="s"`` the same layout reads score files.
+    Returns (kind, values, y_noisy, y_true): kind is ``"p"`` for
+    probability rows and ``"s"`` for score rows, as the header says, and
+    absent label columns are None.  The values are parsed, not checked as
+    probabilities or scores.
     """
     rows = _read_rows(path)
     if not rows:
         raise FileFormatError(f"{path} is empty")
     header = [cell.strip() for cell in rows[0]]
-    k = _numbered_header(header, prefix)
-    if k == 0:
-        raise FileFormatError(
-            f"header must start with {prefix}_1,...,{prefix}_K", line=1
-        )
+    kind = next((c for c in "ps" if header[:1] == [f"{c}_1"]), None)
+    if kind is None:
+        raise FileFormatError("header must start with p_1 or s_1", line=1)
+    k = _numbered_header(header, kind)
     tail = header[k:]
     if tail not in ([], ["y_noisy"], ["y_true"], ["y_noisy", "y_true"]):
         raise FileFormatError(
-            f"columns after {prefix}_{k} must be [y_noisy][,y_true], got {tail}",
+            f"columns after {kind}_{k} must be [y_noisy][,y_true], got {tail}",
             line=1,
         )
     has_noisy = "y_noisy" in tail
@@ -138,7 +139,7 @@ def read_probability_csv(
             y_true[i] = _parse_label(row[cursor], k, line)
     if values.shape[0] == 0:
         raise FileFormatError(f"{path} has a header but no data rows")
-    return values, y_noisy, y_true
+    return kind, values, y_noisy, y_true
 
 
 def _write_numbered_csv(

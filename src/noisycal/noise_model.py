@@ -3,8 +3,9 @@
 A contamination model is a column-stochastic transition matrix ``T`` with
 ``T[k, l] = P(noisy label = k | true label = l)``.  Three parametric families
 have closed-form inverses (uniform randomized response, block randomized
-response, two-level randomized response); arbitrary matrices are supported
-through the ``CUSTOM`` family.
+response, two-level randomized response); an explicit matrix, read from a
+file or estimated from paired labels, goes through ``transition_from_matrix``
+and is inverted numerically.
 
 Labels are 0-based everywhere inside the library; the file and CLI layers
 translate from the 1-based convention used in data files.
@@ -42,7 +43,6 @@ class Family(str, Enum):
     RANDOMIZED_RESPONSE = "rr"
     BLOCK_RR = "block_rr"
     TWO_LEVEL_RR = "two_level_rr"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class ContaminationSpec:
     Parameters
     ----------
     family : Family
-        Which parametric family (or CUSTOM for an explicit matrix).
+        Which parametric family.
     k : int
         Number of classes.
     eps : float
@@ -61,10 +61,6 @@ class ContaminationSpec:
         Two-level deviation in [0, 1]; used by TWO_LEVEL_RR only.
     b : int, optional
         Number of blocks; used by BLOCK_RR only, must divide ``k``.
-    custom_matrix : ndarray, optional
-        Explicit column-stochastic matrix; used by CUSTOM only.  Columns must
-        sum to 1 within 1e-12 with nonnegative entries; invalid matrices are
-        rejected, never repaired.
     """
 
     family: Family
@@ -72,7 +68,6 @@ class ContaminationSpec:
     eps: float = 0.0
     nu: float = 0.0
     b: int | None = None
-    custom_matrix: NDArray[np.float64] | None = None
 
     def __post_init__(self) -> None:
         family = Family(self.family)
@@ -91,26 +86,6 @@ class ContaminationSpec:
                 raise InvalidSpec(f"two-level model needs an even k, got {self.k}")
             if not 0.0 <= self.nu <= 1.0:
                 raise InvalidSpec(f"nu must lie in [0, 1], got {self.nu}")
-        if family is Family.CUSTOM:
-            if self.custom_matrix is None:
-                raise InvalidSpec("custom family requires custom_matrix")
-            m = np.array(self.custom_matrix, dtype=np.float64)
-            if m.shape != (self.k, self.k):
-                raise InvalidSpec(
-                    f"custom_matrix has shape {m.shape}, expected {(self.k, self.k)}"
-                )
-            if np.any(m < 0.0):
-                raise InvalidSpec("custom_matrix entries must be nonnegative")
-            colsums = m.sum(axis=0)
-            if np.max(np.abs(colsums - 1.0)) > 1e-12:
-                raise InvalidSpec(
-                    "custom_matrix columns must sum to 1 within 1e-12; "
-                    f"worst deviation {np.max(np.abs(colsums - 1.0)):.3e}"
-                )
-            m.setflags(write=False)
-            object.__setattr__(self, "custom_matrix", m)
-        elif self.custom_matrix is not None:
-            raise InvalidSpec("custom_matrix is only valid with the custom family")
 
 
 @dataclass(frozen=True)
@@ -208,13 +183,11 @@ def _family_matrix(spec: ContaminationSpec) -> NDArray[np.float64]:
         m = k // spec.b
         block = np.kron(np.eye(spec.b), np.ones((m, m)))
         return (1.0 - eps) * np.eye(k) + (eps / m) * block
-    if spec.family is Family.TWO_LEVEL_RR:
-        half = k // 2
-        ones = np.ones((half, half))
-        diag = (1.0 - eps) * np.eye(half) + (eps / k) * (1.0 + spec.nu) * ones
-        off = (eps / k) * (1.0 - spec.nu) * ones
-        return np.block([[diag, off], [off, diag]])
-    return np.array(spec.custom_matrix, dtype=np.float64)
+    half = k // 2
+    ones = np.ones((half, half))
+    diag = (1.0 - eps) * np.eye(half) + (eps / k) * (1.0 + spec.nu) * ones
+    off = (eps / k) * (1.0 - spec.nu) * ones
+    return np.block([[diag, off], [off, diag]])
 
 
 _SINGULAR_T = "LU pivot below 1e-12 * ||T||_inf; transition matrix is singular"
@@ -246,8 +219,7 @@ def build_transition(spec: ContaminationSpec) -> TransitionMatrix:
     The inverse always comes from LU elimination here; use
     :func:`closed_form_inverse` for the analytic W of the parametric families.
     """
-    t = _family_matrix(spec)
-    return TransitionMatrix(T=t, W=_lu_inverse(t, SingularTransition, _SINGULAR_T))
+    return transition_from_matrix(_family_matrix(spec))
 
 
 def transition_from_matrix(t: NDArray[np.float64]) -> TransitionMatrix:
@@ -259,11 +231,10 @@ def transition_from_matrix(t: NDArray[np.float64]) -> TransitionMatrix:
 def closed_form_inverse(spec: ContaminationSpec) -> TransitionMatrix:
     """Build T and assemble W from the family's analytic inverse formula.
 
-    Supported families: RANDOMIZED_RESPONSE, BLOCK_RR, TWO_LEVEL_RR.  For RR,
-    W = I/(1-eps) - eps/(K(1-eps)) * J.  For block RR with m = K/b labels per
-    block, W = I/(1-eps) - eps/(m(1-eps)) * B where B is the block-diagonal
-    matrix of ones.  For the two-level model W is assembled from the (p, h)
-    constants of :func:`two_level_constants`.
+    For RR, W = I/(1-eps) - eps/(K(1-eps)) * J.  For block RR with m = K/b
+    labels per block, W = I/(1-eps) - eps/(m(1-eps)) * B where B is the
+    block-diagonal matrix of ones.  For the two-level model W is assembled
+    from the (p, h) constants of :func:`two_level_constants`.
     """
     k, eps = spec.k, spec.eps
     a = 1.0 / (1.0 - eps)
@@ -273,15 +244,13 @@ def closed_form_inverse(spec: ContaminationSpec) -> TransitionMatrix:
         m = k // spec.b
         block = np.kron(np.eye(spec.b), np.ones((m, m)))
         w = a * np.eye(k) - (eps * a / m) * block
-    elif spec.family is Family.TWO_LEVEL_RR:
+    else:
         half = k // 2
         ones = np.ones((half, half))
         c = two_level_constants(eps, spec.nu)
         diag = a * np.eye(half) - (c.p / k) * ones
         off = -(c.h / k) * ones
         w = np.block([[diag, off], [off, diag]])
-    else:
-        raise InvalidSpec("closed_form_inverse supports only the parametric families")
     return TransitionMatrix(T=_family_matrix(spec), W=w)
 
 
@@ -317,8 +286,7 @@ def estimate_transition(
     for label in range(k):
         if col_totals[label] == 0:
             raise MissingClass(label)
-    t = counts / col_totals
-    return TransitionMatrix(T=t, W=_lu_inverse(t, SingularTransition, _SINGULAR_T))
+    return transition_from_matrix(counts / col_totals)
 
 
 def sample_noisy_labels(

@@ -1,15 +1,19 @@
 """Non-conformity scores (APS family).
 
-A probability row is a length-K vector summing to 1.  The APS score of label
-k is the cumulative sum of the descending sorted probabilities down to and
-including the rank of k; the randomized variant subtracts U * pi(x, k) with a
-single uniform U shared by all labels of a row.  Ties between probabilities
-are broken by ascending label index, so scores are reproducible.
+Scores are a plain n x K float array with entries in [0, 1]: entry [i, k] is
+the score of label k for row i.  A probability row is a length-K vector
+summing to 1.  The APS score of label k is the cumulative sum of the
+descending sorted probabilities down to and including the rank of k; the
+randomized variant subtracts U * pi(x, k) with a single uniform U shared by
+all labels of a row.  Ties between probabilities are broken by ascending
+label index, so scores are reproducible.
+
+Scores from outside the library (an ``s_*`` file) pass through
+``_clip_scores``; library code checks an array it is handed with
+``_require_scores``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -17,7 +21,6 @@ from numpy.typing import NDArray
 from .errors import InvalidProbability, InvalidSpec
 
 __all__ = [
-    "ScoreMatrix",
     "validate_probability_rows",
     "aps_scores",
     "one_minus_prob_scores",
@@ -27,9 +30,12 @@ __all__ = [
 # is the ingestion contract for stacks of them.
 
 
-def _require_scores(s: NDArray[np.float64], tol: float) -> None:
-    """Raise InvalidSpec naming the first entry of a score matrix that is not
-    finite or lies outside [-tol, 1 + tol]."""
+def _require_scores(scores, tol: float) -> NDArray[np.float64]:
+    """The scores as a float array, checked to be 2-d, finite and within
+    [-tol, 1 + tol]; InvalidSpec names the first entry that is not."""
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 2:
+        raise InvalidSpec(f"scores must be a 2-d n x K matrix, got shape {s.shape}")
     for bad, rule in (
         (~np.isfinite(s), "finite"),
         ((s < -tol) | (s > 1.0 + tol), "in [0, 1]"),
@@ -39,33 +45,17 @@ def _require_scores(s: NDArray[np.float64], tol: float) -> None:
             raise InvalidSpec(
                 f"scores must be {rule}; row {i}, column {j} (0-based) is {s[i, j]}"
             )
+    return s
 
 
-@dataclass(frozen=True)
-class ScoreMatrix:
-    """An n x K matrix of scores in [0, 1] plus the randomization provenance."""
+def _clip_scores(scores) -> NDArray[np.float64]:
+    """Scores read from a file, checked and clipped to [0, 1].
 
-    scores: NDArray[np.float64]
-    randomized: bool
-    seed: int
-
-    def __post_init__(self) -> None:
-        s = np.array(self.scores, dtype=np.float64)
-        if s.ndim != 2:
-            raise InvalidSpec(f"scores must be 2-d, got shape {s.shape}")
-        # APS cumulative sums may overshoot [0, 1] by rounding; clip that away
-        _require_scores(s, tol=1e-9)
-        s = np.clip(s, 0.0, 1.0)
-        s.setflags(write=False)
-        object.__setattr__(self, "scores", s)
-
-    @property
-    def n(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.scores.shape[1]
+    Cumulative sums written by other tools may overshoot [0, 1] by rounding,
+    so entries within 1e-9 of the interval are clipped; anything further out
+    raises InvalidSpec.
+    """
+    return np.clip(_require_scores(scores, tol=1e-9), 0.0, 1.0)
 
 
 def validate_probability_rows(probs: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -98,7 +88,7 @@ def aps_scores(
     probs: NDArray[np.float64],
     randomized: bool = False,
     seed: int = 0,
-) -> ScoreMatrix:
+) -> NDArray[np.float64]:
     """Generalized inverse-quantile (APS) scores for each row and label.
 
     Parameters
@@ -113,8 +103,8 @@ def aps_scores(
 
     Returns
     -------
-    ScoreMatrix
-        Scores in [0, 1]; s(x, k) is the cumulative sum of the descending
+    ndarray
+        n x K scores in [0, 1]; s(x, k) is the cumulative sum of the descending
         sorted probabilities down to the rank of k.
     """
     p = validate_probability_rows(probs)
@@ -127,10 +117,9 @@ def aps_scores(
     s = np.take_along_axis(csum, ranks, axis=1)
     if randomized:
         s = s - np.random.default_rng(seed).random(n)[:, None] * p
-    return ScoreMatrix(scores=np.clip(s, 0.0, 1.0), randomized=randomized, seed=seed)
+    return np.clip(s, 0.0, 1.0)
 
 
-def one_minus_prob_scores(probs: NDArray[np.float64]) -> ScoreMatrix:
+def one_minus_prob_scores(probs: NDArray[np.float64]) -> NDArray[np.float64]:
     """The plain 1 - pi(x, k) score, included as a simple alternative."""
-    p = validate_probability_rows(probs)
-    return ScoreMatrix(scores=1.0 - p, randomized=False, seed=0)
+    return 1.0 - validate_probability_rows(probs)

@@ -3,6 +3,8 @@
 import types
 
 import noisycal
+import noisycal.cli
+import noisycal.fileio
 
 PUBLIC_NAMES = {
     "BetaVector", "CalibrationMethod", "CalibrationSet", "CholeskyFailure",
@@ -10,7 +12,7 @@ PUBLIC_NAMES = {
     "DimensionMismatch", "EmptyClass", "Family", "FileFormatError",
     "InflationCurve", "InsufficientVertices", "InvalidProbability", "InvalidSpec",
     "LadderMismatch", "LengthMismatch", "MissingClass", "NoisycalError",
-    "OPTIMISTIC_CAVEAT", "ScoreMatrix", "SingularM", "SingularTransition",
+    "OPTIMISTIC_CAVEAT", "SingularM", "SingularTransition",
     "SoftmaxModel", "SolverFailure", "SynthConfig", "ThresholdResult",
     "TransitionMatrix", "TwoLevelDerived", "adaptive_threshold", "aps_scores",
     "b_term", "build_transition", "c_of_n", "closed_form_inverse", "cn_envelope",
@@ -31,4 +33,29 @@ def test_public_api_is_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 58
+    assert len(PUBLIC_NAMES) == 57
+
+
+def test_fileio_and_cli_surfaces_are_pinned():
+    assert noisycal.fileio.__all__ == [
+        "RESULTS_HEADER",
+        "SUMMARY_HEADER",
+        "read_probability_csv",
+        "write_probability_csv",
+        "write_scores_csv",
+        "read_transition_csv",
+        "write_transition_csv",
+        "write_results_csv",
+        "write_summary_csv",
+        "write_prediction_sets_csv",
+        "write_threshold_json",
+    ]
+    assert noisycal.cli.__all__ == [
+        "METHODS",
+        "ExperimentConfig",
+        "read_experiment_config",
+        "run_synthetic",
+        "run_from_scores",
+        "correction_report",
+        "main",
+    ]

@@ -15,7 +15,6 @@ from noisycal import (
     Family,
     InvalidSpec,
     LengthMismatch,
-    ScoreMatrix,
     adaptive_threshold,
     closed_form_inverse,
     delta_hat,
@@ -253,12 +252,24 @@ def test_prediction_sets_thresholds_each_row():
     assert sets.tolist() == [[True, False, False], [True, True, False]]
 
 
-def test_prediction_sets_accepts_score_matrix():
-    scores = np.array([[0.3, 1.0], [0.8, 1.0]])
-    wrapped = ScoreMatrix(scores=scores, randomized=False, seed=0)
-    plain = prediction_sets(scores, 0.5)
-    rich = prediction_sets(wrapped, 0.5)
-    assert np.array_equal(plain, rich)
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (np.nan, r"finite; row 1, column 0 \(0-based\)"),
+        (1.8, r"in \[0, 1\]; row 1, column 0 \(0-based\)"),
+        (-0.5, r"in \[0, 1\]; row 1, column 0 \(0-based\)"),
+        (None, r"2-d n x K matrix, got shape \(2,\)"),
+    ],
+    ids=["nan", "above-one", "below-zero", "one-dimensional"],
+)
+def test_prediction_sets_rejects_bad_scores(bad, match):
+    # unchecked, a score of 1.8 fell outside the tau = 1 set and a NaN dropped its label
+    if bad is None:
+        scores = np.array([0.3, 1.0])
+    else:
+        scores = np.array([[0.3, 1.0], [bad, 1.0]])
+    with pytest.raises(InvalidSpec, match=match):
+        prediction_sets(scores, 1.0)
 
 
 def test_prediction_sets_tau_one_admits_everything():

@@ -183,7 +183,7 @@ def test_run_from_scores_standard_hand_check(tmp_path):
     path = tmp_path / "cal.csv"
     p, y_noisy, _ = write_cal_csv(path, seed=4, n=10, k=2)
     result = run_from_scores(str(path), model="rr", eps=0.1, method="standard")
-    own = aps_scores(p).scores[np.arange(10), y_noisy]
+    own = aps_scores(p)[np.arange(10), y_noisy]
     # ceil(11 * 0.9) = 10, the largest own score
     assert result["threshold"].tau == float(np.sort(own)[-1])
     assert result["threshold"].i_hat == 10
@@ -460,6 +460,23 @@ def test_main_calibrate_nan_score_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "row 0, column 1 (0-based)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("over, code", [(5e-10, 0), (1e-8, 2)])
+def test_main_calibrate_score_file_tolerance(tmp_path, over, code):
+    # an s_* cell up to 1e-9 past 1 is rounding and reads as 1.0; further is refused
+    path = tmp_path / "s.csv"
+    own = [0.05 * i for i in range(1, 10)] + [1.0 + over]
+    rows = "".join(f"0.5,{v!r},2\n" for v in own)
+    path.write_text("s_1,s_2,y_noisy\n" + rows)
+    out = tmp_path / "out"
+    argv = ["calibrate", "--scores", str(path), "--model", "rr", "--eps", "0.1"]
+    argv += ["--method", "standard", "--out", str(out)]
+    assert main(argv) == code
+    if code == 0:
+        # ceil(11 * 0.9) = 10 = n: the largest own score, not the tau = 1 fallback
+        blob = json.loads((out / "threshold.json").read_text())
+        assert (blob["tau"], blob["i_hat"], blob["set_I_empty"]) == (1.0, 10, False)
 
 
 def test_main_calibrate_transition_with_model_exits_2(tmp_path, capsys):

@@ -282,12 +282,6 @@ def test_delta_fs_special_two_level_nu_zero_reduces_to_rr():
     assert a.value == pytest.approx(b.value, abs=1e-9)
 
 
-def test_delta_fs_special_rejects_custom_family():
-    spec = ContaminationSpec(family=Family.CUSTOM, k=2, custom_matrix=np.eye(2))
-    with pytest.raises(InvalidSpec):
-        delta_fs_special(spec, 100, 0.1)
-
-
 # ---------------------------------------------------------------------------
 # finite-sample solvers against the dense-LP oracle
 # ---------------------------------------------------------------------------

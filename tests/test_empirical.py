@@ -52,6 +52,21 @@ def test_calibration_set_validates_own_score():
     assert np.array_equal(ok.own_score, [0.2, 0.8])
 
 
+@pytest.mark.parametrize(
+    "scores, labels, match",
+    [
+        ([[0.2, 0.9], [0.4, 0.8]], [0, 2], r"labels must lie in \[0, 1\]"),
+        ([0.2, 0.9], [0, 1], "2-d n x K matrix"),
+        ([[0.2, 0.9], [0.4, 0.8]], [0.7, 1.2], "must be integers"),
+    ],
+    ids=["label-past-k", "one-dimensional-scores", "float-labels"],
+)
+def test_from_scores_raises_typed_errors(scores, labels, match):
+    # once an IndexError, an IndexError and a silent cut to [0, 1]
+    with pytest.raises(InvalidSpec, match=match):
+        CalibrationSet.from_scores(np.array(scores), np.array(labels))
+
+
 def test_build_cdfs_empty_class_is_lazy():
     scores = np.array([[0.2, 0.5], [0.6, 0.7]])
     cal = CalibrationSet.from_scores(scores, np.array([0, 0]))
@@ -151,7 +166,7 @@ def population(seed, k, n_pop=200_000):
     """A fixed generative recipe: dirichlet probability rows + RR noise."""
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.full(k, 0.8), size=n_pop)
-    scores = aps_scores(probs).scores
+    scores = aps_scores(probs)
     tm = build_transition(
         ContaminationSpec(family=Family.RANDOMIZED_RESPONSE, k=k, eps=0.2)
     )

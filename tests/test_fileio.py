@@ -44,7 +44,8 @@ def test_probability_roundtrip_without_labels(tmp_path):
     p, _, _ = probs()
     path = str(tmp_path / "p.csv")
     write_probability_csv(path, p)
-    got, noisy, true = read_probability_csv(path)
+    kind, got, noisy, true = read_probability_csv(path)
+    assert kind == "p"
     assert np.array_equal(got, p)  # repr round-trips floats exactly
     assert noisy is None and true is None
 
@@ -53,7 +54,7 @@ def test_probability_roundtrip_with_noisy_labels(tmp_path):
     p, y_noisy, _ = probs(1)
     path = str(tmp_path / "p.csv")
     write_probability_csv(path, p, y_noisy=y_noisy)
-    got, noisy, true = read_probability_csv(path)
+    _, got, noisy, true = read_probability_csv(path)
     assert np.array_equal(got, p)
     assert np.array_equal(noisy, y_noisy)
     assert true is None
@@ -63,7 +64,7 @@ def test_probability_roundtrip_with_both_labels(tmp_path):
     p, y_noisy, y_true = probs(2)
     path = str(tmp_path / "p.csv")
     write_probability_csv(path, p, y_noisy=y_noisy, y_true=y_true)
-    got, noisy, true = read_probability_csv(path)
+    _, got, noisy, true = read_probability_csv(path)
     assert np.array_equal(noisy, y_noisy)
     assert np.array_equal(true, y_true)
 
@@ -83,7 +84,8 @@ def test_scores_use_s_prefix(tmp_path):
     write_scores_csv(path, s)
     header = open(path).readline().strip().split(",")
     assert header == ["s_1", "s_2"]
-    got, _, _ = read_probability_csv(path, prefix="s")
+    kind, got, _, _ = read_probability_csv(path)
+    assert kind == "s"
     assert np.array_equal(got, s)
 
 

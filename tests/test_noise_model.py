@@ -71,14 +71,6 @@ def test_closed_form_block_zero_noise():
     assert np.array_equal(closed_form_inverse(spec).W, np.eye(4))
 
 
-def test_closed_form_rejects_custom():
-    spec = ContaminationSpec(
-        family=Family.CUSTOM, k=2, custom_matrix=np.eye(2)
-    )
-    with pytest.raises(InvalidSpec):
-        closed_form_inverse(spec)
-
-
 @pytest.mark.parametrize("k", [2, 4, 8, 16])
 @pytest.mark.parametrize("eps", [0.0, 0.1, 0.2])
 def test_closed_form_grid_against_elimination(k, eps):
@@ -119,17 +111,13 @@ def test_spec_validation():
         ContaminationSpec(family=Family.BLOCK_RR, k=4, eps=0.1, b=3)
     with pytest.raises(InvalidSpec):
         ContaminationSpec(family=Family.TWO_LEVEL_RR, k=3, eps=0.1, nu=0.5)
-    with pytest.raises(InvalidSpec):
-        ContaminationSpec(
-            family=Family.CUSTOM, k=2, custom_matrix=np.array([[0.9, 0.0], [0.0, 1.0]])
-        )
 
 
-def test_custom_matrix_not_repaired():
+def test_explicit_matrix_not_repaired():
     # off by 2e-6 in a column: rejected, never renormalized
     m = np.array([[0.5 + 2e-6, 0.5], [0.5, 0.5]])
-    with pytest.raises(InvalidSpec):
-        ContaminationSpec(family=Family.CUSTOM, k=2, custom_matrix=m)
+    with pytest.raises(InvalidSpec, match="columns must sum to 1"):
+        transition_from_matrix(m)
 
 
 def test_transition_from_matrix_singular():

@@ -10,31 +10,31 @@ from noisycal import (
     CalibrationSet,
     InvalidProbability,
     InvalidSpec,
-    ScoreMatrix,
     aps_scores,
     one_minus_prob_scores,
     prediction_sets,
     validate_probability_rows,
 )
+from noisycal.scores import _clip_scores
 from oracles import brute_aps
 
 
 def test_aps_hand_example():
-    sm = aps_scores(np.array([[0.5, 0.3, 0.2]]))
-    assert np.allclose(sm.scores, [[0.5, 0.8, 1.0]], atol=1e-15)
+    s = aps_scores(np.array([[0.5, 0.3, 0.2]]))
+    assert np.allclose(s, [[0.5, 0.8, 1.0]], atol=1e-15)
 
 
 def test_aps_point_mass_limit():
     e = 1e-6
-    sm = aps_scores(np.array([[1 - 2 * e, e, e]]))
-    assert np.allclose(sm.scores, [[1 - 2 * e, 1 - e, 1.0]], atol=1e-12)
+    s = aps_scores(np.array([[1 - 2 * e, e, e]]))
+    assert np.allclose(s, [[1 - 2 * e, 1 - e, 1.0]], atol=1e-12)
     degenerate = aps_scores(np.array([[1.0, 0.0, 0.0]]))
-    assert np.allclose(degenerate.scores, [[1.0, 1.0, 1.0]], atol=1e-15)
+    assert np.allclose(degenerate, [[1.0, 1.0, 1.0]], atol=1e-15)
 
 
 def test_aps_uniform_ties_break_by_index():
-    sm = aps_scores(np.full((1, 4), 0.25))
-    assert np.allclose(sm.scores, [[0.25, 0.5, 0.75, 1.0]], atol=1e-15)
+    s = aps_scores(np.full((1, 4), 0.25))
+    assert np.allclose(s, [[0.25, 0.5, 0.75, 1.0]], atol=1e-15)
 
 
 def test_aps_matches_scalar_oracle_on_fuzz():
@@ -42,8 +42,8 @@ def test_aps_matches_scalar_oracle_on_fuzz():
     for _ in range(50):
         k = int(rng.integers(2, 9))
         p = rng.dirichlet(np.full(k, rng.uniform(0.3, 3.0)))
-        sm = aps_scores(p[None, :])
-        assert np.allclose(sm.scores[0], brute_aps(p), atol=1e-12)
+        s = aps_scores(p[None, :])
+        assert np.allclose(s[0], brute_aps(p), atol=1e-12)
 
 
 def test_aps_randomized_bracket():
@@ -51,11 +51,11 @@ def test_aps_randomized_bracket():
     # never by more than the own probability
     rng = np.random.default_rng(0)
     p = rng.dirichlet(np.ones(5), size=40)
-    det = aps_scores(p).scores
-    ran = aps_scores(p, randomized=True, seed=9).scores
+    det = aps_scores(p)
+    ran = aps_scores(p, randomized=True, seed=9)
     assert np.all(ran <= det + 1e-15)
     assert np.all(ran >= np.clip(det - p, 0.0, 1.0) - 1e-15)
-    again = aps_scores(p, randomized=True, seed=9).scores
+    again = aps_scores(p, randomized=True, seed=9)
     assert np.array_equal(ran, again)
 
 
@@ -94,7 +94,7 @@ def test_prediction_set_round_trip_and_monotone():
     for _ in range(20):
         n, k = int(rng.integers(1, 5)), int(rng.integers(2, 7))
         p = rng.dirichlet(np.ones(k), size=n)
-        scores = aps_scores(p).scores
+        scores = aps_scores(p)
         previous = np.zeros((n, k), dtype=bool)
         for tau in taus:
             mask = prediction_sets(scores, tau)
@@ -109,8 +109,8 @@ def test_prediction_set_round_trip_and_monotone():
 
 def test_one_minus_prob_scores():
     p = np.array([[0.6, 0.3, 0.1]])
-    sm = one_minus_prob_scores(p)
-    assert np.allclose(sm.scores, 1.0 - p, atol=1e-15)
+    s = one_minus_prob_scores(p)
+    assert np.allclose(s, 1.0 - p, atol=1e-15)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -118,17 +118,19 @@ def test_score_matrix_rejects_non_finite(bad):
     scores = np.array([[0.2, 0.4], [0.5, 0.7], [0.1, 0.3]])
     scores[1, 1] = bad
     with pytest.raises(InvalidSpec, match=r"row 1, column 1 \(0-based\)"):
-        ScoreMatrix(scores=scores, randomized=False, seed=0)
+        _clip_scores(scores)
 
 
-@pytest.mark.parametrize("wrap", [False, True])
-def test_non_finite_score_is_not_reported_as_label_mismatch(wrap):
+@pytest.mark.parametrize("direct", [False, True])
+def test_non_finite_score_is_not_reported_as_label_mismatch(direct):
     # the NaN is row 0's own score, which once failed the own-score check
     scores = np.array([[0.2, math.nan], [0.5, 0.7]])
+    labels = np.array([1, 0])
     with pytest.raises(InvalidSpec, match=r"row 0, column 1 \(0-based\)"):
-        if wrap:
-            scores = ScoreMatrix(scores=scores, randomized=False, seed=0)
-        CalibrationSet.from_scores(scores, np.array([1, 0]))
+        if direct:
+            own = scores[np.arange(2), labels]
+            CalibrationSet(scores=scores, noisy_labels=labels, own_score=own)
+        CalibrationSet.from_scores(scores, labels)
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.5])
