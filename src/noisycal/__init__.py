@@ -1,11 +1,11 @@
 """Conformal prediction sets that stay valid under label contamination.
 
-Calibration labels observed through a known (or estimated) column-stochastic
-transition matrix bias the usual split-conformal quantile.  This package
-estimates the induced inflation of the empirical coverage, corrects it with
-either a finite-sample optimized bound or an asymptotic Monte-Carlo
-estimate, and calibrates thresholds whose marginal coverage is certified
-despite the contamination.
+Calibration labels observed through a known column-stochastic transition
+matrix bias the usual split-conformal quantile.  This package estimates the
+induced inflation of the empirical coverage, corrects it with either a
+finite-sample optimized bound or an asymptotic Monte-Carlo estimate, and
+calibrates thresholds whose marginal coverage is certified despite the
+contamination.
 """
 
 from .calibrate import (
@@ -45,7 +45,6 @@ from .errors import (
     InvalidSpec,
     LadderMismatch,
     LengthMismatch,
-    MissingClass,
     NoisycalError,
     SingularM,
     SingularTransition,
@@ -58,12 +57,11 @@ from .noise_model import (
     TwoLevelDerived,
     build_transition,
     closed_form_inverse,
-    estimate_transition,
     sample_noisy_labels,
     transition_from_matrix,
     two_level_constants,
 )
-from .scores import aps_scores, one_minus_prob_scores, validate_probability_rows
+from .scores import aps_scores, validate_probability_rows
 from .synth import (
     SoftmaxModel,
     SynthConfig,

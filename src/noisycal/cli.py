@@ -135,12 +135,31 @@ class ExperimentConfig:
             raise InvalidSpec("repetitions must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidSpec(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.family not in _PARAMETRIC:
-            raise InvalidSpec(
-                f"family must be one of {list(_PARAMETRIC)}, got {self.family!r}"
-            )
         if self.asy_m < 1000:
             raise InvalidSpec("asy_m must be >= 1000")
+        # the model and data parameters are checked here, when the config is read
+        object.__setattr__(
+            self,
+            "_contamination",
+            ContaminationSpec(
+                family=self.family, k=self.k, eps=self.eps, nu=self.nu, b=self.b
+            ),
+        )
+        object.__setattr__(
+            self,
+            "_synth",
+            SynthConfig(
+                k=self.k,
+                d=self.d,
+                n_train=self.n_train,
+                n_cal=self.n_cal,
+                n_test=self.n_test,
+                clusters_per_class=self.clusters_per_class,
+                cube_side=self.cube_side,
+                imbalance_mu=self.imbalance_mu,
+                seed=self.seed,
+            ),
+        )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -156,22 +175,10 @@ class ExperimentConfig:
             raise InvalidSpec(f"bad experiment config: {exc}") from exc
 
     def contamination(self) -> ContaminationSpec:
-        return ContaminationSpec(
-            family=Family(self.family), k=self.k, eps=self.eps, nu=self.nu, b=self.b
-        )
+        return self._contamination
 
     def synth(self, seed: int) -> SynthConfig:
-        return SynthConfig(
-            k=self.k,
-            d=self.d,
-            n_train=self.n_train,
-            n_cal=self.n_cal,
-            n_test=self.n_test,
-            clusters_per_class=self.clusters_per_class,
-            cube_side=self.cube_side,
-            imbalance_mu=self.imbalance_mu,
-            seed=seed,
-        )
+        return dataclasses.replace(self._synth, seed=seed)
 
 
 def read_experiment_config(path: str) -> ExperimentConfig:
@@ -404,7 +411,7 @@ def run_from_scores(
                 f"transition matrix is {tm.k} x {tm.k} but rows have {k} classes"
             )
     else:
-        spec = ContaminationSpec(family=Family(model), k=k, eps=eps, nu=nu, b=b)
+        spec = ContaminationSpec(family=model, k=k, eps=eps, nu=nu, b=b)
         tm = build_transition(spec)
 
     cal = CalibrationSet.from_scores(s_cal, y_noisy)
@@ -512,7 +519,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_correction(args: argparse.Namespace) -> int:
     spec = ContaminationSpec(
-        family=Family(args.model), k=args.k, eps=args.eps, nu=args.nu, b=args.b
+        family=args.model, k=args.k, eps=args.eps, nu=args.nu, b=args.b
     )
     report = correction_report(spec, args.n, variant=args.variant)
     print(json.dumps(report.to_dict(), indent=2))

@@ -60,6 +60,8 @@ class CalibrationSet:
 
     Scores must lie in [0, 1]; they are checked, never clipped, so
     ``own_score[i]`` must equal ``scores[i, noisy_labels[i]]`` exactly.
+    The set keeps read-only copies of all three arrays, so the caller's
+    arrays stay writable and later writes to them do not reach the set.
     """
 
     scores: NDArray[np.float64]
@@ -67,14 +69,14 @@ class CalibrationSet:
     own_score: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        s = _require_scores(self.scores, tol=0.0)
-        y = _require_labels(self.noisy_labels, s.shape)
-        own = np.asarray(self.own_score, dtype=np.float64)
+        s = _require_scores(self.scores, tol=0.0).copy()
+        y = _require_labels(self.noisy_labels, s.shape).copy()
+        own = np.array(self.own_score, dtype=np.float64)
         if own.shape != y.shape:
             raise InvalidSpec("own_score must have length n")
         if not np.array_equal(s[np.arange(s.shape[0]), y], own):
             raise InvalidSpec("own_score[i] must equal scores[i, noisy_labels[i]]")
-        for arr in (s, own):
+        for arr in (s, y, own):
             arr.setflags(write=False)
         object.__setattr__(self, "scores", s)
         object.__setattr__(self, "noisy_labels", y)

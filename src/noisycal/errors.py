@@ -11,7 +11,6 @@ __all__ = [
     "NoisycalError",
     "InvalidSpec",
     "SingularTransition",
-    "MissingClass",
     "InvalidProbability",
     "EmptyClass",
     "LengthMismatch",
@@ -36,14 +35,6 @@ class InvalidSpec(NoisycalError):
 
 class SingularTransition(NoisycalError):
     """The transition matrix is numerically singular and cannot be inverted."""
-
-
-class MissingClass(NoisycalError):
-    """A class label never appears where the estimator requires it."""
-
-    def __init__(self, label: int, message: str | None = None):
-        self.label = label
-        super().__init__(message or f"class {label} never appears among the true labels")
 
 
 class InvalidProbability(NoisycalError):

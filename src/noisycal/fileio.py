@@ -1,5 +1,10 @@
 """CSV and JSON interchange.
 
+Read: rows of probabilities (``p_1..p_K``) or of scores (``s_1..s_K``), each
+with optional ``y_noisy`` and ``y_true`` label columns, and a headerless
+K x K transition matrix.  Written: probability rows in that same layout,
+per-method results and summaries, prediction sets and the threshold record.
+
 Conventions shared by every reader and writer here:
 
 * class labels are 1-based in files and 0-based in memory;
@@ -27,9 +32,7 @@ __all__ = [
     "SUMMARY_HEADER",
     "read_probability_csv",
     "write_probability_csv",
-    "write_scores_csv",
     "read_transition_csv",
-    "write_transition_csv",
     "write_results_csv",
     "write_summary_csv",
     "write_prediction_sets_csv",
@@ -142,16 +145,15 @@ def read_probability_csv(
     return kind, values, y_noisy, y_true
 
 
-def _write_numbered_csv(
+def write_probability_csv(
     path: str,
-    values: NDArray[np.float64],
-    prefix: str,
-    y_noisy: NDArray[np.int64] | None,
-    y_true: NDArray[np.int64] | None,
+    probs: NDArray[np.float64],
+    y_noisy: NDArray[np.int64] | None = None,
+    y_true: NDArray[np.int64] | None = None,
 ) -> None:
-    values = np.asarray(values, dtype=np.float64)
-    k = values.shape[1]
-    header = [f"{prefix}_{j + 1}" for j in range(k)]
+    """Write rows of ``p_1..p_K[,y_noisy][,y_true]``, labels 1-based."""
+    probs = np.asarray(probs, dtype=np.float64)
+    header = [f"p_{j + 1}" for j in range(probs.shape[1])]
     if y_noisy is not None:
         header.append("y_noisy")
     if y_true is not None:
@@ -159,32 +161,13 @@ def _write_numbered_csv(
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for i in range(values.shape[0]):
-            row: list[str] = [repr(float(v)) for v in values[i]]
+        for i in range(probs.shape[0]):
+            row: list[str] = [repr(float(v)) for v in probs[i]]
             if y_noisy is not None:
                 row.append(str(int(y_noisy[i]) + 1))
             if y_true is not None:
                 row.append(str(int(y_true[i]) + 1))
             writer.writerow(row)
-
-
-def write_probability_csv(
-    path: str,
-    probs: NDArray[np.float64],
-    y_noisy: NDArray[np.int64] | None = None,
-    y_true: NDArray[np.int64] | None = None,
-) -> None:
-    _write_numbered_csv(path, probs, "p", y_noisy, y_true)
-
-
-def write_scores_csv(
-    path: str,
-    scores: NDArray[np.float64],
-    y_noisy: NDArray[np.int64] | None = None,
-    y_true: NDArray[np.int64] | None = None,
-) -> None:
-    """Score export mirroring the probability layout with s_1..s_K."""
-    _write_numbered_csv(path, scores, "s", y_noisy, y_true)
 
 
 def read_transition_csv(path: str) -> TransitionMatrix:
@@ -215,13 +198,6 @@ def read_transition_csv(path: str) -> TransitionMatrix:
             f"column {worst + 1} sums to {colsums[worst]!r}, not 1 within 1e-6"
         )
     return transition_from_matrix(matrix / colsums)
-
-
-def write_transition_csv(path: str, tm: TransitionMatrix) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        for row in np.asarray(tm.T):
-            writer.writerow([repr(float(v)) for v in row])
 
 
 def _format_cell(value: object) -> str:

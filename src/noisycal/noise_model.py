@@ -1,11 +1,11 @@
-"""Label-contamination models: construction, inversion, sampling, estimation.
+"""Label-contamination models: construction, inversion and sampling.
 
 A contamination model is a column-stochastic transition matrix ``T`` with
 ``T[k, l] = P(noisy label = k | true label = l)``.  Three parametric families
 have closed-form inverses (uniform randomized response, block randomized
-response, two-level randomized response); an explicit matrix, read from a
-file or estimated from paired labels, goes through ``transition_from_matrix``
-and is inverted numerically.
+response, two-level randomized response); an explicit matrix, such as one
+read from a file, goes through ``transition_from_matrix`` and is inverted
+numerically.
 
 Labels are 0-based everywhere inside the library; the file and CLI layers
 translate from the 1-based convention used in data files.
@@ -21,7 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-from .errors import InvalidSpec, LengthMismatch, MissingClass, SingularTransition
+from .errors import InvalidSpec, SingularTransition
 
 __all__ = [
     "Family",
@@ -32,7 +32,6 @@ __all__ = [
     "build_transition",
     "closed_form_inverse",
     "transition_from_matrix",
-    "estimate_transition",
     "sample_noisy_labels",
 ]
 
@@ -70,7 +69,13 @@ class ContaminationSpec:
     b: int | None = None
 
     def __post_init__(self) -> None:
-        family = Family(self.family)
+        try:
+            family = Family(self.family)
+        except ValueError:
+            raise InvalidSpec(
+                f"family must be one of {[f.value for f in Family]}, "
+                f"got {self.family!r}"
+            ) from None
         object.__setattr__(self, "family", family)
         if self.k < 1 or int(self.k) != self.k:
             raise InvalidSpec(f"k must be a positive integer, got {self.k}")
@@ -254,39 +259,15 @@ def closed_form_inverse(spec: ContaminationSpec) -> TransitionMatrix:
     return TransitionMatrix(T=_family_matrix(spec), W=w)
 
 
-def _check_labels(labels: NDArray[np.int64], k: int, name: str) -> NDArray[np.int64]:
+def _check_labels(labels: NDArray[np.int64], k: int) -> NDArray[np.int64]:
     arr = np.asarray(labels)
     if arr.ndim != 1:
-        raise InvalidSpec(f"{name} must be one-dimensional")
+        raise InvalidSpec("true_labels must be one-dimensional")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise InvalidSpec(f"true_labels must be integers, got dtype {arr.dtype}")
     if arr.size and (arr.min() < 0 or arr.max() >= k):
-        raise InvalidSpec(f"{name} entries must lie in [0, {k - 1}] (0-based labels)")
+        raise InvalidSpec(f"true_labels must lie in [0, {k - 1}] (0-based labels)")
     return arr.astype(np.int64, copy=False)
-
-
-def estimate_transition(
-    true_labels: NDArray[np.int64],
-    noisy_labels: NDArray[np.int64],
-    k: int,
-) -> TransitionMatrix:
-    """Plain maximum-likelihood estimate of T from paired label vectors.
-
-    Column l of the estimate is the empirical distribution of the noisy label
-    among samples whose true label is l.  No smoothing is applied: a class
-    that never appears among the true labels raises MissingClass rather than
-    being imputed.
-    """
-    y = _check_labels(true_labels, k, "true_labels")
-    yt = _check_labels(noisy_labels, k, "noisy_labels")
-    if y.size != yt.size:
-        raise LengthMismatch(f"label vectors differ in length: {y.size} vs {yt.size}")
-    if y.size == 0:
-        raise LengthMismatch("label vectors must be nonempty")
-    counts = np.bincount(yt * k + y, minlength=k * k).reshape(k, k).astype(np.float64)
-    col_totals = counts.sum(axis=0)
-    for label in range(k):
-        if col_totals[label] == 0:
-            raise MissingClass(label)
-    return transition_from_matrix(counts / col_totals)
 
 
 def sample_noisy_labels(
@@ -302,7 +283,7 @@ def sample_noisy_labels(
     crossed).
     """
     k = tm.k
-    y = _check_labels(true_labels, k, "true_labels")
+    y = _check_labels(true_labels, k)
     rng = np.random.default_rng(seed)
     u = rng.random(y.size)
     cdf = np.cumsum(tm.T[:, y], axis=0)

@@ -1,12 +1,13 @@
 """Non-conformity scores (APS family).
 
 Scores are a plain n x K float array with entries in [0, 1]: entry [i, k] is
-the score of label k for row i.  A probability row is a length-K vector
-summing to 1.  The APS score of label k is the cumulative sum of the
-descending sorted probabilities down to and including the rank of k; the
-randomized variant subtracts U * pi(x, k) with a single uniform U shared by
-all labels of a row.  Ties between probabilities are broken by ascending
-label index, so scores are reproducible.
+the score of label k for row i.  The library builds one score, APS, from
+probability rows, each a length-K vector summing to 1 and checked by
+``validate_probability_rows``.  The APS score of label k is the cumulative
+sum of the descending sorted probabilities down to and including the rank
+of k; the randomized variant subtracts U * pi(x, k) with a single uniform U
+shared by all labels of a row.  Ties between probabilities are broken by
+ascending label index, so scores are reproducible.
 
 Scores from outside the library (an ``s_*`` file) pass through
 ``_clip_scores``; library code checks an array it is handed with
@@ -23,11 +24,7 @@ from .errors import InvalidProbability, InvalidSpec
 __all__ = [
     "validate_probability_rows",
     "aps_scores",
-    "one_minus_prob_scores",
 ]
-
-# A ProbabilityRow is a plain length-K float vector; validate_probability_rows
-# is the ingestion contract for stacks of them.
 
 
 def _require_scores(scores, tol: float) -> NDArray[np.float64]:
@@ -118,8 +115,3 @@ def aps_scores(
     if randomized:
         s = s - np.random.default_rng(seed).random(n)[:, None] * p
     return np.clip(s, 0.0, 1.0)
-
-
-def one_minus_prob_scores(probs: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The plain 1 - pi(x, k) score, included as a simple alternative."""
-    return 1.0 - validate_probability_rows(probs)

@@ -26,11 +26,7 @@ from noisycal.cli import (
     run_from_scores,
     run_synthetic,
 )
-from noisycal.fileio import (
-    RESULTS_HEADER,
-    write_probability_csv,
-    write_transition_csv,
-)
+from noisycal.fileio import RESULTS_HEADER, write_probability_csv
 from noisycal.noise_model import build_transition
 
 
@@ -101,6 +97,18 @@ def test_config_validation():
         ExperimentConfig.from_dict(
             {"k": 2, "d": 4, "n_train": 10, "n_cal": 10, "n_test": 10, "asy_order": 1}
         )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(eps=1.5), dict(family="block_rr", b=3, k=4), dict(d=0)],
+    ids=["eps-past-one", "b-not-dividing-k", "zero-dimensions"],
+)
+def test_config_checks_model_and_data_when_built(bad):
+    # once accepted here and raised only while running, as "repetition 0: ..."
+    with pytest.raises(InvalidSpec) as exc:
+        small_config(**bad)
+    assert "repetition" not in str(exc.value)
 
 
 def test_config_builders():
@@ -205,12 +213,19 @@ def test_run_from_scores_needs_some_noise_model(tmp_path):
         run_from_scores(str(path), method="standard", model=None, transition_path=None)
 
 
+def test_run_from_scores_unknown_model_is_invalid_spec(tmp_path):
+    path = tmp_path / "cal.csv"
+    write_cal_csv(path)
+    with pytest.raises(InvalidSpec, match="family must be one of"):
+        run_from_scores(str(path), model="bogus", method="standard")
+
+
 def test_run_from_scores_transition_file_matches_model(tmp_path):
     cal_path = tmp_path / "cal.csv"
     write_cal_csv(cal_path, seed=5, n=40, k=2)
     spec = ContaminationSpec(family=Family.RANDOMIZED_RESPONSE, k=2, eps=0.2)
     t_path = tmp_path / "t.csv"
-    write_transition_csv(str(t_path), build_transition(spec))
+    np.savetxt(str(t_path), build_transition(spec).T, delimiter=",", fmt="%.17g")
     kw = dict(method="adaptive-fs")
     via_model = run_from_scores(str(cal_path), model="rr", eps=0.2, **kw)
     via_file = run_from_scores(str(cal_path), transition_path=str(t_path), **kw)
@@ -224,7 +239,7 @@ def test_run_from_scores_simplified_needs_parametric_model(tmp_path):
     write_cal_csv(cal_path, seed=6, n=20, k=2)
     spec = ContaminationSpec(family=Family.RANDOMIZED_RESPONSE, k=2, eps=0.1)
     t_path = tmp_path / "t.csv"
-    write_transition_csv(str(t_path), build_transition(spec))
+    np.savetxt(str(t_path), build_transition(spec).T, delimiter=",", fmt="%.17g")
     with pytest.raises(InvalidSpec):
         run_from_scores(
             str(cal_path),
@@ -280,9 +295,14 @@ def test_run_from_scores_score_header_skips_aps(tmp_path):
     values = np.sort(rng.uniform(size=(12, 2)), axis=1)
     values[:, -1] = 1.0
     y = rng.integers(0, 2, size=12)
-    from noisycal.fileio import write_scores_csv
-
-    write_scores_csv(str(path_s), values, y_noisy=y)
+    np.savetxt(
+        str(path_s),
+        np.column_stack([values, y + 1]),
+        delimiter=",",
+        fmt="%.17g",
+        header="s_1,s_2,y_noisy",
+        comments="",
+    )
     write_probability_csv(str(path_p), values / values.sum(axis=1, keepdims=True), y_noisy=y)
     res_s = run_from_scores(str(path_s), model="rr", eps=0.0, method="standard")
     own = values[np.arange(12), y]
@@ -484,7 +504,7 @@ def test_main_calibrate_transition_with_model_exits_2(tmp_path, capsys):
     cal_path, t_path = tmp_path / "cal.csv", tmp_path / "t.csv"
     write_cal_csv(cal_path, seed=8, n=40, k=2)
     spec = ContaminationSpec(family=Family.RANDOMIZED_RESPONSE, k=2, eps=0.4)
-    write_transition_csv(str(t_path), build_transition(spec))
+    np.savetxt(str(t_path), build_transition(spec).T, delimiter=",", fmt="%.17g")
     code = main(
         [
             "calibrate",

@@ -52,6 +52,18 @@ def test_calibration_set_validates_own_score():
     assert np.array_equal(ok.own_score, [0.2, 0.8])
 
 
+def test_calibration_set_leaves_caller_arrays_writable():
+    scores, labels = np.array([[0.2, 0.9], [0.4, 0.8]]), np.array([0, 1])
+    cal = CalibrationSet.from_scores(scores, labels)
+    scores[0, 0] = 0.1
+    labels[1] = 0
+    # the set holds its own read-only copies, untouched by the writes above
+    assert np.array_equal(cal.scores, [[0.2, 0.9], [0.4, 0.8]])
+    assert np.array_equal(cal.noisy_labels, [0, 1])
+    for arr in (cal.scores, cal.noisy_labels, cal.own_score):
+        assert not arr.flags.writeable
+
+
 @pytest.mark.parametrize(
     "scores, labels, match",
     [

@@ -22,10 +22,8 @@ from noisycal.fileio import (
     write_prediction_sets_csv,
     write_probability_csv,
     write_results_csv,
-    write_scores_csv,
     write_summary_csv,
     write_threshold_json,
-    write_transition_csv,
 )
 
 
@@ -81,7 +79,7 @@ def test_probability_labels_are_one_based_on_disk(tmp_path):
 def test_scores_use_s_prefix(tmp_path):
     s = np.array([[0.5, 1.0], [0.25, 1.0]])
     path = str(tmp_path / "s.csv")
-    write_scores_csv(path, s)
+    np.savetxt(path, s, delimiter=",", fmt="%.17g", header="s_1,s_2", comments="")
     header = open(path).readline().strip().split(",")
     assert header == ["s_1", "s_2"]
     kind, got, _, _ = read_probability_csv(path)
@@ -140,7 +138,7 @@ def test_transition_roundtrip(tmp_path):
     t = np.array([[0.9, 0.2], [0.1, 0.8]])
     tm = transition_from_matrix(t)
     path = str(tmp_path / "t.csv")
-    write_transition_csv(path, tm)
+    np.savetxt(path, tm.T, delimiter=",", fmt="%.17g")
     got = read_transition_csv(path)
     assert np.allclose(got.T, t, atol=1e-15)
     assert np.allclose(got.W, tm.W, atol=1e-12)

@@ -7,12 +7,9 @@ from noisycal import (
     ContaminationSpec,
     Family,
     InvalidSpec,
-    LengthMismatch,
-    MissingClass,
     SingularTransition,
     build_transition,
     closed_form_inverse,
-    estimate_transition,
     sample_noisy_labels,
     transition_from_matrix,
     two_level_constants,
@@ -103,6 +100,8 @@ def test_two_level_constants_invariants():
 
 
 def test_spec_validation():
+    with pytest.raises(InvalidSpec, match="family must be one of"):
+        ContaminationSpec(family="bogus", k=4)
     with pytest.raises(InvalidSpec):
         rr(2, 1.0)
     with pytest.raises(InvalidSpec):
@@ -125,35 +124,17 @@ def test_transition_from_matrix_singular():
         transition_from_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
 
 
-def test_estimate_transition_identity():
-    y = np.array([0, 1, 0, 1, 1])
-    tm = estimate_transition(y, y, 2)
-    assert np.array_equal(tm.T, np.eye(2))
-
-
-def test_estimate_transition_hand_count():
-    y = np.array([0, 0, 1, 1])
-    noisy = np.array([0, 1, 1, 1])
-    tm = estimate_transition(y, noisy, 2)
-    assert np.allclose(tm.T, [[0.5, 0.0], [0.5, 1.0]], atol=1e-15)
-    assert np.max(np.abs(tm.T.sum(axis=0) - 1.0)) <= 1e-12
-
-
-def test_estimate_transition_missing_class():
-    with pytest.raises(MissingClass) as exc:
-        estimate_transition(np.array([0, 0]), np.array([0, 1]), 2)
-    assert exc.value.label == 1
-
-
-def test_estimate_transition_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        estimate_transition(np.array([0, 1]), np.array([0]), 2)
-
-
 def test_sample_noisy_identity():
     y = np.arange(4).repeat(25)
     tm = build_transition(rr(4, 0.0))
     assert np.array_equal(sample_noisy_labels(y, tm, seed=3), y)
+
+
+@pytest.mark.parametrize("labels", [[0.7, 1.2, 2.9], [0.0, 1.0, 2.0]])
+def test_sample_noisy_rejects_float_labels(labels):
+    # a float label is not silently truncated to its integer part
+    with pytest.raises(InvalidSpec, match="true_labels must be integers"):
+        sample_noisy_labels(np.array(labels), build_transition(rr(3, 0.1)), seed=0)
 
 
 def test_sample_noisy_marginal_frequency():

@@ -11,7 +11,6 @@ from noisycal import (
     InvalidProbability,
     InvalidSpec,
     aps_scores,
-    one_minus_prob_scores,
     prediction_sets,
     validate_probability_rows,
 )
@@ -105,12 +104,6 @@ def test_prediction_set_round_trip_and_monotone():
             assert not np.any(previous & ~mask)
             previous = mask
         assert previous.all()
-
-
-def test_one_minus_prob_scores():
-    p = np.array([[0.6, 0.3, 0.1]])
-    s = one_minus_prob_scores(p)
-    assert np.allclose(s, 1.0 - p, atol=1e-15)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
