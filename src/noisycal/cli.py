@@ -68,7 +68,13 @@ from .noise_model import (
     sample_noisy_labels,
 )
 from .scores import _clip_scores, aps_scores
-from .synth import SynthConfig, generate, predict_probs, train_softmax
+from .synth import (
+    SynthConfig,
+    _check_int,
+    generate,
+    predict_probs,
+    train_softmax,
+)
 
 __all__ = [
     "METHODS",
@@ -131,20 +137,16 @@ class ExperimentConfig:
         unknown = [m for m in methods if m not in METHODS]
         if unknown:
             raise InvalidSpec(f"unknown methods {unknown}; valid: {list(METHODS)}")
-        if self.repetitions < 1:
-            raise InvalidSpec("repetitions must be >= 1")
+        _check_int("repetitions", self.repetitions, 1)
+        _check_int("seed", self.seed, 0)
+        _check_int("asy_m", self.asy_m, 1000)
+        if self.b is not None:
+            _check_int("b", self.b, 1)
         if not 0.0 < self.alpha < 1.0:
             raise InvalidSpec(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.asy_m < 1000:
-            raise InvalidSpec("asy_m must be >= 1000")
-        # the model and data parameters are checked here, when the config is read
-        object.__setattr__(
-            self,
-            "_contamination",
-            ContaminationSpec(
-                family=self.family, k=self.k, eps=self.eps, nu=self.nu, b=self.b
-            ),
-        )
+        # the data and model parameters are checked here, when the config is
+        # read; SynthConfig checks k, d, the three sizes and clusters_per_class
+        # with the same integer check, before the model sees k
         object.__setattr__(
             self,
             "_synth",
@@ -158,6 +160,13 @@ class ExperimentConfig:
                 cube_side=self.cube_side,
                 imbalance_mu=self.imbalance_mu,
                 seed=self.seed,
+            ),
+        )
+        object.__setattr__(
+            self,
+            "_contamination",
+            ContaminationSpec(
+                family=self.family, k=self.k, eps=self.eps, nu=self.nu, b=self.b
             ),
         )
 
@@ -397,6 +406,7 @@ def run_from_scores(
         raise InvalidSpec(
             "provide exactly one of a transition CSV and a contamination model"
         )
+    _check_int("seed", seed, 0)
     seeds = np.random.SeedSequence(seed).generate_state(3)
     s_cal, y_noisy, y_true_cal = _read_scores(scores_path, randomized, int(seeds[0]))
     if y_noisy is None:

@@ -13,8 +13,8 @@ Three routes produce a correction:
 * ``delta_asy``: asymptotic route; estimates the plug-in covariance of the
   limiting Gaussian process once, on the finest grid of a halving ladder
   (``estimate_covariance``), factors it, simulates its absolute supremum on
-  every level from one batch of draws, extrapolates the two finest levels
-  by one Richardson pass, and rescales by 1/sqrt(n).
+  every level from one batch of float32 draws, extrapolates the two finest
+  levels by one Richardson pass, and rescales by 1/sqrt(n).
 
 ``delta_star_star_bound`` and ``upper_bound_diagnostics`` compute the purely
 diagnostic quantities (the bound on the expected absolute supremum of the
@@ -31,6 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import sparse
 from scipy.linalg import cho_solve
+from scipy.linalg.blas import strmm
 from scipy.optimize import linprog
 
 from .empirical import CalibrationSet, _f_weights, _mean_f
@@ -550,9 +551,13 @@ def _jittered_cholesky(
     mean_diag = float(np.trace(sigma)) / npts
     if mean_diag <= 0.0:
         raise CholeskyFailure("covariance trace is nonpositive")
+    # one copy serves every try: only its diagonal changes
+    jittered = sigma.copy()
+    diag = sigma.diagonal()
     for mult in _JITTER_LADDER:
+        jittered.flat[:: npts + 1] = diag + mult * mean_diag
         try:
-            chol = np.linalg.cholesky(sigma + (mult * mean_diag) * np.eye(npts))
+            chol = np.linalg.cholesky(jittered)
         except np.linalg.LinAlgError:
             continue
         return chol, mult
@@ -568,21 +573,30 @@ def _ladder_sups(
 
     Row j holds, per replicate, max |x| over every strides[j]-th point, all
     rows from the same draws of one ``default_rng(seed)`` stream.  Returns
-    the suprema, L and its jitter multiplier; an all-zero sigma is not
-    factored, so its suprema are 0 and L and the multiplier None.
+    the float64 suprema, L and its jitter multiplier; an all-zero sigma is
+    not factored, so its suprema are 0 and L and the multiplier None.
+
+    sigma and L stay float64.  The draws z and the product L z are float32:
+    each batch is drawn in float32 and overwritten by its product with a
+    float32 copy of L in one triangular multiply (BLAS ``strmm``), which
+    skips the zero upper triangle and needs no second batch buffer.
     """
     if m < 1000:
         raise InvalidSpec("m must be >= 1000")
     if not sigma.any():
         return np.zeros((len(strides), m)), None, None
     chol, mult = _jittered_cholesky(sigma)
+    lower32 = np.asfortranarray(chol, dtype=np.float32)
     rng = np.random.default_rng(seed)
     npts = sigma.shape[0]
     batch = max(1, int(5_000_000 // npts))
     sups = np.empty((len(strides), m))
     for start in range(0, m, batch):
         b = min(batch, m - start)
-        x = rng.standard_normal((b, npts)) @ chol.T
+        z = rng.standard_normal((b, npts), dtype=np.float32)
+        # z.T is z in Fortran order, so strmm overwrites it with L z^T and
+        # the transpose of the result is z L^T in z's own buffer
+        x = strmm(1.0, lower32, z.T, lower=1, overwrite_b=1).T
         np.abs(x, out=x)
         for j, stride in enumerate(strides):
             np.max(x[:, ::stride], axis=1, out=sups[j, start : start + b])

@@ -27,6 +27,18 @@ __all__ = [
 ]
 
 
+def _check_int(name: str, value, minimum: int) -> None:
+    """Raise InvalidSpec naming ``name`` unless value is an integer >= minimum.
+
+    A bool or a float is refused even when it equals an integer: such a count
+    would pass a range check here and fail later inside numpy or ``range``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidSpec(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Parameters of the synthetic data generator."""
@@ -43,9 +55,7 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         for name in ("k", "d", "n_train", "n_cal", "n_test", "clusters_per_class"):
-            value = getattr(self, name)
-            if int(value) != value or value < 1:
-                raise InvalidSpec(f"{name} must be a positive integer, got {value}")
+            _check_int(name, getattr(self, name), 1)
         if self.cube_side <= 0.0:
             raise InvalidSpec("cube_side must be positive")
         if self.imbalance_mu < 0.0:

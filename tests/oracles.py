@@ -286,6 +286,18 @@ def multiplier_sup(
     return float(stat.mean()), float(stat.std(ddof=1) / math.sqrt(m))
 
 
+def dense_ladder_sups(chol: np.ndarray, strides, m: int, seed: int) -> np.ndarray:
+    """Per-replicate absolute suprema of x = L z on every strides[j]-th point.
+
+    The same float32 normals that ``default_rng(seed)`` gives the library's
+    sampler, drawn in one call instead of in batches, multiplied in float64
+    by the whole dense factor (zeros included) and reduced level by level.
+    """
+    z = np.random.default_rng(seed).standard_normal((m, chol.shape[0]), dtype=np.float32)
+    x = np.abs(z.astype(np.float64) @ chol.T)
+    return np.stack([x[:, ::stride].max(axis=1) for stride in strides])
+
+
 def dense_branch_lp(
     k: int,
     w: np.ndarray,

@@ -526,6 +526,35 @@ def test_main_calibrate_transition_with_model_exits_2(tmp_path, capsys):
     )
 
 
+def test_main_calibrate_negative_seed_exits_2(tmp_path, capsys):
+    # np.random.SeedSequence would raise a ValueError: a traceback, exit code 1
+    path = tmp_path / "cal.csv"
+    write_cal_csv(path, seed=8, n=40, k=2)
+    argv = ["calibrate", "--scores", str(path), "--model", "rr", "--eps", "0.1"]
+    assert main(argv + ["--method", "standard", "--seed", "-1"]) == 2
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"seed": -3}, "seed must be >= 0, got -3"),
+        ({"n_train": 100.0}, "n_train must be an integer, got 100.0"),
+        ({"repetitions": 1.5}, "repetitions must be an integer, got 1.5"),
+        ({"k": True}, "k must be an integer, got True"),
+        ({"family": "block_rr", "b": 1.0}, "b must be an integer, got 1.0"),
+    ],
+    ids=["negative-seed", "float-n-train", "float-repetitions", "bool-k", "float-b"],
+)
+def test_main_synth_experiment_bad_integer_field_exits_2(tmp_path, capsys, bad, message):
+    # each was once accepted when read and failed while running, exit code 1
+    cfg = {"k": 2, "d": 4, "n_train": 150, "n_cal": 50, "n_test": 30, "eps": 0.1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg | bad))
+    assert main(["synth-experiment", "--config", str(cfg_path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_main_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["calibrate", "--nonsense"])

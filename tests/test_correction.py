@@ -43,6 +43,7 @@ from oracles import (
     brute_b_term,
     brute_covariance,
     dense_branch_lp,
+    dense_ladder_sups,
     mc_c_of_n,
     multiplier_sup,
     smirnov_mean,
@@ -578,6 +579,36 @@ def test_gbb_sup_brownian_bridge_grid_estimate():
 def test_gbb_sup_rejects_small_m():
     with pytest.raises(InvalidSpec):
         gbb_sup(np.array([[1.0]]), 999, seed=0)
+
+
+def bridge_covariance(npts):
+    grid = np.linspace(0.0, 1.0, npts)
+    return np.minimum.outer(grid, grid) - np.outer(grid, grid)
+
+
+def test_ladder_sups_match_dense_float64_oracle():
+    # float32 draws and triangular multiply against the same draws times the
+    # dense float64 factor; m = 13,000 spans two batches at N = 401
+    strides, m = (4, 2, 1), 13_000
+    sups, chol, _ = correction._ladder_sups(bridge_covariance(401), strides, m, seed=21)
+    assert sups.dtype == np.float64 and sups.shape == (len(strides), m)
+    np.testing.assert_allclose(
+        sups, dense_ladder_sups(chol, strides, m, seed=21), rtol=1e-5, atol=0.0
+    )
+
+
+@pytest.mark.parametrize("shift, expected_mult", [(0.0, 1e-10), (-5e-9, 1e-8)])
+def test_jittered_cholesky_matches_dense_jitter(shift, expected_mult):
+    # the bridge covariance is singular (its end rows are zero); shifted down
+    # by 5e-9 of its mean diagonal, the first two jitter values still fail
+    sigma = bridge_covariance(101)
+    sigma += shift * np.trace(sigma) / 101 * np.eye(101)
+    before = sigma.copy()
+    chol, mult = correction._jittered_cholesky(sigma)
+    assert mult == expected_mult
+    jitter = mult * (float(np.trace(sigma)) / 101)
+    assert np.array_equal(chol, np.linalg.cholesky(sigma + jitter * np.eye(101)))
+    assert np.array_equal(sigma, before)
 
 
 # ---------------------------------------------------------------------------

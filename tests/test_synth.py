@@ -104,6 +104,10 @@ def test_config_validation():
         config(imbalance_mu=-0.5)
     with pytest.raises(InvalidSpec):
         config(k=2.5)
+    with pytest.raises(InvalidSpec, match="n_train must be an integer, got 100.0"):
+        config(n_train=100.0)
+    with pytest.raises(InvalidSpec, match="d must be an integer, got True"):
+        config(d=True)
 
 
 # ---------------------------------------------------------------------------
