@@ -59,6 +59,7 @@ from .errors import (
     InvalidSpec,
     NoisycalError,
     SolverFailure,
+    _check_int,
 )
 from .noise_model import (
     ContaminationSpec,
@@ -70,7 +71,6 @@ from .noise_model import (
 from .scores import _clip_scores, aps_scores
 from .synth import (
     SynthConfig,
-    _check_int,
     generate,
     predict_probs,
     train_softmax,

@@ -7,6 +7,8 @@ specification problems from genuine internal failures.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 __all__ = [
     "NoisycalError",
     "InvalidSpec",
@@ -89,3 +91,15 @@ class FileFormatError(NoisycalError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def _check_int(name: str, value, minimum: int) -> None:
+    """Raise InvalidSpec naming ``name`` unless value is an integer >= minimum.
+
+    A bool or a float is refused even when it equals an integer: such a count
+    would pass a range check here and fail later inside numpy or ``range``.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidSpec(f"{name} must be >= {minimum}, got {value}")

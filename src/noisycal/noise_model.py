@@ -21,7 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-from .errors import InvalidSpec, SingularTransition
+from .errors import InvalidSpec, SingularTransition, _check_int
 
 __all__ = [
     "Family",
@@ -77,12 +77,12 @@ class ContaminationSpec:
                 f"got {self.family!r}"
             ) from None
         object.__setattr__(self, "family", family)
-        if self.k < 1 or int(self.k) != self.k:
-            raise InvalidSpec(f"k must be a positive integer, got {self.k}")
+        _check_int("k", self.k, 1)
         if not 0.0 <= self.eps < 1.0:
             raise InvalidSpec(f"eps must lie in [0, 1), got {self.eps}")
         if family is Family.BLOCK_RR:
-            if self.b is None or self.b < 1 or self.k % self.b != 0:
+            _check_int("b", self.b, 1)
+            if self.k % self.b != 0:
                 raise InvalidSpec(
                     f"block count b={self.b} must be a positive divisor of k={self.k}"
                 )

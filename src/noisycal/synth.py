@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DegenerateData, DimensionMismatch, InsufficientVertices, InvalidSpec
+from .errors import (
+    DegenerateData,
+    DimensionMismatch,
+    InsufficientVertices,
+    InvalidSpec,
+    _check_int,
+)
 
 __all__ = [
     "SynthConfig",
@@ -25,18 +31,6 @@ __all__ = [
     "train_softmax",
     "predict_probs",
 ]
-
-
-def _check_int(name: str, value, minimum: int) -> None:
-    """Raise InvalidSpec naming ``name`` unless value is an integer >= minimum.
-
-    A bool or a float is refused even when it equals an integer: such a count
-    would pass a range check here and fail later inside numpy or ``range``.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise InvalidSpec(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)

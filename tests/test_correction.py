@@ -786,11 +786,11 @@ def test_delta_asy_zero_covariance():
 
 def test_delta_asy_agrees_with_multiplier_oracle():
     # The multiplier process has exactly the plug-in covariance and its
-    # supremum over [0, 1] needs no grid, so it is the continuum value the
-    # extrapolated ladder estimates.  Tolerance: 4 SE of the difference of
-    # the two independent estimates, plus 1% of the reference for the
-    # Richardson overshoot measured at n = 5000, K = 4 (1.0318 extrapolated
-    # against 1.0221 exact).
+    # supremum needs no grid, but it is itself discrete: a random walk with
+    # nK steps, whose supremum sits O(1/sqrt(nK)) below that of the
+    # continuous process the extrapolated ladder estimates.  Tolerance: 4 SE
+    # of the difference of the two independent estimates, plus 1% of the
+    # reference for that discreteness of the oracle.
     rng = np.random.default_rng(21)
     n, k = 2000, 4
     scores = aps_scores(rng.dirichlet(np.ones(k), size=n), randomized=True, seed=22)
@@ -801,6 +801,84 @@ def test_delta_asy_agrees_with_multiplier_oracle():
     exact, exact_se = multiplier_sup(cal.scores, cal.noisy_labels, w, 4_000, seed=1)
     tol = 4.0 * math.hypot(d["extrapolated_se"], exact_se) + 0.01 * exact
     assert abs(d["extrapolated"] - exact) <= tol
+
+
+BRIDGE_SUP = math.sqrt(math.pi / 2.0) * math.log(2.0)  # E sup |Brownian bridge|
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ContaminationSpec(family=Family.TWO_LEVEL_RR, k=4, eps=0.2, nu=0.2),
+        ContaminationSpec(family=Family.BLOCK_RR, k=12, eps=0.2, b=3),
+        ContaminationSpec(family=Family.RANDOMIZED_RESPONSE, k=60, eps=0.2),
+    ],
+)
+def test_default_ladder_matches_exact_scaled_bridge(spec):
+    # Scores iid U(0, 1), independent of the noisy labels, and W = T^-1, whose
+    # columns sum to 1: then Cov(f_s, f_t) = a (min(s, t) - s t) with
+    # a = sum_l rho~_l sum_k W[k, l]^2, so the limit is sqrt(a) times a
+    # Brownian bridge and its expected absolute supremum is known exactly.
+    # Tolerance: 4 SE plus 0.5% of the reference for the plug-in error.
+    rng = np.random.default_rng(31)
+    n, k = 5000, spec.k
+    labels = rng.integers(0, k, size=n)
+    cal = CalibrationSet.from_scores(rng.uniform(size=(n, k)), labels)
+    w = closed_form_inverse(spec).W
+    rho = np.bincount(labels, minlength=k) / n
+    exact = math.sqrt(float(rho @ (w * w).sum(axis=0))) * BRIDGE_SUP
+    d = delta_asy(cal, w, m=50_000, seed=0).mc_diagnostics
+    assert d["h_levels"] == [1 / 25, 1 / 50, 1 / 100]
+    assert abs(d["extrapolated"] - exact) <= 4.0 * d["extrapolated_se"] + 0.005 * exact
+
+
+def oracle_instance():
+    """The score model of test_delta_asy_agrees_with_multiplier_oracle."""
+    rng = np.random.default_rng(21)
+    n, k = 2000, 4
+    scores = aps_scores(rng.dirichlet(np.ones(k), size=n), randomized=True, seed=22)
+    cal = CalibrationSet.from_scores(scores, rng.integers(0, k, size=n))
+    spec = ContaminationSpec(family=Family.TWO_LEVEL_RR, k=k, eps=0.2, nu=0.2)
+    return cal, closed_form_inverse(spec).W
+
+
+def rr_instance():
+    rng = np.random.default_rng(41)
+    n, k = 2000, 10
+    scores = aps_scores(rng.dirichlet(np.ones(k), size=n), randomized=True, seed=42)
+    cal = CalibrationSet.from_scores(scores, rng.integers(0, k, size=n))
+    spec = ContaminationSpec(family=Family.RANDOMIZED_RESPONSE, k=k, eps=0.2)
+    return cal, closed_form_inverse(spec).W
+
+
+@pytest.mark.parametrize("instance", [oracle_instance, rr_instance])
+def test_default_ladder_agrees_with_fine_ladder(instance):
+    # the default ladder ends at N = 101; its extrapolate must agree with the
+    # one that ends at N = 1601 within 4 SE of the difference plus 0.5%
+    cal, w = instance()
+    coarse = delta_asy(cal, w, m=20_000, seed=0).mc_diagnostics
+    fine = delta_asy(
+        cal, w, h_ladder=(1 / 400, 1 / 800, 1 / 1600), m=20_000, seed=1
+    ).mc_diagnostics
+    tol = 4.0 * math.hypot(coarse["extrapolated_se"], fine["extrapolated_se"])
+    tol += 0.005 * fine["extrapolated"]
+    assert abs(coarse["extrapolated"] - fine["extrapolated"]) <= tol
+
+
+def test_condition_number_is_exact():
+    # K = 1 with scores inside (0, 1): the end rows of the covariance are
+    # exactly zero, so its smallest eigenvalue is the jitter itself and the
+    # ratio is well determined although it is about 6e11
+    rng = np.random.default_rng(0)
+    labels = np.zeros(5000, dtype=np.int64)
+    cal = CalibrationSet.from_scores(rng.uniform(size=(5000, 1)), labels)
+    w = np.eye(1)
+    rep = delta_asy(cal, w, h_ladder=(1 / 50, 1 / 100), m=1_000, seed=0)
+    sigma = estimate_covariance(cal, w, np.linspace(0.0, 1.0, 101))
+    chol, _ = correction._jittered_cholesky(sigma)
+    assert rep.mc_diagnostics["condition_number"] == pytest.approx(
+        np.linalg.cond(chol @ chol.T), rel=1e-8
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,21 @@ def test_spec_validation():
         ContaminationSpec(family=Family.TWO_LEVEL_RR, k=3, eps=0.1, nu=0.5)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(family="rr", k=4.0, eps=0.2), "k must be an integer, got 4.0"),
+        (dict(family="block_rr", k=4, eps=0.2, b=2.0), "b must be an integer, got 2.0"),
+        (dict(family="block_rr", k=4, eps=0.2, b=True), "b must be an integer, got True"),
+    ],
+)
+def test_spec_refuses_non_integer_counts(kwargs, message):
+    # an integral float passes a range check and a divisibility check, and
+    # build_transition then fails on it with a bare TypeError
+    with pytest.raises(InvalidSpec, match=message):
+        ContaminationSpec(**kwargs)
+
+
 def test_explicit_matrix_not_repaired():
     # off by 2e-6 in a column: rejected, never renormalized
     m = np.array([[0.5 + 2e-6, 0.5], [0.5, 0.5]])
