@@ -4,9 +4,12 @@ The generator places K * clusters_per_class unit-variance isotropic Gaussian
 clusters at distinct random vertices of a d-dimensional hypercube (side
 length ``cube_side``), assigns an equal number of clusters to each class via
 a seeded permutation, and draws class labels with probabilities proportional
-to exp(-mu * k).  The classifier is a plain L2-regularized softmax
-regression; the calibration machinery is classifier-agnostic, so anything
-producing probability rows works.
+to exp(-mu * k).  The classifier is L2-regularized softmax regression fitted
+to its optimum: damped Newton with backtracking until the gradient is below
+a fixed tolerance, with the last class's bias pinned at zero because the
+unpenalized biases are invariant under a common shift.  The calibration
+machinery is classifier-agnostic, so anything producing probability rows
+works.
 """
 
 from __future__ import annotations
@@ -117,6 +120,15 @@ def generate(config: SynthConfig) -> tuple[NDArray[np.float64], NDArray[np.int64
     return x, y.astype(np.int64)
 
 
+# Newton stops once every gradient entry is this small, or after this many steps.
+_GRAD_TOL = 1e-9
+_MAX_NEWTON_STEPS = 100
+# Backtracking line search: Armijo fraction, step shrink factor, most shrinks.
+_ARMIJO = 0.25
+_SHRINK = 0.5
+_MAX_SHRINKS = 40
+
+
 def _loss_and_probs(
     xb: NDArray[np.float64],
     y: NDArray[np.int64],
@@ -135,32 +147,80 @@ def _loss_and_probs(
     return nll + penalty, probs
 
 
+def _hessian(
+    xb: NDArray[np.float64], probs: NDArray[np.float64], l2: float
+) -> NDArray[np.float64]:
+    """Hessian of the objective, parameters ordered class by class.
+
+    The cross-entropy part is sum_i (diag p_i - p_i p_i^T) kron x_i x_i^T / n:
+    a block diagonal (class c's block is sum_i p_ic x_i x_i^T) minus A^T A,
+    where row i of A is p_i kron x_i.  A^T A is accumulated over row chunks
+    into one reused buffer, so no n x K(d+1) matrix is ever formed.
+    """
+    n, m = xb.shape
+    k = probs.shape[1]
+    size = k * m
+    hess = np.zeros((size, size))
+    blocks = np.zeros((k, m, m))
+    gram = np.empty((size, size))
+    rows = max(256, 2**15 // size)
+    for start in range(0, n, rows):
+        xc = xb[start : start + rows]
+        a = probs[start : start + rows, :, None] * xc[:, None, :]
+        blocks += np.matmul(a.transpose(1, 2, 0), xc)
+        a = a.reshape(xc.shape[0], size)
+        np.matmul(a.T, a, out=gram)
+        hess -= gram
+    del gram
+    for c in range(k):
+        hess[c * m : (c + 1) * m, c * m : (c + 1) * m] += blocks[c]
+    hess /= n
+    penalized = np.arange(size) % m != m - 1
+    hess[penalized, penalized] += l2
+    return hess
+
+
 def train_softmax(
     x: NDArray[np.float64],
     y: NDArray[np.int64],
     l2: float = 1e-3,
-    iters: int = 500,
-    lr: float = 0.1,
     n_classes: int | None = None,
 ) -> SoftmaxModel:
-    """Full-batch gradient descent on regularized cross-entropy.
+    """Minimize mean cross-entropy + 0.5 * l2 * ||W[:-1]||^2 by damped Newton.
 
-    The step size halves (with the step reverted) whenever a step would
-    increase the loss, so the recorded loss is nonincreasing.  The bias row
-    is excluded from the penalty.  Zero-initialized, hence zero iterations
-    yield the uniform predictor.
+    W is (d+1) x K with the bias in its last row, which is not penalized.
+    Shifting every bias by the same amount leaves the objective unchanged,
+    so the last class's bias is pinned at zero, which makes the objective
+    strictly convex in the other entries.  From W = 0, each Newton step is
+    shortened by backtracking until the loss falls enough (Armijo), and the
+    fit stops once every gradient entry is below ``_GRAD_TOL``, after
+    ``_MAX_NEWTON_STEPS`` steps, or when backtracking finds no step that
+    lowers the loss enough.
+    ``iterations`` counts the Newton steps taken: zero when W = 0 is
+    already optimal.  A class absent from ``y`` (possible with a larger
+    ``n_classes``) has no finite optimum; its probability is driven below
+    the tolerance instead.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise DimensionMismatch("x must be n x d with a length-n label vector")
+    if not np.issubdtype(y.dtype, np.integer):
+        raise InvalidSpec(f"training labels must be integers, got dtype {y.dtype}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidSpec("x must be finite (no NaN or infinity)")
+    if not 0.0 < l2 < np.inf:
+        raise InvalidSpec(f"l2 must be positive and finite, got {l2!r}")
     if np.unique(y).size < 2:
         raise DegenerateData("training labels contain fewer than 2 classes")
-    if iters < 0 or lr <= 0.0 or l2 < 0.0:
-        raise InvalidSpec("need iters >= 0, lr > 0 and l2 >= 0")
-    k = int(n_classes) if n_classes is not None else int(y.max()) + 1
-    if y.max() >= k:
-        raise InvalidSpec(f"labels exceed n_classes = {k}")
+    if n_classes is None:
+        k = int(y.max()) + 1
+    else:
+        _check_int("n_classes", n_classes, 2)
+        k = int(n_classes)
+    if y.min() < 0 or y.max() >= k:
+        raise InvalidSpec(f"training labels must lie in [0, {k - 1}]")
+    y = y.astype(np.int64, copy=False)
     n, d = x.shape
     xb = np.hstack([x, np.ones((n, 1))])
     onehot = np.zeros((n, k))
@@ -168,22 +228,31 @@ def train_softmax(
 
     weights = np.zeros((d + 1, k))
     loss, probs = _loss_and_probs(xb, y, weights, l2)
-    step = lr
-    performed = 0
-    for _ in range(iters):
+    steps = 0
+    while steps < _MAX_NEWTON_STEPS:
         grad = xb.T @ (probs - onehot) / n
         grad[:-1] += l2 * weights[:-1]
-        while True:
-            cand = weights - step * grad
+        if np.abs(grad).max() <= _GRAD_TOL:
+            break
+        # parameters class by class, so the pinned bias is the last entry
+        g = grad.T.ravel()
+        hess = _hessian(xb, probs, l2)
+        step = np.append(np.linalg.solve(hess[:-1, :-1], -g[:-1]), 0.0)
+        del hess  # before the next step builds its own
+        direction = step.reshape(k, d + 1).T
+        slope = float(g @ step)
+        t = 1.0
+        for _ in range(_MAX_SHRINKS):
+            cand = weights + t * direction
             cand_loss, cand_probs = _loss_and_probs(xb, y, cand, l2)
-            if cand_loss <= loss or step < 1e-12:
+            if cand_loss <= loss + _ARMIJO * t * slope:
                 break
-            step *= 0.5
-        if cand_loss > loss:
+            t *= _SHRINK
+        else:
             break
         weights, loss, probs = cand, cand_loss, cand_probs
-        performed += 1
-    return SoftmaxModel(weights=weights, iterations=performed, final_loss=loss)
+        steps += 1
+    return SoftmaxModel(weights=weights, iterations=steps, final_loss=loss)
 
 
 def predict_probs(model: SoftmaxModel, x: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -370,3 +370,44 @@ def dense_branch_lp(
     if res.status != 0:
         raise ValueError(f"dense LP did not reach an optimum: {res.message}")
     return res
+
+
+def softmax_objective(weights: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float):
+    """Loss, gradient and probabilities of the regularized softmax objective.
+
+    Mean cross-entropy plus 0.5 * l2 * ||W[:-1]||^2 for the (d+1) x K weights
+    whose last row is the unpenalized bias, through ``special.log_softmax``.
+    """
+    n = x.shape[0]
+    xb = np.hstack([x, np.ones((n, 1))])
+    log_probs = special.log_softmax(xb @ weights, axis=1)
+    probs = np.exp(log_probs)
+    loss = -log_probs[np.arange(n), y].mean() + 0.5 * l2 * np.sum(weights[:-1] ** 2)
+    residual = probs.copy()
+    residual[np.arange(n), y] -= 1.0
+    grad = xb.T @ residual / n
+    grad[:-1] += l2 * weights[:-1]
+    return float(loss), grad, probs
+
+
+def softmax_reference(x: np.ndarray, y: np.ndarray, l2: float, k: int) -> np.ndarray:
+    """Weights minimizing ``softmax_objective`` by scipy's L-BFGS-B.
+
+    The last class's bias (the last entry of W in row-major order) is pinned
+    at zero, since a common shift of the biases leaves the objective
+    unchanged.
+    """
+    shape = (x.shape[1] + 1, k)
+
+    def fun(theta):
+        loss, grad, _ = softmax_objective(np.append(theta, 0.0).reshape(shape), x, y, l2)
+        return loss, grad.ravel()[:-1]
+
+    result = optimize.minimize(
+        fun,
+        np.zeros(shape[0] * shape[1] - 1),
+        jac=True,
+        method="L-BFGS-B",
+        options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 10_000},
+    )
+    return np.append(result.x, 0.0).reshape(shape)

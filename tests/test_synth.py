@@ -16,6 +16,8 @@ from noisycal import (
     predict_probs,
     train_softmax,
 )
+from noisycal.synth import _hessian
+from oracles import softmax_objective, softmax_reference
 
 
 def config(**kw):
@@ -122,12 +124,25 @@ def separable_data(seed=0, n=400):
     return x, y
 
 
+def assert_reference_optimum(model, x, y, l2=1e-3):
+    # train_softmax against scipy's L-BFGS-B on the same objective and pin,
+    # with the gradient recomputed outside the library
+    k = model.weights.shape[1]
+    ref_loss, _, ref_probs = softmax_objective(softmax_reference(x, y, l2, k), x, y, l2)
+    loss, grad, _ = softmax_objective(model.weights, x, y, l2)
+    assert float(np.abs(predict_probs(model, x) - ref_probs).max()) <= 1e-6
+    assert abs(model.final_loss - ref_loss) <= 1e-10
+    assert abs(loss - model.final_loss) <= 1e-12
+    assert float(np.abs(grad).max()) <= 1e-6
+
+
 def test_train_softmax_separable_problem():
     x, y = separable_data()
-    model = train_softmax(x, y, iters=300)
+    model = train_softmax(x, y)
     acc = float((predict_probs(model, x).argmax(axis=1) == y).mean())
     assert acc >= 0.95
     assert model.final_loss < math.log(2.0)
+    assert_reference_optimum(model, x, y)
 
 
 def test_train_softmax_null_signal_recovers_class_frequencies():
@@ -136,31 +151,60 @@ def test_train_softmax_null_signal_recovers_class_frequencies():
     n = 10_000
     y = (rng.uniform(size=n) < 0.3).astype(np.int64)
     x = rng.standard_normal((n, 3))
-    model = train_softmax(x, y, iters=200)
+    model = train_softmax(x, y)
     probs = predict_probs(model, x)
     assert abs(float(probs[:, 1].mean()) - float(y.mean())) <= 0.02
     assert float(np.abs(probs[:, 1] - y.mean()).max()) <= 0.05
+    assert_reference_optimum(model, x, y)
 
 
-def test_train_softmax_zero_iterations_is_uniform():
-    x, y = separable_data()
-    model = train_softmax(x, y, iters=0)
+def test_train_softmax_uninformative_balanced_data_is_uniform():
+    # zero features and equal class counts: W = 0 is already the optimum
+    x = np.zeros((8, 3))
+    y = np.array([0, 1, 2, 3] * 2)
+    model = train_softmax(x, y)
     assert model.iterations == 0
     assert np.all(model.weights == 0.0)
-    assert model.final_loss == pytest.approx(math.log(2.0), abs=1e-12)
-    assert np.all(predict_probs(model, x) == 0.5)
+    assert model.final_loss == pytest.approx(math.log(4.0), abs=1e-12)
+    assert np.all(predict_probs(model, x) == 0.25)
 
 
-def test_train_softmax_loss_never_increases():
+def test_train_softmax_loss_at_most_reference():
     x, y = separable_data(seed=3)
-    losses = [train_softmax(x, y, iters=i).final_loss for i in (0, 5, 20, 80)]
-    assert losses == sorted(losses, reverse=True)
+    model = train_softmax(x, y)
+    reference = softmax_reference(x, y, 1e-3, 2)
+    assert model.final_loss <= softmax_objective(reference, x, y, 1e-3)[0] + 1e-10
 
 
 def test_train_softmax_extra_classes_widen_output():
+    # classes 2 and 3 never occur, so their biases have no finite optimum:
+    # the fit must still stop, with finite weights and vanishing probabilities
     x, y = separable_data()
-    model = train_softmax(x, y, n_classes=4, iters=10)
-    assert predict_probs(model, x).shape == (x.shape[0], 4)
+    model = train_softmax(x, y, n_classes=4)
+    probs = predict_probs(model, x)
+    assert probs.shape == (x.shape[0], 4)
+    assert np.all(np.isfinite(model.weights))
+    assert float(probs[:, 2:].max()) < 1e-6
+
+
+def test_hessian_matches_central_differences_of_the_gradient():
+    # 8 classes and 15 features give 128 parameters, so the 600 rows are
+    # accumulated in three chunks; parameters are ordered class by class
+    rng = np.random.default_rng(4)
+    n, d, k, l2 = 600, 15, 8, 1e-3
+    x = rng.standard_normal((n, d))
+    y = rng.integers(0, k, size=n)
+    w = 0.3 * rng.standard_normal((d + 1, k))
+    hess = _hessian(np.hstack([x, np.ones((n, 1))]), softmax_objective(w, x, y, l2)[2], l2)
+    h = 1e-5
+    numeric = np.empty_like(hess)
+    for col in range(k * (d + 1)):
+        shift = np.zeros_like(w)
+        shift[col % (d + 1), col // (d + 1)] = h
+        plus = softmax_objective(w + shift, x, y, l2)[1]
+        minus = softmax_objective(w - shift, x, y, l2)[1]
+        numeric[:, col] = ((plus - minus) / (2.0 * h)).T.ravel()
+    assert float(np.abs(hess - numeric).max()) <= 1e-8
 
 
 def test_train_softmax_validation():
@@ -172,11 +216,37 @@ def test_train_softmax_validation():
     with pytest.raises(DimensionMismatch):
         train_softmax(x.ravel(), y)
     with pytest.raises(InvalidSpec):
-        train_softmax(x, y, iters=-1)
-    with pytest.raises(InvalidSpec):
-        train_softmax(x, y, lr=0.0)
-    with pytest.raises(InvalidSpec):
         train_softmax(x, y, n_classes=1)
+
+
+@pytest.mark.parametrize(
+    "x3, y0, kwargs, match",
+    [
+        (None, -1, {}, r"labels must lie in \[0, 1\]"),
+        (None, 0.5, {}, "labels must be integers"),
+        (None, None, {"n_classes": 2.7}, "n_classes must be an integer"),
+        (np.nan, None, {}, "x must be finite"),
+        (np.inf, None, {}, "x must be finite"),
+        (None, None, {"l2": math.nan}, "l2 must be positive"),
+        (None, None, {"l2": 0.0}, "l2 must be positive"),
+        (None, None, {"l2": -1e-3}, "l2 must be positive"),
+        (None, None, {"l2": math.inf}, "l2 must be positive"),
+    ],
+    ids=[
+        "label-minus-one", "float-label", "float-n_classes", "nan-x", "inf-x",
+        "nan-l2", "zero-l2", "negative-l2", "inf-l2",
+    ],
+)
+def test_train_softmax_rejects_bad_input(x3, y0, kwargs, match):
+    # x3 replaces row 3 of x, y0 the first label (in a float array if a float)
+    x, y = separable_data()
+    if x3 is not None:
+        x[3] = x3
+    if y0 is not None:
+        y = y.astype(type(y0))
+        y[0] = y0
+    with pytest.raises(InvalidSpec, match=match):
+        train_softmax(x, y, **kwargs)
 
 
 # ---------------------------------------------------------------------------
