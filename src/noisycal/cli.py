@@ -17,8 +17,7 @@ malformed files, invalid model parameters), 1 for internal failures.
 Repetition r of an experiment uses seed ``config.seed + r``; everything a
 repetition consumes (data, label noise, score randomization, Monte-Carlo
 draws of the asymptotic correction) is derived from that one integer, so
-results are reproducible and independent of NOISYCAL_THREADS, the only
-environment variable read here.  c(n) is exact and consumes no randomness.
+results are reproducible.  c(n) is exact and consumes no randomness.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import math
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,21 +84,23 @@ __all__ = [
     "main",
 ]
 
-METHODS = (
-    "standard",
-    "adaptive-fs",
-    "adaptive-fs-simplified",
-    "adaptive-asy",
-    "adaptive-plus",
-)
-
-_DELTA_NAMES = {
-    "standard": "none",
-    "adaptive-fs": "fs",
-    "adaptive-fs-simplified": "fs-simplified",
-    "adaptive-asy": "asy",
-    "adaptive-plus": "asy",
+# Each method's correction route, which results.csv records as
+# ``delta_method``, and its threshold rule, called as rule(cal, tm, alpha,
+# correction).  Methods on one route share one correction per calibration set
+# (see ``_correction``).  The rules reach calibrate's functions through this
+# module's globals at call time, so wrappers installed on the module see
+# every call.
+_METHOD_TABLE = {
+    "standard": ("none", lambda cal, tm, a, d: standard_threshold(cal, a)),
+    "adaptive-fs": ("fs", lambda cal, tm, a, d: adaptive_threshold(cal, tm, a, d)),
+    "adaptive-fs-simplified": (
+        "fs-simplified", lambda cal, tm, a, d: adaptive_threshold(cal, tm, a, d)
+    ),
+    "adaptive-asy": ("asy", lambda cal, tm, a, d: adaptive_threshold(cal, tm, a, d)),
+    "adaptive-plus": ("asy", lambda cal, tm, a, d: optimistic_threshold(cal, tm, a, d)),
 }
+
+METHODS = tuple(_METHOD_TABLE)
 
 _PARAMETRIC = tuple(f.value for f in Family)
 
@@ -127,7 +127,6 @@ class ExperimentConfig:
     seed: int = 0
     out: str | None = None
     randomized_scores: bool = True
-    asy_m: int = 100_000
 
     def __post_init__(self) -> None:
         methods = tuple(self.methods)
@@ -139,7 +138,6 @@ class ExperimentConfig:
             raise InvalidSpec(f"unknown methods {unknown}; valid: {list(METHODS)}")
         _check_int("repetitions", self.repetitions, 1)
         _check_int("seed", self.seed, 0)
-        _check_int("asy_m", self.asy_m, 1000)
         if self.b is not None:
             _check_int("b", self.b, 1)
         if not 0.0 < self.alpha < 1.0:
@@ -203,61 +201,28 @@ def read_experiment_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("NOISYCAL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise InvalidSpec(f"NOISYCAL_THREADS must be an integer, got {raw!r}") from exc
-
-
-def _threshold_for_method(
-    method: str,
+def _correction(
+    route: str,
     cal: CalibrationSet,
     tm: TransitionMatrix,
     spec: ContaminationSpec | None,
-    alpha: float,
-    *,
-    asy_m: int,
     asy_seed: int,
-    asy_report: CorrectionReport | None = None,
-) -> tuple[ThresholdResult, CorrectionReport | None]:
-    """Calibrate one method; returns the result plus the (reusable) asymptotic report."""
-    if method == "standard":
-        return standard_threshold(cal, alpha), asy_report
-    if method == "adaptive-fs":
-        report = delta_fs(cal.n, cal.k, tm, c_of_n(cal.n))
-        return adaptive_threshold(cal, tm, alpha, report), asy_report
-    if method == "adaptive-fs-simplified":
+) -> CorrectionReport | None:
+    """The correction of one route on a calibration set; None for ``"none"``."""
+    if route == "none":
+        return None
+    if route == "fs":
+        return delta_fs(cal.n, cal.k, tm, c_of_n(cal.n))
+    if route == "fs-simplified":
         if spec is None:
             raise InvalidSpec(
                 "the simplified correction needs a parametric contamination model"
             )
-        report = delta_fs_special(spec, cal.n, c_of_n(cal.n))
-        return adaptive_threshold(cal, tm, alpha, report), asy_report
-    if method in ("adaptive-asy", "adaptive-plus"):
-        if asy_report is None:
-            asy_report = delta_asy(cal, tm, m=asy_m, seed=asy_seed)
-        if method == "adaptive-asy":
-            return adaptive_threshold(cal, tm, alpha, asy_report), asy_report
-        return optimistic_threshold(cal, tm, alpha, asy_report), asy_report
-    raise InvalidSpec(f"unknown method {method!r}; valid: {list(METHODS)}")
+        return delta_fs_special(spec, cal.n, c_of_n(cal.n))
+    return delta_asy(cal, tm, seed=asy_seed)
 
 
 def _run_rep(
-    config: ExperimentConfig,
-    spec: ContaminationSpec,
-    tm: TransitionMatrix,
-    rep: int,
-) -> list[dict]:
-    try:
-        return _run_rep_inner(config, spec, tm, rep)
-    except NoisycalError as exc:
-        exc.repetition = rep
-        raise
-
-
-def _run_rep_inner(
     config: ExperimentConfig,
     spec: ContaminationSpec,
     tm: TransitionMatrix,
@@ -285,18 +250,12 @@ def _run_rep_inner(
     cal = CalibrationSet.from_scores(s_cal, noisy[calib])
 
     rows = []
-    asy_report = None
+    corrections: dict[str, CorrectionReport | None] = {}
     for method in config.methods:
-        thr, asy_report = _threshold_for_method(
-            method,
-            cal,
-            tm,
-            spec,
-            config.alpha,
-            asy_m=config.asy_m,
-            asy_seed=int(sub[3]),
-            asy_report=asy_report,
-        )
+        route, rule = _METHOD_TABLE[method]
+        if route not in corrections:
+            corrections[route] = _correction(route, cal, tm, spec, int(sub[3]))
+        thr = rule(cal, tm, config.alpha, corrections[route])
         metrics = evaluate(prediction_sets(s_test, thr.tau), y[test])
         rows.append(_results_row(method, cal, config.alpha, thr, metrics, rep_seed))
     return rows
@@ -316,7 +275,7 @@ def _results_row(
         "n": cal.n,
         "K": cal.k,
         "alpha": alpha,
-        "delta_method": _DELTA_NAMES[method],
+        "delta_method": _METHOD_TABLE[method][0],
         "delta_value": 0.0 if thr.correction is None else thr.correction.value,
         "tau_hat": thr.tau,
         "coverage": metrics["coverage"],
@@ -353,14 +312,13 @@ def run_synthetic(config: ExperimentConfig) -> dict:
     """Run the synthetic experiment; returns {"rows": [...], "summary": [...]}."""
     spec = config.contamination()
     tm = build_transition(spec)
-    threads = _thread_count()
-    reps = range(config.repetitions)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_rep = list(pool.map(lambda r: _run_rep(config, spec, tm, r), reps))
-    else:
-        per_rep = [_run_rep(config, spec, tm, r) for r in reps]
-    rows = [row for rep_rows in per_rep for row in rep_rows]
+    rows = []
+    for rep in range(config.repetitions):
+        try:
+            rows += _run_rep(config, spec, tm, rep)
+        except NoisycalError as exc:
+            exc.repetition = rep
+            raise
     summary = _summarize(config, rows)
     if config.out is not None:
         os.makedirs(config.out, exist_ok=True)
@@ -391,7 +349,6 @@ def run_from_scores(
     test_path: str | None = None,
     randomized: bool = False,
     seed: int = 0,
-    asy_m: int = 100_000,
 ) -> dict:
     """Calibrate a threshold from a file of probability or score rows.
 
@@ -425,15 +382,8 @@ def run_from_scores(
         tm = build_transition(spec)
 
     cal = CalibrationSet.from_scores(s_cal, y_noisy)
-    thr, _ = _threshold_for_method(
-        method,
-        cal,
-        tm,
-        spec,
-        alpha,
-        asy_m=asy_m,
-        asy_seed=int(seeds[1]),
-    )
+    route, rule = _METHOD_TABLE[method]
+    thr = rule(cal, tm, alpha, _correction(route, cal, tm, spec, int(seeds[1])))
 
     if test_path is not None:
         s_eval, _, y_true_eval = _read_scores(test_path, randomized, int(seeds[2]))
@@ -509,7 +459,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         test_path=args.test,
         randomized=args.randomized,
         seed=args.seed,
-        asy_m=args.asy_m,
     )
     thr = result["threshold"]
     print(f"tau_hat = {thr.tau!r} ({args.method})")
@@ -532,7 +481,7 @@ def _cmd_correction(args: argparse.Namespace) -> int:
         family=args.model, k=args.k, eps=args.eps, nu=args.nu, b=args.b
     )
     report = correction_report(spec, args.n, variant=args.variant)
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(report.to_dict(), indent=2, allow_nan=False))
     return 0
 
 
@@ -575,7 +524,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--randomized", action="store_true", help="randomize scores built from p_* rows"
     )
     cal.add_argument("--seed", type=int, default=0)
-    cal.add_argument("--asy-m", type=int, default=100_000, dest="asy_m")
     cal.set_defaults(func=_cmd_calibrate)
 
     cor = sub.add_parser("correction", help="print a correction report as JSON")

@@ -146,12 +146,15 @@ class CorrectionReport:
 
 
 def _jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    """obj as plain JSON values; a non-finite float becomes None (JSON null)."""
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.integer):
         return obj.item()
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

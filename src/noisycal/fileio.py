@@ -189,13 +189,15 @@ def read_transition_csv(path: str) -> TransitionMatrix:
                 line=line,
             )
         matrix[i] = [_parse_float(cell, line) for cell in row]
+        if not np.all(np.isfinite(matrix[i])):
+            raise FileFormatError("transition matrix entries must be finite", line=line)
     if np.any(matrix < 0.0):
         raise FileFormatError("transition matrix has negative entries")
     colsums = matrix.sum(axis=0)
     if np.any(np.abs(colsums - 1.0) > 1e-6):
         worst = int(np.argmax(np.abs(colsums - 1.0)))
         raise FileFormatError(
-            f"column {worst + 1} sums to {colsums[worst]!r}, not 1 within 1e-6"
+            f"column {worst + 1} sums to {float(colsums[worst])!r}, not 1 within 1e-6"
         )
     return transition_from_matrix(matrix / colsums)
 
@@ -262,5 +264,5 @@ def write_threshold_json(path: str, result: ThresholdResult) -> None:
         else result.correction.to_dict(),
     }
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")

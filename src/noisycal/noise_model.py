@@ -115,6 +115,8 @@ class TransitionMatrix:
             raise InvalidSpec(f"T must be square, got shape {t.shape}")
         if w.shape != t.shape:
             raise InvalidSpec(f"W shape {w.shape} does not match T shape {t.shape}")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(w))):
+            raise InvalidSpec("T and W entries must be finite")
         if np.any(t < 0.0):
             raise InvalidSpec("T entries must be nonnegative")
         colsums = t.sum(axis=0)
@@ -230,6 +232,9 @@ def build_transition(spec: ContaminationSpec) -> TransitionMatrix:
 def transition_from_matrix(t: NDArray[np.float64]) -> TransitionMatrix:
     """Wrap an explicit matrix, inverting it numerically."""
     t = np.array(t, dtype=np.float64)
+    if not np.all(np.isfinite(t)):
+        # checked before the LU, which refuses non-finite input with a ValueError
+        raise InvalidSpec("T and W entries must be finite")
     return TransitionMatrix(T=t, W=_lu_inverse(t, SingularTransition, _SINGULAR_T))
 
 

@@ -53,10 +53,15 @@ class SynthConfig:
     def __post_init__(self) -> None:
         for name in ("k", "d", "n_train", "n_cal", "n_test", "clusters_per_class"):
             _check_int(name, getattr(self, name), 1)
-        if self.cube_side <= 0.0:
-            raise InvalidSpec("cube_side must be positive")
-        if self.imbalance_mu < 0.0:
-            raise InvalidSpec("imbalance_mu must be nonnegative")
+        # negated comparisons, so that a NaN fails these checks too
+        if not 0.0 < self.cube_side < np.inf:
+            raise InvalidSpec(
+                f"cube_side must be finite and positive, got {self.cube_side}"
+            )
+        if not 0.0 <= self.imbalance_mu < np.inf:
+            raise InvalidSpec(
+                f"imbalance_mu must be finite and nonnegative, got {self.imbalance_mu}"
+            )
         if 2 * self.k * self.clusters_per_class > 2**self.d:
             raise InsufficientVertices(
                 f"need 2*K*clusters_per_class = {2 * self.k * self.clusters_per_class} "

@@ -91,18 +91,31 @@ def test_config_validation():
         small_config(methods=())
     with pytest.raises(InvalidSpec):
         small_config(family="custom")
-    with pytest.raises(InvalidSpec):
-        small_config(asy_m=10)
-    with pytest.raises(InvalidSpec):
-        ExperimentConfig.from_dict(
-            {"k": 2, "d": 4, "n_train": 10, "n_cal": 10, "n_test": 10, "asy_order": 1}
-        )
+    for removed in ("asy_order", "asy_m"):
+        with pytest.raises(InvalidSpec, match="unknown config keys"):
+            ExperimentConfig.from_dict(
+                {"k": 2, "d": 4, "n_train": 10, "n_cal": 10, "n_test": 10, removed: 1}
+            )
 
 
 @pytest.mark.parametrize(
     "bad",
-    [dict(eps=1.5), dict(family="block_rr", b=3, k=4), dict(d=0)],
-    ids=["eps-past-one", "b-not-dividing-k", "zero-dimensions"],
+    [
+        dict(eps=1.5),
+        dict(family="block_rr", b=3, k=4),
+        dict(d=0),
+        dict(cube_side=math.nan),
+        dict(imbalance_mu=math.inf),
+        dict(imbalance_mu=math.nan),
+    ],
+    ids=[
+        "eps-past-one",
+        "b-not-dividing-k",
+        "zero-dimensions",
+        "nan-cube-side",
+        "inf-imbalance",
+        "nan-imbalance",
+    ],
 )
 def test_config_checks_model_and_data_when_built(bad):
     # once accepted here and raised only while running, as "repetition 0: ..."
@@ -165,15 +178,6 @@ def test_run_synthetic_deterministic(tmp_path):
     run_synthetic(small_config(out=str(out_b)))
     assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
     assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
-
-
-def test_run_synthetic_thread_count_does_not_change_results(tmp_path, monkeypatch):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("NOISYCAL_THREADS", "1")
-    run_synthetic(small_config(out=str(out_a), repetitions=3))
-    monkeypatch.setenv("NOISYCAL_THREADS", "3")
-    run_synthetic(small_config(out=str(out_b), repetitions=3))
-    assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
 
 
 def test_run_synthetic_seed_moves_results(tmp_path):
@@ -526,6 +530,33 @@ def test_main_calibrate_transition_with_model_exits_2(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_main_calibrate_non_finite_transition_exits_2(tmp_path, capsys, cell):
+    # NaN passed the column-sum check and then failed inside scipy: exit code 1
+    cal_path, t_path = tmp_path / "cal.csv", tmp_path / "t.csv"
+    write_cal_csv(cal_path, seed=8, n=40, k=2)
+    t_path.write_text(f"0.9,0.2\n0.1,{cell}\n")
+    argv = ["calibrate", "--scores", str(cal_path), "--transition", str(t_path)]
+    assert main(argv + ["--method", "adaptive-fs"]) == 2
+    assert "error: line 2: transition matrix entries must be finite" in (
+        capsys.readouterr().err
+    )
+
+
+def test_main_calibrate_writes_strict_json(tmp_path):
+    # K = 1 gives an all-zero covariance, whose condition number is infinite;
+    # json.dump wrote it as Infinity, which no strict JSON parser reads
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    path, out = tmp_path / "cal.csv", tmp_path / "out"
+    write_cal_csv(path, seed=3, n=30, k=1)
+    argv = ["calibrate", "--scores", str(path), "--model", "rr", "--eps", "0.1"]
+    assert main(argv + ["--method", "adaptive-asy", "--out", str(out)]) == 0
+    blob = json.loads((out / "threshold.json").read_text(), parse_constant=refuse)
+    assert blob["correction"]["mc_diagnostics"]["condition_number"] is None
+
+
 def test_main_calibrate_negative_seed_exits_2(tmp_path, capsys):
     # np.random.SeedSequence would raise a ValueError: a traceback, exit code 1
     path = tmp_path / "cal.csv"
@@ -568,6 +599,7 @@ def test_main_unknown_flag_exits_2():
         ["correction", "--cn-m", "2000"],
         ["correction", "--seed", "1"],
         ["calibrate", "--asy-order", "2"],
+        ["calibrate", "--asy-m", "2000"],
     ],
 )
 def test_main_correction_rejects_removed_cn_flags(flag, tmp_path):
@@ -598,8 +630,6 @@ def test_main_calibrate_asy_method(tmp_path, capsys):
             "0.1",
             "--method",
             "adaptive-asy",
-            "--asy-m",
-            "2000",
             "--out",
             str(out),
         ]
@@ -607,7 +637,7 @@ def test_main_calibrate_asy_method(tmp_path, capsys):
     assert code == 0
     blob = json.loads((out / "threshold.json").read_text())
     assert blob["correction"]["method"] == "asymptotic"
-    assert blob["correction"]["mc_diagnostics"]["M"] == 2000
+    assert blob["correction"]["mc_diagnostics"]["M"] == 100000
     assert blob["correction"]["mc_diagnostics"]["extrapolated_se"] > 0.0
     assert blob["correction"]["mc_diagnostics"]["cholesky_jitter"] in (
         1e-10,

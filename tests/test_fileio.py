@@ -156,7 +156,17 @@ def test_transition_read_rejects_large_drift(tmp_path):
     path = str(tmp_path / "t.csv")
     with open(path, "w") as fh:
         fh.write("0.8,0.1\n0.1,0.9\n")  # column 1 sums to 0.9
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError, match=r"column 1 sums to 0\.9\d*, not 1"):
+        read_transition_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_transition_read_rejects_non_finite_entries(tmp_path, cell):
+    # NaN fails no comparison, so it passed the sign and column-sum checks
+    path = str(tmp_path / "t.csv")
+    with open(path, "w") as fh:
+        fh.write(f"0.9,0.2\n0.1,{cell}\n")
+    with pytest.raises(FileFormatError, match="line 2: transition matrix entries"):
         read_transition_csv(path)
 
 

@@ -8,6 +8,7 @@ from noisycal import (
     Family,
     InvalidSpec,
     SingularTransition,
+    TransitionMatrix,
     build_transition,
     closed_form_inverse,
     sample_noisy_labels,
@@ -132,6 +133,18 @@ def test_explicit_matrix_not_repaired():
     m = np.array([[0.5 + 2e-6, 0.5], [0.5, 0.5]])
     with pytest.raises(InvalidSpec, match="columns must sum to 1"):
         transition_from_matrix(m)
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf])
+def test_transition_matrix_refuses_non_finite_entries(cell):
+    # transition_from_matrix leaked scipy's ValueError from the LU
+    t = np.array([[0.9, 0.2], [0.1, cell]])
+    with pytest.raises(InvalidSpec, match="must be finite"):
+        transition_from_matrix(t)
+    with pytest.raises(InvalidSpec, match="must be finite"):
+        TransitionMatrix(T=t, W=np.eye(2))
+    with pytest.raises(InvalidSpec, match="must be finite"):
+        TransitionMatrix(T=np.eye(2), W=t)
 
 
 def test_transition_from_matrix_singular():
