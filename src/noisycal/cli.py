@@ -416,8 +416,7 @@ def correction_report(
     variant: str = "fs",
 ) -> CorrectionReport:
     """Correction value for a parametric model at calibration size n."""
-    if n < 1:
-        raise InvalidSpec("n must be >= 1")
+    _check_int("n", n, 1)
     tm = build_transition(spec)
     c_n = c_of_n(n)
     if variant == "cn":

@@ -9,14 +9,16 @@ Three routes produce a correction:
   + B(K, n, beta)/sqrt(n), minimized exactly over beta one branch of the min
   inside B at a time: the chaining branch in closed form (a 1-D convex
   piecewise-linear minimization over beta_0, O(K^2)), the Massart branch as
-  a sparse linear program solved by interior point (O(K^2) memory).
+  a sparse linear program solved by interior point (O(K^2) memory), the
+  package's one use of SciPy; every other route runs on NumPy alone.
 * ``delta_asy``: asymptotic route; estimates the plug-in covariance of the
   limiting Gaussian process once, on the finest grid of a halving ladder
   (``estimate_covariance``), factors it, simulates its absolute supremum on
-  every level from one batch of float32 draws, extrapolates the two finest
-  levels by one Richardson pass, and rescales by 1/sqrt(n).  The default
-  ladder is h = 1/25, 1/50, 1/100 (finest grid N = 101 points): the sampler
-  costs O(N^2) per draw, while the extrapolate barely depends on N.
+  every level from one batch of float32 draws (one dense float32 product
+  with the factor), extrapolates the two finest levels by one Richardson
+  pass, and rescales by 1/sqrt(n).  The default ladder is h = 1/25, 1/50,
+  1/100 (finest grid N = 101 points): the sampler costs O(N^2) per draw,
+  while the extrapolate barely depends on N.
 
 ``delta_star_star_bound`` and ``upper_bound_diagnostics`` compute the purely
 diagnostic quantities (the bound on the expected absolute supremum of the
@@ -31,9 +33,6 @@ from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import sparse
-from scipy.linalg.blas import strmm
-from scipy.optimize import linprog
 
 from .empirical import CalibrationSet, _f_weights, _mean_f
 from .errors import (
@@ -42,13 +41,14 @@ from .errors import (
     LadderMismatch,
     SingularM,
     SolverFailure,
+    _check_int,
 )
 from .noise_model import (
     ContaminationSpec,
     Family,
     TransitionMatrix,
     _as_w,
-    _lu_inverse,
+    _inverse,
     closed_form_inverse,
     two_level_constants,
 )
@@ -169,8 +169,7 @@ def _jsonable(obj):
 
 def cn_envelope(n: int) -> float:
     """Analytic envelope sqrt(pi / (2 n)) >= c(n), used by the delta** bound."""
-    if n < 1:
-        raise InvalidSpec("n must be >= 1")
+    _check_int("n", n, 1)
     return math.sqrt(math.pi / (2.0 * n))
 
 
@@ -183,8 +182,7 @@ def c_of_n(n: int) -> float:
     The terms fall like exp(-k^2 / 2n), so the sum stops at k = sqrt(80 n),
     past which they are below e^-40: O(sqrt(n)) time and memory.
     """
-    if n < 1:
-        raise InvalidSpec("n must be >= 1")
+    _check_int("n", n, 1)
     n = int(n)
     kmax = min(n, math.isqrt(80 * n) + 1)
     terms = np.cumprod(1.0 - np.arange(1, kmax) / n)
@@ -212,8 +210,8 @@ def _branch_terms(k: int, n: int, beta: BetaVector, w) -> dict[str, float | None
     ``chaining`` is 24 max|Omega| (2 log K + 1)/(2 log K - 1) sqrt(2 K log K);
     the chaining branch needs 2 log K > 1, so it is None for K = 1.
     """
-    if k < 1 or n < 1:
-        raise InvalidSpec("k and n must be >= 1")
+    _check_int("n", n, 1)
+    _check_int("k", k, 1)
     abs_omega = np.abs(omega_matrix(w, beta))
     massart = float(abs_omega.sum(axis=0).max()) * math.sqrt(math.log(k * n + 1.0))
     chaining = None
@@ -262,8 +260,12 @@ def _branch_lp(
     max reduce to linear constraints.  ``A_ub`` is built as a sparse matrix
     (at most 3 nonzeros per row outside the K column-sum rows, so O(K^2)
     memory) and solved by HiGHS's interior-point method with crossover,
-    which scales in K where the default simplex does not.
+    which scales in K where the default simplex does not.  SciPy is imported
+    here, not at module level, so the routes without an LP never load it.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     nb = 1 + k
     nu = nb if abs_objective else 0
     na = k * k if per_column else 0
@@ -410,8 +412,7 @@ def _branch_minimizers(
     w = _as_w(w)
     if w.shape != (k, k):
         raise InvalidSpec(f"W has shape {w.shape}, expected {(k, k)}")
-    if n < 1:
-        raise InvalidSpec("n must be >= 1")
+    _check_int("n", n, 1)
     scale = 2.0 / math.sqrt(n)
     chaining = {}
     if k >= 2:
@@ -469,8 +470,7 @@ def delta_fs_special(spec: ContaminationSpec, n: int, c_n: float) -> CorrectionR
     beta'_k = -b eps/(1-eps); for the two-level model, beta'_k = -p.  Used as
     the optimizer cross-check and as a fast simplified mode.
     """
-    if n < 1:
-        raise InvalidSpec("n must be >= 1")
+    _check_int("n", n, 1)
     if not (np.isfinite(c_n) and c_n > 0.0):
         raise InvalidSpec(f"c_n must be positive, got {c_n}")
     k, eps = spec.k, spec.eps
@@ -515,7 +515,8 @@ def estimate_covariance(cal: CalibrationSet, w, grid) -> NDArray[np.float64]:
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.shape[0] < 1:
         raise InvalidSpec("grid must be a nonempty vector")
-    if np.any(np.diff(grid) < 0) or grid[0] < 0.0 or grid[-1] > 1.0:
+    # stated positively, so a NaN anywhere fails it too
+    if not (np.all(np.diff(grid) >= 0.0) and grid[0] >= 0.0 and grid[-1] <= 1.0):
         raise InvalidSpec("grid must be sorted within [0, 1]")
     npts = grid.shape[0]
     e1 = _mean_f(cal, v, grid)
@@ -581,16 +582,15 @@ def _ladder_sups(
     not factored, so its suprema are 0 and L and the multiplier None.
 
     sigma and L stay float64.  The draws z and the product L z are float32:
-    each batch is drawn in float32 and overwritten by its product with a
-    float32 copy of L in one triangular multiply (BLAS ``strmm``), which
-    skips the zero upper triangle and needs no second batch buffer.
+    each batch of draws, one per row, is multiplied by a float32 copy of
+    L^T in one dense product, so row i of the result is L z_i.
     """
     if m < 1000:
         raise InvalidSpec("m must be >= 1000")
     if not sigma.any():
         return np.zeros((len(strides), m)), None, None
     chol, mult = _jittered_cholesky(sigma)
-    lower32 = np.asfortranarray(chol, dtype=np.float32)
+    upper32 = chol.T.astype(np.float32)
     rng = np.random.default_rng(seed)
     npts = sigma.shape[0]
     batch = max(1, int(5_000_000 // npts))
@@ -598,9 +598,7 @@ def _ladder_sups(
     for start in range(0, m, batch):
         b = min(batch, m - start)
         z = rng.standard_normal((b, npts), dtype=np.float32)
-        # z.T is z in Fortran order, so strmm overwrites it with L z^T and
-        # the transpose of the result is z L^T in z's own buffer
-        x = strmm(1.0, lower32, z.T, lower=1, overwrite_b=1).T
+        x = z @ upper32
         np.abs(x, out=x)
         for j, stride in enumerate(strides):
             # reduce in float32, then assign: the cast to float64 is exact
@@ -643,11 +641,13 @@ def delta_asy(
     extrapolated value, and the result is scaled by 1/sqrt(n).
 
     The default ladder h = 1/25, 1/50, 1/100 ends on a grid of N = 101
-    points.  Each draw costs O(N^2) (the triangular multiply), while the
+    points.  Each draw costs O(N^2) (the dense product), while the
     extrapolate barely moves with N: on the exact Brownian-bridge
     covariance it lies within 0.001 of the exact supremum sqrt(pi/2) log 2
     at N = 101 as at N = 1601.  A finer ladder can be passed explicitly.
     """
+    _check_int("m", m, 1000)
+    _check_int("seed", seed, 0)
     hs = sorted((float(h) for h in h_ladder), reverse=True)
     for h in hs:
         if h <= 0.0 or abs(round(1.0 / h) - 1.0 / h) > 1e-9:
@@ -745,16 +745,19 @@ def upper_bound_diagnostics(
     rho_tilde = np.asarray(rho_tilde, dtype=np.float64)
     if t.shape != (k, k) or rho.shape != (k,) or rho_tilde.shape != (k,):
         raise InvalidSpec("t must be K x K and rho, rho_tilde length-K")
+    if not all(np.all(np.isfinite(a)) for a in (t, rho, rho_tilde)):
+        raise InvalidSpec("t, rho and rho_tilde must be finite")
     if np.any(rho <= 0.0) or np.any(rho_tilde <= 0.0):
         raise InvalidSpec("rho and rho_tilde must be strictly positive")
     if abs(rho.sum() - 1.0) > 1e-6 or abs(rho_tilde.sum() - 1.0) > 1e-6:
         raise InvalidSpec("rho and rho_tilde must sum to 1")
-    if n < 1 or not 0.0 < alpha < 1.0:
-        raise InvalidSpec("need n >= 1 and alpha in (0, 1)")
-    if delta_n < 0.0 or delta_ss_n < 0.0:
-        raise InvalidSpec("delta_n and delta_ss_n must be nonnegative")
+    _check_int("n", n, 1)
+    if not 0.0 < alpha < 1.0:
+        raise InvalidSpec(f"alpha must lie in (0, 1), got {alpha}")
+    if not (0.0 <= delta_n < math.inf and 0.0 <= delta_ss_n < math.inf):
+        raise InvalidSpec("delta_n and delta_ss_n must be finite and nonnegative")
     mix = t * rho[None, :] / rho_tilde[:, None]
-    v = _lu_inverse(mix, SingularM, "mixing matrix M is numerically singular")
+    v = _inverse(mix, SingularM, "mixing matrix M")
     bracket = float(np.max(rho / rho_tilde * np.abs(v).sum(axis=1)))
     d_n = n**0.25 * delta_ss_n
     phi_n = 3.0 * delta_ss_n + 2.0 / n + n**-0.25 + (bracket - 1.0) / (n + 1.0)

@@ -13,13 +13,11 @@ translate from the 1-based convention used in data files.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import InvalidSpec, SingularTransition, _check_int
 
@@ -197,33 +195,27 @@ def _family_matrix(spec: ContaminationSpec) -> NDArray[np.float64]:
     return np.block([[diag, off], [off, diag]])
 
 
-_SINGULAR_T = "LU pivot below 1e-12 * ||T||_inf; transition matrix is singular"
-
-
-def _lu_inverse(
-    a: NDArray[np.float64], error: type[Exception], message: str
+def _inverse(
+    a: NDArray[np.float64], error: type[Exception], name: str
 ) -> NDArray[np.float64]:
-    """Dense inverse of a square matrix by LU with partial pivoting.
+    """Dense inverse of a finite square matrix, refused when near-singular.
 
-    Raises ``error(message)`` when a pivot falls below 1e-12 * ||a||_inf.
+    Raises ``error`` naming ``name`` unless the 2-norm condition number of
+    ``a``, the measure :attr:`TransitionMatrix.condition_number` reports, is
+    at most 1e12.
     """
-    norm_inf = float(np.max(np.abs(a).sum(axis=1)))
-    try:
-        with warnings.catch_warnings():
-            # the pivot check below is the error path for singular input
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy rarely raises here
-        raise error(str(exc)) from exc
-    if np.min(np.abs(np.diag(lu))) <= 1e-12 * max(norm_inf, np.finfo(float).tiny):
-        raise error(message)
-    return lu_solve((lu, piv), np.eye(a.shape[0]))
+    cond = float(np.linalg.cond(a))
+    if not cond <= 1e12:
+        raise error(
+            f"{name} is numerically singular: condition number {cond:.3e} exceeds 1e12"
+        )
+    return np.linalg.inv(a)
 
 
 def build_transition(spec: ContaminationSpec) -> TransitionMatrix:
     """Build T from a spec and invert it numerically.
 
-    The inverse always comes from LU elimination here; use
+    The inverse is always computed numerically here; use
     :func:`closed_form_inverse` for the analytic W of the parametric families.
     """
     return transition_from_matrix(_family_matrix(spec))
@@ -232,10 +224,12 @@ def build_transition(spec: ContaminationSpec) -> TransitionMatrix:
 def transition_from_matrix(t: NDArray[np.float64]) -> TransitionMatrix:
     """Wrap an explicit matrix, inverting it numerically."""
     t = np.array(t, dtype=np.float64)
+    # checked before the condition number, which needs a finite square matrix
+    if t.ndim != 2 or t.shape[0] != t.shape[1] or t.size == 0:
+        raise InvalidSpec(f"T must be a nonempty square matrix, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
-        # checked before the LU, which refuses non-finite input with a ValueError
         raise InvalidSpec("T and W entries must be finite")
-    return TransitionMatrix(T=t, W=_lu_inverse(t, SingularTransition, _SINGULAR_T))
+    return TransitionMatrix(T=t, W=_inverse(t, SingularTransition, "transition matrix"))
 
 
 def closed_form_inverse(spec: ContaminationSpec) -> TransitionMatrix:
@@ -287,6 +281,7 @@ def sample_noisy_labels(
     exactly (the uniform lies in [0, 1), so the first CDF step at 1 is never
     crossed).
     """
+    _check_int("seed", seed, 0)
     k = tm.k
     y = _check_labels(true_labels, k)
     rng = np.random.default_rng(seed)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidProbability, InvalidSpec
+from .errors import InvalidProbability, InvalidSpec, _check_int
 
 __all__ = [
     "validate_probability_rows",
@@ -104,6 +104,7 @@ def aps_scores(
         n x K scores in [0, 1]; s(x, k) is the cumulative sum of the descending
         sorted probabilities down to the rank of k.
     """
+    _check_int("seed", seed, 0)
     p = validate_probability_rows(probs)
     n, k = p.shape
     # argsort of -p with a stable sort ranks ties by ascending label index

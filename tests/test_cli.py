@@ -344,6 +344,8 @@ def test_correction_report_variants():
         correction_report(spec, 500, variant="bogus")
     with pytest.raises(InvalidSpec):
         correction_report(spec, 0)
+    with pytest.raises(InvalidSpec, match="n must be an integer"):
+        correction_report(spec, 500.0)
 
 
 # ---------------------------------------------------------------------------
@@ -648,17 +650,48 @@ def test_main_calibrate_asy_method(tmp_path, capsys):
     )
 
 
-def test_module_entry_point_runs_without_runtime_warning():
-    # the package must not import its CLI module, or runpy warns on -m
-    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "noisycal.cli"]
-    argv += ["correction", "--model", "rr", "--eps", "0.1", "--k", "4", "--n", "1000"]
+def run_python(args):
+    """Run the interpreter on args with this checkout's src/ on the path."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.join(root, "src")
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    argv = [sys.executable, *args]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    # the package must not import its CLI module, or runpy warns on -m
+    argv = ["-W", "error::RuntimeWarning", "-m", "noisycal.cli"]
+    argv += ["correction", "--model", "rr", "--eps", "0.1", "--k", "4", "--n", "1000"]
+    proc = run_python(argv)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["method"] == "finite_sample"
+
+
+_SCIPY_PROBE = """
+import sys
+from noisycal.cli import main
+
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+argv = ["calibrate", "--scores", sys.argv[1], "--model", "rr", "--eps", "0.1"]
+assert main(argv + ["--method", "adaptive-asy", "--out", sys.argv[2]]) == 0
+assert not scipy_modules(), scipy_modules()
+argv = ["correction", "--model", "rr", "--eps", "0.1", "--k", "4", "--n", "1000"]
+assert main(argv + ["--variant", "fs"]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_only_the_finite_sample_lp_loads_scipy(tmp_path):
+    path = tmp_path / "cal.csv"
+    write_cal_csv(path, seed=14, n=50, k=2)
+    proc = run_python(["-c", _SCIPY_PROBE, str(path), str(tmp_path / "out")])
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "threshold.json").exists()
+    assert '"method": "finite_sample"' in proc.stdout
 
 
 def test_methods_tuple_is_canonical():

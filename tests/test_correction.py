@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given
+from scipy import optimize as scipy_optimize
 from scipy import sparse as scipy_sparse
 from hypothesis import strategies as st
 
@@ -134,6 +135,40 @@ def test_c_of_n_rejects_bad_arguments():
         c_of_n(0)
     with pytest.raises(InvalidSpec):
         c_of_n(-10)
+
+
+_RR4 = ContaminationSpec(family=Family.RANDOMIZED_RESPONSE, k=4, eps=0.1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: c_of_n(n),
+        lambda n: cn_envelope(n),
+        lambda n: b_term(4, n, BetaVector(beta0=1.0, betas=np.zeros(4)), np.eye(4)),
+        lambda n: delta_fs(n, 4, closed_form_inverse(_RR4), 0.05),
+        lambda n: delta_fs_special(_RR4, n, 0.05),
+        lambda n: delta_star_star_bound(n, 4, closed_form_inverse(_RR4)),
+        lambda n: upper_bound_diagnostics(
+            n, 2, np.eye(2), [0.5, 0.5], [0.5, 0.5], 0.1, 0.1
+        ),
+    ],
+    ids=[
+        "c_of_n",
+        "cn_envelope",
+        "b_term",
+        "delta_fs",
+        "delta_fs_special",
+        "delta_star_star_bound",
+        "upper_bound_diagnostics",
+    ],
+)
+@pytest.mark.parametrize("n", [2.5, 100.0, True])
+def test_n_must_be_an_integer(call, n):
+    # a float n used to pass the n >= 1 check: c_of_n(2.5) returned c(2)
+    # and c_of_n(True) returned c(1)
+    with pytest.raises(InvalidSpec, match="n must be an integer"):
+        call(n)
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +422,14 @@ def test_unbounded_chaining_branch_raises_solver_failure():
 
 def test_delta_fs_builds_one_sparse_lp(monkeypatch):
     calls = []
-    real = correction.linprog
+    real = scipy_optimize.linprog
 
     def spy(*args, **kwargs):
         calls.append(kwargs)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(correction, "linprog", spy)
+    # the Massart LP imports linprog from scipy.optimize when it runs
+    monkeypatch.setattr(scipy_optimize, "linprog", spy)
     k = 12
     delta_fs(1000, k, _family_w(Family.BLOCK_RR, k, b=3), c_of_n(1000))
     assert len(calls) == 1
@@ -528,6 +564,10 @@ def test_covariance_grid_validation():
         estimate_covariance(cal, w, np.array([]))
     with pytest.raises(InvalidSpec):
         estimate_covariance(cal, w, np.eye(2))
+    # a NaN passed the sorted-within-[0, 1] check and gave a NaN covariance
+    for bad in ([0.0, np.nan, 1.0], [np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.5]):
+        with pytest.raises(InvalidSpec, match="sorted within"):
+            estimate_covariance(cal, w, np.array(bad))
 
 
 def test_covariance_empty_class():
@@ -773,6 +813,28 @@ def test_delta_asy_builds_one_covariance_one_factor_one_stream(monkeypatch):
     assert calls == {"estimate_covariance": 1, "_jittered_cholesky": 1, "default_rng": 1}
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"m": 2000.0}, "m must be an integer, got 2000.0"),
+        ({"m": 999}, "m must be >= 1000, got 999"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+    ],
+)
+def test_delta_asy_checks_integers_first(monkeypatch, kwargs, message):
+    # these used to fail inside numpy with a TypeError or ValueError, after
+    # the covariance had been built
+    def refuse(*args, **kwargs):
+        raise AssertionError("covariance built before the arguments were checked")
+
+    monkeypatch.setattr(correction, "estimate_covariance", refuse)
+    cal, w = asy_inputs(seed=9, n=100)
+    with pytest.raises(InvalidSpec, match=message):
+        delta_asy(cal, w, **kwargs)
+
+
 def test_delta_asy_zero_covariance():
     # f_t is 0 for every sample below t = 1 and W at t = 1: no variance
     cal = CalibrationSet.from_scores(np.ones((20, 1)), np.zeros(20, dtype=np.int64))
@@ -958,6 +1020,24 @@ def test_diagnostics_validation():
         upper_bound_diagnostics(100, 2, t, [0.5, 0.5], [0.5, 0.5], -0.1, 0.1)
     with pytest.raises(InvalidSpec):
         upper_bound_diagnostics(100, 2, t, [0.5, 0.5], [0.5, 0.5], 0.1, 0.1, alpha=1.0)
+
+
+@pytest.mark.parametrize(
+    "t, rho, rho_tilde, delta_n, delta_ss_n",
+    [
+        ([[np.nan, 0.1], [0.1, 0.9]], [0.5, 0.5], [0.5, 0.5], 0.1, 0.1),
+        ([[0.9, 0.1], [0.1, 0.9]], [np.nan, 0.5], [0.5, 0.5], 0.1, 0.1),
+        ([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5], [np.inf, 0.5], 0.1, 0.1),
+        ([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5], [0.5, 0.5], np.nan, 0.1),
+        ([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5], [0.5, 0.5], 0.1, np.inf),
+    ],
+    ids=["nan-t", "nan-rho", "inf-rho-tilde", "nan-delta-n", "inf-delta-ss-n"],
+)
+def test_diagnostics_reject_non_finite_inputs(t, rho, rho_tilde, delta_n, delta_ss_n):
+    # a NaN in t or rho leaked a ValueError from the inverse, and
+    # delta_n = NaN returned a NaN threshold
+    with pytest.raises(InvalidSpec, match="finite"):
+        upper_bound_diagnostics(100, 2, np.array(t), rho, rho_tilde, delta_n, delta_ss_n)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from noisycal import (
     ContaminationSpec,
     Family,
     InvalidSpec,
+    SingularM,
     SingularTransition,
     TransitionMatrix,
     build_transition,
@@ -14,6 +15,7 @@ from noisycal import (
     sample_noisy_labels,
     transition_from_matrix,
     two_level_constants,
+    upper_bound_diagnostics,
 )
 from oracles import gauss_inverse
 
@@ -152,6 +154,53 @@ def test_transition_from_matrix_singular():
         transition_from_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
 
 
+def _symmetric2(d):
+    return np.array([[0.5 + d, 0.5 - d], [0.5 - d, 0.5 + d]])
+
+
+@pytest.mark.parametrize(
+    "t, transition_error, mixing_error",
+    [
+        (_symmetric2(0.0), "numerically singular", True),
+        (
+            np.array([[0.5, 0.5, 0.2], [0.5, 0.5, 0.3], [0.0, 0.0, 0.5]]),
+            "numerically singular",
+            True,
+        ),
+        (_symmetric2(1e-13), "numerically singular", True),
+        # condition number 5e8: invertible, but W T misses I by more than 1e-10
+        (_symmetric2(1e-9), "inverse residual", False),
+        # randomized response at eps = 0.999999, K = 3: condition number 1e6
+        (1e-6 * np.eye(3) + 0.999999 / 3.0, None, False),
+    ],
+    ids=["exact-2x2", "dependent-3x3", "2x2-1e-13", "2x2-1e-9", "rr-eps-0.999999"],
+)
+def test_near_singular_matrices_keep_their_outcomes(t, transition_error, mixing_error):
+    k = t.shape[0]
+    rho = np.full(k, 1.0 / k)
+    rho_tilde = t @ rho
+    if transition_error is None:
+        tm = transition_from_matrix(t)
+        assert np.max(np.abs(tm.W @ tm.T - np.eye(k))) <= 1e-10
+    else:
+        with pytest.raises(SingularTransition, match=transition_error):
+            transition_from_matrix(t)
+    args = (100, k, t, rho, rho_tilde, 0.1, 0.1)
+    if mixing_error:
+        with pytest.raises(SingularM):
+            upper_bound_diagnostics(*args)
+    else:
+        assert np.isfinite(upper_bound_diagnostics(*args)["phi_n"])
+
+
+@pytest.mark.parametrize(
+    "t", [np.array([[0.5, 0.5, 0.2], [0.5, 0.5, 0.8]]), np.array([1.0]), np.zeros((0, 0))]
+)
+def test_transition_from_matrix_refuses_non_square(t):
+    with pytest.raises(InvalidSpec, match="square"):
+        transition_from_matrix(t)
+
+
 def test_sample_noisy_identity():
     y = np.arange(4).repeat(25)
     tm = build_transition(rr(4, 0.0))
@@ -163,6 +212,15 @@ def test_sample_noisy_rejects_float_labels(labels):
     # a float label is not silently truncated to its integer part
     with pytest.raises(InvalidSpec, match="true_labels must be integers"):
         sample_noisy_labels(np.array(labels), build_transition(rr(3, 0.1)), seed=0)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [(-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5")],
+)
+def test_sample_noisy_rejects_bad_seed(seed, message):
+    with pytest.raises(InvalidSpec, match=message):
+        sample_noisy_labels(np.arange(3), build_transition(rr(3, 0.1)), seed=seed)
 
 
 def test_sample_noisy_marginal_frequency():

@@ -58,6 +58,16 @@ def test_aps_randomized_bracket():
     assert np.array_equal(ran, again)
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [(-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5")],
+)
+def test_aps_rejects_bad_seed(seed, message):
+    p = np.array([[0.7, 0.3], [0.4, 0.6]])
+    with pytest.raises(InvalidSpec, match=message):
+        aps_scores(p, randomized=True, seed=seed)
+
+
 def test_validate_probability_rows():
     with pytest.raises(InvalidProbability):
         validate_probability_rows(np.array([[0.7, 0.2]]))
