@@ -90,21 +90,11 @@ def standard_threshold(cal: CalibrationSet, alpha: float) -> ThresholdResult:
     _check_alpha(alpha)
     n = cal.n
     index = math.ceil((1 + n) * (1 - Fraction(alpha)))
-    if index > n:
-        return ThresholdResult(
-            tau=1.0,
-            i_hat=None,
-            method=CalibrationMethod.STANDARD,
-            correction=None,
-            set_I_empty=True,
-        )
-    tau = float(np.sort(cal.own_score)[index - 1])
-    return ThresholdResult(
-        tau=tau,
-        i_hat=index,
-        method=CalibrationMethod.STANDARD,
-        correction=None,
-        set_I_empty=False,
+    return _threshold_from_mask(
+        np.sort(cal.own_score),
+        np.arange(1, n + 1) >= index,
+        CalibrationMethod.STANDARD,
+        None,
     )
 
 
@@ -112,25 +102,18 @@ def _threshold_from_mask(
     sorted_own: NDArray[np.float64],
     mask: NDArray[np.bool_],
     method: CalibrationMethod,
-    correction: CorrectionReport,
+    correction: CorrectionReport | None,
     warning: str | None = None,
 ) -> ThresholdResult:
-    if not mask.any():
-        return ThresholdResult(
-            tau=1.0,
-            i_hat=None,
-            method=method,
-            correction=correction,
-            set_I_empty=True,
-            warning=warning,
-        )
+    """The smallest rank in ``mask``, or the fallback tau = 1 when it is empty."""
+    empty = not mask.any()
     first = int(np.argmax(mask))
     return ThresholdResult(
-        tau=float(sorted_own[first]),
-        i_hat=first + 1,
+        tau=1.0 if empty else float(sorted_own[first]),
+        i_hat=None if empty else first + 1,
         method=method,
         correction=correction,
-        set_I_empty=False,
+        set_I_empty=empty,
         warning=warning,
     )
 
@@ -144,8 +127,6 @@ def adaptive_threshold(
     i/n >= 1 - alpha - Delta_hat(S_(i)) + delta(n); the smallest member wins.
     """
     _check_alpha(alpha)
-    if delta.value < 0.0:
-        raise InvalidSpec("delta(n) must be nonnegative")
     curve = delta_hat(cal, w)
     n = cal.n
     ranks = np.arange(1, n + 1) / n
@@ -166,8 +147,6 @@ def optimistic_threshold(
     data, so the result carries a warning instead of refusing to run.
     """
     _check_alpha(alpha)
-    if delta.value < 0.0:
-        raise InvalidSpec("delta(n) must be nonnegative")
     curve = delta_hat(cal, w)
     n = cal.n
     ranks = np.arange(1, n + 1) / n

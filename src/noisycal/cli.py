@@ -102,6 +102,9 @@ _METHOD_TABLE = {
 
 METHODS = tuple(_METHOD_TABLE)
 
+# The correction route of each ``correction_report`` variant.
+_VARIANT_ROUTES = {"fs": "fs", "simplified": "fs-simplified", "cn": "cn"}
+
 _PARAMETRIC = tuple(f.value for f in Family)
 
 
@@ -129,6 +132,8 @@ class ExperimentConfig:
     randomized_scores: bool = True
 
     def __post_init__(self) -> None:
+        if isinstance(self.methods, str) or not hasattr(self.methods, "__iter__"):
+            raise InvalidSpec(f"methods must be a list of names, got {self.methods!r}")
         methods = tuple(self.methods)
         object.__setattr__(self, "methods", methods)
         if not methods:
@@ -136,6 +141,11 @@ class ExperimentConfig:
         unknown = [m for m in methods if m not in METHODS]
         if unknown:
             raise InvalidSpec(f"unknown methods {unknown}; valid: {list(METHODS)}")
+        repeated = sorted({m for m in methods if methods.count(m) > 1})
+        if repeated:
+            raise InvalidSpec(f"methods repeat {repeated}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise InvalidSpec(f"out must be a directory path, got {self.out!r}")
         _check_int("repetitions", self.repetitions, 1)
         _check_int("seed", self.seed, 0)
         if self.b is not None:
@@ -174,8 +184,6 @@ class ExperimentConfig:
         unknown = sorted(set(raw) - known)
         if unknown:
             raise InvalidSpec(f"unknown config keys {unknown}")
-        if "methods" in raw:
-            raw = dict(raw, methods=tuple(raw["methods"]))
         try:
             return cls(**raw)
         except TypeError as exc:
@@ -203,23 +211,31 @@ def read_experiment_config(path: str) -> ExperimentConfig:
 
 def _correction(
     route: str,
-    cal: CalibrationSet,
+    n: int,
     tm: TransitionMatrix,
     spec: ContaminationSpec | None,
-    asy_seed: int,
+    cal: CalibrationSet | None = None,
+    asy_seed: int = 0,
 ) -> CorrectionReport | None:
-    """The correction of one route on a calibration set; None for ``"none"``."""
+    """The correction of one route at calibration size n; None for ``"none"``.
+
+    ``"cn"`` is c(n) alone, ``"asy"`` needs the calibration set itself, and
+    ``"fs-simplified"`` a parametric contamination model.
+    """
     if route == "none":
         return None
+    if route == "asy":
+        return delta_asy(cal, tm, seed=asy_seed)
+    if route == "fs-simplified" and spec is None:
+        raise InvalidSpec(
+            "the simplified correction needs a parametric contamination model"
+        )
+    c_n = c_of_n(n)
+    if route == "cn":
+        return CorrectionReport(method=CorrectionMethod.CN_ONLY, value=c_n, c_n=c_n)
     if route == "fs":
-        return delta_fs(cal.n, cal.k, tm, c_of_n(cal.n))
-    if route == "fs-simplified":
-        if spec is None:
-            raise InvalidSpec(
-                "the simplified correction needs a parametric contamination model"
-            )
-        return delta_fs_special(spec, cal.n, c_of_n(cal.n))
-    return delta_asy(cal, tm, seed=asy_seed)
+        return delta_fs(n, tm.k, tm, c_n)
+    return delta_fs_special(spec, n, c_n)
 
 
 def _run_rep(
@@ -254,7 +270,7 @@ def _run_rep(
     for method in config.methods:
         route, rule = _METHOD_TABLE[method]
         if route not in corrections:
-            corrections[route] = _correction(route, cal, tm, spec, int(sub[3]))
+            corrections[route] = _correction(route, cal.n, tm, spec, cal, int(sub[3]))
         thr = rule(cal, tm, config.alpha, corrections[route])
         metrics = evaluate(prediction_sets(s_test, thr.tau), y[test])
         rows.append(_results_row(method, cal, config.alpha, thr, metrics, rep_seed))
@@ -383,7 +399,7 @@ def run_from_scores(
 
     cal = CalibrationSet.from_scores(s_cal, y_noisy)
     route, rule = _METHOD_TABLE[method]
-    thr = rule(cal, tm, alpha, _correction(route, cal, tm, spec, int(seeds[1])))
+    thr = rule(cal, tm, alpha, _correction(route, cal.n, tm, spec, cal, int(seeds[1])))
 
     if test_path is not None:
         s_eval, _, y_true_eval = _read_scores(test_path, randomized, int(seeds[2]))
@@ -417,16 +433,10 @@ def correction_report(
 ) -> CorrectionReport:
     """Correction value for a parametric model at calibration size n."""
     _check_int("n", n, 1)
-    tm = build_transition(spec)
-    c_n = c_of_n(n)
-    if variant == "cn":
-        report = CorrectionReport(method=CorrectionMethod.CN_ONLY, value=c_n, c_n=c_n)
-    elif variant == "fs":
-        report = delta_fs(n, spec.k, tm, c_n)
-    elif variant == "simplified":
-        report = delta_fs_special(spec, n, c_n)
-    else:
+    if variant not in _VARIANT_ROUTES:
         raise InvalidSpec(f"unknown correction variant {variant!r}")
+    tm = build_transition(spec)
+    report = _correction(_VARIANT_ROUTES[variant], n, tm, spec)
     return dataclasses.replace(report, condition_number=tm.condition_number)
 
 
@@ -529,9 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_model_flags(cor, required=True)
     cor.add_argument("--k", type=int, required=True, help="number of classes")
     cor.add_argument("--n", type=int, required=True, help="calibration size")
-    cor.add_argument(
-        "--variant", choices=("fs", "simplified", "cn"), default="fs"
-    )
+    cor.add_argument("--variant", choices=tuple(_VARIANT_ROUTES), default="fs")
     cor.set_defaults(func=_cmd_correction)
     return parser
 

@@ -27,6 +27,7 @@ centered process, d(n), phi(n), and the inflation-floor threshold).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -125,34 +126,26 @@ class CorrectionReport:
             raise InvalidSpec(f"correction value must be finite and >= 0, got {self.value}")
 
     def to_dict(self) -> dict:
-        beta = None
-        if self.beta_star is not None:
-            beta = {
-                "beta0": float(self.beta_star.beta0),
-                "betas": [float(x) for x in self.beta_star.betas],
-            }
-        return {
-            "method": self.method.value,
-            "value": float(self.value),
-            "beta_star": beta,
-            "branch": self.branch,
-            "mc_diagnostics": _jsonable(self.mc_diagnostics),
-            "condition_number": None
-            if self.condition_number is None
-            else float(self.condition_number),
-            "c_n": None if self.c_n is None else float(self.c_n),
-            "branch_values": _jsonable(self.branch_values),
-        }
+        """The report as plain JSON values, one key per field."""
+        return _jsonable(self)
 
 
 def _jsonable(obj):
-    """obj as plain JSON values; a non-finite float becomes None (JSON null)."""
+    """obj as plain JSON values; a non-finite float becomes None (JSON null).
+
+    A dataclass becomes an object of its fields in declaration order and an
+    enum its value, so a field added to a record reaches every writer.
+    """
+    if isinstance(obj, Enum):
+        return _jsonable(obj.value)
     if isinstance(obj, (float, np.floating)):
         return float(obj) if math.isfinite(obj) else None
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, np.integer):
-        return obj.item()
+    if isinstance(obj, np.generic):
+        return _jsonable(obj.item())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     if isinstance(obj, dict):
@@ -650,7 +643,8 @@ def delta_asy(
     _check_int("seed", seed, 0)
     hs = sorted((float(h) for h in h_ladder), reverse=True)
     for h in hs:
-        if h <= 0.0 or abs(round(1.0 / h) - 1.0 / h) > 1e-9:
+        steps = 1.0 / h if 0.0 < h < math.inf else 0.0
+        if not 0.0 < steps < math.inf or abs(round(steps) - steps) > 1e-9:
             raise InvalidSpec(f"1/h must be a positive integer, got h={h}")
     if len(hs) < 2:
         raise InvalidSpec("h_ladder needs at least two halving steps")

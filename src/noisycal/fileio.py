@@ -8,8 +8,9 @@ per-method results and summaries, prediction sets and the threshold record.
 Conventions shared by every reader and writer here:
 
 * class labels are 1-based in files and 0-based in memory;
-* floats are written with ``repr`` so a rerun with the same seed produces
-  byte-identical files;
+* floats are written by csv's own ``str``, which is their ``repr`` (the
+  shortest decimal that reads back to the same double) for Python and NumPy
+  floats alike, so a rerun with the same seed produces byte-identical files;
 * malformed input raises FileFormatError carrying the offending 1-based
   line number where one exists.
 """
@@ -24,6 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .calibrate import ThresholdResult
+from .correction import _jsonable
 from .errors import FileFormatError
 from .noise_model import TransitionMatrix, transition_from_matrix
 
@@ -63,11 +65,16 @@ SUMMARY_HEADER = (
 
 
 def _read_rows(path: str) -> list[list[str]]:
+    """The rows of a UTF-8 CSV file; a leading byte-order mark is dropped."""
     try:
-        with open(path, newline="") as handle:
-            return [row for row in csv.reader(handle)]
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            return list(csv.reader(handle))
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise FileFormatError(f"{path} is not valid CSV: {exc}") from exc
 
 
 def _parse_float(cell: str, line: int) -> float:
@@ -202,38 +209,25 @@ def read_transition_csv(path: str) -> TransitionMatrix:
     return transition_from_matrix(matrix / colsums)
 
 
-def _format_cell(value: object) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _row_cells(row: dict, header: Sequence[str]) -> list[str]:
-    missing = [name for name in header if name not in row]
-    if missing:
-        raise FileFormatError(f"row is missing columns {missing}")
-    return [_format_cell(row[name]) for name in header]
+def _write_dicts(path: str, header: Sequence[str], rows: Sequence[dict]) -> None:
+    """Rows of dicts in ``header`` order; a row missing a column is refused."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, header, extrasaction="ignore")
+        writer.writeheader()
+        for row in rows:
+            missing = [name for name in header if name not in row]
+            if missing:
+                raise FileFormatError(f"row is missing columns {missing}")
+            writer.writerow(row)
 
 
 def write_results_csv(path: str, rows: Sequence[dict]) -> None:
     """One row per (repetition, method); fixed column order."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(RESULTS_HEADER)
-        for row in rows:
-            writer.writerow(_row_cells(row, RESULTS_HEADER))
+    _write_dicts(path, RESULTS_HEADER, rows)
 
 
 def write_summary_csv(path: str, rows: Sequence[dict]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SUMMARY_HEADER)
-        for row in rows:
-            writer.writerow(_row_cells(row, SUMMARY_HEADER))
+    _write_dicts(path, SUMMARY_HEADER, rows)
 
 
 def write_prediction_sets_csv(path: str, sets: NDArray[np.bool_], tau: float) -> None:
@@ -253,16 +247,6 @@ def write_prediction_sets_csv(path: str, sets: NDArray[np.bool_], tau: float) ->
 
 
 def write_threshold_json(path: str, result: ThresholdResult) -> None:
-    payload = {
-        "tau": float(result.tau),
-        "i_hat": None if result.i_hat is None else int(result.i_hat),
-        "method": result.method.value,
-        "set_I_empty": bool(result.set_I_empty),
-        "warning": result.warning,
-        "correction": None
-        if result.correction is None
-        else result.correction.to_dict(),
-    }
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(_jsonable(result), handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")

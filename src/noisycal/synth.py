@@ -125,6 +125,8 @@ def generate(config: SynthConfig) -> tuple[NDArray[np.float64], NDArray[np.int64
     return x, y.astype(np.int64)
 
 
+# Weight of the ridge penalty 0.5 * _L2 * ||W[:-1]||^2 (the bias row is free).
+_L2 = 1e-3
 # Newton stops once every gradient entry is this small, or after this many steps.
 _GRAD_TOL = 1e-9
 _MAX_NEWTON_STEPS = 100
@@ -138,7 +140,6 @@ def _loss_and_probs(
     xb: NDArray[np.float64],
     y: NDArray[np.int64],
     weights: NDArray[np.float64],
-    l2: float,
 ) -> tuple[float, NDArray[np.float64]]:
     logits = xb @ weights
     logits -= logits.max(axis=1, keepdims=True)
@@ -148,7 +149,7 @@ def _loss_and_probs(
     nll = -float(
         np.mean(logits[np.arange(n), y] - np.log(expl.sum(axis=1)))
     )
-    penalty = 0.5 * l2 * float(np.sum(weights[:-1] ** 2))
+    penalty = 0.5 * _L2 * float(np.sum(weights[:-1] ** 2))
     return nll + penalty, probs
 
 
@@ -188,10 +189,9 @@ def _hessian(
 def train_softmax(
     x: NDArray[np.float64],
     y: NDArray[np.int64],
-    l2: float = 1e-3,
     n_classes: int | None = None,
 ) -> SoftmaxModel:
-    """Minimize mean cross-entropy + 0.5 * l2 * ||W[:-1]||^2 by damped Newton.
+    """Minimize mean cross-entropy + 0.5 * _L2 * ||W[:-1]||^2 by damped Newton.
 
     W is (d+1) x K with the bias in its last row, which is not penalized.
     Shifting every bias by the same amount leaves the objective unchanged,
@@ -214,8 +214,6 @@ def train_softmax(
         raise InvalidSpec(f"training labels must be integers, got dtype {y.dtype}")
     if not np.all(np.isfinite(x)):
         raise InvalidSpec("x must be finite (no NaN or infinity)")
-    if not 0.0 < l2 < np.inf:
-        raise InvalidSpec(f"l2 must be positive and finite, got {l2!r}")
     if np.unique(y).size < 2:
         raise DegenerateData("training labels contain fewer than 2 classes")
     if n_classes is None:
@@ -232,16 +230,16 @@ def train_softmax(
     onehot[np.arange(n), y] = 1.0
 
     weights = np.zeros((d + 1, k))
-    loss, probs = _loss_and_probs(xb, y, weights, l2)
+    loss, probs = _loss_and_probs(xb, y, weights)
     steps = 0
     while steps < _MAX_NEWTON_STEPS:
         grad = xb.T @ (probs - onehot) / n
-        grad[:-1] += l2 * weights[:-1]
+        grad[:-1] += _L2 * weights[:-1]
         if np.abs(grad).max() <= _GRAD_TOL:
             break
         # parameters class by class, so the pinned bias is the last entry
         g = grad.T.ravel()
-        hess = _hessian(xb, probs, l2)
+        hess = _hessian(xb, probs, _L2)
         step = np.append(np.linalg.solve(hess[:-1, :-1], -g[:-1]), 0.0)
         del hess  # before the next step builds its own
         direction = step.reshape(k, d + 1).T
@@ -249,7 +247,7 @@ def train_softmax(
         t = 1.0
         for _ in range(_MAX_SHRINKS):
             cand = weights + t * direction
-            cand_loss, cand_probs = _loss_and_probs(xb, y, cand, l2)
+            cand_loss, cand_probs = _loss_and_probs(xb, y, cand)
             if cand_loss <= loss + _ARMIJO * t * slope:
                 break
             t *= _SHRINK

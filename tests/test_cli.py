@@ -1,5 +1,6 @@
 """Tests for the experiment driver and the command-line interface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -10,10 +11,13 @@ import numpy as np
 import pytest
 
 from noisycal import (
+    BetaVector,
     ContaminationSpec,
+    CorrectionReport,
     Family,
     FileFormatError,
     InvalidSpec,
+    ThresholdResult,
     aps_scores,
     c_of_n,
 )
@@ -439,6 +443,33 @@ def test_main_correction_large_k_randomized_response(capsys):
     assert blob["value"] == pytest.approx(min(blob["branch_values"].values()), rel=1e-9)
 
 
+def field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+@pytest.mark.parametrize("method", ["standard", "adaptive-fs", "adaptive-asy"])
+def test_threshold_json_has_every_record_field(tmp_path, method):
+    cal_path = tmp_path / "cal.csv"
+    write_cal_csv(cal_path, seed=7, n=30, k=3, with_true=True)
+    out = tmp_path / "out"
+    run_from_scores(str(cal_path), model="rr", eps=0.1, method=method, out=str(out))
+    blob = json.loads((out / "threshold.json").read_text())
+    assert set(blob) == field_names(ThresholdResult)
+    if method != "standard":
+        assert set(blob["correction"]) == field_names(CorrectionReport)
+
+
+@pytest.mark.parametrize("variant", ["fs", "simplified", "cn"])
+def test_main_correction_json_has_every_report_field(capsys, variant):
+    argv = ["correction", "--model", "rr", "--eps", "0.1", "--k", "4", "--n", "500"]
+    assert main([*argv, "--variant", variant]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert set(blob) == field_names(CorrectionReport)
+    assert blob["condition_number"] >= 1.0
+    if variant != "cn":
+        assert set(blob["beta_star"]) == field_names(BetaVector)
+
+
 def test_threshold_json_records_branch_values(tmp_path):
     cal_path = tmp_path / "cal.csv"
     write_cal_csv(cal_path, seed=7, n=30, k=3, with_true=True)
@@ -586,6 +617,28 @@ def test_main_synth_experiment_bad_integer_field_exits_2(tmp_path, capsys, bad, 
     cfg_path.write_text(json.dumps(cfg | bad))
     assert main(["synth-experiment", "--config", str(cfg_path)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"methods": ["standard", "standard"]}, "methods repeat ['standard']"),
+        ({"methods": "standard"}, "methods must be a list of names, got 'standard'"),
+        ({"methods": 5}, "methods must be a list of names, got 5"),
+        ({"out": 5}, "out must be a directory path, got 5"),
+    ],
+    ids=["repeated-methods", "string-methods", "non-iterable-methods", "non-string-out"],
+)
+def test_main_synth_experiment_bad_methods_or_out_exits_2(tmp_path, capsys, bad, message):
+    # once duplicate rows, a per-letter "unknown methods" list, or a traceback
+    # with exit 1 (for "out", only after every repetition had run)
+    cfg = {"k": 2, "d": 4, "n_train": 150, "n_cal": 50, "n_test": 30, "eps": 0.1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg | {"repetitions": 2} | bad))
+    assert main(["synth-experiment", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "repetition" not in err
 
 
 def test_main_unknown_flag_exits_2():

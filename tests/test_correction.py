@@ -776,6 +776,14 @@ def test_delta_asy_rejects_non_integer_inverse_step():
         delta_asy(cal, w, h_ladder=(1 / 300, 1 / 400), m=5_000, seed=0)
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, 5e-324])
+def test_delta_asy_rejects_non_finite_or_vanishing_step(h):
+    # NaN, infinity and a subnormal step once escaped as ValueError or OverflowError
+    cal, w = asy_inputs(seed=7, n=100)
+    with pytest.raises(InvalidSpec, match="1/h must be a positive integer"):
+        delta_asy(cal, w, h_ladder=(1 / 50, h), m=1_000, seed=0)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_delta_asy_coupled_levels_grow_down_the_ladder(seed):
     # every coarse grid is a sub-grid of the finest and all levels read the

@@ -1,6 +1,7 @@
 """Tests for the CSV and JSON file formats."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -129,6 +130,39 @@ def test_probability_read_rejects_empty_file(tmp_path):
         read_probability_csv(path)
 
 
+def test_probability_read_strips_utf8_byte_order_mark(tmp_path):
+    # once misreported as "header must start with p_1 or s_1"
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfp_1,p_2,y_noisy\n0.25,0.75,2\n")
+    kind, got, noisy, _ = read_probability_csv(str(path))
+    assert kind == "p"
+    assert got.tolist() == [[0.25, 0.75]]
+    assert noisy.tolist() == [1]
+
+
+@pytest.mark.parametrize(
+    "reader, content",
+    [
+        (read_probability_csv, b"p_1,p_2\n0.5,0.5\xff\n"),
+        (read_transition_csv, b"0.9,0.1\n0.1,0.9\xe9\n"),
+    ],
+    ids=["scores", "transition"],
+)
+def test_readers_reject_non_utf8_bytes(tmp_path, reader, content):
+    # once a UnicodeDecodeError traceback
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(content)
+    with pytest.raises(FileFormatError, match="not UTF-8 text"):
+        reader(str(path))
+
+
+def test_probability_read_rejects_oversized_field(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("p_1,p_2\n" + "1" * (csv.field_size_limit() + 1) + ",0.5\n")
+    with pytest.raises(FileFormatError, match="not valid CSV"):
+        read_probability_csv(str(path))
+
+
 # ---------------------------------------------------------------------------
 # transition matrices
 # ---------------------------------------------------------------------------
@@ -225,6 +259,21 @@ def test_results_csv_rejects_missing_key(tmp_path):
         write_results_csv(str(tmp_path / "r.csv"), [row])
 
 
+def test_results_csv_floats_are_their_repr(tmp_path):
+    path = str(tmp_path / "r.csv")
+    tau, coverage = np.float64(0.1) + np.float64(0.2), 1 / 3
+    write_results_csv(path, [results_row(tau_hat=tau, coverage=coverage, seed=np.int64(7))])
+    row = list(csv.DictReader(open(path)))[0]
+    assert row["tau_hat"] == repr(float(tau)) == "0.30000000000000004"
+    assert row["coverage"] == repr(coverage)
+    assert row["seed"] == "7"
+
+
+def test_summary_csv_rejects_missing_key(tmp_path):
+    with pytest.raises(FileFormatError, match="missing columns"):
+        write_summary_csv(str(tmp_path / "s.csv"), [{"method": "standard"}])
+
+
 def test_summary_csv_header(tmp_path):
     path = str(tmp_path / "s.csv")
     write_summary_csv(
@@ -301,3 +350,21 @@ def test_threshold_json_fallback_round_trips(tmp_path):
     assert blob["correction"] is None
     assert blob["set_I_empty"] is True
     assert blob["warning"] == "index set empty"
+
+
+def test_threshold_json_writes_every_field_of_the_record(tmp_path):
+    # a field added to the record reaches the file without a writer edit
+    @dataclasses.dataclass(frozen=True)
+    class TimedResult(ThresholdResult):
+        stage_s: float = 0.25
+
+    rep = CorrectionReport(method=CorrectionMethod.CN_ONLY, value=0.02, c_n=0.02)
+    res = TimedResult(
+        tau=0.5, i_hat=3, method=CalibrationMethod.ADAPTIVE, correction=rep, set_I_empty=False
+    )
+    path = str(tmp_path / "t.json")
+    write_threshold_json(path, res)
+    blob = json.loads(open(path).read())
+    assert set(blob) == {f.name for f in dataclasses.fields(TimedResult)}
+    assert blob["stage_s"] == 0.25
+    assert set(blob["correction"]) == {f.name for f in dataclasses.fields(CorrectionReport)}

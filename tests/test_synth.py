@@ -227,15 +227,8 @@ def test_train_softmax_validation():
         (None, None, {"n_classes": 2.7}, "n_classes must be an integer"),
         (np.nan, None, {}, "x must be finite"),
         (np.inf, None, {}, "x must be finite"),
-        (None, None, {"l2": math.nan}, "l2 must be positive"),
-        (None, None, {"l2": 0.0}, "l2 must be positive"),
-        (None, None, {"l2": -1e-3}, "l2 must be positive"),
-        (None, None, {"l2": math.inf}, "l2 must be positive"),
     ],
-    ids=[
-        "label-minus-one", "float-label", "float-n_classes", "nan-x", "inf-x",
-        "nan-l2", "zero-l2", "negative-l2", "inf-l2",
-    ],
+    ids=["label-minus-one", "float-label", "float-n_classes", "nan-x", "inf-x"],
 )
 def test_train_softmax_rejects_bad_input(x3, y0, kwargs, match):
     # x3 replaces row 3 of x, y0 the first label (in a float array if a float)
