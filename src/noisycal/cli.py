@@ -45,6 +45,7 @@ from .calibrate import (
 from .correction import (
     CorrectionMethod,
     CorrectionReport,
+    _delta_fs,
     c_of_n,
     delta_asy,
     delta_fs,
@@ -150,6 +151,10 @@ class ExperimentConfig:
         _check_int("seed", self.seed, 0)
         if self.b is not None:
             _check_int("b", self.b, 1)
+        if not isinstance(self.randomized_scores, bool):
+            raise InvalidSpec(
+                f"randomized_scores must be true or false, got {self.randomized_scores!r}"
+            )
         if not 0.0 < self.alpha < 1.0:
             raise InvalidSpec(f"alpha must lie in (0, 1), got {self.alpha}")
         # the data and model parameters are checked here, when the config is
@@ -220,7 +225,9 @@ def _correction(
     """The correction of one route at calibration size n; None for ``"none"``.
 
     ``"cn"`` is c(n) alone, ``"asy"`` needs the calibration set itself, and
-    ``"fs-simplified"`` a parametric contamination model.
+    ``"fs-simplified"`` a parametric contamination model.  ``"fs"`` solves
+    the Massart LP only for a matrix with no ``spec``; a parametric model's
+    optimum is in closed form.
     """
     if route == "none":
         return None
@@ -234,7 +241,9 @@ def _correction(
     if route == "cn":
         return CorrectionReport(method=CorrectionMethod.CN_ONLY, value=c_n, c_n=c_n)
     if route == "fs":
-        return delta_fs(n, tm.k, tm, c_n)
+        if spec is None:
+            return delta_fs(n, tm.k, tm, c_n)
+        return _delta_fs(n, tm.k, tm, c_n, spec)
     return delta_fs_special(spec, n, c_n)
 
 

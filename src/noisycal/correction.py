@@ -10,7 +10,10 @@ Three routes produce a correction:
   inside B at a time: the chaining branch in closed form (a 1-D convex
   piecewise-linear minimization over beta_0, O(K^2)), the Massart branch as
   a sparse linear program solved by interior point (O(K^2) memory), the
-  package's one use of SciPy; every other route runs on NumPy alone.
+  package's one use of SciPy.  For the W of a parametric family the
+  Massart branch has a closed form too (the better of two symmetric
+  candidates, O(K^2)), so that route, like every other, runs on NumPy
+  alone; the LP serves a W given as a matrix.
 * ``delta_asy``: asymptotic route; estimates the plug-in covariance of the
   limiting Gaussian process once, on the finest grid of a halving ladder
   (``estimate_covariance``), factors it, simulates its absolute supremum on
@@ -390,17 +393,66 @@ def _smallest(values: dict[str, float | None]) -> tuple[float, str]:
     return min(defined, key=lambda pair: pair[0])
 
 
+def _family_massart_minimizer(
+    spec: ContaminationSpec, n: int, w: NDArray[np.float64], weight: float, z_coef: float
+) -> BetaVector:
+    """Exact minimizer of the signed Massart branch for a parametric family.
+
+    Minimizes weight * (beta0 + mean_k beta_k) + z_coef * max_l sum_k
+    |Omega[k, l]| for the W of ``spec``.  The family's W is unchanged by a
+    permutation group acting transitively on the classes, and the branch is
+    convex and invariant under it, so averaging a minimizer over the group
+    gives one with every beta_k = K x.  W has d on its diagonal, s off it
+    within a block of m labels (m = K, K/b, K/2) and o across blocks;
+    beta0 = d - x zeroes the diagonal of Omega (optimal for z_coef >= weight)
+    and leaves
+
+        weight (d + (K-1) x) + z_coef ((m-1) |s - x| + (K-m) |o - x|),
+
+    convex piecewise linear in x with kinks at s (if m > 1) and o (if m < K).
+    The better kink is evaluated on w itself; for K = 1 every x gives
+    weight * d.  O(K^2) work, no solver.
+    """
+    if not weight <= z_coef:
+        raise SolverFailure(
+            f"the Massart branch is unbounded below: its z coefficient {z_coef} "
+            f"is below the weight {weight}"
+        )
+    k = spec.k
+    if spec.family is Family.BLOCK_RR:
+        m = k // spec.b
+    elif spec.family is Family.TWO_LEVEL_RR:
+        m = k // 2
+    else:
+        m = k
+    kinks = [w[0, 1]] if m > 1 else []
+    if m < k:
+        kinks.append(w[0, m])
+    candidates = [
+        BetaVector(beta0=float(w[0, 0] - x), betas=np.full(k, k * x))
+        for x in kinks or [0.0]
+    ]
+    return min(candidates, key=lambda beta: _fs_values(n, k, w, weight, beta)["massart"])
+
+
 def _branch_minimizers(
-    n: int, k: int, w, weight: float, abs_objective: bool
+    n: int,
+    k: int,
+    w,
+    weight: float,
+    abs_objective: bool,
+    spec: ContaminationSpec | None = None,
 ) -> dict[str, BetaVector]:
     """Minimizers of the Massart branch and, for K >= 2, of the chaining branch.
 
     One problem per branch of the min inside B; the z-coefficients include
     the 2/sqrt(n) scale of B.  The signed chaining branch is solved in
-    closed form (:func:`_chaining_minimizer`); the Massart branch, and both
-    branches of the ``abs_objective`` variant, by the sparse interior-point
-    LP (:func:`_branch_lp`).  The closed form runs first, so an unbounded
-    chaining branch fails before any LP is built.
+    closed form (:func:`_chaining_minimizer`), and so is the signed Massart
+    branch when w is the W of the parametric ``spec``
+    (:func:`_family_massart_minimizer`).  Otherwise the Massart branch, and
+    both branches of the ``abs_objective`` variant, are sparse
+    interior-point LPs (:func:`_branch_lp`).  The closed forms run first,
+    so an unbounded chaining branch fails before any LP is built.
     """
     w = _as_w(w)
     if w.shape != (k, k):
@@ -416,29 +468,30 @@ def _branch_minimizers(
             else _chaining_minimizer(k, w, weight, z_coef)
         )
     z_coef = scale * math.sqrt(math.log(k * n + 1.0))
-    massart = _branch_lp(
-        k, w, weight, z_coef, per_column=True, abs_objective=abs_objective
-    )
+    if spec is not None and not abs_objective:
+        massart = _family_massart_minimizer(spec, n, w, weight, z_coef)
+    else:
+        massart = _branch_lp(
+            k, w, weight, z_coef, per_column=True, abs_objective=abs_objective
+        )
     return {"massart": massart, **chaining}
 
 
-def delta_fs(n: int, k: int, w, c_n: float) -> CorrectionReport:
-    """Finite-sample correction, minimized exactly over beta.
+def _delta_fs(
+    n: int, k: int, w, c_n: float, spec: ContaminationSpec | None
+) -> CorrectionReport:
+    """:func:`delta_fs`, with no LP when w is the W of the parametric ``spec``.
 
-    Minimizes each branch of the min inside B exactly: the chaining branch
-    in closed form, the Massart branch as a sparse LP by interior point (see
-    :func:`_branch_minimizers`).  ``branch_values`` records each branch's
-    optimum, its own term at its own minimizer (None for the chaining
-    branch at K = 1).  The report carries the minimizer with the smaller
-    bound and the branch active there; the reported value equals the
-    objective evaluated at ``beta_star``, which is the optimizer
-    certificate.
+    The Massart branch is then in closed form (see :func:`_branch_minimizers`);
+    w is normally the numerically inverted ``build_transition(spec)``, and the
+    bound is evaluated on it either way.
     """
     if not (np.isfinite(c_n) and c_n > 0.0):
         raise InvalidSpec(f"c_n must be positive, got {c_n}")
     branch_values: dict[str, float | None] = {"massart": None, "chaining": None}
     best = None
-    for name, beta in _branch_minimizers(n, k, w, c_n, abs_objective=False).items():
+    minimizers = _branch_minimizers(n, k, w, c_n, abs_objective=False, spec=spec)
+    for name, beta in minimizers.items():
         values = _fs_values(n, k, w, c_n, beta)
         branch_values[name] = values[name]
         value, branch = _smallest(values)
@@ -453,6 +506,22 @@ def delta_fs(n: int, k: int, w, c_n: float) -> CorrectionReport:
         c_n=float(c_n),
         branch_values=branch_values,
     )
+
+
+def delta_fs(n: int, k: int, w, c_n: float) -> CorrectionReport:
+    """Finite-sample correction for any W, minimized exactly over beta.
+
+    Minimizes each branch of the min inside B exactly: the chaining branch
+    in closed form, the Massart branch as a sparse LP by interior point (see
+    :func:`_branch_minimizers`), the package's one use of SciPy; the CLI
+    needs the LP only for a transition matrix read from a file.
+    ``branch_values`` records each branch's optimum, its own term at its own
+    minimizer (None for the chaining branch at K = 1).  The report carries
+    the minimizer with the smaller bound and the branch active there; the
+    reported value equals the objective evaluated at ``beta_star``, which is
+    the optimizer certificate.
+    """
+    return _delta_fs(n, k, w, c_n, None)
 
 
 def delta_fs_special(spec: ContaminationSpec, n: int, c_n: float) -> CorrectionReport:

@@ -13,6 +13,7 @@ import pytest
 from noisycal import (
     BetaVector,
     ContaminationSpec,
+    CorrectionMethod,
     CorrectionReport,
     Family,
     FileFormatError,
@@ -20,6 +21,7 @@ from noisycal import (
     ThresholdResult,
     aps_scores,
     c_of_n,
+    correction,
 )
 from noisycal.cli import (
     METHODS,
@@ -641,6 +643,18 @@ def test_main_synth_experiment_bad_methods_or_out_exits_2(tmp_path, capsys, bad,
     assert "repetition" not in err
 
 
+@pytest.mark.parametrize("bad", ["false", 0, None])
+def test_main_synth_experiment_non_bool_randomized_scores_exits_2(tmp_path, capsys, bad):
+    # the string "false" was once taken for its truth value: randomized
+    # scores ran without a word
+    cfg = {"k": 2, "d": 4, "n_train": 150, "n_cal": 50, "n_test": 30, "eps": 0.1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg | {"randomized_scores": bad}))
+    assert main(["synth-experiment", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: randomized_scores must be true or false, got {bad!r}" in err
+
+
 def test_main_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["calibrate", "--nonsense"])
@@ -729,22 +743,68 @@ from noisycal.cli import main
 def scipy_modules():
     return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 
-argv = ["calibrate", "--scores", sys.argv[1], "--model", "rr", "--eps", "0.1"]
-assert main(argv + ["--method", "adaptive-asy", "--out", sys.argv[2]]) == 0
+scores, transition, config, out = sys.argv[1:]
+argv = ["calibrate", "--scores", scores, "--model", "rr", "--eps", "0.1"]
+for method in ("adaptive-asy", "adaptive-fs"):
+    assert main(argv + ["--method", method, "--out", out]) == 0
+argv = ["correction", "--model", "block_rr", "--eps", "0.1", "--b", "6"]
+assert main(argv + ["--k", "60", "--n", "1000", "--variant", "fs"]) == 0
+assert main(["synth-experiment", "--config", config]) == 0
 assert not scipy_modules(), scipy_modules()
-argv = ["correction", "--model", "rr", "--eps", "0.1", "--k", "4", "--n", "1000"]
-assert main(argv + ["--variant", "fs"]) == 0
+argv = ["calibrate", "--scores", scores, "--transition", transition]
+assert main(argv + ["--method", "adaptive-fs"]) == 0
 assert "scipy.optimize" in sys.modules
 """
 
 
 def test_only_the_finite_sample_lp_loads_scipy(tmp_path):
+    # every parametric route runs without SciPy, adaptive-fs included (its
+    # Massart optimum is in closed form); only a transition matrix read from
+    # a file needs the LP
     path = tmp_path / "cal.csv"
-    write_cal_csv(path, seed=14, n=50, k=2)
-    proc = run_python(["-c", _SCIPY_PROBE, str(path), str(tmp_path / "out")])
+    write_cal_csv(path, seed=14, n=50, k=4)
+    t_path = tmp_path / "t.csv"
+    spec = ContaminationSpec(family=Family.RANDOMIZED_RESPONSE, k=4, eps=0.1)
+    np.savetxt(str(t_path), build_transition(spec).T, delimiter=",", fmt="%.17g")
+    cfg = {"k": 4, "d": 4, "n_train": 100, "n_cal": 40, "n_test": 20}
+    cfg |= {"family": "two_level_rr", "eps": 0.2, "nu": 0.5, "methods": ["adaptive-fs"]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = [str(path), str(t_path), str(cfg_path), str(tmp_path / "out")]
+    proc = run_python(["-c", _SCIPY_PROBE, *argv])
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "threshold.json").exists()
     assert '"method": "finite_sample"' in proc.stdout
+    assert "adaptive-fs: coverage" in proc.stdout
+
+
+def test_family_fs_route_never_solves_the_lp(tmp_path, monkeypatch):
+    real_lp = correction._branch_lp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Massart LP ran for a parametric model")
+
+    monkeypatch.setattr(correction, "_branch_lp", refuse)
+    spec = ContaminationSpec(family=Family.BLOCK_RR, k=200, eps=0.2, b=20)
+    report = correction_report(spec, 5000)
+    assert report.method is CorrectionMethod.FINITE_SAMPLE
+    assert 0.0 < report.value <= report.branch_values["massart"]
+
+    calls = []
+
+    def count(*args, **kwargs):
+        calls.append(args[0])
+        return real_lp(*args, **kwargs)
+
+    # a transition matrix read from a file still needs the LP, once
+    monkeypatch.setattr(correction, "_branch_lp", count)
+    cal_path = tmp_path / "cal.csv"
+    write_cal_csv(cal_path, seed=15, n=40, k=3)
+    t_path = tmp_path / "t.csv"
+    spec = ContaminationSpec(family=Family.RANDOMIZED_RESPONSE, k=3, eps=0.2)
+    np.savetxt(str(t_path), build_transition(spec).T, delimiter=",", fmt="%.17g")
+    run_from_scores(str(cal_path), transition_path=str(t_path), method="adaptive-fs")
+    assert calls == [3]
 
 
 def test_methods_tuple_is_canonical():

@@ -1,5 +1,6 @@
 """Tests for the finite-sample and asymptotic correction factors."""
 
+import itertools
 import json
 import math
 import time
@@ -27,6 +28,7 @@ from noisycal import (
     SolverFailure,
     aps_scores,
     b_term,
+    build_transition,
     c_of_n,
     closed_form_inverse,
     cn_envelope,
@@ -391,6 +393,54 @@ def test_chaining_closed_form_matches_dense_lp_oracle(case):
     objective += z_coef * float(np.abs(omega_matrix(w, beta)).max())
     want = dense_branch_lp(k, w, cn, z_coef, per_column=False, abs_objective=False).fun
     assert objective == pytest.approx(want, rel=1e-9)
+
+
+# Every family at K in {1, 2, 4, 20, 60} and eps in {0, 0.2, 0.6}; block RR
+# with one block (m = K), a middle divisor, and singleton blocks (m = 1);
+# two-level RR at nu in {0, 1}, whose K = 2 has singleton halves (m = 1).
+_BLOCK_COUNTS = {1: (1,), 2: (1, 2), 4: (1, 2, 4), 20: (1, 5, 20), 60: (1, 6, 60)}
+FAMILY_CASES = {}
+for _k, _eps in itertools.product(_BLOCK_COUNTS, (0.0, 0.2, 0.6)):
+    FAMILY_CASES[f"rr-k{_k}-eps{_eps}"] = dict(family="rr", k=_k, eps=_eps)
+    for _b in _BLOCK_COUNTS[_k]:
+        FAMILY_CASES[f"block-k{_k}-b{_b}-eps{_eps}"] = dict(
+            family="block_rr", k=_k, eps=_eps, b=_b
+        )
+    for _nu in (0.0, 1.0) if _k % 2 == 0 else ():
+        FAMILY_CASES[f"two-level-k{_k}-eps{_eps}-nu{_nu}"] = dict(
+            family="two_level_rr", k=_k, eps=_eps, nu=_nu
+        )
+
+
+@pytest.mark.parametrize("case", list(FAMILY_CASES))
+def test_family_closed_form_matches_massart_lp(case):
+    spec = ContaminationSpec(**FAMILY_CASES[case])
+    tm = build_transition(spec)
+    n = 5000
+    cn = c_of_n(n)
+    rep = correction._delta_fs(n, spec.k, tm, cn, spec)
+    lp = delta_fs(n, spec.k, tm, cn)
+    assert rep.value == pytest.approx(lp.value, rel=1e-9)
+    assert rep.branch_values["massart"] == pytest.approx(
+        lp.branch_values["massart"], rel=1e-9
+    )
+    # delta_fs_special evaluates its candidate on the closed-form W, which
+    # differs from the numerical inverse in the last bits (up to 1e-13
+    # relative at eps = 0.6), so "never above" is checked to 1e-12
+    special = delta_fs_special(spec, n, cn)
+    assert rep.value <= special.value * (1.0 + 1e-12)
+
+
+def test_family_closed_form_refuses_an_unbounded_massart_branch():
+    # at weight 1 and n = 100 the Massart z coefficient is 0.49, so the
+    # branch is unbounded below, as the LP reports; the closed form must
+    # fail the same way, not return a value
+    spec = ContaminationSpec(family="block_rr", k=4, eps=0.2, b=2)
+    tm = build_transition(spec)
+    with pytest.raises(SolverFailure, match="unbounded"):
+        delta_fs(100, 4, tm, 1.0)
+    with pytest.raises(SolverFailure, match="Massart branch is unbounded"):
+        correction._delta_fs(100, 4, tm, 1.0, spec)
 
 
 def test_chaining_closed_form_at_the_boundedness_edge():
