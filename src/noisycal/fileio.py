@@ -8,25 +8,34 @@ per-method results and summaries, prediction sets and the threshold record.
 Conventions shared by every reader and writer here:
 
 * class labels are 1-based in files and 0-based in memory;
-* floats are written by csv's own ``str``, which is their ``repr`` (the
-  shortest decimal that reads back to the same double) for Python and NumPy
-  floats alike, so a rerun with the same seed produces byte-identical files;
+* floats are written as their ``repr`` (the shortest decimal that reads back
+  to the same double) for Python and NumPy floats alike, so a rerun with the
+  same seed produces byte-identical files;
 * malformed input raises FileFormatError carrying the offending 1-based
   line number where one exists.
+
+``read_probability_csv`` parses a well-formed file with one streamed
+``np.loadtxt`` pass over the open file (``_loadtxt``).  Whenever that pass
+cannot show its numbers equal those of ``csv.reader`` with
+``float()``/``int()``, the reader parses the file again one cell at a time.
+Only that per-cell parse reports a malformed header, row or cell, so the
+message and line number of such an error do not depend on the route.  The
+transition reader, for a small K x K file, parses one cell at a time only.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from typing import Sequence
+import warnings
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .calibrate import ThresholdResult
 from .correction import _jsonable
-from .errors import FileFormatError
+from .errors import FileFormatError, LengthMismatch
 from .noise_model import TransitionMatrix, transition_from_matrix
 
 __all__ = [
@@ -77,6 +86,56 @@ def _read_rows(path: str) -> list[list[str]]:
         raise FileFormatError(f"{path} is not valid CSV: {exc}") from exc
 
 
+def _loadtxt(handle: TextIO, dtype: np.dtype) -> NDArray | None:
+    """The rows left in ``handle``, parsed by numpy's C reader in one pass.
+
+    None whenever the result might differ from what ``csv.reader`` with
+    ``float()``/``int()`` gives:
+
+    * numpy refused a cell or a row, or warned about one (numpy releases
+      before 2.0 read an int64 cell such as ``2.0`` through a float and only
+      warn; an input left empty warns too);
+    * a line is not plain ASCII: numpy 2.4 misreads some non-ASCII characters
+      as int64 digits (and crashes on others), and it skips the separators
+      ``\\x1c``-``\\x1f`` as blanks, where ``float()``/``int()`` refuse both;
+    * a line is long enough to hold a field past ``csv.field_size_limit()``;
+    * numpy skipped a blank line or joined a quoted line break, so rows and
+      lines differ in number.
+    """
+    limit = csv.field_size_limit()
+    lines = 0
+
+    def plain_lines() -> Iterator[str]:
+        nonlocal lines
+        for line in handle:
+            if (
+                len(line) > limit
+                or not line.isascii()
+                or "\x1c" in line
+                or "\x1d" in line
+                or "\x1e" in line
+                or "\x1f" in line
+            ):
+                raise ValueError("not a plain ASCII line")
+            lines += 1
+            yield line
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                plain_lines(),
+                dtype=dtype,
+                delimiter=",",
+                comments=None,
+                quotechar='"',
+                ndmin=1,  # one record per line, even for a single line
+            )
+    except (ValueError, Warning):  # UnicodeDecodeError included
+        return None
+    return table if len(table) == lines else None
+
+
 def _parse_float(cell: str, line: int) -> float:
     try:
         return float(cell)
@@ -102,6 +161,22 @@ def _numbered_header(header: list[str], prefix: str) -> int:
     return k
 
 
+def _probability_layout(row: list[str]) -> tuple[str, int, list[str]]:
+    """(kind, K, label columns) of a ``p_*``/``s_*`` header row."""
+    header = [cell.strip() for cell in row]
+    kind = next((c for c in "ps" if header[:1] == [f"{c}_1"]), None)
+    if kind is None:
+        raise FileFormatError("header must start with p_1 or s_1", line=1)
+    k = _numbered_header(header, kind)
+    tail = header[k:]
+    if tail not in ([], ["y_noisy"], ["y_true"], ["y_noisy", "y_true"]):
+        raise FileFormatError(
+            f"columns after {kind}_{k} must be [y_noisy][,y_true], got {tail}",
+            line=1,
+        )
+    return kind, k, tail
+
+
 def read_probability_csv(
     path: str,
 ) -> tuple[
@@ -114,32 +189,46 @@ def read_probability_csv(
     absent label columns are None.  The values are parsed, not checked as
     probabilities or scores.
     """
+    table = None
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            kind, k, tail = _probability_layout(next(csv.reader(handle), []))
+            dtype = np.dtype(
+                [("v", np.float64, (k,))] + [(name, np.int64) for name in tail]
+            )
+            table = _loadtxt(handle, dtype)
+    except (OSError, ValueError, csv.Error, FileFormatError):
+        pass  # the per-cell parse below reports it
+    if table is None or any(
+        table[name].min() < 1 or table[name].max() > k for name in tail
+    ):
+        return _read_probability_cells(path)
+    labels = {name: table[name] - 1 for name in tail}
+    values = np.ascontiguousarray(table["v"])
+    return kind, values, labels.get("y_noisy"), labels.get("y_true")
+
+
+def _read_probability_cells(
+    path: str,
+) -> tuple[
+    str, NDArray[np.float64], NDArray[np.int64] | None, NDArray[np.int64] | None
+]:
+    """``read_probability_csv`` one cell at a time, naming the first bad line."""
     rows = _read_rows(path)
     if not rows:
         raise FileFormatError(f"{path} is empty")
-    header = [cell.strip() for cell in rows[0]]
-    kind = next((c for c in "ps" if header[:1] == [f"{c}_1"]), None)
-    if kind is None:
-        raise FileFormatError("header must start with p_1 or s_1", line=1)
-    k = _numbered_header(header, kind)
-    tail = header[k:]
-    if tail not in ([], ["y_noisy"], ["y_true"], ["y_noisy", "y_true"]):
-        raise FileFormatError(
-            f"columns after {kind}_{k} must be [y_noisy][,y_true], got {tail}",
-            line=1,
-        )
+    kind, k, tail = _probability_layout(rows[0])
     has_noisy = "y_noisy" in tail
     has_true = "y_true" in tail
+    width = k + len(tail)
 
     values = np.empty((len(rows) - 1, k))
     y_noisy = np.empty(len(rows) - 1, dtype=np.int64) if has_noisy else None
     y_true = np.empty(len(rows) - 1, dtype=np.int64) if has_true else None
     for i, row in enumerate(rows[1:]):
         line = i + 2
-        if len(row) != len(header):
-            raise FileFormatError(
-                f"expected {len(header)} cells, got {len(row)}", line=line
-            )
+        if len(row) != width:
+            raise FileFormatError(f"expected {width} cells, got {len(row)}", line=line)
         values[i] = [_parse_float(cell, line) for cell in row[:k]]
         cursor = k
         if has_noisy:
@@ -158,23 +247,27 @@ def write_probability_csv(
     y_noisy: NDArray[np.int64] | None = None,
     y_true: NDArray[np.int64] | None = None,
 ) -> None:
-    """Write rows of ``p_1..p_K[,y_noisy][,y_true]``, labels 1-based."""
+    """Write rows of ``p_1..p_K[,y_noisy][,y_true]``, labels 1-based.
+
+    The bytes are those of ``csv.writer``, which quotes none of these cells
+    and ends each row with ``\\r\\n``.  Label arrays must have one entry per
+    row of ``probs`` (LengthMismatch otherwise).
+    """
     probs = np.asarray(probs, dtype=np.float64)
-    header = [f"p_{j + 1}" for j in range(probs.shape[1])]
-    if y_noisy is not None:
-        header.append("y_noisy")
-    if y_true is not None:
-        header.append("y_true")
+    labels = {}
+    for name, y in (("y_noisy", y_noisy), ("y_true", y_true)):
+        if y is not None:
+            y = np.asarray(y, dtype=np.int64)
+            if y.shape != (probs.shape[0],):
+                raise LengthMismatch(f"{probs.shape[0]} rows vs {name} of shape {y.shape}")
+            labels[name] = (y + 1).tolist()
+    header = [f"p_{j + 1}" for j in range(probs.shape[1])] + list(labels)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
+        handle.write(",".join(header) + "\r\n")
         for i in range(probs.shape[0]):
-            row: list[str] = [repr(float(v)) for v in probs[i]]
-            if y_noisy is not None:
-                row.append(str(int(y_noisy[i]) + 1))
-            if y_true is not None:
-                row.append(str(int(y_true[i]) + 1))
-            writer.writerow(row)
+            row = [*map(repr, probs[i].tolist())]
+            row += [str(column[i]) for column in labels.values()]
+            handle.write(",".join(row) + "\r\n")
 
 
 def read_transition_csv(path: str) -> TransitionMatrix:

@@ -9,13 +9,14 @@ tautology.
 
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, optimize, special
 
-from noisycal import EmptyClass
+from noisycal import EmptyClass, FileFormatError
 
 
 def gauss_inverse(t: np.ndarray) -> np.ndarray:
@@ -216,6 +217,64 @@ def brute_evaluate(sets, labels):
         if int(y) in members:
             hits += 1
     return hits / len(labels), size / len(labels)
+
+
+def reference_probability_csv(path: str):
+    """``read_probability_csv`` by ``csv.reader`` and ``float()``/``int()``.
+
+    Parses the whole file cell by cell, with no fast path, and raises the
+    reader's FileFormatError messages and line numbers.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            rows = list(csv.reader(handle))
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise FileFormatError(f"{path} is not valid CSV: {exc}") from exc
+    if not rows:
+        raise FileFormatError(f"{path} is empty")
+    header = [cell.strip() for cell in rows[0]]
+    if header[:1] not in (["p_1"], ["s_1"]):
+        raise FileFormatError("header must start with p_1 or s_1", line=1)
+    kind = header[0][0]
+    k = 0
+    while k < len(header) and header[k] == f"{kind}_{k + 1}":
+        k += 1
+    names = header[k:]
+    if names not in ([], ["y_noisy"], ["y_true"], ["y_noisy", "y_true"]):
+        raise FileFormatError(
+            f"columns after {kind}_{k} must be [y_noisy][,y_true], got {names}", line=1
+        )
+    values = []
+    labels = {name: [] for name in names}
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise FileFormatError(f"expected {len(header)} cells, got {len(row)}", line=line)
+        parsed = []
+        for cell in row[:k]:
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise FileFormatError(f"not a number: {cell!r}", line=line) from None
+        values.append(parsed)
+        for name, cell in zip(names, row[k:]):
+            try:
+                label = int(cell)
+            except ValueError:
+                raise FileFormatError(f"not an integer label: {cell!r}", line=line) from None
+            if not 1 <= label <= k:
+                raise FileFormatError(f"label {label} outside 1..{k}", line=line)
+            labels[name].append(label - 1)
+    if not values:
+        raise FileFormatError(f"{path} has a header but no data rows")
+    as_labels = {name: np.array(column, dtype=np.int64) for name, column in labels.items()}
+    return (
+        kind,
+        np.array(values, dtype=np.float64).reshape(len(values), k),
+        as_labels.get("y_noisy"),
+        as_labels.get("y_true"),
+    )
 
 
 def mc_c_of_n(n: int, m: int, seed: int) -> tuple[float, float]:

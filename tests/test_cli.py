@@ -521,6 +521,25 @@ def test_main_calibrate_nan_score_exits_2(tmp_path, capsys):
     assert "row 0, column 1 (0-based)" in capsys.readouterr().err
 
 
+def test_main_calibrate_reads_bom_crlf_scores(tmp_path):
+    p, y_noisy, _ = write_cal_csv(tmp_path / "plain.csv", seed=4, n=40, k=3)
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
+    assert b"\r\n" in path.read_bytes()
+    out = tmp_path / "out"
+    argv = ["calibrate", "--scores", str(path), "--model", "rr", "--eps", "0.1"]
+    assert main(argv + ["--method", "adaptive-fs", "--out", str(out)]) == 0
+    assert json.loads((out / "threshold.json").read_text())["tau"] > 0.0
+
+
+def test_main_calibrate_blank_data_line_exits_2(tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    path.write_text("s_1,s_2,y_noisy\n0.2,0.9,1\n\n0.5,0.7,2\n")
+    argv = ["calibrate", "--scores", str(path), "--model", "rr", "--eps", "0.1"]
+    assert main(argv + ["--method", "standard"]) == 2
+    assert "error: line 3: expected 3 cells, got 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("over, code", [(5e-10, 0), (1e-8, 2)])
 def test_main_calibrate_score_file_tolerance(tmp_path, over, code):
     # an s_* cell up to 1e-9 past 1 is rounding and reads as 1.0; further is refused

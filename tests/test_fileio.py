@@ -3,15 +3,20 @@
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import noisycal.fileio
 from noisycal import (
     CalibrationMethod,
     CorrectionMethod,
     CorrectionReport,
     FileFormatError,
+    LengthMismatch,
     ThresholdResult,
     transition_from_matrix,
 )
@@ -26,6 +31,7 @@ from noisycal.fileio import (
     write_summary_csv,
     write_threshold_json,
 )
+from oracles import reference_probability_csv
 
 
 def probs(seed=0, n=6, k=3):
@@ -161,6 +167,141 @@ def test_probability_read_rejects_oversized_field(tmp_path):
     path.write_text("p_1,p_2\n" + "1" * (csv.field_size_limit() + 1) + ",0.5\n")
     with pytest.raises(FileFormatError, match="not valid CSV"):
         read_probability_csv(str(path))
+
+
+# ---------------------------------------------------------------------------
+# the streamed numpy parse against the cell-by-cell reference
+# ---------------------------------------------------------------------------
+
+
+REFERENCE_CASES = {
+    "crlf": b"p_1,p_2,y_noisy\r\n0.25,0.75,2\r\n0.5,0.5,1\r\n",
+    "bom-crlf": b"\xef\xbb\xbfs_1,s_2,y_true\r\n0.25,0.75,1\r\n",
+    "quoted": b'p_1,p_2,y_true\n"0.25",0.75,"2"\n',
+    "quoted-comma": b'p_1,p_2\n"0.25,",0.75\n',
+    "hash-in-cell": b"p_1,p_2\n0.25,0.75#\n",
+    "blank-middle": b"p_1,p_2\n0.25,0.75\n\n0.5,0.5\n",
+    "blank-trailing": b"p_1,p_2\n0.25,0.75\n\n",
+    "underscore": b"p_1,p_2\n1_0,0.5\n",
+    "non-finite": b"p_1,p_2,p_3\nnan,inf,-0.0\n-inf,NaN,Infinity\n",
+    "label-float": b"p_1,p_2,y_noisy\n0.5,0.5,2.0\n",
+    "label-space": b"p_1,p_2,y_noisy\n0.5,0.5, 2\n",
+    "label-zero": b"p_1,p_2,y_noisy\n0.5,0.5,0\n",
+    "label-above-k": b"p_1,p_2,y_true\n0.5,0.5,3\n",
+    "arabic-digit": "p_1,p_2,y_noisy\n0.5,0.5,\u0662\n".encode(),
+    # numpy 2.4 reads the int64 cell "\u01fe" as 462; int() refuses it
+    "misread-label": (
+        ",".join(f"p_{j}" for j in range(1, 501)) + ",y_noisy\n" + "0.002," * 500 + "\u01fe\n"
+    ).encode(),
+    "unit-separator": b"p_1,p_2\n0.5,\x1f0.5\n",
+    "ragged-long": b"p_1,p_2\n0.5,0.5\n0.5,0.5,0.1\n",
+    "ragged-short": b"p_1,p_2,y_noisy\n0.5,0.5,1\n0.5,1\n",
+    "header-only": b"p_1,p_2\n",
+    "oversized": b"p_1,p_2\n" + b"1" * (csv.field_size_limit() + 1) + b",0.5\n",
+}
+
+
+def outcome(reader, path):
+    """What a reader returns, bit for bit, or the message and line it raises."""
+    try:
+        kind, values, y_noisy, y_true = reader(str(path))
+    except FileFormatError as exc:
+        return "error", str(exc), exc.line
+    labels = [None if y is None else (y.dtype, y.tobytes()) for y in (y_noisy, y_true)]
+    return kind, values.shape, values.dtype, values.tobytes(), labels
+
+
+@pytest.mark.parametrize("content", REFERENCE_CASES.values(), ids=REFERENCE_CASES)
+def test_probability_read_matches_reference_reader(tmp_path, content):
+    path = tmp_path / "case.csv"
+    path.write_bytes(content)
+    assert outcome(read_probability_csv, path) == outcome(reference_probability_csv, path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda k: st.tuples(
+            st.lists(
+                st.lists(st.floats(allow_nan=False), min_size=k, max_size=k),
+                min_size=1,
+                max_size=8,
+            ),
+            st.lists(st.integers(min_value=0, max_value=k - 1), min_size=8, max_size=8),
+        )
+    )
+)
+@example(([[5e-324, -0.0, 1.7976931348623157e308, 2.2250738585072014e-308 / 3]], [3]))
+def test_probability_roundtrip_is_bitwise(tmp_path_factory, case):
+    rows, labels = case
+    p = np.array(rows, dtype=np.float64)
+    y = np.array(labels[: len(rows)], dtype=np.int64)
+    path = str(tmp_path_factory.mktemp("roundtrip") / "p.csv")
+    write_probability_csv(path, p, y_noisy=y)
+    _, got, noisy, _ = read_probability_csv(path)
+    assert got.tobytes() == p.tobytes()
+    assert noisy.tobytes() == y.tobytes()
+
+
+def test_probability_read_of_a_well_formed_file_parses_no_cell(tmp_path, monkeypatch):
+    calls = []
+    parse_float = noisycal.fileio._parse_float
+    monkeypatch.setattr(
+        noisycal.fileio, "_parse_float", lambda *a: calls.append(a) or parse_float(*a)
+    )
+    p, y_noisy, y_true = probs(3, n=200, k=10)
+    path = tmp_path / "p.csv"
+    write_probability_csv(str(path), p, y_noisy=y_noisy, y_true=y_true)
+    _, got, noisy, true = read_probability_csv(str(path))
+    assert calls == []
+    assert np.array_equal(got, p) and np.array_equal(noisy, y_noisy)
+    assert np.array_equal(true, y_true)
+
+    lines = path.read_text().splitlines(keepends=True)
+    lines[6] = "oops" + lines[6][lines[6].index(","):]
+    path.write_text("".join(lines))
+    with pytest.raises(FileFormatError, match="^line 7: not a number: 'oops'$"):
+        read_probability_csv(str(path))
+    assert calls
+
+
+def test_probability_read_falls_back_when_numpy_warns(tmp_path, monkeypatch):
+    # numpy before 2.0 reads the int64 cell "2.0" as 2 and only warns
+    def lenient_loadtxt(lines, **kwargs):
+        rows = [line.split(",") for line in lines]
+        warnings.warn("loadtxt(): Parsing an integer via a float", DeprecationWarning)
+        return np.array(
+            [([float(p) for p in row[:-1]], int(float(row[-1]))) for row in rows],
+            dtype=kwargs["dtype"],
+        )
+
+    monkeypatch.setattr(noisycal.fileio.np, "loadtxt", lenient_loadtxt)
+    path = tmp_path / "p.csv"
+    path.write_text("p_1,p_2,y_noisy\n0.5,0.5,2.0\n")
+    with pytest.raises(FileFormatError, match="^line 2: not an integer label: '2.0'$"):
+        read_probability_csv(str(path))
+
+
+@pytest.mark.parametrize("column", ["y_noisy", "y_true"])
+def test_probability_writer_rejects_label_length_mismatch(tmp_path, column):
+    p, y_noisy, y_true = probs(5, n=6, k=3)
+    labels = {"y_noisy": y_noisy, "y_true": y_true}
+    labels[column] = labels[column][:-1]
+    with pytest.raises(LengthMismatch, match=f"6 rows vs {column}"):
+        write_probability_csv(str(tmp_path / "p.csv"), p, **labels)
+
+
+def test_probability_writer_matches_csv_writer(tmp_path):
+    p, y_noisy, y_true = probs(4, n=50, k=5)
+    p[0, :3] = [5e-324, -0.0, 1e300]
+    path = tmp_path / "p.csv"
+    write_probability_csv(str(path), p, y_noisy=y_noisy, y_true=y_true)
+    with open(tmp_path / "expected.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([f"p_{j + 1}" for j in range(5)] + ["y_noisy", "y_true"])
+        for row, a, b in zip(p, y_noisy, y_true):
+            writer.writerow([repr(float(v)) for v in row] + [str(a + 1), str(b + 1)])
+    assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
