@@ -54,12 +54,10 @@ from .noise_model import (
     ContaminationSpec,
     Family,
     TransitionMatrix,
-    TwoLevelDerived,
     build_transition,
     closed_form_inverse,
     sample_noisy_labels,
     transition_from_matrix,
-    two_level_constants,
 )
 from .scores import aps_scores, validate_probability_rows
 from .synth import (

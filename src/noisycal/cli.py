@@ -59,6 +59,7 @@ from .errors import (
     NoisycalError,
     SolverFailure,
     _check_int,
+    _check_real,
 )
 from .noise_model import (
     ContaminationSpec,
@@ -155,6 +156,7 @@ class ExperimentConfig:
             raise InvalidSpec(
                 f"randomized_scores must be true or false, got {self.randomized_scores!r}"
             )
+        _check_real("alpha", self.alpha)
         if not 0.0 < self.alpha < 1.0:
             raise InvalidSpec(f"alpha must lie in (0, 1), got {self.alpha}")
         # the data and model parameters are checked here, when the config is

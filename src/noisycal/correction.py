@@ -49,12 +49,12 @@ from .errors import (
 )
 from .noise_model import (
     ContaminationSpec,
-    Family,
     TransitionMatrix,
     _as_w,
+    _family_blocks,
     _inverse,
+    _inverse_blocks,
     closed_form_inverse,
-    two_level_constants,
 )
 
 __all__ = [
@@ -419,12 +419,7 @@ def _family_massart_minimizer(
             f"is below the weight {weight}"
         )
     k = spec.k
-    if spec.family is Family.BLOCK_RR:
-        m = k // spec.b
-    elif spec.family is Family.TWO_LEVEL_RR:
-        m = k // 2
-    else:
-        m = k
+    m = _family_blocks(spec)[0]
     kinks = [w[0, 1]] if m > 1 else []
     if m < k:
         kinks.append(w[0, m])
@@ -527,22 +522,20 @@ def delta_fs(n: int, k: int, w, c_n: float) -> CorrectionReport:
 def delta_fs_special(spec: ContaminationSpec, n: int, c_n: float) -> CorrectionReport:
     """Analytic candidate beta' for the parametric families, evaluated.
 
-    For randomized response, beta'_0 = 1/(1-eps) and beta'_k = -eps/(1-eps)
-    make Omega vanish, so the value is c(n) exactly.  For block RR,
-    beta'_k = -b eps/(1-eps); for the two-level model, beta'_k = -p.  Used as
-    the optimizer cross-check and as a fast simplified mode.
+    beta'_0 = 1/(1-eps), the coefficient of I in W, and every beta'_k is K
+    times W's within-block coefficient (see
+    :func:`~noisycal.noise_model._inverse_blocks`): -eps/(1-eps) for
+    randomized response, where Omega vanishes and the value is c(n)
+    exactly, -b eps/(1-eps) for block RR and the paper's -p for the
+    two-level model.  Used as the optimizer cross-check and as a fast
+    simplified mode.
     """
     _check_int("n", n, 1)
     if not (np.isfinite(c_n) and c_n > 0.0):
         raise InvalidSpec(f"c_n must be positive, got {c_n}")
-    k, eps = spec.k, spec.eps
-    if spec.family is Family.RANDOMIZED_RESPONSE:
-        betas = np.full(k, -eps / (1.0 - eps))
-    elif spec.family is Family.BLOCK_RR:
-        betas = np.full(k, -spec.b * eps / (1.0 - eps))
-    else:
-        betas = np.full(k, -two_level_constants(eps, spec.nu).p)
-    beta = BetaVector(beta0=1.0 / (1.0 - eps), betas=betas)
+    k = spec.k
+    _, diag, within, _ = _inverse_blocks(spec)
+    beta = BetaVector(beta0=diag, betas=np.full(k, k * within))
     values = _fs_values(n, k, closed_form_inverse(spec).W, c_n, beta)
     value, branch = _smallest(values)
     return CorrectionReport(

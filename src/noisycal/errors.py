@@ -7,7 +7,7 @@ specification problems from genuine internal failures.
 
 from __future__ import annotations
 
-from numbers import Integral
+from numbers import Integral, Real
 
 __all__ = [
     "NoisycalError",
@@ -103,3 +103,13 @@ def _check_int(name: str, value, minimum: int) -> None:
         raise InvalidSpec(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise InvalidSpec(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_real(name: str, value) -> None:
+    """Raise InvalidSpec naming ``name`` unless value is a real number.
+
+    A bool is refused like a string: True would otherwise pass as 1.  Range
+    checks stay with the caller.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InvalidSpec(f"{name} must be a real number, got {value!r}")

@@ -1,11 +1,21 @@
 """Label-contamination models: construction, inversion and sampling.
 
 A contamination model is a column-stochastic transition matrix ``T`` with
-``T[k, l] = P(noisy label = k | true label = l)``.  Three parametric families
-have closed-form inverses (uniform randomized response, block randomized
-response, two-level randomized response); an explicit matrix, such as one
-read from a file, goes through ``transition_from_matrix`` and is inverted
-numerically.
+``T[k, l] = P(noisy label = k | true label = l)``.  The three parametric
+families (uniform randomized response, block randomized response, two-level
+randomized response) share one block form,
+
+    T = (1 - eps) I + within B + across (J - B),
+
+where B is the block-diagonal matrix of ones over blocks of m labels (m = K,
+K/b and K/2) and J the all-ones matrix.  T has the eigenvalues l1 = 1 - eps
+on contrasts within a block, l2 = l1 + m (within - across) on contrasts
+between blocks and 1 on constants, so its closed-form inverse is
+
+    W = I/l1 + (1/l2 - 1/l1) B/m + (1 - 1/l2) J/K.
+
+An explicit matrix, such as one read from a file, goes through
+``transition_from_matrix`` and is inverted numerically.
 
 Labels are 0-based everywhere inside the library; the file and CLI layers
 translate from the 1-based convention used in data files.
@@ -19,14 +29,12 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidSpec, SingularTransition, _check_int
+from .errors import InvalidSpec, SingularTransition, _check_int, _check_real
 
 __all__ = [
     "Family",
     "ContaminationSpec",
     "TransitionMatrix",
-    "TwoLevelDerived",
-    "two_level_constants",
     "build_transition",
     "closed_form_inverse",
     "transition_from_matrix",
@@ -76,6 +84,8 @@ class ContaminationSpec:
             ) from None
         object.__setattr__(self, "family", family)
         _check_int("k", self.k, 1)
+        _check_real("eps", self.eps)
+        _check_real("nu", self.nu)
         if not 0.0 <= self.eps < 1.0:
             raise InvalidSpec(f"eps must lie in [0, 1), got {self.eps}")
         if family is Family.BLOCK_RR:
@@ -151,48 +161,43 @@ def _as_w(w) -> NDArray[np.float64]:
     return np.asarray(w, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class TwoLevelDerived:
-    """Intermediate constants of the two-level closed-form inverse."""
+def _family_blocks(spec: ContaminationSpec) -> tuple[int, float, float]:
+    """(m, within, across) of the family's block form (module docstring).
 
-    f: float
-    g: float
-    e: float
-    p: float
-    h: float
-
-
-def two_level_constants(eps: float, nu: float) -> TwoLevelDerived:
-    """Derived constants (f, g, e, p, h) of the two-level model.
-
-    For eps in [0, 1) and nu in [0, 1] these satisfy h >= 0 and
-    p >= eps/(1-eps) >= h, hence |h - p| <= 2*eps/(1-eps).
+    m = K for RR, whose one block leaves ``across`` unused, K/b for block RR
+    and K/2 for the two-level model.
     """
-    f = eps * (1.0 + nu)
-    g = eps * (1.0 - nu)
-    e = (eps * (1.0 + nu) - eps**2 * (1.0 - nu)) / (1.0 - eps + f / 2.0)
-    p = (1.0 / (1.0 - eps)) * e / (1.0 - eps + e / 2.0)
-    h = (
-        (g / (1.0 - eps) ** 2)
-        * (1.0 - f / (2.0 * (1.0 - eps + f / 2.0)))
-        * (1.0 - e / (2.0 * (1.0 - eps + e / 2.0)))
-    )
-    return TwoLevelDerived(f=f, g=g, e=e, p=p, h=h)
+    k, eps = spec.k, spec.eps
+    if spec.family is Family.TWO_LEVEL_RR:
+        return k // 2, (eps / k) * (1.0 + spec.nu), (eps / k) * (1.0 - spec.nu)
+    m = k // spec.b if spec.family is Family.BLOCK_RR else k
+    return m, eps / m, 0.0
+
+
+def _block_matrix(
+    k: int, m: int, diag: float, within: float, across: float
+) -> NDArray[np.float64]:
+    """diag I + within B + across (J - B) for K labels in blocks of m."""
+    # a fill and slices only: np.where and fancy indexing here fault in
+    # ~0.2 MiB of numpy code that no other step of a calibrate run touches
+    out = np.full((k, k), across)
+    for start in range(0, k, m):
+        out[start : start + m, start : start + m] = within
+    return out + diag * np.eye(k)
 
 
 def _family_matrix(spec: ContaminationSpec) -> NDArray[np.float64]:
-    k, eps = spec.k, spec.eps
-    if spec.family is Family.RANDOMIZED_RESPONSE:
-        return (1.0 - eps) * np.eye(k) + (eps / k) * np.ones((k, k))
-    if spec.family is Family.BLOCK_RR:
-        m = k // spec.b
-        block = np.kron(np.eye(spec.b), np.ones((m, m)))
-        return (1.0 - eps) * np.eye(k) + (eps / m) * block
-    half = k // 2
-    ones = np.ones((half, half))
-    diag = (1.0 - eps) * np.eye(half) + (eps / k) * (1.0 + spec.nu) * ones
-    off = (eps / k) * (1.0 - spec.nu) * ones
-    return np.block([[diag, off], [off, diag]])
+    m, within, across = _family_blocks(spec)
+    return _block_matrix(spec.k, m, 1.0 - spec.eps, within, across)
+
+
+def _inverse_blocks(spec: ContaminationSpec) -> tuple[int, float, float, float]:
+    """(m, diag, within, across) of W = T^{-1} from T's eigenvalues l1, l2."""
+    m, within, across = _family_blocks(spec)
+    lam1 = 1.0 - spec.eps
+    inv1, inv2 = 1.0 / lam1, 1.0 / (lam1 + m * (within - across))
+    outer = (1.0 - inv2) / spec.k
+    return m, inv1, (inv2 - inv1) / m + outer, outer
 
 
 def _inverse(
@@ -233,29 +238,14 @@ def transition_from_matrix(t: NDArray[np.float64]) -> TransitionMatrix:
 
 
 def closed_form_inverse(spec: ContaminationSpec) -> TransitionMatrix:
-    """Build T and assemble W from the family's analytic inverse formula.
+    """Build T and assemble W from the analytic inverse of its block form.
 
-    For RR, W = I/(1-eps) - eps/(K(1-eps)) * J.  For block RR with m = K/b
-    labels per block, W = I/(1-eps) - eps/(m(1-eps)) * B where B is the
-    block-diagonal matrix of ones.  For the two-level model W is assembled
-    from the (p, h) constants of :func:`two_level_constants`.
+    One formula serves every family (see the module docstring); W = I
+    exactly at eps = 0.
     """
-    k, eps = spec.k, spec.eps
-    a = 1.0 / (1.0 - eps)
-    if spec.family is Family.RANDOMIZED_RESPONSE:
-        w = a * np.eye(k) - (eps * a / k) * np.ones((k, k))
-    elif spec.family is Family.BLOCK_RR:
-        m = k // spec.b
-        block = np.kron(np.eye(spec.b), np.ones((m, m)))
-        w = a * np.eye(k) - (eps * a / m) * block
-    else:
-        half = k // 2
-        ones = np.ones((half, half))
-        c = two_level_constants(eps, spec.nu)
-        diag = a * np.eye(half) - (c.p / k) * ones
-        off = -(c.h / k) * ones
-        w = np.block([[diag, off], [off, diag]])
-    return TransitionMatrix(T=_family_matrix(spec), W=w)
+    return TransitionMatrix(
+        T=_family_matrix(spec), W=_block_matrix(spec.k, *_inverse_blocks(spec))
+    )
 
 
 def _check_labels(labels: NDArray[np.int64], k: int) -> NDArray[np.int64]:
@@ -279,13 +269,18 @@ def sample_noisy_labels(
     Each draw uses inverse-CDF sampling on a single uniform variate, so the
     output is deterministic given the seed, and T = I reproduces the input
     exactly (the uniform lies in [0, 1), so the first CDF step at 1 is never
-    crossed).
+    crossed).  The K x K column CDFs are computed once and searched per true
+    class, so memory stays O(K^2 + n).
     """
     _check_int("seed", seed, 0)
     k = tm.k
     y = _check_labels(true_labels, k)
     rng = np.random.default_rng(seed)
     u = rng.random(y.size)
-    cdf = np.cumsum(tm.T[:, y], axis=0)
-    out = np.minimum((cdf <= u).sum(axis=0), k - 1)
-    return out.astype(np.int64)
+    cdf = np.cumsum(tm.T, axis=0)
+    out = np.empty(y.size, dtype=np.int64)
+    for label in range(k):
+        mask = y == label
+        # the count of CDF steps <= u, as the CDF is nondecreasing
+        out[mask] = np.searchsorted(cdf[:, label], u[mask], side="right")
+    return np.minimum(out, k - 1)

@@ -25,6 +25,7 @@ from .errors import (
     InsufficientVertices,
     InvalidSpec,
     _check_int,
+    _check_real,
 )
 
 __all__ = [
@@ -53,6 +54,8 @@ class SynthConfig:
     def __post_init__(self) -> None:
         for name in ("k", "d", "n_train", "n_cal", "n_test", "clusters_per_class"):
             _check_int(name, getattr(self, name), 1)
+        _check_real("cube_side", self.cube_side)
+        _check_real("imbalance_mu", self.imbalance_mu)
         # negated comparisons, so that a NaN fails these checks too
         if not 0.0 < self.cube_side < np.inf:
             raise InvalidSpec(

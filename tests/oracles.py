@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, optimize, special
 
-from noisycal import EmptyClass, FileFormatError
+from noisycal import ContaminationSpec, EmptyClass, Family, FileFormatError
 
 
 def gauss_inverse(t: np.ndarray) -> np.ndarray:
@@ -35,6 +36,113 @@ def gauss_inverse(t: np.ndarray) -> np.ndarray:
                 factor = a[row][col]
                 a[row] = [v - factor * p for v, p in zip(a[row], a[col])]
     return np.array([row[k:] for row in a])
+
+
+@dataclass(frozen=True)
+class TwoLevelDerived:
+    """Intermediate constants of the two-level closed-form inverse."""
+
+    f: float
+    g: float
+    e: float
+    p: float
+    h: float
+
+
+def two_level_constants(eps: float, nu: float) -> TwoLevelDerived:
+    """Derived constants (f, g, e, p, h) of the two-level model, as in the paper.
+
+    For eps in [0, 1) and nu in [0, 1] these satisfy h >= 0 and
+    p >= eps/(1-eps) >= h, hence |h - p| <= 2*eps/(1-eps).
+    """
+    f = eps * (1.0 + nu)
+    g = eps * (1.0 - nu)
+    e = (eps * (1.0 + nu) - eps**2 * (1.0 - nu)) / (1.0 - eps + f / 2.0)
+    p = (1.0 / (1.0 - eps)) * e / (1.0 - eps + e / 2.0)
+    h = (
+        (g / (1.0 - eps) ** 2)
+        * (1.0 - f / (2.0 * (1.0 - eps + f / 2.0)))
+        * (1.0 - e / (2.0 * (1.0 - eps + e / 2.0)))
+    )
+    return TwoLevelDerived(f=f, g=g, e=e, p=p, h=h)
+
+
+def reference_family_matrix(spec) -> np.ndarray:
+    """T of a parametric family, one formula per family."""
+    k, eps = spec.k, spec.eps
+    if spec.family is Family.RANDOMIZED_RESPONSE:
+        return (1.0 - eps) * np.eye(k) + (eps / k) * np.ones((k, k))
+    if spec.family is Family.BLOCK_RR:
+        m = k // spec.b
+        block = np.kron(np.eye(spec.b), np.ones((m, m)))
+        return (1.0 - eps) * np.eye(k) + (eps / m) * block
+    half = k // 2
+    ones = np.ones((half, half))
+    diag = (1.0 - eps) * np.eye(half) + (eps / k) * (1.0 + spec.nu) * ones
+    off = (eps / k) * (1.0 - spec.nu) * ones
+    return np.block([[diag, off], [off, diag]])
+
+
+def reference_family_inverse(spec) -> np.ndarray:
+    """W = T^{-1} of a parametric family, one formula per family.
+
+    RR: I/(1-eps) - eps/(K(1-eps)) J; block RR: I/(1-eps) - eps/(m(1-eps)) B;
+    two-level: assembled from the (p, h) constants of two_level_constants.
+    """
+    k, eps = spec.k, spec.eps
+    a = 1.0 / (1.0 - eps)
+    if spec.family is Family.RANDOMIZED_RESPONSE:
+        return a * np.eye(k) - (eps * a / k) * np.ones((k, k))
+    if spec.family is Family.BLOCK_RR:
+        m = k // spec.b
+        block = np.kron(np.eye(spec.b), np.ones((m, m)))
+        return a * np.eye(k) - (eps * a / m) * block
+    half = k // 2
+    ones = np.ones((half, half))
+    c = two_level_constants(eps, spec.nu)
+    diag = a * np.eye(half) - (c.p / k) * ones
+    off = -(c.h / k) * ones
+    return np.block([[diag, off], [off, diag]])
+
+
+def reference_beta_prime(spec) -> tuple[float, float]:
+    """(beta'_0, beta'_k) of the analytic candidate, one formula per family."""
+    eps = spec.eps
+    if spec.family is Family.RANDOMIZED_RESPONSE:
+        beta = -eps / (1.0 - eps)
+    elif spec.family is Family.BLOCK_RR:
+        beta = -spec.b * eps / (1.0 - eps)
+    else:
+        beta = -two_level_constants(eps, spec.nu).p
+    return 1.0 / (1.0 - eps), beta
+
+
+def family_grid() -> list:
+    """Parametric specs over every family, K up to 200, every divisor b of K,
+    nu in {0, 0.2, 0.8, 1} and eps up to 0.95; blocks of one label (block RR
+    with b = K, two-level with K = 2) included."""
+    specs = []
+    for k in (1, 2, 4, 6, 20, 60, 200):
+        for eps in (0.0, 0.1, 0.6, 0.95):
+            specs.append(ContaminationSpec(family=Family.RANDOMIZED_RESPONSE, k=k, eps=eps))
+            specs += [
+                ContaminationSpec(family=Family.BLOCK_RR, k=k, eps=eps, b=b)
+                for b in range(1, k + 1)
+                if k % b == 0
+            ]
+            if k % 2 == 0:
+                specs += [
+                    ContaminationSpec(family=Family.TWO_LEVEL_RR, k=k, eps=eps, nu=nu)
+                    for nu in (0.0, 0.2, 0.8, 1.0)
+                ]
+    return specs
+
+
+def reference_noisy_labels(true_labels: np.ndarray, t: np.ndarray, seed: int) -> np.ndarray:
+    """Inverse-CDF sampling on a K x n matrix of per-sample column CDFs."""
+    u = np.random.default_rng(seed).random(true_labels.size)
+    cdf = np.cumsum(t[:, true_labels], axis=0)
+    return np.minimum((cdf <= u).sum(axis=0), t.shape[0] - 1).astype(np.int64)
 
 
 def brute_aps(p: np.ndarray) -> np.ndarray:

@@ -14,13 +14,13 @@ PUBLIC_NAMES = {
     "LadderMismatch", "LengthMismatch", "NoisycalError",
     "OPTIMISTIC_CAVEAT", "SingularM", "SingularTransition",
     "SoftmaxModel", "SolverFailure", "SynthConfig", "ThresholdResult",
-    "TransitionMatrix", "TwoLevelDerived", "adaptive_threshold", "aps_scores",
+    "TransitionMatrix", "adaptive_threshold", "aps_scores",
     "b_term", "build_transition", "c_of_n", "closed_form_inverse", "cn_envelope",
     "delta_asy", "delta_fs", "delta_fs_special", "delta_hat",
     "delta_star_star_bound", "estimate_covariance", "evaluate", "generate",
     "omega_matrix", "optimistic_threshold", "predict_probs", "prediction_sets",
     "sample_noisy_labels", "standard_threshold", "train_softmax",
-    "transition_from_matrix", "two_level_constants", "upper_bound_diagnostics",
+    "transition_from_matrix", "upper_bound_diagnostics",
     "validate_probability_rows",
 }
 
@@ -32,7 +32,7 @@ def test_public_api_is_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 54
+    assert len(PUBLIC_NAMES) == 52
 
 
 def test_fileio_and_cli_surfaces_are_pinned():

@@ -674,6 +674,28 @@ def test_main_synth_experiment_non_bool_randomized_scores_exits_2(tmp_path, caps
     assert f"error: randomized_scores must be true or false, got {bad!r}" in err
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"family": "two_level_rr", "nu": True}, "nu must be a real number, got True"),
+        ({"eps": False}, "eps must be a real number, got False"),
+        ({"cube_side": True}, "cube_side must be a real number, got True"),
+        ({"imbalance_mu": "0.5"}, "imbalance_mu must be a real number, got '0.5'"),
+        ({"family": "two_level_rr", "nu": "0.2"}, "nu must be a real number, got '0.2'"),
+        ({"alpha": None}, "alpha must be a real number, got None"),
+    ],
+    ids=["bool-nu", "bool-eps", "bool-cube-side", "string-mu", "string-nu", "null-alpha"],
+)
+def test_main_synth_experiment_non_real_float_field_exits_2(tmp_path, capsys, bad, message):
+    # a bool once ran as 0 or 1 without a word; a string or null failed on a
+    # comparison inside the range check
+    cfg = {"k": 2, "d": 4, "n_train": 150, "n_cal": 50, "n_test": 30, "eps": 0.1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg | bad))
+    assert main(["synth-experiment", "--config", str(cfg_path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_main_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["calibrate", "--nonsense"])

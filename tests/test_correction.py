@@ -47,8 +47,11 @@ from oracles import (
     brute_covariance,
     dense_branch_lp,
     dense_ladder_sups,
+    family_grid,
     mc_c_of_n,
     multiplier_sup,
+    reference_beta_prime,
+    reference_family_inverse,
     smirnov_mean,
 )
 
@@ -318,6 +321,22 @@ def test_delta_fs_special_two_level_nu_zero_reduces_to_rr():
     a = delta_fs_special(rr, 700, 0.05)
     b = delta_fs_special(tl, 700, 0.05)
     assert a.value == pytest.approx(b.value, abs=1e-9)
+
+
+def test_delta_fs_special_matches_per_family_beta_over_grid():
+    # beta' from W's block form against the per-family formulas, evaluated on
+    # the per-family W
+    n = 1000
+    cn = c_of_n(n)
+    for spec in family_grid():
+        rep = delta_fs_special(spec, n, cn)
+        beta0, beta = reference_beta_prime(spec)
+        assert rep.beta_star.beta0 == pytest.approx(beta0, rel=1e-12), spec
+        assert np.allclose(rep.beta_star.betas, beta, rtol=1e-12, atol=0.0), spec
+        ref = BetaVector(beta0=beta0, betas=np.full(spec.k, beta))
+        bval, _ = b_term(spec.k, n, ref, reference_family_inverse(spec))
+        want = max(cn * (beta0 + beta) + bval / math.sqrt(n), 0.0)
+        assert rep.value == pytest.approx(want, rel=1e-12), spec
 
 
 # ---------------------------------------------------------------------------

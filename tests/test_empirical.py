@@ -168,7 +168,12 @@ def test_delta_hat_and_i_hat_match_oracle_under_ties_property(instance):
     assert np.array_equal(curve.order_stats, order)
     assert np.allclose(curve.values, values, atol=1e-12, rtol=0.0)
     report = CorrectionReport(method=CorrectionMethod.CN_ONLY, value=delta)
-    i_want, tau_want, _ = brute_adaptive(order, values, alpha, delta)
+    # the rule is enumerated on the library's Delta_hat, which matches the
+    # oracle's only to rounding: with all scores 0, alpha = delta = 0.5 and
+    # W = 1 - 2^-53, the oracle's Delta_hat is -2^-53 and the library's
+    # -2^-52, so the right side 1 + 2^-53 rounds to 1 for one and rank n is
+    # a member, while 1 + 2^-52 does not for the other
+    i_want, tau_want, _ = brute_adaptive(order, curve.values, alpha, delta)
     res = adaptive_threshold(cal, w, alpha, report)
     assert res.i_hat == i_want
     assert res.tau == tau_want

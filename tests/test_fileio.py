@@ -78,7 +78,8 @@ def test_probability_labels_are_one_based_on_disk(tmp_path):
     p = np.array([[0.25, 0.75]])
     path = str(tmp_path / "p.csv")
     write_probability_csv(path, p, y_noisy=np.array([0]), y_true=np.array([1]))
-    rows = list(csv.reader(open(path)))
+    with open(path) as handle:
+        rows = list(csv.reader(handle))
     assert rows[0] == ["p_1", "p_2", "y_noisy", "y_true"]
     assert rows[1][2:] == ["1", "2"]
 
@@ -87,7 +88,8 @@ def test_scores_use_s_prefix(tmp_path):
     s = np.array([[0.5, 1.0], [0.25, 1.0]])
     path = str(tmp_path / "s.csv")
     np.savetxt(path, s, delimiter=",", fmt="%.17g", header="s_1,s_2", comments="")
-    header = open(path).readline().strip().split(",")
+    with open(path) as handle:
+        header = handle.readline().strip().split(",")
     assert header == ["s_1", "s_2"]
     kind, got, _, _ = read_probability_csv(path)
     assert kind == "s"
@@ -386,7 +388,8 @@ def results_row(**kw):
 def test_results_csv_header_and_cells(tmp_path):
     path = str(tmp_path / "r.csv")
     write_results_csv(path, [results_row(), results_row(method="adaptive-fs", seed=1)])
-    rows = list(csv.reader(open(path)))
+    with open(path) as handle:
+        rows = list(csv.reader(handle))
     assert tuple(rows[0]) == RESULTS_HEADER
     assert rows[1][0] == "standard"
     assert rows[2][-1] == "1"
@@ -404,7 +407,8 @@ def test_results_csv_floats_are_their_repr(tmp_path):
     path = str(tmp_path / "r.csv")
     tau, coverage = np.float64(0.1) + np.float64(0.2), 1 / 3
     write_results_csv(path, [results_row(tau_hat=tau, coverage=coverage, seed=np.int64(7))])
-    row = list(csv.DictReader(open(path)))[0]
+    with open(path) as handle:
+        row = list(csv.DictReader(handle))[0]
     assert row["tau_hat"] == repr(float(tau)) == "0.30000000000000004"
     assert row["coverage"] == repr(coverage)
     assert row["seed"] == "7"
@@ -430,7 +434,8 @@ def test_summary_csv_header(tmp_path):
             }
         ],
     )
-    rows = list(csv.reader(open(path)))
+    with open(path) as handle:
+        rows = list(csv.reader(handle))
     assert tuple(rows[0]) == SUMMARY_HEADER
     assert rows[1][1] == "20"
 
@@ -465,7 +470,8 @@ def test_threshold_json_contents(tmp_path):
     )
     path = str(tmp_path / "t.json")
     write_threshold_json(path, res)
-    blob = json.loads(open(path).read())
+    with open(path) as handle:
+        blob = json.load(handle)
     assert blob["tau"] == 0.87
     assert blob["i_hat"] == 91
     assert blob["method"] == "adaptive"
@@ -485,7 +491,8 @@ def test_threshold_json_fallback_round_trips(tmp_path):
     )
     path = str(tmp_path / "t.json")
     write_threshold_json(path, res)
-    blob = json.loads(open(path).read())
+    with open(path) as handle:
+        blob = json.load(handle)
     assert blob["tau"] == 1.0
     assert blob["i_hat"] is None
     assert blob["correction"] is None
@@ -505,7 +512,8 @@ def test_threshold_json_writes_every_field_of_the_record(tmp_path):
     )
     path = str(tmp_path / "t.json")
     write_threshold_json(path, res)
-    blob = json.loads(open(path).read())
+    with open(path) as handle:
+        blob = json.load(handle)
     assert set(blob) == {f.name for f in dataclasses.fields(TimedResult)}
     assert blob["stage_s"] == 0.25
     assert set(blob["correction"]) == {f.name for f in dataclasses.fields(CorrectionReport)}

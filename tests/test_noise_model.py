@@ -14,10 +14,16 @@ from noisycal import (
     closed_form_inverse,
     sample_noisy_labels,
     transition_from_matrix,
-    two_level_constants,
     upper_bound_diagnostics,
 )
-from oracles import gauss_inverse
+from oracles import (
+    family_grid,
+    gauss_inverse,
+    reference_family_inverse,
+    reference_family_matrix,
+    reference_noisy_labels,
+    two_level_constants,
+)
 
 
 def rr(k, eps):
@@ -89,6 +95,21 @@ def test_closed_form_grid_against_elimination(k, eps):
         assert np.max(np.abs(tm.T @ tm.W - np.eye(k))) <= 1e-10
 
 
+def test_block_form_matches_per_family_formulas_over_grid():
+    specs = family_grid()
+    assert any(s.family is Family.BLOCK_RR and s.b == s.k > 1 for s in specs)
+    assert any(s.family is Family.TWO_LEVEL_RR and s.k == 2 for s in specs)
+    for spec in specs:
+        t_ref = reference_family_matrix(spec)
+        assert np.array_equal(build_transition(spec).T, t_ref), spec
+        tm = closed_form_inverse(spec)
+        assert np.array_equal(tm.T, t_ref), spec
+        w_ref = reference_family_inverse(spec)
+        assert np.max(np.abs(tm.W - w_ref)) <= 1e-13 * np.max(np.abs(w_ref)), spec
+        if spec.eps == 0.0:
+            assert np.array_equal(tm.W, np.eye(spec.k)), spec
+
+
 def test_two_level_constants_invariants():
     for eps in (0.05, 0.1, 0.2):
         for nu in (0.0, 0.2, 0.8, 1.0):
@@ -126,6 +147,21 @@ def test_spec_validation():
 def test_spec_refuses_non_integer_counts(kwargs, message):
     # an integral float passes a range check and a divisibility check, and
     # build_transition then fails on it with a bare TypeError
+    with pytest.raises(InvalidSpec, match=message):
+        ContaminationSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(family="rr", k=4, eps=True), "eps must be a real number, got True"),
+        (dict(family="rr", k=4, eps="0.1"), "eps must be a real number, got '0.1'"),
+        (dict(family="two_level_rr", k=4, eps=0.1, nu=True), "nu must be a real number, got True"),
+        (dict(family="two_level_rr", k=4, eps=0.1, nu=None), "nu must be a real number, got None"),
+    ],
+)
+def test_spec_refuses_non_real_parameters(kwargs, message):
+    # a bool passed the range check as 0 or 1; a string failed it with a TypeError
     with pytest.raises(InvalidSpec, match=message):
         ContaminationSpec(**kwargs)
 
@@ -279,3 +315,30 @@ def test_closed_form_inverse_inverts_built_transition_property(spec):
 def test_sample_noisy_is_identity_without_noise_property(spec, draws, seed):
     y = np.array(draws) % spec.k
     assert np.array_equal(sample_noisy_labels(y, build_transition(spec), seed=seed), y)
+
+
+@st.composite
+def column_stochastic(draw):
+    """A random T, diagonally dominant by columns so that it inverts."""
+    k = draw(st.integers(min_value=1, max_value=8))
+    raw = np.array(
+        draw(st.lists(st.floats(0.0, 1.0), min_size=k * k, max_size=k * k))
+    ).reshape(k, k) + k * np.eye(k)
+    return raw / raw.sum(axis=0)
+
+
+@given(
+    st.one_of(parametric_specs(), column_stochastic()),
+    st.lists(st.integers(min_value=0, max_value=1_000), max_size=200),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_sample_noisy_matches_per_sample_cdf_property(model, draws, seed):
+    # the K x n per-sample CDF the sampler once built gives the same labels
+    if isinstance(model, np.ndarray):
+        tm = transition_from_matrix(model)
+    else:
+        tm = build_transition(model)
+    y = np.array(draws, dtype=np.int64) % tm.k
+    got = sample_noisy_labels(y, tm, seed=seed)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference_noisy_labels(y, tm.T, seed))
