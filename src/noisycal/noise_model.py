@@ -178,8 +178,6 @@ def _block_matrix(
     k: int, m: int, diag: float, within: float, across: float
 ) -> NDArray[np.float64]:
     """diag I + within B + across (J - B) for K labels in blocks of m."""
-    # a fill and slices only: np.where and fancy indexing here fault in
-    # ~0.2 MiB of numpy code that no other step of a calibrate run touches
     out = np.full((k, k), across)
     for start in range(0, k, m):
         out[start : start + m, start : start + m] = within
