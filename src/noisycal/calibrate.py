@@ -31,7 +31,7 @@ from numpy.typing import NDArray
 
 from .correction import CorrectionReport
 from .empirical import CalibrationSet, delta_hat
-from .errors import InvalidSpec, LengthMismatch
+from .errors import InvalidSpec, LengthMismatch, _check_real
 from .scores import _require_scores
 
 __all__ = [
@@ -76,6 +76,7 @@ class ThresholdResult:
 
 
 def _check_alpha(alpha: float) -> None:
+    _check_real("alpha", alpha)
     if not 0.0 < alpha < 1.0:
         raise InvalidSpec(f"alpha must lie in (0, 1), got {alpha}")
 

@@ -17,11 +17,13 @@ Three routes produce a correction:
 * ``delta_asy``: asymptotic route; estimates the plug-in covariance of the
   limiting Gaussian process once, on the finest grid of a halving ladder
   (``estimate_covariance``), factors it, simulates its absolute supremum on
-  every level from one batch of float32 draws (one dense float32 product
-  with the factor), extrapolates the two finest levels by one Richardson
-  pass, and rescales by 1/sqrt(n).  The default ladder is h = 1/25, 1/50,
-  1/100 (finest grid N = 101 points): the sampler costs O(N^2) per draw,
-  while the extrapolate barely depends on N.
+  every level from one stream of m float32 draws, extrapolates the two
+  finest levels by one Richardson pass, and rescales by 1/sqrt(n).  The
+  draws stream through two fixed float32 buffers of 2,048 draws (0.8 MiB
+  each at N = 101), one dense float32 product with the factor per slice,
+  so the working memory is O(nK + N^2), independent of m.  The default
+  ladder is h = 1/25, 1/50, 1/100 (finest grid N = 101 points): the
+  sampler costs O(N^2) per draw, while the extrapolate barely depends on N.
 
 ``delta_star_star_bound`` and ``upper_bound_diagnostics`` compute the purely
 diagnostic quantities (the bound on the expected absolute supremum of the
@@ -626,6 +628,13 @@ def _jittered_cholesky(
     )
 
 
+# The ladder's draws stream through two float32 buffers of this many rows,
+# 0.8 MiB each at N = 101.  Every product repacks the N x N factor, which a
+# short slice does not amortize: at N = 1601, slices of 163 draws (1 MiB)
+# made the ladder ~14% slower than batches of 3,123.
+_LADDER_ROWS = 2048
+
+
 def _ladder_sups(
     sigma: NDArray[np.float64], strides, m: int, seed: int
 ) -> tuple[NDArray[np.float64], NDArray[np.float64] | None, float | None]:
@@ -636,9 +645,12 @@ def _ladder_sups(
     the float64 suprema, L and its jitter multiplier; an all-zero sigma is
     not factored, so its suprema are 0 and L and the multiplier None.
 
-    sigma and L stay float64.  The draws z and the product L z are float32:
-    each batch of draws, one per row, is multiplied by a float32 copy of
-    L^T in one dense product, so row i of the result is L z_i.
+    sigma and L stay float64.  The draws z and the product L z are float32
+    and stream through two fixed buffers of ``_LADDER_ROWS`` rows: each
+    slice of draws, one per row, is multiplied by a float32 copy of L^T in
+    one dense product, so row i of the result is L z_i.  The stream fills
+    the draws in the same order whatever the split, so the working memory
+    is O(N^2), independent of m; only the m suprema per level are kept.
     """
     if m < 1000:
         raise InvalidSpec("m must be >= 1000")
@@ -648,16 +660,23 @@ def _ladder_sups(
     upper32 = chol.T.astype(np.float32)
     rng = np.random.default_rng(seed)
     npts = sigma.shape[0]
-    batch = max(1, int(5_000_000 // npts))
+    z = np.empty((_LADDER_ROWS, npts), dtype=np.float32)
+    x = np.empty((_LADDER_ROWS, npts), dtype=np.float32)
+    # slices of equal size (at least 1,000 draws), not full ones plus a
+    # remainder: a product of a few rows can take a BLAS small-matrix or
+    # matrix-vector kernel that rounds differently, and the suprema would
+    # then depend on the split
+    slices = -(-m // _LADDER_ROWS)
+    edges = [m * i // slices for i in range(slices + 1)]
     sups = np.empty((len(strides), m))
-    for start in range(0, m, batch):
-        b = min(batch, m - start)
-        z = rng.standard_normal((b, npts), dtype=np.float32)
-        x = z @ upper32
-        np.abs(x, out=x)
+    for start, stop in zip(edges, edges[1:]):
+        b = stop - start
+        rng.standard_normal(dtype=np.float32, out=z[:b])
+        np.matmul(z[:b], upper32, out=x[:b])
+        np.abs(x[:b], out=x[:b])
         for j, stride in enumerate(strides):
             # reduce in float32, then assign: the cast to float64 is exact
-            sups[j, start : start + b] = x[:, ::stride].max(axis=1)
+            sups[j, start:stop] = x[:b, ::stride].max(axis=1)
     return sups, chol, mult
 
 
@@ -688,9 +707,12 @@ def delta_asy(
     For each step h the unit interval is discretized at the 1/h + 1 points
     {0, h, 2h, ..., 1}.  The ladder needs at least two steps and they must
     halve, so each grid is a strided sub-grid of the finest: one covariance,
-    one factor and one batch of m draws serve every level.  One Richardson
-    pass with exponent 1/2 (the grid bias of a Gaussian supremum is
-    O(sqrt(h))) extrapolates the two finest levels A(h) and A(h/2) to
+    one factor and one stream of m draws serve every level.  The draws
+    stream through two fixed float32 buffers of 2,048 draws (0.8 MiB each
+    at N = 101), so the working memory is O(nK + N^2), independent of m;
+    only the m suprema of each level are kept.  One Richardson pass with
+    exponent 1/2 (the grid bias of a Gaussian supremum is O(sqrt(h)))
+    extrapolates the two finest levels A(h) and A(h/2) to
     (sqrt(2) A(h/2) - A(h)) / (sqrt(2) - 1); coarser levels are only
     reported.  The pass runs per replicate, which gives the SE of the
     extrapolated value, and the result is scaled by 1/sqrt(n).

@@ -217,7 +217,7 @@ def train_softmax(
         raise InvalidSpec(f"training labels must be integers, got dtype {y.dtype}")
     if not np.all(np.isfinite(x)):
         raise InvalidSpec("x must be finite (no NaN or infinity)")
-    if np.unique(y).size < 2:
+    if y.size == 0 or y.min() == y.max():
         raise DegenerateData("training labels contain fewer than 2 classes")
     if n_classes is None:
         k = int(y.max()) + 1

@@ -457,12 +457,37 @@ def dense_ladder_sups(chol: np.ndarray, strides, m: int, seed: int) -> np.ndarra
     """Per-replicate absolute suprema of x = L z on every strides[j]-th point.
 
     The same float32 normals that ``default_rng(seed)`` gives the library's
-    sampler, drawn in one call instead of in batches, multiplied in float64
+    sampler, drawn in one call instead of in slices, multiplied in float64
     by the whole dense factor (zeros included) and reduced level by level.
     """
     z = np.random.default_rng(seed).standard_normal((m, chol.shape[0]), dtype=np.float32)
     x = np.abs(z.astype(np.float64) @ chol.T)
     return np.stack([x[:, ::stride].max(axis=1) for stride in strides])
+
+
+def one_call_ladder_sups(sigma: np.ndarray, strides, m: int, seed: int):
+    """The float32 ladder sampler with all m draws made and multiplied at once.
+
+    Factors sigma + mult * mean(diag sigma) * I at the first multiplier of
+    the jitter ladder that succeeds, draws the m x N float32 normals of
+    ``default_rng(seed)`` in one call and multiplies them by the float32
+    transposed factor in one product.  Returns the float64 suprema per
+    stride, the factor and the multiplier.
+    """
+    npts = sigma.shape[0]
+    mean_diag = float(np.trace(sigma)) / npts
+    for mult in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+        try:
+            chol = np.linalg.cholesky(sigma + mult * mean_diag * np.eye(npts))
+            break
+        except np.linalg.LinAlgError:
+            continue
+    else:
+        raise np.linalg.LinAlgError("no jitter of the ladder makes sigma factorable")
+    z = np.random.default_rng(seed).standard_normal((m, npts), dtype=np.float32)
+    x = np.abs(z @ chol.T.astype(np.float32))
+    sups = np.stack([x[:, ::stride].max(axis=1) for stride in strides])
+    return sups.astype(np.float64), chol, mult
 
 
 def dense_branch_lp(

@@ -97,6 +97,20 @@ def test_standard_rejects_bad_alpha():
             standard_threshold(cal, alpha)
 
 
+@pytest.mark.parametrize("alpha", ["0.1", None, True], ids=["str", "none", "bool"])
+@pytest.mark.parametrize("rule", ["standard", "adaptive", "optimistic"])
+def test_thresholds_reject_non_real_alpha(rule, alpha):
+    # a str or None used to reach the range check and raise a bare TypeError
+    cal = random_calibration(4, 10, 2)
+    with pytest.raises(InvalidSpec, match="alpha must be a real number"):
+        if rule == "standard":
+            standard_threshold(cal, alpha)
+        elif rule == "adaptive":
+            adaptive_threshold(cal, rr_w(2, 0.1), alpha, report(0.0))
+        else:
+            optimistic_threshold(cal, rr_w(2, 0.1), alpha, report(0.0))
+
+
 # ---------------------------------------------------------------------------
 # adaptive rule
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -50,6 +51,7 @@ from oracles import (
     family_grid,
     mc_c_of_n,
     multiplier_sup,
+    one_call_ladder_sups,
     reference_beta_prime,
     reference_family_inverse,
     smirnov_mean,
@@ -697,13 +699,42 @@ def bridge_covariance(npts):
 
 def test_ladder_sups_match_dense_float64_oracle():
     # float32 draws and triangular multiply against the same draws times the
-    # dense float64 factor; m = 13,000 spans two batches at N = 401
+    # dense float64 factor; m = 13,000 spans seven slices
     strides, m = (4, 2, 1), 13_000
     sups, chol, _ = correction._ladder_sups(bridge_covariance(401), strides, m, seed=21)
     assert sups.dtype == np.float64 and sups.shape == (len(strides), m)
     np.testing.assert_allclose(
         sups, dense_ladder_sups(chol, strides, m, seed=21), rtol=1e-5, atol=0.0
     )
+
+
+@pytest.mark.parametrize("strides", [(2, 1), (4, 2, 1)])
+@pytest.mark.parametrize("npts", [7, 101, 401])
+@pytest.mark.parametrize("ragged", [False, True], ids=["m1000", "ragged"])
+def test_ladder_sups_equal_one_call_sampler(npts, strides, ragged):
+    # the buffers only split one draw stream: the suprema are bitwise those
+    # of all m draws made and multiplied at once.  The ragged m is two full
+    # buffers plus one draw, whose lone row a full-slices-then-remainder
+    # split would send to a matrix-vector product
+    m = 2 * correction._LADDER_ROWS + 1 if ragged else 1000
+    sigma = bridge_covariance(npts)
+    sups, chol, mult = correction._ladder_sups(sigma, strides, m, seed=5)
+    want, want_chol, want_mult = one_call_ladder_sups(sigma, strides, m, seed=5)
+    assert np.array_equal(chol, want_chol) and mult == want_mult
+    assert np.array_equal(sups, want)
+
+
+def test_ladder_sups_working_memory_does_not_grow_with_m():
+    # two 0.8 MiB float32 buffers and the 2.4 MB of float64 suprema; one
+    # 100,000 x 101 batch of draws and its product would take 81 MB
+    sigma = bridge_covariance(101)
+    tracemalloc.start()
+    try:
+        correction._ladder_sups(sigma, (4, 2, 1), 100_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("shift, expected_mult", [(0.0, 1e-10), (-5e-9, 1e-8)])
