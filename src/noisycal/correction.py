@@ -19,9 +19,11 @@ Three routes produce a correction:
   (``estimate_covariance``), factors it, simulates its absolute supremum on
   every level from one stream of m float32 draws, extrapolates the two
   finest levels by one Richardson pass, and rescales by 1/sqrt(n).  The
-  draws stream through two fixed float32 buffers of 2,048 draws (0.8 MiB
-  each at N = 101), one dense float32 product with the factor per slice,
-  so the working memory is O(nK + N^2), independent of m.  The default
+  normals come from a vectorized Box-Muller transform (float64 radius,
+  float32 angle) of one ``default_rng(seed)`` stream.  The draws stream
+  through two fixed float32 buffers of 2,048 draws (0.8 MiB each at
+  N = 101), one dense float32 product with the factor per slice, so the
+  working memory is O(nK + N^2), independent of m.  The default
   ladder is h = 1/25, 1/50, 1/100 (finest grid N = 101 points): the
   sampler costs O(N^2) per draw, while the extrapolate barely depends on N.
 
@@ -606,13 +608,11 @@ def _jittered_cholesky(
     """Lower Cholesky factor of sigma + mult * mean(diag sigma) * I.
 
     ``mult`` is the first value of the jitter ladder at which the
-    factorization succeeds; it is returned with the factor.  Raises
-    CholeskyFailure for a nonpositive trace or when the whole ladder fails.
+    factorization succeeds; it is returned with the factor.  sigma must have
+    a positive trace.  Raises CholeskyFailure when the whole ladder fails.
     """
     npts = sigma.shape[0]
     mean_diag = float(np.trace(sigma)) / npts
-    if mean_diag <= 0.0:
-        raise CholeskyFailure("covariance trace is nonpositive")
     # one copy serves every try: only its diagonal changes
     jittered = sigma.copy()
     diag = sigma.diagonal()
@@ -628,11 +628,45 @@ def _jittered_cholesky(
     )
 
 
-# The ladder's draws stream through two float32 buffers of this many rows,
+# The ladder's draws stream through two float32 buffers of this many draws,
 # 0.8 MiB each at N = 101.  Every product repacks the N x N factor, which a
 # short slice does not amortize: at N = 1601, slices of 163 draws (1 MiB)
 # made the ladder ~14% slower than batches of 3,123.
-_LADDER_ROWS = 2048
+_LADDER_DRAWS = 2048
+
+
+def _box_muller(
+    rng: np.random.Generator, out: NDArray[np.float32], scratch: NDArray[np.float32]
+) -> None:
+    """Fill the contiguous float32 array ``out`` with iid N(0, 1) draws.
+
+    Box-Muller: from h = ceil(size / 2) pairs of uniforms (u, v), the
+    radius r = sqrt(-2 log(1 - u)) and the angle 2 pi v give the first h
+    entries r cos(2 pi v) and the rest r sin(2 pi v), the last sine dropped
+    when the size is odd.  u is float64, so the radius reaches
+    sqrt(106 log 2) ~ 8.6 at 1 - u = 2^-53 (float32 uniforms would stop at
+    5.8); v is float32.  All h values of u are drawn before all h of v.
+    The uniforms and the radius live in ``scratch``, a flat float32 array
+    of at least 2h entries, so nothing is allocated.
+    """
+    flat = out.reshape(-1)
+    n = flat.shape[0]
+    h = (n + 1) // 2
+    radius = scratch[: 2 * h].view(np.float64)
+    rng.random(dtype=np.float64, out=radius)
+    np.subtract(1.0, radius, out=radius)
+    np.log(radius, out=radius)
+    np.multiply(radius, -2.0, out=radius)
+    np.sqrt(radius, out=radius)
+    cos, sin = flat[:h], flat[h:]
+    cos[...] = radius
+    angle = scratch[:h]
+    rng.random(dtype=np.float32, out=angle)
+    np.multiply(angle, np.float32(2.0 * math.pi), out=angle)
+    np.sin(angle[: n - h], out=sin)
+    np.multiply(sin, cos[: n - h], out=sin)
+    np.cos(angle, out=angle)
+    np.multiply(cos, angle, out=cos)
 
 
 def _ladder_sups(
@@ -641,42 +675,54 @@ def _ladder_sups(
     """Absolute suprema of m draws x = L z, L L^T the jittered sigma.
 
     Row j holds, per replicate, max |x| over every strides[j]-th point, all
-    rows from the same draws of one ``default_rng(seed)`` stream.  Returns
-    the float64 suprema, L and its jitter multiplier; an all-zero sigma is
-    not factored, so its suprema are 0 and L and the multiplier None.
+    rows from the same draws of one ``default_rng(seed)`` stream; each
+    stride is half the one before it.  Returns the float64 suprema, L and
+    its jitter multiplier.  A sigma of nonpositive trace is zero (it is
+    PSD up to rounding), so it is not factored: its suprema are 0 and L
+    and the multiplier None.
 
-    sigma and L stay float64.  The draws z and the product L z are float32
-    and stream through two fixed buffers of ``_LADDER_ROWS`` rows: each
-    slice of draws, one per row, is multiplied by a float32 copy of L^T in
-    one dense product, so row i of the result is L z_i.  The stream fills
-    the draws in the same order whatever the split, so the working memory
-    is O(N^2), independent of m; only the m suprema per level are kept.
+    sigma and L stay float64.  The normals z come from ``_box_muller``;
+    z and the product L z are float32 and stream through two fixed buffers
+    of ``_LADDER_DRAWS`` draws: each slice holds one draw per column and is
+    multiplied by a float32 copy of L in one dense product, so column i of
+    the result is L z_i and each level's maxima run along contiguous rows.
+    The working memory is O(N^2), independent of m; only the m suprema per
+    level are kept.
     """
     if m < 1000:
         raise InvalidSpec("m must be >= 1000")
-    if not sigma.any():
+    if np.trace(sigma) <= 0.0:
         return np.zeros((len(strides), m)), None, None
     chol, mult = _jittered_cholesky(sigma)
-    upper32 = chol.T.astype(np.float32)
+    lower32 = chol.astype(np.float32)
     rng = np.random.default_rng(seed)
     npts = sigma.shape[0]
-    z = np.empty((_LADDER_ROWS, npts), dtype=np.float32)
-    x = np.empty((_LADDER_ROWS, npts), dtype=np.float32)
+    z_buf = np.empty(_LADDER_DRAWS * npts, dtype=np.float32)
+    # x_buf holds the Box-Muller scratch until the product overwrites it;
+    # its size is even (_LADDER_DRAWS is), so it holds 2 ceil(b N / 2) floats
+    x_buf = np.empty(_LADDER_DRAWS * npts, dtype=np.float32)
     # slices of equal size (at least 1,000 draws), not full ones plus a
-    # remainder: a product of a few rows can take a BLAS small-matrix or
-    # matrix-vector kernel that rounds differently, and the suprema would
+    # remainder: a product with a few columns can take a BLAS small-matrix
+    # or matrix-vector kernel that rounds differently, and the suprema would
     # then depend on the split
-    slices = -(-m // _LADDER_ROWS)
+    slices = -(-m // _LADDER_DRAWS)
     edges = [m * i // slices for i in range(slices + 1)]
     sups = np.empty((len(strides), m))
     for start, stop in zip(edges, edges[1:]):
         b = stop - start
-        rng.standard_normal(dtype=np.float32, out=z[:b])
-        np.matmul(z[:b], upper32, out=x[:b])
-        np.abs(x[:b], out=x[:b])
-        for j, stride in enumerate(strides):
-            # reduce in float32, then assign: the cast to float64 is exact
-            sups[j, start:stop] = x[:b, ::stride].max(axis=1)
+        z = z_buf[: npts * b].reshape(npts, b)
+        x = x_buf[: npts * b].reshape(npts, b)
+        _box_muller(rng, z, x_buf)
+        np.matmul(lower32, z, out=x)
+        np.abs(x, out=x)
+        # each level adds the points halfway between the coarser level's,
+        # so every point is read once; reduced in float32, then assigned
+        # (the cast to float64 is exact)
+        level = x[:: strides[0]].max(axis=0)
+        sups[0, start:stop] = level
+        for j in range(1, len(strides)):
+            np.maximum(level, x[strides[j] :: strides[j - 1]].max(axis=0), out=level)
+            sups[j, start:stop] = level
     return sups, chol, mult
 
 
@@ -707,12 +753,15 @@ def delta_asy(
     For each step h the unit interval is discretized at the 1/h + 1 points
     {0, h, 2h, ..., 1}.  The ladder needs at least two steps and they must
     halve, so each grid is a strided sub-grid of the finest: one covariance,
-    one factor and one stream of m draws serve every level.  The draws
-    stream through two fixed float32 buffers of 2,048 draws (0.8 MiB each
-    at N = 101), so the working memory is O(nK + N^2), independent of m;
-    only the m suprema of each level are kept.  One Richardson pass with
-    exponent 1/2 (the grid bias of a Gaussian supremum is O(sqrt(h)))
-    extrapolates the two finest levels A(h) and A(h/2) to
+    one factor and one stream of m draws serve every level.  The normals
+    are drawn by a vectorized Box-Muller transform, so the values for a
+    given seed differ from releases that used NumPy's ziggurat sampler by
+    Monte-Carlo error only.  The draws stream through two fixed float32
+    buffers of 2,048 draws (0.8 MiB each at N = 101), so the working memory
+    is O(nK + N^2), independent of m; only the m suprema of each level are
+    kept.  A covariance of nonpositive trace is zero, and gives 0.  One
+    Richardson pass with exponent 1/2 (the grid bias of a Gaussian supremum
+    is O(sqrt(h))) extrapolates the two finest levels A(h) and A(h/2) to
     (sqrt(2) A(h/2) - A(h)) / (sqrt(2) - 1); coarser levels are only
     reported.  The pass runs per replicate, which gives the SE of the
     extrapolated value, and the result is scaled by 1/sqrt(n).

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate, optimize, special
 
-from noisycal import ContaminationSpec, EmptyClass, Family, FileFormatError
+from noisycal import ContaminationSpec, EmptyClass, Family, FileFormatError, correction
 
 
 def gauss_inverse(t: np.ndarray) -> np.ndarray:
@@ -453,26 +453,44 @@ def multiplier_sup(
     return float(stat.mean()), float(stat.std(ddof=1) / math.sqrt(m))
 
 
+def ladder_normals(npts: int, m: int, seed: int) -> np.ndarray:
+    """The N x m float32 normals the library's ladder sampler draws.
+
+    ``correction._box_muller`` on one ``default_rng(seed)`` stream, slice
+    by slice over the sampler's equal slices of at most ``_LADDER_DRAWS``
+    draws, each an N x b block with a fresh scratch array; column i is
+    draw i.
+    """
+    rng = np.random.default_rng(seed)
+    slices = -(-m // correction._LADDER_DRAWS)
+    edges = [m * i // slices for i in range(slices + 1)]
+    z = np.empty((npts, m), dtype=np.float32)
+    for start, stop in zip(edges, edges[1:]):
+        block = np.empty((npts, stop - start), dtype=np.float32)
+        correction._box_muller(rng, block, np.empty(block.size + block.size % 2, np.float32))
+        z[:, start:stop] = block
+    return z
+
+
 def dense_ladder_sups(chol: np.ndarray, strides, m: int, seed: int) -> np.ndarray:
     """Per-replicate absolute suprema of x = L z on every strides[j]-th point.
 
-    The same float32 normals that ``default_rng(seed)`` gives the library's
-    sampler, drawn in one call instead of in slices, multiplied in float64
-    by the whole dense factor (zeros included) and reduced level by level.
+    The float32 normals of ``ladder_normals``, multiplied all at once in
+    float64 by the whole dense factor (zeros included) and reduced on each
+    level separately.
     """
-    z = np.random.default_rng(seed).standard_normal((m, chol.shape[0]), dtype=np.float32)
-    x = np.abs(z.astype(np.float64) @ chol.T)
-    return np.stack([x[:, ::stride].max(axis=1) for stride in strides])
+    x = np.abs(chol @ ladder_normals(chol.shape[0], m, seed).astype(np.float64))
+    return np.stack([x[::stride].max(axis=0) for stride in strides])
 
 
 def one_call_ladder_sups(sigma: np.ndarray, strides, m: int, seed: int):
-    """The float32 ladder sampler with all m draws made and multiplied at once.
+    """The float32 ladder sampler with all m draws multiplied at once.
 
     Factors sigma + mult * mean(diag sigma) * I at the first multiplier of
-    the jitter ladder that succeeds, draws the m x N float32 normals of
-    ``default_rng(seed)`` in one call and multiplies them by the float32
-    transposed factor in one product.  Returns the float64 suprema per
-    stride, the factor and the multiplier.
+    the jitter ladder that succeeds, takes the N x m float32 normals of
+    ``ladder_normals`` and multiplies them by the float32 factor in one
+    product, then reduces each level separately.  Returns the
+    float64 suprema per stride, the factor and the multiplier.
     """
     npts = sigma.shape[0]
     mean_diag = float(np.trace(sigma)) / npts
@@ -484,9 +502,8 @@ def one_call_ladder_sups(sigma: np.ndarray, strides, m: int, seed: int):
             continue
     else:
         raise np.linalg.LinAlgError("no jitter of the ladder makes sigma factorable")
-    z = np.random.default_rng(seed).standard_normal((m, npts), dtype=np.float32)
-    x = np.abs(z @ chol.T.astype(np.float32))
-    sups = np.stack([x[:, ::stride].max(axis=1) for stride in strides])
+    x = np.abs(chol.astype(np.float32) @ ladder_normals(npts, m, seed))
+    sups = np.stack([x[::stride].max(axis=0) for stride in strides])
     return sups.astype(np.float64), chol, mult
 
 

@@ -674,6 +674,12 @@ def test_gbb_sup_scalar_standard_normal():
 def test_gbb_sup_deterministic():
     sigma = np.array([[0.2, 0.1], [0.1, 0.3]])
     assert gbb_sup(sigma, 5_000, seed=2) == gbb_sup(sigma, 5_000, seed=2)
+    # the suprema themselves repeat bitwise, on every level
+    a, b = (
+        correction._ladder_sups(bridge_covariance(101), (4, 2, 1), 5_000, seed=8)[0]
+        for _ in range(2)
+    )
+    assert np.array_equal(a, b)
 
 
 def test_gbb_sup_brownian_bridge_grid_estimate():
@@ -698,8 +704,8 @@ def bridge_covariance(npts):
 
 
 def test_ladder_sups_match_dense_float64_oracle():
-    # float32 draws and triangular multiply against the same draws times the
-    # dense float64 factor; m = 13,000 spans seven slices
+    # float32 draws and product against the same draws times the dense
+    # float64 factor; m = 13,000 spans seven slices
     strides, m = (4, 2, 1), 13_000
     sups, chol, _ = correction._ladder_sups(bridge_covariance(401), strides, m, seed=21)
     assert sups.dtype == np.float64 and sups.shape == (len(strides), m)
@@ -713,10 +719,10 @@ def test_ladder_sups_match_dense_float64_oracle():
 @pytest.mark.parametrize("ragged", [False, True], ids=["m1000", "ragged"])
 def test_ladder_sups_equal_one_call_sampler(npts, strides, ragged):
     # the buffers only split one draw stream: the suprema are bitwise those
-    # of all m draws made and multiplied at once.  The ragged m is two full
-    # buffers plus one draw, whose lone row a full-slices-then-remainder
-    # split would send to a matrix-vector product
-    m = 2 * correction._LADDER_ROWS + 1 if ragged else 1000
+    # of all m draws multiplied at once.  The ragged m is two full buffers
+    # plus one draw, whose lone column a full-slices-then-remainder split
+    # would send to a matrix-vector product
+    m = 2 * correction._LADDER_DRAWS + 1 if ragged else 1000
     sigma = bridge_covariance(npts)
     sups, chol, mult = correction._ladder_sups(sigma, strides, m, seed=5)
     want, want_chol, want_mult = one_call_ladder_sups(sigma, strides, m, seed=5)
@@ -735,6 +741,74 @@ def test_ladder_sups_working_memory_does_not_grow_with_m():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_box_muller_moments():
+    # 2,000,001 draws (an odd count): mean, variance and fourth moment of
+    # N(0, 1) within 5 SE, each SE taken from the sample itself
+    z = np.empty(2_000_001, dtype=np.float32)
+    correction._box_muller(np.random.default_rng(17), z, np.empty(z.size + 1, np.float32))
+    g = z.astype(np.float64)
+    for power, target in ((1, 0.0), (2, 1.0), (4, 3.0)):
+        values = g**power
+        se = values.std() / math.sqrt(values.size)
+        assert abs(values.mean() - target) <= 5.0 * se, power
+
+
+@pytest.mark.parametrize("npts", [1, 7])
+def test_box_muller_fills_odd_slices(npts):
+    # a ragged m = 2 * 2048 + 1 is cut into slices of 1365 and 1366 draws,
+    # so at an odd N the first slice holds an odd number of normals
+    m = 2 * correction._LADDER_DRAWS + 1
+    b = m // 3
+    assert b * npts % 2 == 1
+    z = np.full((npts, b), np.nan, dtype=np.float32)
+    scratch = np.empty(correction._LADDER_DRAWS * npts, dtype=np.float32)
+    correction._box_muller(np.random.default_rng(3), z, scratch)
+    assert np.isfinite(z).all()
+    sups, _, _ = correction._ladder_sups(np.eye(npts), (1,), m, seed=3)
+    assert np.isfinite(sups).all() and (sups > 0.0).all()
+
+
+class LargestUniforms:
+    """Stands in for a Generator: every float64 uniform is 1 - 2^-53, the
+    largest, and every float32 one 0, so each radius is the longest."""
+
+    def random(self, dtype, out):
+        out[...] = 1.0 - 2.0**-53 if dtype == np.float64 else 0.0
+        return out
+
+
+def test_box_muller_radius_reaches_past_eight_sigma():
+    # 1 - u = 2^-53 gives sqrt(106 log 2) ~ 8.57; a float32 uniform would
+    # stop at 1 - u = 2^-24, sqrt(48 log 2) ~ 5.77
+    z = np.empty(10, dtype=np.float32)
+    correction._box_muller(LargestUniforms(), z, np.empty(10, np.float32))
+    assert np.all(z[:5] >= 8.0)
+    assert z[:5] == pytest.approx(math.sqrt(106.0 * math.log(2.0)), rel=1e-6)
+    assert np.all(z[5:] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ContaminationSpec(family=family, k=4, eps=eps, **extra)
+        for family, extra in (
+            (Family.RANDOMIZED_RESPONSE, {}),
+            (Family.TWO_LEVEL_RR, {"nu": 0.2}),
+            (Family.BLOCK_RR, {"b": 2}),
+        )
+        for eps in (0.1, 0.2, 0.3)
+    ],
+    ids=lambda spec: f"{spec.family.value}-{spec.eps}",
+)
+def test_delta_asy_rounding_zero_covariance(spec):
+    # constant scores make every f_t constant, so the covariance is zero in
+    # exact arithmetic; rounding leaves a trace of either sign, and either
+    # must give a correction of zero up to that rounding
+    cal = CalibrationSet.from_scores(np.full((200, 4), 0.5), np.arange(200) % 4)
+    rep = delta_asy(cal, closed_form_inverse(spec).W, m=1_000, seed=0)
+    assert rep.value < 1e-6
 
 
 @pytest.mark.parametrize("shift, expected_mult", [(0.0, 1e-10), (-5e-9, 1e-8)])
