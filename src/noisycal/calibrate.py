@@ -166,10 +166,11 @@ def prediction_sets(scores, tau: float) -> NDArray[np.bool_]:
     """The n x K membership matrix ``scores <= tau`` of an n x K score array.
 
     Monotone in tau; tau = 1 admits every label because scores must lie in
-    [0, 1]: a score that is not finite or lies outside it, like a tau
-    outside [0, 1] or an array that is not 2-d, raises InvalidSpec.  An
-    all-false row (the empty set) is a legitimate output.
+    [0, 1]: a score that is not finite or lies outside it, like a tau that
+    is not a real number in [0, 1] or an array that is not 2-d, raises
+    InvalidSpec.  An all-false row (the empty set) is a legitimate output.
     """
+    _check_real("tau", tau)
     if not 0.0 <= tau <= 1.0:
         raise InvalidSpec(f"tau must lie in [0, 1], got {tau}")
     return _require_scores(scores, tol=0.0) <= tau
@@ -178,15 +179,17 @@ def prediction_sets(scores, tau: float) -> NDArray[np.bool_]:
 def evaluate(sets: NDArray[np.bool_], true_labels) -> dict:
     """Empirical coverage and average set size of a membership matrix.
 
-    ``true_labels`` are 0-based; a label outside [0, K) raises InvalidSpec.
+    ``true_labels`` are a vector of one 0-based label per set (any other
+    shape raises LengthMismatch); a label outside [0, K) raises InvalidSpec.
     """
     mask = np.asarray(sets, dtype=bool)
     y = np.asarray(true_labels)
     if mask.ndim != 2:
         raise InvalidSpec(f"prediction sets must be n x K, got shape {mask.shape}")
     n, k = mask.shape
-    if n != y.shape[0]:
-        raise LengthMismatch(f"{n} prediction sets vs {y.shape[0]} labels")
+    if y.ndim != 1 or y.shape[0] != n:
+        got = f"{y.shape[0]} labels" if y.ndim == 1 else f"labels of shape {y.shape}"
+        raise LengthMismatch(f"{n} prediction sets vs {got}")
     if n == 0:
         raise LengthMismatch("cannot evaluate zero prediction sets")
     if not np.issubdtype(y.dtype, np.integer):

@@ -45,7 +45,6 @@ from .calibrate import (
 from .correction import (
     CorrectionMethod,
     CorrectionReport,
-    _delta_fs,
     c_of_n,
     delta_asy,
     delta_fs,
@@ -227,9 +226,10 @@ def _correction(
     """The correction of one route at calibration size n; None for ``"none"``.
 
     ``"cn"`` is c(n) alone, ``"asy"`` needs the calibration set itself, and
-    ``"fs-simplified"`` a parametric contamination model.  ``"fs"`` solves
-    the Massart LP only for a matrix with no ``spec``; a parametric model's
-    optimum is in closed form.
+    ``"fs-simplified"`` a parametric contamination model.  ``"fs"`` is
+    :func:`delta_fs` on ``tm``, in closed form whenever W has the block form
+    of the parametric families, whether it came from ``spec`` or from a
+    file; any other matrix needs the Massart LP.
     """
     if route == "none":
         return None
@@ -243,9 +243,7 @@ def _correction(
     if route == "cn":
         return CorrectionReport(method=CorrectionMethod.CN_ONLY, value=c_n, c_n=c_n)
     if route == "fs":
-        if spec is None:
-            return delta_fs(n, tm.k, tm, c_n)
-        return _delta_fs(n, tm.k, tm, c_n, spec)
+        return delta_fs(n, tm.k, tm, c_n)
     return delta_fs_special(spec, n, c_n)
 
 

@@ -8,12 +8,14 @@ Three routes produce a correction:
 * ``delta_fs``: finite-sample bound c(n) (beta_0 + mean_k beta_k)
   + B(K, n, beta)/sqrt(n), minimized exactly over beta one branch of the min
   inside B at a time: the chaining branch in closed form (a 1-D convex
-  piecewise-linear minimization over beta_0, O(K^2)), the Massart branch as
-  a sparse linear program solved by interior point (O(K^2) memory), the
-  package's one use of SciPy.  For the W of a parametric family the
-  Massart branch has a closed form too (the better of two symmetric
-  candidates, O(K^2)), so that route, like every other, runs on NumPy
-  alone; the LP serves a W given as a matrix.
+  piecewise-linear minimization over beta_0, O(K^2)).  The Massart branch
+  is in closed form too (the better of two symmetric candidates, O(K^2))
+  whenever W has the block form d I + s B + o (J - B) over contiguous
+  blocks of m labels, as the inverse of every parametric family does.  The
+  form is read off W itself, however W was given, so a family's W read
+  from a file qualifies too.  Every other W goes to a sparse linear
+  program solved by interior point (O(K^2) memory), the package's one use
+  of SciPy.
 * ``delta_asy``: asymptotic route; estimates the plug-in covariance of the
   limiting Gaussian process once, on the finest grid of a halving ladder
   (``estimate_covariance``), factors it, simulates its absolute supremum on
@@ -50,12 +52,12 @@ from .errors import (
     SingularM,
     SolverFailure,
     _check_int,
+    _check_real,
 )
 from .noise_model import (
     ContaminationSpec,
     TransitionMatrix,
     _as_w,
-    _family_blocks,
     _inverse,
     _inverse_blocks,
     closed_form_inverse,
@@ -203,16 +205,31 @@ def omega_matrix(w, beta: BetaVector) -> NDArray[np.float64]:
     return w - beta.beta0 * np.eye(k) - beta.betas[:, None] / k
 
 
-def _branch_terms(k: int, n: int, beta: BetaVector, w) -> dict[str, float | None]:
+def _checked_w(n: int, k: int, w) -> NDArray[np.float64]:
+    """W as a finite K x K float array, with n and k checked.
+
+    The one check of the public finite-sample entry points, so the private
+    kernels read K from ``w.shape[0]``.
+    """
+    _check_int("n", n, 1)
+    _check_int("k", k, 1)
+    w = _as_w(w)
+    if w.shape != (k, k):
+        raise InvalidSpec(f"W has shape {w.shape}, expected {(k, k)}")
+    if not np.all(np.isfinite(w)):
+        raise InvalidSpec("W entries must be finite")
+    return w
+
+
+def _branch_terms(n: int, beta: BetaVector, w) -> dict[str, float | None]:
     """The two branches inside the min of B(K, n, beta), before the factor 2.
 
     ``massart`` is max_l sum_k |Omega[k, l]| * sqrt(log(K n + 1)) and
     ``chaining`` is 24 max|Omega| (2 log K + 1)/(2 log K - 1) sqrt(2 K log K);
     the chaining branch needs 2 log K > 1, so it is None for K = 1.
     """
-    _check_int("n", n, 1)
-    _check_int("k", k, 1)
     abs_omega = np.abs(omega_matrix(w, beta))
+    k = abs_omega.shape[0]
     massart = float(abs_omega.sum(axis=0).max()) * math.sqrt(math.log(k * n + 1.0))
     chaining = None
     if k >= 2:
@@ -233,9 +250,9 @@ def b_term(k: int, n: int, beta: BetaVector, w) -> tuple[float, str]:
                24 max|Omega| (2 log K + 1)/(2 log K - 1) sqrt(2 K log K) }.
 
     The chaining branch needs 2 log K > 1; for K = 1 it is undefined and the
-    Massart branch is used alone.
+    Massart branch is used alone.  W must be a finite K x K matrix.
     """
-    terms = _branch_terms(k, n, beta, w)
+    terms = _branch_terms(n, beta, _checked_w(n, k, w))
     chaining = terms["chaining"]
     if chaining is None or terms["massart"] <= chaining:
         return 2.0 * terms["massart"], "massart"
@@ -243,7 +260,6 @@ def b_term(k: int, n: int, beta: BetaVector, w) -> tuple[float, str]:
 
 
 def _branch_lp(
-    k: int,
     w: NDArray[np.float64],
     weight: float,
     z_coef: float,
@@ -266,6 +282,7 @@ def _branch_lp(
     from scipy import sparse
     from scipy.optimize import linprog
 
+    k = w.shape[0]
     nb = 1 + k
     nu = nb if abs_objective else 0
     na = k * k if per_column else 0
@@ -328,7 +345,7 @@ def _branch_lp(
 
 
 def _chaining_minimizer(
-    k: int, w: NDArray[np.float64], weight: float, z_coef: float
+    w: NDArray[np.float64], weight: float, z_coef: float
 ) -> BetaVector:
     """Exact minimizer of the signed chaining branch, in closed form.
 
@@ -347,6 +364,7 @@ def _chaining_minimizer(
     {a_k - M_k} and {A - C, B + C, (A + B)/2}; the minimum is the best kink.
     O(K^2) work, no solver.
     """
+    k = w.shape[0]
     slack = z_coef - k * weight
     if not slack >= 0.0:
         raise SolverFailure(
@@ -373,7 +391,7 @@ def _chaining_minimizer(
 
 
 def _fs_values(
-    n: int, k: int, w, weight: float, beta: BetaVector, absolute: bool = False
+    n: int, w, weight: float, beta: BetaVector, absolute: bool = False
 ) -> dict[str, float | None]:
     """The objective at beta with each branch of B alone (None: undefined).
 
@@ -387,7 +405,7 @@ def _fs_values(
     scale = 2.0 / math.sqrt(n)
     return {
         name: None if term is None else linear + scale * term
-        for name, term in _branch_terms(k, n, beta, w).items()
+        for name, term in _branch_terms(n, beta, w).items()
     }
 
 
@@ -397,17 +415,50 @@ def _smallest(values: dict[str, float | None]) -> tuple[float, str]:
     return min(defined, key=lambda pair: pair[0])
 
 
+# W has the block form when every entry lies within this multiple of max|W|
+# of the form read off its first row
+_BLOCK_RTOL = 1e-12
+
+
+def _block_size(w: NDArray[np.float64]) -> int | None:
+    """m when W = d I + s B + o (J - B) over contiguous blocks of m labels.
+
+    B is the block-diagonal matrix of ones over blocks of m labels (the
+    block form of :mod:`noisycal.noise_model`), J the all-ones matrix.  The
+    form is read off W's first row: W[0, 0] on the diagonal, s = W[0, 1],
+    m the length of the row's leading run of entries equal to s (K when the
+    run fills the row) and o = W[0, m].  W has that form when m divides K
+    and every entry lies within ``_BLOCK_RTOL`` max|W| of it; otherwise the
+    result is None.  A W whose s and o agree, such as randomized response's,
+    is one block (m = K).  O(K^2) work.
+    """
+    k = w.shape[0]
+    if k == 1:
+        return 1
+    tol = _BLOCK_RTOL * float(np.abs(w).max())
+    off_run = np.abs(w[0, 1:] - w[0, 1]) > tol
+    m = 1 + int(np.argmax(off_run)) if off_run.any() else k
+    if k % m:
+        return None
+    block = np.arange(k) // m
+    across = w[0, m] if m < k else 0.0
+    form = np.where(block[:, None] == block[None, :], w[0, 1], across)
+    np.fill_diagonal(form, w[0, 0])
+    return m if np.all(np.abs(w - form) <= tol) else None
+
+
 def _family_massart_minimizer(
-    spec: ContaminationSpec, n: int, w: NDArray[np.float64], weight: float, z_coef: float
+    m: int, n: int, w: NDArray[np.float64], weight: float, z_coef: float
 ) -> BetaVector:
-    """Exact minimizer of the signed Massart branch for a parametric family.
+    """Exact minimizer of the signed Massart branch for a W of block form.
 
     Minimizes weight * (beta0 + mean_k beta_k) + z_coef * max_l sum_k
-    |Omega[k, l]| for the W of ``spec``.  The family's W is unchanged by a
-    permutation group acting transitively on the classes, and the branch is
-    convex and invariant under it, so averaging a minimizer over the group
-    gives one with every beta_k = K x.  W has d on its diagonal, s off it
-    within a block of m labels (m = K, K/b, K/2) and o across blocks;
+    |Omega[k, l]| for W = d I + s B + o (J - B) over blocks of m labels
+    (:func:`_block_size`), the form of every parametric family's W.  Such a
+    W is unchanged by a permutation group acting transitively on the
+    classes, and the branch is convex and invariant under it, so averaging
+    a minimizer over the group gives one with every beta_k = K x.  W has d
+    on its diagonal, s off it within a block and o across blocks;
     beta0 = d - x zeroes the diagonal of Omega (optimal for z_coef >= weight)
     and leaves
 
@@ -422,8 +473,7 @@ def _family_massart_minimizer(
             f"the Massart branch is unbounded below: its z coefficient {z_coef} "
             f"is below the weight {weight}"
         )
-    k = spec.k
-    m = _family_blocks(spec)[0]
+    k = w.shape[0]
     kinks = [w[0, 1]] if m > 1 else []
     if m < k:
         kinks.append(w[0, m])
@@ -431,67 +481,66 @@ def _family_massart_minimizer(
         BetaVector(beta0=float(w[0, 0] - x), betas=np.full(k, k * x))
         for x in kinks or [0.0]
     ]
-    return min(candidates, key=lambda beta: _fs_values(n, k, w, weight, beta)["massart"])
+    return min(candidates, key=lambda beta: _fs_values(n, w, weight, beta)["massart"])
 
 
 def _branch_minimizers(
-    n: int,
-    k: int,
-    w,
-    weight: float,
-    abs_objective: bool,
-    spec: ContaminationSpec | None = None,
+    n: int, w: NDArray[np.float64], weight: float, abs_objective: bool
 ) -> dict[str, BetaVector]:
     """Minimizers of the Massart branch and, for K >= 2, of the chaining branch.
 
     One problem per branch of the min inside B; the z-coefficients include
     the 2/sqrt(n) scale of B.  The signed chaining branch is solved in
     closed form (:func:`_chaining_minimizer`), and so is the signed Massart
-    branch when w is the W of the parametric ``spec``
-    (:func:`_family_massart_minimizer`).  Otherwise the Massart branch, and
+    branch when :func:`_block_size` finds W of block form
+    (:func:`_family_massart_minimizer`).  Every other Massart branch, and
     both branches of the ``abs_objective`` variant, are sparse
     interior-point LPs (:func:`_branch_lp`).  The closed forms run first,
-    so an unbounded chaining branch fails before any LP is built.
+    so an unbounded chaining branch fails before any LP is built.  w is a
+    finite K x K array (:func:`_checked_w`).
     """
-    w = _as_w(w)
-    if w.shape != (k, k):
-        raise InvalidSpec(f"W has shape {w.shape}, expected {(k, k)}")
-    _check_int("n", n, 1)
+    k = w.shape[0]
     scale = 2.0 / math.sqrt(n)
     chaining = {}
     if k >= 2:
         z_coef = scale * _chaining_constant(k)
         chaining["chaining"] = (
-            _branch_lp(k, w, weight, z_coef, per_column=False, abs_objective=True)
+            _branch_lp(w, weight, z_coef, per_column=False, abs_objective=True)
             if abs_objective
-            else _chaining_minimizer(k, w, weight, z_coef)
+            else _chaining_minimizer(w, weight, z_coef)
         )
     z_coef = scale * math.sqrt(math.log(k * n + 1.0))
-    if spec is not None and not abs_objective:
-        massart = _family_massart_minimizer(spec, n, w, weight, z_coef)
-    else:
+    m = None if abs_objective else _block_size(w)
+    if m is None:
         massart = _branch_lp(
-            k, w, weight, z_coef, per_column=True, abs_objective=abs_objective
+            w, weight, z_coef, per_column=True, abs_objective=abs_objective
         )
+    else:
+        massart = _family_massart_minimizer(m, n, w, weight, z_coef)
     return {"massart": massart, **chaining}
 
 
-def _delta_fs(
-    n: int, k: int, w, c_n: float, spec: ContaminationSpec | None
-) -> CorrectionReport:
-    """:func:`delta_fs`, with no LP when w is the W of the parametric ``spec``.
+def delta_fs(n: int, k: int, w, c_n: float) -> CorrectionReport:
+    """Finite-sample correction for a finite K x K W, minimized exactly over beta.
 
-    The Massart branch is then in closed form (see :func:`_branch_minimizers`);
-    w is normally the numerically inverted ``build_transition(spec)``, and the
-    bound is evaluated on it either way.
+    Minimizes each branch of the min inside B exactly (see
+    :func:`_branch_minimizers`): the chaining branch in closed form, and
+    the Massart branch in closed form when W has the block form of the
+    parametric families, however it was given, and otherwise as a sparse
+    LP by interior point, the package's one use of SciPy.
+    ``branch_values`` records each branch's optimum, its own term at its own
+    minimizer (None for the chaining branch at K = 1).  The report carries
+    the minimizer with the smaller bound and the branch active there; the
+    reported value equals the objective evaluated on w at ``beta_star``,
+    which is the optimizer certificate.
     """
+    w = _checked_w(n, k, w)
     if not (np.isfinite(c_n) and c_n > 0.0):
         raise InvalidSpec(f"c_n must be positive, got {c_n}")
     branch_values: dict[str, float | None] = {"massart": None, "chaining": None}
     best = None
-    minimizers = _branch_minimizers(n, k, w, c_n, abs_objective=False, spec=spec)
-    for name, beta in minimizers.items():
-        values = _fs_values(n, k, w, c_n, beta)
+    for name, beta in _branch_minimizers(n, w, c_n, abs_objective=False).items():
+        values = _fs_values(n, w, c_n, beta)
         branch_values[name] = values[name]
         value, branch = _smallest(values)
         if best is None or value < best[0]:
@@ -505,22 +554,6 @@ def _delta_fs(
         c_n=float(c_n),
         branch_values=branch_values,
     )
-
-
-def delta_fs(n: int, k: int, w, c_n: float) -> CorrectionReport:
-    """Finite-sample correction for any W, minimized exactly over beta.
-
-    Minimizes each branch of the min inside B exactly: the chaining branch
-    in closed form, the Massart branch as a sparse LP by interior point (see
-    :func:`_branch_minimizers`), the package's one use of SciPy; the CLI
-    needs the LP only for a transition matrix read from a file.
-    ``branch_values`` records each branch's optimum, its own term at its own
-    minimizer (None for the chaining branch at K = 1).  The report carries
-    the minimizer with the smaller bound and the branch active there; the
-    reported value equals the objective evaluated at ``beta_star``, which is
-    the optimizer certificate.
-    """
-    return _delta_fs(n, k, w, c_n, None)
 
 
 def delta_fs_special(spec: ContaminationSpec, n: int, c_n: float) -> CorrectionReport:
@@ -540,7 +573,7 @@ def delta_fs_special(spec: ContaminationSpec, n: int, c_n: float) -> CorrectionR
     k = spec.k
     _, diag, within, _ = _inverse_blocks(spec)
     beta = BetaVector(beta0=diag, betas=np.full(k, k * within))
-    values = _fs_values(n, k, closed_form_inverse(spec).W, c_n, beta)
+    values = _fs_values(n, closed_form_inverse(spec).W, c_n, beta)
     value, branch = _smallest(values)
     return CorrectionReport(
         method=CorrectionMethod.FINITE_SAMPLE,
@@ -830,9 +863,10 @@ def delta_star_star_bound(n: int, k: int, w) -> float:
     are sparse interior-point LPs.
     """
     scale = cn_envelope(n)
+    w = _checked_w(n, k, w)
     best = min(
-        _smallest(_fs_values(n, k, w, scale, beta, absolute=True))[0]
-        for beta in _branch_minimizers(n, k, w, scale, abs_objective=True).values()
+        _smallest(_fs_values(n, w, scale, beta, absolute=True))[0]
+        for beta in _branch_minimizers(n, w, scale, abs_objective=True).values()
     )
     return float(max(best, 0.0))
 
@@ -879,6 +913,7 @@ def upper_bound_diagnostics(
     if abs(rho.sum() - 1.0) > 1e-6 or abs(rho_tilde.sum() - 1.0) > 1e-6:
         raise InvalidSpec("rho and rho_tilde must sum to 1")
     _check_int("n", n, 1)
+    _check_real("alpha", alpha)
     if not 0.0 < alpha < 1.0:
         raise InvalidSpec(f"alpha must lie in (0, 1), got {alpha}")
     if not (0.0 <= delta_n < math.inf and 0.0 <= delta_ss_n < math.inf):

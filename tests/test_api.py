@@ -1,10 +1,14 @@
 """The public surface of ``noisycal``, pinned so that a change to it is deliberate."""
 
+import re
 import types
+from pathlib import Path
 
 import noisycal
 import noisycal.cli
 import noisycal.fileio
+
+from test_cli import run_python
 
 PUBLIC_NAMES = {
     "BetaVector", "CalibrationMethod", "CalibrationSet", "CholeskyFailure",
@@ -56,3 +60,22 @@ def test_fileio_and_cli_surfaces_are_pinned():
         "correction_report",
         "main",
     ]
+
+
+_README_PROBE = """
+import sys
+
+exec(compile(sys.argv[1], "README.md", "exec"), {"__name__": "__main__"})
+assert "scipy" not in sys.modules
+"""
+
+
+def test_readme_quick_start_runs_without_scipy():
+    # the example's W has the block form of randomized response, so delta_fs
+    # takes the closed form and never loads SciPy
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quick_start = readme.split("## Quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", quick_start, re.DOTALL).group(1)
+    proc = run_python(["-c", _README_PROBE, code])
+    assert proc.returncode == 0, proc.stderr
+    assert "tau =" in proc.stdout

@@ -311,6 +311,9 @@ def test_evaluate_validation():
         evaluate(sets, [0, 1])
     with pytest.raises(LengthMismatch):
         evaluate(np.zeros((0, 2), dtype=bool), [])
+    # a scalar label raised IndexError
+    with pytest.raises(LengthMismatch, match="labels of shape"):
+        evaluate(sets, 3)
 
 
 @pytest.mark.parametrize("label", [-1, 3])

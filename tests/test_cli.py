@@ -784,13 +784,15 @@ from noisycal.cli import main
 def scipy_modules():
     return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 
-scores, transition, config, out = sys.argv[1:]
+scores, block_transition, transition, config, out = sys.argv[1:]
 argv = ["calibrate", "--scores", scores, "--model", "rr", "--eps", "0.1"]
 for method in ("adaptive-asy", "adaptive-fs"):
     assert main(argv + ["--method", method, "--out", out]) == 0
 argv = ["correction", "--model", "block_rr", "--eps", "0.1", "--b", "6"]
 assert main(argv + ["--k", "60", "--n", "1000", "--variant", "fs"]) == 0
 assert main(["synth-experiment", "--config", config]) == 0
+argv = ["calibrate", "--scores", scores, "--transition", block_transition]
+assert main(argv + ["--method", "adaptive-fs"]) == 0
 assert not scipy_modules(), scipy_modules()
 argv = ["calibrate", "--scores", scores, "--transition", transition]
 assert main(argv + ["--method", "adaptive-fs"]) == 0
@@ -798,20 +800,29 @@ assert "scipy.optimize" in sys.modules
 """
 
 
+def dense_transition(k, seed):
+    """A column-stochastic T whose inverse has no block form."""
+    rng = np.random.default_rng(seed)
+    return 0.7 * np.eye(k) + 0.3 * rng.dirichlet(np.full(k, 0.3), size=k).T
+
+
 def test_only_the_finite_sample_lp_loads_scipy(tmp_path):
-    # every parametric route runs without SciPy, adaptive-fs included (its
-    # Massart optimum is in closed form); only a transition matrix read from
-    # a file needs the LP
+    # every route whose W has the block form of the parametric families runs
+    # without SciPy, adaptive-fs included (its Massart optimum is in closed
+    # form), whether the model came from flags or from a transition file;
+    # any other transition matrix needs the LP
     path = tmp_path / "cal.csv"
     write_cal_csv(path, seed=14, n=50, k=4)
+    block_path = tmp_path / "t_block.csv"
+    spec = ContaminationSpec(family=Family.BLOCK_RR, k=4, eps=0.1, b=2)
+    np.savetxt(str(block_path), build_transition(spec).T, delimiter=",", fmt="%.17g")
     t_path = tmp_path / "t.csv"
-    spec = ContaminationSpec(family=Family.RANDOMIZED_RESPONSE, k=4, eps=0.1)
-    np.savetxt(str(t_path), build_transition(spec).T, delimiter=",", fmt="%.17g")
+    np.savetxt(str(t_path), dense_transition(4, 14), delimiter=",", fmt="%.17g")
     cfg = {"k": 4, "d": 4, "n_train": 100, "n_cal": 40, "n_test": 20}
     cfg |= {"family": "two_level_rr", "eps": 0.2, "nu": 0.5, "methods": ["adaptive-fs"]}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    argv = [str(path), str(t_path), str(cfg_path), str(tmp_path / "out")]
+    argv = [str(p) for p in (path, block_path, t_path, cfg_path, tmp_path / "out")]
     proc = run_python(["-c", _SCIPY_PROBE, *argv])
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "threshold.json").exists()
@@ -859,19 +870,19 @@ def test_family_fs_route_never_solves_the_lp(tmp_path, monkeypatch):
 
     calls = []
 
-    def count(*args, **kwargs):
-        calls.append(args[0])
-        return real_lp(*args, **kwargs)
+    def count(w, *args, **kwargs):
+        calls.append(w.shape)
+        return real_lp(w, *args, **kwargs)
 
-    # a transition matrix read from a file still needs the LP, once
+    # a transition matrix read from a file whose inverse has no block form
+    # still needs the LP, once
     monkeypatch.setattr(correction, "_branch_lp", count)
     cal_path = tmp_path / "cal.csv"
     write_cal_csv(cal_path, seed=15, n=40, k=3)
     t_path = tmp_path / "t.csv"
-    spec = ContaminationSpec(family=Family.RANDOMIZED_RESPONSE, k=3, eps=0.2)
-    np.savetxt(str(t_path), build_transition(spec).T, delimiter=",", fmt="%.17g")
+    np.savetxt(str(t_path), dense_transition(3, 15), delimiter=",", fmt="%.17g")
     run_from_scores(str(cal_path), transition_path=str(t_path), method="adaptive-fs")
-    assert calls == [3]
+    assert calls == [(3, 3)]
 
 
 def test_methods_tuple_is_canonical():

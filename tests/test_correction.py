@@ -235,6 +235,9 @@ def test_b_term_rejects_mismatched_beta():
         b_term(3, 10, BetaVector(beta0=1.0, betas=np.zeros(2)), np.eye(3))
     with pytest.raises(InvalidSpec):
         b_term(0, 10, BetaVector(beta0=1.0, betas=np.zeros(1)), np.eye(1))
+    # a k that is not W's size was taken for K in the constants: (0.0, "massart")
+    with pytest.raises(InvalidSpec, match="shape"):
+        b_term(3, 100, BetaVector(beta0=1.0, betas=np.zeros(2)), np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +293,25 @@ def test_delta_fs_identity_gives_cn():
 def test_delta_fs_validation():
     with pytest.raises(InvalidSpec):
         delta_fs(100, 3, np.eye(2), 0.1)
+    with pytest.raises(InvalidSpec, match="shape"):
+        delta_star_star_bound(100, 3, np.eye(2))
     with pytest.raises(InvalidSpec):
         delta_fs(0, 2, np.eye(2), 0.1)
     with pytest.raises(InvalidSpec):
         delta_fs(100, 2, np.eye(2), 0.0)
     with pytest.raises(InvalidSpec):
         delta_fs(100, 2, np.eye(2), math.nan)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("route", [delta_fs, delta_star_star_bound])
+def test_finite_sample_routes_refuse_non_finite_w(route, bad):
+    # NaN reached the chaining closed form and surfaced as "beta entries must
+    # be finite"; the LP of delta_star_star_bound raised SciPy's ValueError
+    w = np.array([[bad, 0.0], [0.0, 1.0]])
+    args = (100, 2, w, 0.1) if route is delta_fs else (100, 2, w)
+    with pytest.raises(InvalidSpec, match="W entries must be finite"):
+        route(*args)
 
 
 def test_delta_fs_special_randomized_response_is_cn():
@@ -409,7 +425,7 @@ def test_chaining_closed_form_matches_dense_lp_oracle(case):
     k, n, w = FS_CASES[case]
     cn = c_of_n(n)
     z_coef = (2.0 / math.sqrt(n)) * correction._chaining_constant(k)
-    beta = correction._chaining_minimizer(k, w, cn, z_coef)
+    beta = correction._chaining_minimizer(w, cn, z_coef)
     objective = cn * (beta.beta0 + float(np.mean(beta.betas)))
     objective += z_coef * float(np.abs(omega_matrix(w, beta)).max())
     want = dense_branch_lp(k, w, cn, z_coef, per_column=False, abs_objective=False).fun
@@ -436,15 +452,19 @@ for _k, _eps in itertools.product(_BLOCK_COUNTS, (0.0, 0.2, 0.6)):
 @pytest.mark.parametrize("case", list(FAMILY_CASES))
 def test_family_closed_form_matches_massart_lp(case):
     spec = ContaminationSpec(**FAMILY_CASES[case])
-    tm = build_transition(spec)
+    w = build_transition(spec).W
     n = 5000
     cn = c_of_n(n)
-    rep = correction._delta_fs(n, spec.k, tm, cn, spec)
-    lp = delta_fs(n, spec.k, tm, cn)
-    assert rep.value == pytest.approx(lp.value, rel=1e-9)
-    assert rep.branch_values["massart"] == pytest.approx(
-        lp.branch_values["massart"], rel=1e-9
-    )
+    assert correction._block_size(w) is not None
+    rep = delta_fs(n, spec.k, w, cn)
+    z_coef = (2.0 / math.sqrt(n)) * math.sqrt(math.log(spec.k * n + 1.0))
+    lp_beta = correction._branch_lp(w, cn, z_coef, per_column=True, abs_objective=False)
+    lp_massart = correction._fs_values(n, w, cn, lp_beta)["massart"]
+    assert rep.branch_values["massart"] == pytest.approx(lp_massart, rel=1e-9)
+    # each branch's optimum is at most that branch at any other beta, so the
+    # bound is the smaller branch optimum
+    defined = [v for v in (lp_massart, rep.branch_values["chaining"]) if v is not None]
+    assert rep.value == pytest.approx(min(defined), rel=1e-9)
     # delta_fs_special evaluates its candidate on the closed-form W, which
     # differs from the numerical inverse in the last bits (up to 1e-13
     # relative at eps = 0.6), so "never above" is checked to 1e-12
@@ -457,18 +477,33 @@ def test_family_closed_form_refuses_an_unbounded_massart_branch():
     # branch is unbounded below, as the LP reports; the closed form must
     # fail the same way, not return a value
     spec = ContaminationSpec(family="block_rr", k=4, eps=0.2, b=2)
-    tm = build_transition(spec)
+    w = build_transition(spec).W
+    z_coef = (2.0 / math.sqrt(100)) * math.sqrt(math.log(4 * 100 + 1.0))
     with pytest.raises(SolverFailure, match="unbounded"):
-        delta_fs(100, 4, tm, 1.0)
+        correction._branch_lp(w, 1.0, z_coef, per_column=True, abs_objective=False)
     with pytest.raises(SolverFailure, match="Massart branch is unbounded"):
-        correction._delta_fs(100, 4, tm, 1.0, spec)
+        delta_fs(100, 4, w, 1.0)
+
+
+def test_perturbed_family_w_takes_the_lp():
+    # one off-diagonal entry moved by 1e-6 breaks the block form: the closed
+    # form must not be taken, and the LP still reaches the exact optimum
+    w = build_transition(ContaminationSpec(family="block_rr", k=6, eps=0.2, b=2)).W
+    assert correction._block_size(w) == 3
+    w = w.copy()
+    w[4, 1] += 1e-6
+    assert correction._block_size(w) is None
+    n = 2000
+    cn = c_of_n(n)
+    rep = delta_fs(n, 6, w, cn)
+    assert rep.value == pytest.approx(_oracle_bound(n, 6, w, cn, False), rel=1e-9)
 
 
 def test_chaining_closed_form_at_the_boundedness_edge():
     # z coefficient exactly K * weight: bounded, z is no longer pinned
     w = _family_w(Family.BLOCK_RR, 4, b=2)
     for weight in (0.5, 2.0):
-        beta = correction._chaining_minimizer(4, w, weight, 4.0 * weight)
+        beta = correction._chaining_minimizer(w, weight, 4.0 * weight)
         objective = weight * (beta.beta0 + float(np.mean(beta.betas)))
         objective += 4.0 * weight * float(np.abs(omega_matrix(w, beta)).max())
         want = dense_branch_lp(4, w, weight, 4.0 * weight, False, False).fun
@@ -482,11 +517,11 @@ def test_unbounded_chaining_branch_raises_solver_failure():
     with pytest.raises(ValueError, match="unbounded"):
         dense_branch_lp(4, w, 1.0, 3.9, per_column=False, abs_objective=False)
     with pytest.raises(SolverFailure, match="unbounded"):
-        correction._chaining_minimizer(4, w, 1.0, 3.9)
+        correction._chaining_minimizer(w, 1.0, 3.9)
     # delta_fs at a weight far above c(n): chaining z coefficient 34.02 < 4 * 10
     with pytest.raises(SolverFailure, match="chaining"):
         delta_fs(100, 4, w, 10.0)
-    # and at weight 1 the chaining branch is bounded but the Massart LP is not
+    # and at weight 1 the chaining branch is bounded but the Massart branch is not
     with pytest.raises(SolverFailure, match="unbounded"):
         delta_fs(100, 4, w, 1.0)
 
@@ -499,10 +534,11 @@ def test_delta_fs_builds_one_sparse_lp(monkeypatch):
         calls.append(kwargs)
         return real(*args, **kwargs)
 
-    # the Massart LP imports linprog from scipy.optimize when it runs
+    # the Massart LP imports linprog from scipy.optimize when it runs; a W of
+    # block form never reaches it, so this one is dense
     monkeypatch.setattr(scipy_optimize, "linprog", spy)
     k = 12
-    delta_fs(1000, k, _family_w(Family.BLOCK_RR, k, b=3), c_of_n(1000))
+    delta_fs(1000, k, _random_dense_w(k, 12), c_of_n(1000))
     assert len(calls) == 1
     a_ub = calls[0]["A_ub"]
     assert scipy_sparse.issparse(a_ub)
@@ -1202,6 +1238,9 @@ def test_diagnostics_validation():
         upper_bound_diagnostics(100, 2, t, [0.5, 0.5], [0.5, 0.5], -0.1, 0.1)
     with pytest.raises(InvalidSpec):
         upper_bound_diagnostics(100, 2, t, [0.5, 0.5], [0.5, 0.5], 0.1, 0.1, alpha=1.0)
+    # a string alpha raised TypeError
+    with pytest.raises(InvalidSpec, match="alpha must be a real number"):
+        upper_bound_diagnostics(100, 2, t, [0.5, 0.5], [0.5, 0.5], 0.1, 0.1, alpha="0.1")
 
 
 @pytest.mark.parametrize(

@@ -95,6 +95,9 @@ def test_prediction_set_examples():
         prediction_sets(rows, 1.1)
     with pytest.raises(InvalidSpec):
         prediction_sets(rows, -0.1)
+    # a string tau raised TypeError
+    with pytest.raises(InvalidSpec, match="tau must be a real number"):
+        prediction_sets(rows, "0.5")
 
 
 def test_prediction_set_round_trip_and_monotone():
