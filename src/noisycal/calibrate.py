@@ -30,8 +30,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .correction import CorrectionReport
-from .empirical import CalibrationSet, delta_hat
-from .errors import InvalidSpec, LengthMismatch, _check_real
+from .empirical import CalibrationSet, InflationCurve, delta_hat
+from .errors import (
+    InvalidSpec,
+    LengthMismatch,
+    _check_alpha,
+    _check_label_vector,
+    _check_real,
+    _check_type,
+)
 from .scores import _require_scores
 
 __all__ = [
@@ -75,12 +82,6 @@ class ThresholdResult:
     warning: str | None = None
 
 
-def _check_alpha(alpha: float) -> None:
-    _check_real("alpha", alpha)
-    if not 0.0 < alpha < 1.0:
-        raise InvalidSpec(f"alpha must lie in (0, 1), got {alpha}")
-
-
 def standard_threshold(cal: CalibrationSet, alpha: float) -> ThresholdResult:
     """Split-conformal threshold: the ceil((1+n)(1-alpha))-th own score.
 
@@ -88,6 +89,7 @@ def standard_threshold(cal: CalibrationSet, alpha: float) -> ThresholdResult:
     alpha, so boundary cases like (1+n)(1-alpha) landing on an integer do not
     depend on rounding of the product.
     """
+    _check_type("cal", cal, CalibrationSet)
     _check_alpha(alpha)
     n = cal.n
     index = math.ceil((1 + n) * (1 - Fraction(alpha)))
@@ -119,6 +121,15 @@ def _threshold_from_mask(
     )
 
 
+def _adaptive_inputs(
+    cal: CalibrationSet, w, alpha: float, delta: CorrectionReport
+) -> tuple[InflationCurve, NDArray[np.float64]]:
+    """Delta_hat and the ranks i/n; alpha and delta checked here, cal and w by it."""
+    _check_alpha(alpha)
+    _check_type("delta", delta, CorrectionReport)
+    return delta_hat(cal, w), np.arange(1, cal.n + 1) / cal.n
+
+
 def adaptive_threshold(
     cal: CalibrationSet, w, alpha: float, delta: CorrectionReport
 ) -> ThresholdResult:
@@ -127,10 +138,7 @@ def adaptive_threshold(
     Membership of rank i in the index set is the literal inequality
     i/n >= 1 - alpha - Delta_hat(S_(i)) + delta(n); the smallest member wins.
     """
-    _check_alpha(alpha)
-    curve = delta_hat(cal, w)
-    n = cal.n
-    ranks = np.arange(1, n + 1) / n
+    curve, ranks = _adaptive_inputs(cal, w, alpha, delta)
     rhs = 1.0 - alpha - curve.values + delta.value
     return _threshold_from_mask(
         curve.order_stats, ranks >= rhs, CalibrationMethod.ADAPTIVE, delta
@@ -147,11 +155,8 @@ def optimistic_threshold(
     larger.  The extra validity hypothesis is unverifiable from contaminated
     data, so the result carries a warning instead of refusing to run.
     """
-    _check_alpha(alpha)
-    curve = delta_hat(cal, w)
-    n = cal.n
-    ranks = np.arange(1, n + 1) / n
-    inner = np.maximum(curve.values - delta.value, -(1.0 - alpha) / n)
+    curve, ranks = _adaptive_inputs(cal, w, alpha, delta)
+    inner = np.maximum(curve.values - delta.value, -(1.0 - alpha) / cal.n)
     rhs = 1.0 - alpha - inner
     return _threshold_from_mask(
         curve.order_stats,
@@ -170,9 +175,7 @@ def prediction_sets(scores, tau: float) -> NDArray[np.bool_]:
     is not a real number in [0, 1] or an array that is not 2-d, raises
     InvalidSpec.  An all-false row (the empty set) is a legitimate output.
     """
-    _check_real("tau", tau)
-    if not 0.0 <= tau <= 1.0:
-        raise InvalidSpec(f"tau must lie in [0, 1], got {tau}")
+    _check_real("tau", tau, 0.0, 1.0)
     return _require_scores(scores, tol=0.0) <= tau
 
 
@@ -192,11 +195,6 @@ def evaluate(sets: NDArray[np.bool_], true_labels) -> dict:
         raise LengthMismatch(f"{n} prediction sets vs {got}")
     if n == 0:
         raise LengthMismatch("cannot evaluate zero prediction sets")
-    if not np.issubdtype(y.dtype, np.integer):
-        raise InvalidSpec(f"true labels must be integers, got dtype {y.dtype}")
-    bad = (y < 0) | (y >= k)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise InvalidSpec(f"true label {int(y[i])} of row {i} lies outside [0, {k})")
+    y = _check_label_vector("true_labels", y, k)
     hits = int(mask[np.arange(n), y].sum())
     return {"coverage": hits / n, "avg_size": float(mask.sum(axis=1).mean())}

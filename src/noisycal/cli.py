@@ -57,8 +57,8 @@ from .errors import (
     InvalidSpec,
     NoisycalError,
     SolverFailure,
+    _check_alpha,
     _check_int,
-    _check_real,
 )
 from .noise_model import (
     ContaminationSpec,
@@ -155,9 +155,7 @@ class ExperimentConfig:
             raise InvalidSpec(
                 f"randomized_scores must be true or false, got {self.randomized_scores!r}"
             )
-        _check_real("alpha", self.alpha)
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidSpec(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         # the data and model parameters are checked here, when the config is
         # read; SynthConfig checks k, d, the three sizes and clusters_per_class
         # with the same integer check, before the model sees k

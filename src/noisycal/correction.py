@@ -51,8 +51,10 @@ from .errors import (
     LadderMismatch,
     SingularM,
     SolverFailure,
+    _check_alpha,
     _check_int,
     _check_real,
+    _check_square,
 )
 from .noise_model import (
     ContaminationSpec,
@@ -94,11 +96,12 @@ class BetaVector:
     betas: NDArray[np.float64]
 
     def __post_init__(self) -> None:
+        _check_real("beta0", self.beta0)
         b = np.array(self.betas, dtype=np.float64)
         if b.ndim != 1:
             raise InvalidSpec("betas must be a vector")
-        if not (np.isfinite(self.beta0) and np.all(np.isfinite(b))):
-            raise InvalidSpec("beta entries must be finite")
+        if not np.all(np.isfinite(b)):
+            raise InvalidSpec("betas must be finite")
         b.setflags(write=False)
         object.__setattr__(self, "betas", b)
 
@@ -131,8 +134,7 @@ class CorrectionReport:
     branch_values: dict | None = None
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.value) or self.value < 0.0:
-            raise InvalidSpec(f"correction value must be finite and >= 0, got {self.value}")
+        _check_real("value", self.value, 0.0, math.inf, "[)")
 
     def to_dict(self) -> dict:
         """The report as plain JSON values, one key per field."""
@@ -197,7 +199,10 @@ def c_of_n(n: int) -> float:
 
 
 def omega_matrix(w, beta: BetaVector) -> NDArray[np.float64]:
-    """Omega = W - Wbar with Wbar[k, l] = beta0 * 1[k = l] + beta_k / K."""
+    """Omega = W - Wbar with Wbar[k, l] = beta0 * 1[k = l] + beta_k / K.
+
+    W must be a finite K x K matrix (InvalidSpec otherwise).
+    """
     w = _as_w(w)
     k = w.shape[0]
     if beta.betas.shape[0] != k:
@@ -213,12 +218,7 @@ def _checked_w(n: int, k: int, w) -> NDArray[np.float64]:
     """
     _check_int("n", n, 1)
     _check_int("k", k, 1)
-    w = _as_w(w)
-    if w.shape != (k, k):
-        raise InvalidSpec(f"W has shape {w.shape}, expected {(k, k)}")
-    if not np.all(np.isfinite(w)):
-        raise InvalidSpec("W entries must be finite")
-    return w
+    return _as_w(w, k)
 
 
 def _branch_terms(n: int, beta: BetaVector, w) -> dict[str, float | None]:
@@ -535,8 +535,7 @@ def delta_fs(n: int, k: int, w, c_n: float) -> CorrectionReport:
     which is the optimizer certificate.
     """
     w = _checked_w(n, k, w)
-    if not (np.isfinite(c_n) and c_n > 0.0):
-        raise InvalidSpec(f"c_n must be positive, got {c_n}")
+    _check_real("c_n", c_n, 0.0, math.inf, "()")
     branch_values: dict[str, float | None] = {"massart": None, "chaining": None}
     best = None
     for name, beta in _branch_minimizers(n, w, c_n, abs_objective=False).items():
@@ -568,10 +567,9 @@ def delta_fs_special(spec: ContaminationSpec, n: int, c_n: float) -> CorrectionR
     simplified mode.
     """
     _check_int("n", n, 1)
-    if not (np.isfinite(c_n) and c_n > 0.0):
-        raise InvalidSpec(f"c_n must be positive, got {c_n}")
-    k = spec.k
+    _check_real("c_n", c_n, 0.0, math.inf, "()")
     _, diag, within, _ = _inverse_blocks(spec)
+    k = spec.k
     beta = BetaVector(beta0=diag, betas=np.full(k, k * within))
     values = _fs_values(n, closed_form_inverse(spec).W, c_n, beta)
     value, branch = _smallest(values)
@@ -600,7 +598,7 @@ def estimate_covariance(cal: CalibrationSet, w, grid) -> NDArray[np.float64]:
     scattered onto the grid cell of each score pair, one score column at a
     time, and accumulated with a two-dimensional cumulative sum: O(n K^2 +
     K N^2) time and O(n K + N^2) memory, instead of evaluating every grid
-    pair directly.
+    pair directly.  W must be a finite K x K matrix (InvalidSpec otherwise).
     """
     v = _f_weights(cal, w)  # v[i, j] = W[j, label_i]
     n, k = cal.scores.shape
@@ -722,8 +720,6 @@ def _ladder_sups(
     The working memory is O(N^2), independent of m; only the m suprema per
     level are kept.
     """
-    if m < 1000:
-        raise InvalidSpec("m must be >= 1000")
     if np.trace(sigma) <= 0.0:
         return np.zeros((len(strides), m)), None, None
     chol, mult = _jittered_cholesky(sigma)
@@ -871,12 +867,6 @@ def delta_star_star_bound(n: int, k: int, w) -> float:
     return float(max(best, 0.0))
 
 
-def _as_t(t) -> NDArray[np.float64]:
-    if isinstance(t, TransitionMatrix):
-        return t.T
-    return np.asarray(t, dtype=np.float64)
-
-
 def upper_bound_diagnostics(
     n: int,
     k: int,
@@ -901,23 +891,22 @@ def upper_bound_diagnostics(
     the two-sided coverage guarantee; alpha enters the formula even though
     the rest is model-only, so it is an explicit argument here.
     """
-    t = _as_t(t)
+    _check_int("n", n, 1)
+    _check_int("k", k, 1)
+    t = _check_square("t", t.T if isinstance(t, TransitionMatrix) else t, k)
     rho = np.asarray(rho, dtype=np.float64)
     rho_tilde = np.asarray(rho_tilde, dtype=np.float64)
-    if t.shape != (k, k) or rho.shape != (k,) or rho_tilde.shape != (k,):
-        raise InvalidSpec("t must be K x K and rho, rho_tilde length-K")
-    if not all(np.all(np.isfinite(a)) for a in (t, rho, rho_tilde)):
-        raise InvalidSpec("t, rho and rho_tilde must be finite")
+    if rho.shape != (k,) or rho_tilde.shape != (k,):
+        raise InvalidSpec("rho and rho_tilde must be length-K")
+    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(rho_tilde))):
+        raise InvalidSpec("rho and rho_tilde must be finite")
     if np.any(rho <= 0.0) or np.any(rho_tilde <= 0.0):
         raise InvalidSpec("rho and rho_tilde must be strictly positive")
     if abs(rho.sum() - 1.0) > 1e-6 or abs(rho_tilde.sum() - 1.0) > 1e-6:
         raise InvalidSpec("rho and rho_tilde must sum to 1")
-    _check_int("n", n, 1)
-    _check_real("alpha", alpha)
-    if not 0.0 < alpha < 1.0:
-        raise InvalidSpec(f"alpha must lie in (0, 1), got {alpha}")
-    if not (0.0 <= delta_n < math.inf and 0.0 <= delta_ss_n < math.inf):
-        raise InvalidSpec("delta_n and delta_ss_n must be finite and nonnegative")
+    _check_alpha(alpha)
+    _check_real("delta_n", delta_n, 0.0, math.inf, "[)")
+    _check_real("delta_ss_n", delta_ss_n, 0.0, math.inf, "[)")
     mix = t * rho[None, :] / rho_tilde[:, None]
     v = _inverse(mix, SingularM, "mixing matrix M")
     bracket = float(np.max(rho / rho_tilde * np.abs(v).sum(axis=1)))

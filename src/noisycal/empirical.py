@@ -23,12 +23,12 @@ from them equals the oracle's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import EmptyClass, InvalidSpec
+from .errors import EmptyClass, InvalidSpec, _check_label_vector, _check_type
 from .noise_model import _as_w
 from .scores import _require_scores
 
@@ -39,43 +39,29 @@ __all__ = [
 ]
 
 
-def _require_labels(labels, shape: tuple[int, int]) -> NDArray[np.int64]:
-    """Noisy labels checked against an n x K score shape (n >= 1)."""
-    n, k = shape
-    y = np.asarray(labels)
-    if n < 1:
-        raise InvalidSpec("scores must have at least one row")
-    if y.shape != (n,):
-        raise InvalidSpec(f"noisy_labels must have shape ({n},), got {y.shape}")
-    if not np.issubdtype(y.dtype, np.integer):
-        raise InvalidSpec(f"noisy_labels must be integers, got dtype {y.dtype}")
-    if y.min() < 0 or y.max() >= k:
-        raise InvalidSpec(f"labels must lie in [0, {k - 1}] (0-based)")
-    return y.astype(np.int64, copy=False)
-
-
 @dataclass(frozen=True)
 class CalibrationSet:
     """Calibration scores with their noisy labels.
 
-    Scores must lie in [0, 1]; they are checked, never clipped, so
-    ``own_score[i]`` must equal ``scores[i, noisy_labels[i]]`` exactly.
-    The set keeps read-only copies of all three arrays, so the caller's
-    arrays stay writable and later writes to them do not reach the set.
+    ``CalibrationSet(scores, noisy_labels)`` takes n >= 1 rows of K scores in
+    [0, 1] (checked, never clipped) and one 0-based label per row, and derives
+    ``own_score[i] = scores[i, noisy_labels[i]]``.  It keeps read-only copies,
+    so later writes to the caller's arrays do not reach the set.
     """
 
     scores: NDArray[np.float64]
     noisy_labels: NDArray[np.int64]
-    own_score: NDArray[np.float64]
+    own_score: NDArray[np.float64] = field(init=False)
 
     def __post_init__(self) -> None:
         s = _require_scores(self.scores, tol=0.0).copy()
-        y = _require_labels(self.noisy_labels, s.shape).copy()
-        own = np.array(self.own_score, dtype=np.float64)
-        if own.shape != y.shape:
-            raise InvalidSpec("own_score must have length n")
-        if not np.array_equal(s[np.arange(s.shape[0]), y], own):
-            raise InvalidSpec("own_score[i] must equal scores[i, noisy_labels[i]]")
+        n, k = s.shape
+        if n < 1:
+            raise InvalidSpec("scores must have at least one row")
+        y = _check_label_vector("noisy_labels", self.noisy_labels, k).copy()
+        if y.shape != (n,):
+            raise InvalidSpec(f"noisy_labels must have shape ({n},), got {y.shape}")
+        own = s[np.arange(n), y]
         for arr in (s, y, own):
             arr.setflags(write=False)
         object.__setattr__(self, "scores", s)
@@ -84,14 +70,8 @@ class CalibrationSet:
 
     @classmethod
     def from_scores(cls, scores, noisy_labels) -> "CalibrationSet":
-        """Build from an n x K score array plus 0-based integer labels.
-
-        Scores that are not a 2-d array in [0, 1], and labels that are not
-        integers in [0, K) with one per row, raise InvalidSpec.
-        """
-        s = _require_scores(scores, tol=0.0)
-        y = _require_labels(noisy_labels, s.shape)
-        return cls(scores=s, noisy_labels=y, own_score=s[np.arange(s.shape[0]), y])
+        """The same as ``CalibrationSet(scores, noisy_labels)``."""
+        return cls(scores=scores, noisy_labels=noisy_labels)
 
     @property
     def n(self) -> int:
@@ -113,13 +93,12 @@ class InflationCurve:
 def _f_weights(cal: CalibrationSet, w) -> NDArray[np.float64]:
     """The n x K weights v[i, k] = W[k, Y~_i] of f_t.
 
-    Checks that W is K x K and that every class has a calibration sample:
-    F_hat_l^k is undefined for an empty class l.
+    Checks cal's type, that W is a finite K x K matrix and that every class
+    has a calibration sample: F_hat_l^k is undefined for an empty class l.
     """
-    w = _as_w(w)
+    _check_type("cal", cal, CalibrationSet)
+    w = _as_w(w, cal.k)
     k = cal.k
-    if w.shape != (k, k):
-        raise InvalidSpec(f"W has shape {w.shape}, expected {(k, k)}")
     empty = np.flatnonzero(np.bincount(cal.noisy_labels, minlength=k) == 0)
     if empty.size:
         raise EmptyClass(int(empty[0]))
@@ -136,7 +115,8 @@ def _mean_f(cal: CalibrationSet, v: NDArray[np.float64], t) -> NDArray[np.float6
 def delta_hat(cal: CalibrationSet, w) -> InflationCurve:
     """Inflation estimator at every own-score order statistic.
 
-    ``w`` may be a TransitionMatrix or the raw K x K inverse.  F_hat(S_(i))
+    ``w`` may be a TransitionMatrix or the raw K x K inverse, which must be
+    finite (InvalidSpec otherwise).  F_hat(S_(i))
     is computed by counting (right-sided binary search), not as i/n, so tied
     own scores are handled exactly.  Raises EmptyClass when a class has no
     calibration sample.

@@ -7,7 +7,11 @@ specification problems from genuine internal failures.
 
 from __future__ import annotations
 
+import math
 from numbers import Integral, Real
+
+import numpy as np
+from numpy.typing import NDArray
 
 __all__ = [
     "NoisycalError",
@@ -105,11 +109,71 @@ def _check_int(name: str, value, minimum: int) -> None:
         raise InvalidSpec(f"{name} must be >= {minimum}, got {value}")
 
 
-def _check_real(name: str, value) -> None:
-    """Raise InvalidSpec naming ``name`` unless value is a real number.
+def _check_real(name: str, value, low=-math.inf, high=math.inf, ends="[]") -> None:
+    """Raise InvalidSpec naming ``name`` unless value is a finite real in range.
 
-    A bool is refused like a string: True would otherwise pass as 1.  Range
-    checks stay with the caller.
+    The range runs from ``low`` to ``high``; ``ends`` says which ends it
+    includes, as in "[)" for [low, high).  A bool is refused like a string:
+    True would otherwise pass as 1.
     """
     if isinstance(value, bool) or not isinstance(value, Real):
         raise InvalidSpec(f"{name} must be a real number, got {value!r}")
+    # an int is finite however large, and too large for math.isfinite
+    if not (isinstance(value, Integral) or math.isfinite(value)):
+        raise InvalidSpec(f"{name} must be finite, got {value}")
+    above = value > low if ends[0] == "(" else value >= low
+    below = value < high if ends[1] == ")" else value <= high
+    if not (above and below):
+        interval = f"{ends[0]}{low:g}, {high:g}{ends[1]}"
+        raise InvalidSpec(f"{name} must lie in {interval}, got {value}")
+
+
+def _check_alpha(alpha) -> None:
+    """Raise InvalidSpec unless the miscoverage level alpha is a real in (0, 1)."""
+    _check_real("alpha", alpha, 0.0, 1.0, "()")
+
+
+def _check_type(name: str, value, cls: type) -> None:
+    """Raise InvalidSpec naming ``name`` unless value is an instance of cls."""
+    if not isinstance(value, cls):
+        got = type(value).__name__
+        raise InvalidSpec(f"{name} must be a {cls.__name__}, got {got}")
+
+
+def _check_label_vector(name: str, labels, k: int | None = None) -> NDArray[np.int64]:
+    """A vector of 0-based integer labels in [0, k), as int64.
+
+    ``k`` defaults to one more than the largest label.  Length and shape
+    against other arrays stay with the caller, which raises its own error.
+    """
+    y = np.asarray(labels)
+    if y.ndim != 1:
+        raise InvalidSpec(f"{name} must be one-dimensional, got shape {y.shape}")
+    if not np.issubdtype(y.dtype, np.integer):
+        raise InvalidSpec(f"{name} must be integers, got dtype {y.dtype}")
+    if k is None:
+        k = int(y.max(initial=0)) + 1
+    bad = (y < 0) | (y >= k)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidSpec(
+            f"{name} must lie in [0, {k - 1}]; row {i} (0-based) is {y[i]}, outside it"
+        )
+    return y.astype(np.int64, copy=False)
+
+
+def _check_square(name: str, matrix, k: int | None = None) -> NDArray[np.float64]:
+    """A finite K x K matrix as a float array; K must equal ``k`` when given."""
+    try:
+        a = np.asarray(matrix, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidSpec(
+            f"{name} must be a real matrix, got {type(matrix).__name__}"
+        ) from None
+    square = a.ndim == 2 and a.shape[0] == a.shape[1] and a.size > 0
+    if not square or (k is not None and a.shape[0] != k):
+        want = "a nonempty square matrix" if k is None else f"{k} x {k}"
+        raise InvalidSpec(f"{name} must be {want}, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidSpec(f"{name} entries must be finite")
+    return a

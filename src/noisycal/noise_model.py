@@ -29,7 +29,15 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidSpec, SingularTransition, _check_int, _check_real
+from .errors import (
+    InvalidSpec,
+    SingularTransition,
+    _check_int,
+    _check_label_vector,
+    _check_real,
+    _check_square,
+    _check_type,
+)
 
 __all__ = [
     "Family",
@@ -84,10 +92,8 @@ class ContaminationSpec:
             ) from None
         object.__setattr__(self, "family", family)
         _check_int("k", self.k, 1)
-        _check_real("eps", self.eps)
-        _check_real("nu", self.nu)
-        if not 0.0 <= self.eps < 1.0:
-            raise InvalidSpec(f"eps must lie in [0, 1), got {self.eps}")
+        _check_real("eps", self.eps, 0.0, 1.0, "[)")
+        _check_real("nu", self.nu, 0.0, 1.0)
         if family is Family.BLOCK_RR:
             _check_int("b", self.b, 1)
             if self.k % self.b != 0:
@@ -97,8 +103,6 @@ class ContaminationSpec:
         if family is Family.TWO_LEVEL_RR:
             if self.k % 2 != 0:
                 raise InvalidSpec(f"two-level model needs an even k, got {self.k}")
-            if not 0.0 <= self.nu <= 1.0:
-                raise InvalidSpec(f"nu must lie in [0, 1], got {self.nu}")
 
 
 @dataclass(frozen=True)
@@ -117,14 +121,8 @@ class TransitionMatrix:
     W: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        t = np.array(self.T, dtype=np.float64)
-        w = np.array(self.W, dtype=np.float64)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise InvalidSpec(f"T must be square, got shape {t.shape}")
-        if w.shape != t.shape:
-            raise InvalidSpec(f"W shape {w.shape} does not match T shape {t.shape}")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(w))):
-            raise InvalidSpec("T and W entries must be finite")
+        t = _check_square("T", self.T).copy()
+        w = _check_square("W", self.W, t.shape[0]).copy()
         if np.any(t < 0.0):
             raise InvalidSpec("T entries must be nonnegative")
         colsums = t.sum(axis=0)
@@ -154,11 +152,9 @@ class TransitionMatrix:
         return float(np.linalg.cond(self.T))
 
 
-def _as_w(w) -> NDArray[np.float64]:
-    """The inverse matrix W of a TransitionMatrix, or a raw K x K array as floats."""
-    if isinstance(w, TransitionMatrix):
-        return w.W
-    return np.asarray(w, dtype=np.float64)
+def _as_w(w, k: int | None = None) -> NDArray[np.float64]:
+    """The W of a TransitionMatrix or a raw array, checked finite and K x K."""
+    return _check_square("W", w.W if isinstance(w, TransitionMatrix) else w, k)
 
 
 def _family_blocks(spec: ContaminationSpec) -> tuple[int, float, float]:
@@ -167,6 +163,7 @@ def _family_blocks(spec: ContaminationSpec) -> tuple[int, float, float]:
     m = K for RR, whose one block leaves ``across`` unused, K/b for block RR
     and K/2 for the two-level model.
     """
+    _check_type("spec", spec, ContaminationSpec)
     k, eps = spec.k, spec.eps
     if spec.family is Family.TWO_LEVEL_RR:
         return k // 2, (eps / k) * (1.0 + spec.nu), (eps / k) * (1.0 - spec.nu)
@@ -226,12 +223,8 @@ def build_transition(spec: ContaminationSpec) -> TransitionMatrix:
 
 def transition_from_matrix(t: NDArray[np.float64]) -> TransitionMatrix:
     """Wrap an explicit matrix, inverting it numerically."""
-    t = np.array(t, dtype=np.float64)
     # checked before the condition number, which needs a finite square matrix
-    if t.ndim != 2 or t.shape[0] != t.shape[1] or t.size == 0:
-        raise InvalidSpec(f"T must be a nonempty square matrix, got shape {t.shape}")
-    if not np.all(np.isfinite(t)):
-        raise InvalidSpec("T and W entries must be finite")
+    t = _check_square("T", t)
     return TransitionMatrix(T=t, W=_inverse(t, SingularTransition, "transition matrix"))
 
 
@@ -244,17 +237,6 @@ def closed_form_inverse(spec: ContaminationSpec) -> TransitionMatrix:
     return TransitionMatrix(
         T=_family_matrix(spec), W=_block_matrix(spec.k, *_inverse_blocks(spec))
     )
-
-
-def _check_labels(labels: NDArray[np.int64], k: int) -> NDArray[np.int64]:
-    arr = np.asarray(labels)
-    if arr.ndim != 1:
-        raise InvalidSpec("true_labels must be one-dimensional")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise InvalidSpec(f"true_labels must be integers, got dtype {arr.dtype}")
-    if arr.size and (arr.min() < 0 or arr.max() >= k):
-        raise InvalidSpec(f"true_labels must lie in [0, {k - 1}] (0-based labels)")
-    return arr.astype(np.int64, copy=False)
 
 
 def sample_noisy_labels(
@@ -271,8 +253,9 @@ def sample_noisy_labels(
     class, so memory stays O(K^2 + n).
     """
     _check_int("seed", seed, 0)
+    _check_type("tm", tm, TransitionMatrix)
     k = tm.k
-    y = _check_labels(true_labels, k)
+    y = _check_label_vector("true_labels", true_labels, k)
     rng = np.random.default_rng(seed)
     u = rng.random(y.size)
     cdf = np.cumsum(tm.T, axis=0)

@@ -25,6 +25,7 @@ from .errors import (
     InsufficientVertices,
     InvalidSpec,
     _check_int,
+    _check_label_vector,
     _check_real,
 )
 
@@ -54,17 +55,8 @@ class SynthConfig:
     def __post_init__(self) -> None:
         for name in ("k", "d", "n_train", "n_cal", "n_test", "clusters_per_class"):
             _check_int(name, getattr(self, name), 1)
-        _check_real("cube_side", self.cube_side)
-        _check_real("imbalance_mu", self.imbalance_mu)
-        # negated comparisons, so that a NaN fails these checks too
-        if not 0.0 < self.cube_side < np.inf:
-            raise InvalidSpec(
-                f"cube_side must be finite and positive, got {self.cube_side}"
-            )
-        if not 0.0 <= self.imbalance_mu < np.inf:
-            raise InvalidSpec(
-                f"imbalance_mu must be finite and nonnegative, got {self.imbalance_mu}"
-            )
+        _check_real("cube_side", self.cube_side, 0.0, np.inf, "()")
+        _check_real("imbalance_mu", self.imbalance_mu, 0.0, np.inf, "[)")
         if 2 * self.k * self.clusters_per_class > 2**self.d:
             raise InsufficientVertices(
                 f"need 2*K*clusters_per_class = {2 * self.k * self.clusters_per_class} "
@@ -213,20 +205,14 @@ def train_softmax(
     y = np.asarray(y)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise DimensionMismatch("x must be n x d with a length-n label vector")
-    if not np.issubdtype(y.dtype, np.integer):
-        raise InvalidSpec(f"training labels must be integers, got dtype {y.dtype}")
     if not np.all(np.isfinite(x)):
         raise InvalidSpec("x must be finite (no NaN or infinity)")
+    if n_classes is not None:
+        _check_int("n_classes", n_classes, 2)
+    y = _check_label_vector("training labels", y, n_classes)
     if y.size == 0 or y.min() == y.max():
         raise DegenerateData("training labels contain fewer than 2 classes")
-    if n_classes is None:
-        k = int(y.max()) + 1
-    else:
-        _check_int("n_classes", n_classes, 2)
-        k = int(n_classes)
-    if y.min() < 0 or y.max() >= k:
-        raise InvalidSpec(f"training labels must lie in [0, {k - 1}]")
-    y = y.astype(np.int64, copy=False)
+    k = int(y.max()) + 1 if n_classes is None else int(n_classes)
     n, d = x.shape
     xb = np.hstack([x, np.ones((n, 1))])
     onehot = np.zeros((n, k))

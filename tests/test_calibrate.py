@@ -95,6 +95,9 @@ def test_standard_rejects_bad_alpha():
     for alpha in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(InvalidSpec):
             standard_threshold(cal, alpha)
+    # a bare score array raised AttributeError on .n
+    with pytest.raises(InvalidSpec, match="cal must be a CalibrationSet, got ndarray"):
+        standard_threshold(cal.scores, 0.1)
 
 
 @pytest.mark.parametrize("alpha", ["0.1", None, True], ids=["str", "none", "bool"])

@@ -729,11 +729,6 @@ def test_gbb_sup_brownian_bridge_grid_estimate():
     assert target - mean <= 0.06
 
 
-def test_gbb_sup_rejects_small_m():
-    with pytest.raises(InvalidSpec):
-        gbb_sup(np.array([[1.0]]), 999, seed=0)
-
-
 def bridge_covariance(npts):
     grid = np.linspace(0.0, 1.0, npts)
     return np.minimum.outer(grid, grid) - np.outer(grid, grid)

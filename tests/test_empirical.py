@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -41,15 +42,12 @@ def small_cal(seed=0, n=40, k=3):
 
 
 def test_calibration_set_validates_own_score():
+    # own_score is derived from the scores and labels, never passed in, so a
+    # mismatched own score cannot be built
     scores = np.array([[0.2, 0.9], [0.4, 0.8]])
-    with pytest.raises(InvalidSpec):
-        CalibrationSet(
-            scores=scores,
-            noisy_labels=np.array([0, 1]),
-            own_score=np.array([0.2, 0.4]),
-        )
-    ok = CalibrationSet.from_scores(scores, np.array([0, 1]))
+    ok = CalibrationSet(scores, np.array([0, 1]))
     assert np.array_equal(ok.own_score, [0.2, 0.8])
+    assert "own_score" not in inspect.signature(CalibrationSet).parameters
 
 
 def test_calibration_set_leaves_caller_arrays_writable():

@@ -134,8 +134,7 @@ def test_non_finite_score_is_not_reported_as_label_mismatch(direct):
     labels = np.array([1, 0])
     with pytest.raises(InvalidSpec, match=r"row 0, column 1 \(0-based\)"):
         if direct:
-            own = scores[np.arange(2), labels]
-            CalibrationSet(scores=scores, noisy_labels=labels, own_score=own)
+            CalibrationSet(scores=scores, noisy_labels=labels)
         CalibrationSet.from_scores(scores, labels)
 
 
