@@ -32,9 +32,9 @@ from numpy.typing import NDArray
 from .correction import CorrectionReport
 from .empirical import CalibrationSet, InflationCurve, delta_hat
 from .errors import (
-    InvalidSpec,
     LengthMismatch,
     _check_alpha,
+    _check_array,
     _check_label_vector,
     _check_real,
     _check_type,
@@ -185,10 +185,8 @@ def evaluate(sets: NDArray[np.bool_], true_labels) -> dict:
     ``true_labels`` are a vector of one 0-based label per set (any other
     shape raises LengthMismatch); a label outside [0, K) raises InvalidSpec.
     """
-    mask = np.asarray(sets, dtype=bool)
-    y = np.asarray(true_labels)
-    if mask.ndim != 2:
-        raise InvalidSpec(f"prediction sets must be n x K, got shape {mask.shape}")
+    mask = _check_array("sets", sets, bool, ndim=2)
+    y = _check_array("true_labels", true_labels, None)
     n, k = mask.shape
     if y.ndim != 1 or y.shape[0] != n:
         got = f"{y.shape[0]} labels" if y.ndim == 1 else f"labels of shape {y.shape}"

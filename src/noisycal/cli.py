@@ -59,6 +59,7 @@ from .errors import (
     SolverFailure,
     _check_alpha,
     _check_int,
+    _check_type,
 )
 from .noise_model import (
     ContaminationSpec,
@@ -157,33 +158,17 @@ class ExperimentConfig:
             )
         _check_alpha(self.alpha)
         # the data and model parameters are checked here, when the config is
-        # read; SynthConfig checks k, d, the three sizes and clusters_per_class
-        # with the same integer check, before the model sees k
-        object.__setattr__(
-            self,
-            "_synth",
-            SynthConfig(
-                k=self.k,
-                d=self.d,
-                n_train=self.n_train,
-                n_cal=self.n_cal,
-                n_test=self.n_test,
-                clusters_per_class=self.clusters_per_class,
-                cube_side=self.cube_side,
-                imbalance_mu=self.imbalance_mu,
-                seed=self.seed,
-            ),
-        )
-        object.__setattr__(
-            self,
-            "_contamination",
-            ContaminationSpec(
-                family=self.family, k=self.k, eps=self.eps, nu=self.nu, b=self.b
-            ),
-        )
+        # read, by the two records whose fields share their names with this
+        # config's; SynthConfig checks k, d, the three sizes and
+        # clusters_per_class with the same integer check, before the model
+        # sees k
+        for name, cls in (("_synth", SynthConfig), ("_contamination", ContaminationSpec)):
+            fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(cls)}
+            object.__setattr__(self, name, cls(**fields))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        _check_type("raw", raw, dict)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(raw) - known)
         if unknown:
@@ -333,6 +318,7 @@ def _summarize(config: ExperimentConfig, rows: list[dict]) -> list[dict]:
 
 def run_synthetic(config: ExperimentConfig) -> dict:
     """Run the synthetic experiment; returns {"rows": [...], "summary": [...]}."""
+    _check_type("config", config, ExperimentConfig)
     spec = config.contamination()
     tm = build_transition(spec)
     rows = []
@@ -440,6 +426,7 @@ def correction_report(
 ) -> CorrectionReport:
     """Correction value for a parametric model at calibration size n."""
     _check_int("n", n, 1)
+    _check_type("variant", variant, str)
     if variant not in _VARIANT_ROUTES:
         raise InvalidSpec(f"unknown correction variant {variant!r}")
     tm = build_transition(spec)

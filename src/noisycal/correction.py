@@ -52,9 +52,11 @@ from .errors import (
     SingularM,
     SolverFailure,
     _check_alpha,
+    _check_array,
     _check_int,
     _check_real,
     _check_square,
+    _check_type,
 )
 from .noise_model import (
     ContaminationSpec,
@@ -97,11 +99,7 @@ class BetaVector:
 
     def __post_init__(self) -> None:
         _check_real("beta0", self.beta0)
-        b = np.array(self.betas, dtype=np.float64)
-        if b.ndim != 1:
-            raise InvalidSpec("betas must be a vector")
-        if not np.all(np.isfinite(b)):
-            raise InvalidSpec("betas must be finite")
+        b = _check_array("betas", self.betas, ndim=1).copy()
         b.setflags(write=False)
         object.__setattr__(self, "betas", b)
 
@@ -204,6 +202,7 @@ def omega_matrix(w, beta: BetaVector) -> NDArray[np.float64]:
     W must be a finite K x K matrix (InvalidSpec otherwise).
     """
     w = _as_w(w)
+    _check_type("beta", beta, BetaVector)
     k = w.shape[0]
     if beta.betas.shape[0] != k:
         raise InvalidSpec(f"beta has {beta.betas.shape[0]} entries, expected {k}")
@@ -602,10 +601,9 @@ def estimate_covariance(cal: CalibrationSet, w, grid) -> NDArray[np.float64]:
     """
     v = _f_weights(cal, w)  # v[i, j] = W[j, label_i]
     n, k = cal.scores.shape
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.shape[0] < 1:
-        raise InvalidSpec("grid must be a nonempty vector")
-    # stated positively, so a NaN anywhere fails it too
+    grid = _check_array("grid", grid, ndim=1)
+    if grid.size == 0:
+        raise InvalidSpec("grid must be nonempty")
     if not (np.all(np.diff(grid) >= 0.0) and grid[0] >= 0.0 and grid[-1] <= 1.0):
         raise InvalidSpec("grid must be sorted within [0, 1]")
     npts = grid.shape[0]
@@ -803,9 +801,9 @@ def delta_asy(
     """
     _check_int("m", m, 1000)
     _check_int("seed", seed, 0)
-    hs = sorted((float(h) for h in h_ladder), reverse=True)
+    hs = sorted(_check_array("h_ladder", h_ladder, ndim=1).tolist(), reverse=True)
     for h in hs:
-        steps = 1.0 / h if 0.0 < h < math.inf else 0.0
+        steps = 1.0 / h if h > 0.0 else 0.0
         if not 0.0 < steps < math.inf or abs(round(steps) - steps) > 1e-9:
             raise InvalidSpec(f"1/h must be a positive integer, got h={h}")
     if len(hs) < 2:
@@ -894,12 +892,10 @@ def upper_bound_diagnostics(
     _check_int("n", n, 1)
     _check_int("k", k, 1)
     t = _check_square("t", t.T if isinstance(t, TransitionMatrix) else t, k)
-    rho = np.asarray(rho, dtype=np.float64)
-    rho_tilde = np.asarray(rho_tilde, dtype=np.float64)
+    rho = _check_array("rho", rho)
+    rho_tilde = _check_array("rho_tilde", rho_tilde)
     if rho.shape != (k,) or rho_tilde.shape != (k,):
         raise InvalidSpec("rho and rho_tilde must be length-K")
-    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(rho_tilde))):
-        raise InvalidSpec("rho and rho_tilde must be finite")
     if np.any(rho <= 0.0) or np.any(rho_tilde <= 0.0):
         raise InvalidSpec("rho and rho_tilde must be strictly positive")
     if abs(rho.sum() - 1.0) > 1e-6 or abs(rho_tilde.sum() - 1.0) > 1e-6:

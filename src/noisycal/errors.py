@@ -140,15 +140,36 @@ def _check_type(name: str, value, cls: type) -> None:
         raise InvalidSpec(f"{name} must be a {cls.__name__}, got {got}")
 
 
+def _check_array(name: str, value, dtype=np.float64, ndim=None, finite=True) -> NDArray:
+    """``value`` as an array of ``dtype`` (its own dtype when None).  InvalidSpec
+    names ``name`` when value is ragged, holds no numbers (a str, None, a dict),
+    has other than ``ndim`` dimensions or, when ``finite``, a float entry that
+    is not finite; the message then names the first such entry."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"{name} must be a real array: {exc}") from None
+    if dtype is not None and a.dtype.kind not in "biuf":
+        raise InvalidSpec(f"{name} must be a real array, got {type(value).__name__}")
+    if ndim is not None and a.ndim != ndim:
+        raise InvalidSpec(f"{name} must be a {ndim}-d array, got shape {a.shape}")
+    if dtype is None:
+        return a
+    a = a.astype(dtype, copy=False)
+    if finite and a.dtype.kind == "f" and not np.isfinite(a).all():
+        i = int(np.argmax(~np.isfinite(a)))
+        at = "row %d, column %d" % divmod(i, a.shape[1]) if a.ndim == 2 else f"entry {i}"
+        raise InvalidSpec(f"{name} entries must be finite; {at} (0-based) is {a.flat[i]}")
+    return a
+
+
 def _check_label_vector(name: str, labels, k: int | None = None) -> NDArray[np.int64]:
     """A vector of 0-based integer labels in [0, k), as int64.
 
     ``k`` defaults to one more than the largest label.  Length and shape
     against other arrays stay with the caller, which raises its own error.
     """
-    y = np.asarray(labels)
-    if y.ndim != 1:
-        raise InvalidSpec(f"{name} must be one-dimensional, got shape {y.shape}")
+    y = _check_array(name, labels, None, ndim=1)
     if not np.issubdtype(y.dtype, np.integer):
         raise InvalidSpec(f"{name} must be integers, got dtype {y.dtype}")
     if k is None:
@@ -164,16 +185,9 @@ def _check_label_vector(name: str, labels, k: int | None = None) -> NDArray[np.i
 
 def _check_square(name: str, matrix, k: int | None = None) -> NDArray[np.float64]:
     """A finite K x K matrix as a float array; K must equal ``k`` when given."""
-    try:
-        a = np.asarray(matrix, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InvalidSpec(
-            f"{name} must be a real matrix, got {type(matrix).__name__}"
-        ) from None
+    a = _check_array(name, matrix)
     square = a.ndim == 2 and a.shape[0] == a.shape[1] and a.size > 0
     if not square or (k is not None and a.shape[0] != k):
         want = "a nonempty square matrix" if k is None else f"{k} x {k}"
         raise InvalidSpec(f"{name} must be {want}, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidSpec(f"{name} entries must be finite")
     return a

@@ -35,7 +35,7 @@ from numpy.typing import NDArray
 
 from .calibrate import ThresholdResult
 from .correction import _jsonable
-from .errors import FileFormatError, LengthMismatch
+from .errors import FileFormatError, LengthMismatch, _check_array
 from .noise_model import TransitionMatrix, transition_from_matrix
 
 __all__ = [
@@ -253,7 +253,7 @@ def write_probability_csv(
     and ends each row with ``\\r\\n``.  Label arrays must have one entry per
     row of ``probs`` (LengthMismatch otherwise).
     """
-    probs = np.asarray(probs, dtype=np.float64)
+    probs = _check_array("probs", probs, finite=False)
     labels = {}
     for name, y in (("y_noisy", y_noisy), ("y_true", y_true)):
         if y is not None:

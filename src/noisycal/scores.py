@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidProbability, InvalidSpec, _check_int
+from .errors import InvalidProbability, InvalidSpec, _check_array, _check_int
 
 __all__ = [
     "validate_probability_rows",
@@ -30,18 +30,13 @@ __all__ = [
 def _require_scores(scores, tol: float) -> NDArray[np.float64]:
     """The scores as a float array, checked to be 2-d, finite and within
     [-tol, 1 + tol]; InvalidSpec names the first entry that is not."""
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 2:
-        raise InvalidSpec(f"scores must be a 2-d n x K matrix, got shape {s.shape}")
-    for bad, rule in (
-        (~np.isfinite(s), "finite"),
-        ((s < -tol) | (s > 1.0 + tol), "in [0, 1]"),
-    ):
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise InvalidSpec(
-                f"scores must be {rule}; row {i}, column {j} (0-based) is {s[i, j]}"
-            )
+    s = _check_array("scores", scores, ndim=2)
+    bad = (s < -tol) | (s > 1.0 + tol)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise InvalidSpec(
+            f"scores must be in [0, 1]; row {i}, column {j} (0-based) is {s[i, j]}"
+        )
     return s
 
 
@@ -59,15 +54,14 @@ def validate_probability_rows(probs: NDArray[np.float64]) -> NDArray[np.float64]
     """Validate and renormalize an n x K stack of probability rows.
 
     Rows whose sum deviates from 1 by at most 1e-6 are renormalized; larger
-    deviations or negative entries raise InvalidProbability.
+    deviations or negative entries raise InvalidProbability, and an entry
+    that is not finite raises InvalidSpec.
     """
-    p = np.array(probs, dtype=np.float64)
+    p = _check_array("probs", probs)
     if p.ndim == 1:
         p = p[None, :]
     if p.ndim != 2 or p.shape[1] < 1:
         raise InvalidProbability(f"expected an n x K matrix, got shape {p.shape}")
-    if np.any(~np.isfinite(p)):
-        raise InvalidProbability("probability entries must be finite")
     if p.min(initial=0.0) < -1e-9:
         raise InvalidProbability("probability entries must be nonnegative")
     p = np.clip(p, 0.0, None)

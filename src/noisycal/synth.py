@@ -23,10 +23,11 @@ from .errors import (
     DegenerateData,
     DimensionMismatch,
     InsufficientVertices,
-    InvalidSpec,
+    _check_array,
     _check_int,
     _check_label_vector,
     _check_real,
+    _check_type,
 )
 
 __all__ = [
@@ -77,9 +78,9 @@ class SoftmaxModel:
     final_loss: float
 
     def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=np.float64)
-        if w.ndim != 2 or not np.all(np.isfinite(w)):
-            raise InvalidSpec("weights must be a finite (d+1) x K matrix")
+        w = _check_array("weights", self.weights, ndim=2).copy()
+        _check_int("iterations", self.iterations, 0)
+        _check_real("final_loss", self.final_loss)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -90,6 +91,7 @@ def generate(config: SynthConfig) -> tuple[NDArray[np.float64], NDArray[np.int64
     Returns (X, Y) with ``config.n_total`` rows; callers slice the three
     splits off in order.  Deterministic given the seed.
     """
+    _check_type("config", config, SynthConfig)
     rng = np.random.default_rng(config.seed)
     k, d, cpc = config.k, config.d, config.clusters_per_class
     total_clusters = k * cpc
@@ -201,12 +203,10 @@ def train_softmax(
     ``n_classes``) has no finite optimum; its probability is driven below
     the tolerance instead.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
+    x = _check_array("x", x)
+    y = _check_array("training labels", y, None)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise DimensionMismatch("x must be n x d with a length-n label vector")
-    if not np.all(np.isfinite(x)):
-        raise InvalidSpec("x must be finite (no NaN or infinity)")
     if n_classes is not None:
         _check_int("n_classes", n_classes, 2)
     y = _check_label_vector("training labels", y, n_classes)
@@ -248,8 +248,9 @@ def train_softmax(
 
 
 def predict_probs(model: SoftmaxModel, x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Softmax probabilities for each row of x."""
-    x = np.asarray(x, dtype=np.float64)
+    """Softmax probabilities for each row of x, which must be finite."""
+    _check_type("model", model, SoftmaxModel)
+    x = _check_array("x", x)
     if x.ndim != 2 or x.shape[1] + 1 != model.weights.shape[0]:
         raise DimensionMismatch(
             f"x has {x.shape[1] if x.ndim == 2 else '?'} features, "

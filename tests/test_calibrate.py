@@ -275,7 +275,7 @@ def test_prediction_sets_thresholds_each_row():
         (np.nan, r"finite; row 1, column 0 \(0-based\)"),
         (1.8, r"in \[0, 1\]; row 1, column 0 \(0-based\)"),
         (-0.5, r"in \[0, 1\]; row 1, column 0 \(0-based\)"),
-        (None, r"2-d n x K matrix, got shape \(2,\)"),
+        (None, r"scores must be a 2-d array, got shape \(2,\)"),
     ],
     ids=["nan", "above-one", "below-zero", "one-dimensional"],
 )

@@ -1,7 +1,8 @@
 """Bad input at the public boundary: every entry point that takes alpha, a
-bounded real scalar, a label vector, a W/T matrix or a calibration set, report,
-spec or transition matrix raises the typed error of its one checker, and the
-message names the argument."""
+bounded real scalar, a real array, a label vector, a W/T matrix or one of the
+record types raises the typed error of its one checker, and the message names
+the argument; any bad argument to a public computation either works or raises
+a NoisycalError."""
 
 import math
 
@@ -19,12 +20,17 @@ from noisycal import (
     DimensionMismatch,
     InvalidSpec,
     LengthMismatch,
+    NoisycalError,
+    SoftmaxModel,
     SynthConfig,
     TransitionMatrix,
     adaptive_threshold,
+    aps_scores,
     b_term,
     build_transition,
+    c_of_n,
     closed_form_inverse,
+    cn_envelope,
     delta_asy,
     delta_fs,
     delta_fs_special,
@@ -32,16 +38,19 @@ from noisycal import (
     delta_star_star_bound,
     estimate_covariance,
     evaluate,
+    generate,
     omega_matrix,
     optimistic_threshold,
+    predict_probs,
     prediction_sets,
     sample_noisy_labels,
     standard_threshold,
     train_softmax,
     transition_from_matrix,
     upper_bound_diagnostics,
+    validate_probability_rows,
 )
-from noisycal.cli import ExperimentConfig
+from noisycal.cli import ExperimentConfig, correction_report, run_synthetic
 
 SCORES = np.array([[0.2, 0.9], [0.4, 0.8], [0.7, 0.1]])
 CAL = CalibrationSet(SCORES, np.array([0, 1, 1]))
@@ -101,6 +110,18 @@ SCALARS = [
         [-0.01],
     ),
     ("BetaVector", "beta0", lambda v: BetaVector(beta0=v, betas=np.zeros(2)), []),
+    (
+        "SoftmaxModel",
+        "iterations",
+        lambda v: SoftmaxModel(weights=np.zeros((2, 2)), iterations=v, final_loss=0.0),
+        [-1],
+    ),
+    (
+        "SoftmaxModel",
+        "final_loss",
+        lambda v: SoftmaxModel(weights=np.zeros((2, 2)), iterations=0, final_loss=v),
+        [],
+    ),
     ("upper_bound_diagnostics", "delta_n", lambda v: _diagnostics(delta_n=v), [-0.1]),
     (
         "upper_bound_diagnostics",
@@ -173,6 +194,7 @@ BAD_LABELS = {
     "inf": (np.array([0.0, math.inf, 1.0]), "must be integers"),
     "bool": (np.array([True, False, True]), "must be integers"),
     "str": (np.array(["0", "1", "1"]), "must be integers"),
+    "ragged": ([[0, 1], [1]], "must be a real array: "),
     "float": (np.array([0.0, 1.0, 1.0]), "must be integers"),
     "past-k": (np.array([0, 1, 2]), r"must lie in \[0, 1\]; row 2 \(0-based\) is 2"),
     "negative": (np.array([-1, 0, 1]), r"must lie in \[0, 1\]; row 0 \(0-based\) is -1"),
@@ -232,7 +254,9 @@ BAD_MATRICES = {
     "inf": ([[1.0, math.inf], [0.0, 1.0]], "entries must be finite"),
     "-inf": ([[1.0, 0.0], [-math.inf, 1.0]], "entries must be finite"),
     "bool": (True, r"must be .*, got shape \(\)"),
-    "str": ("eye", "must be a real matrix, got str"),
+    "str": ("eye", "must be a real array, got str"),
+    "none": (None, "must be a real array, got NoneType"),
+    "ragged": ([[1.0, 0.0], [1.0]], "must be a real array: "),
     "vector": ([1.0, 0.0], r"must be .*, got shape \(2,\)"),
     "2x3": (np.ones((2, 3)), r"must be .*, got shape \(2, 3\)"),
 }
@@ -262,6 +286,13 @@ OBJECTS = [
     ("build_transition", "spec", build_transition),
     ("closed_form_inverse", "spec", closed_form_inverse),
     ("delta_fs_special", "spec", lambda a: delta_fs_special(a, 100, 0.1)),
+    ("generate", "config", generate),
+    ("predict_probs", "model", lambda a: predict_probs(a, X3)),
+    ("omega_matrix", "beta", lambda a: omega_matrix(W, a)),
+    ("b_term", "beta", lambda a: b_term(2, 100, a, W)),
+    ("correction_report", "variant", lambda a: correction_report(RR2, 100, variant=a)),
+    ("ExperimentConfig.from_dict", "raw", ExperimentConfig.from_dict),
+    ("run_synthetic", "config", run_synthetic),
 ]
 
 
@@ -273,6 +304,79 @@ def test_wrong_object_type_raises_invalid_spec_naming_it(call, name):
     # each raised AttributeError on the array
     with pytest.raises(InvalidSpec, match=f"^{name} must be a [A-Za-z]+, got ndarray"):
         call(SCORES)
+
+
+X3_MODEL = SoftmaxModel(weights=np.zeros((2, 2)), iterations=0, final_loss=0.0)
+
+# (entry point, argument name in the message, call with the bad array, a
+#  valid value of the argument)
+ARRAYS = [
+    ("CalibrationSet", "scores", lambda a: CalibrationSet(a, [0, 1, 1]), SCORES),
+    ("prediction_sets", "scores", lambda a: prediction_sets(a, 0.5), SCORES),
+    ("aps_scores", "probs", aps_scores, T),
+    ("validate_probability_rows", "probs", validate_probability_rows, T),
+    ("BetaVector", "betas", lambda a: BetaVector(beta0=1.0, betas=a), np.zeros(2)),
+    ("estimate_covariance", "grid", lambda a: estimate_covariance(CAL, W, a), GRID),
+    (
+        "delta_asy",
+        "h_ladder",
+        lambda a: delta_asy(CAL, W, h_ladder=a, m=1000),
+        np.array([0.1, 0.05]),
+    ),
+    ("upper_bound_diagnostics", "rho", lambda a: _diagnostics(rho=a), RHO),
+    ("upper_bound_diagnostics", "rho_tilde", lambda a: _diagnostics(rho_tilde=a), RHO),
+    (
+        "SoftmaxModel",
+        "weights",
+        lambda a: SoftmaxModel(weights=a, iterations=0, final_loss=0.0),
+        np.zeros((2, 2)),
+    ),
+    ("train_softmax", "x", lambda a: train_softmax(a, [0, 1, 1]), X3),
+    ("predict_probs", "x", lambda a: predict_probs(X3_MODEL, a), X3),
+    ("evaluate", "sets", lambda a: evaluate(a, [0, 1, 1]), SCORES <= 0.5),
+]
+
+NOT_ARRAYS = {
+    "str": ("x", ", got str"),
+    "none": (None, ", got NoneType"),
+    "dict": ({}, ", got dict"),
+    "object": (object(), ", got object"),
+    "str-list": (["0.1", "0.2"], ", got list"),
+    "ragged": ([[0.1, 0.2], [0.3]], ": setting an array element with a sequence"),
+}
+
+
+@pytest.mark.parametrize("kind", list(NOT_ARRAYS))
+@pytest.mark.parametrize(
+    "call, name",
+    [pytest.param(call, name, id=f"{entry}-{name}") for entry, name, call, _ in ARRAYS],
+)
+def test_non_array_raises_invalid_spec_naming_it(call, name, kind):
+    # each raised a bare ValueError, TypeError or AttributeError from NumPy
+    value, message = NOT_ARRAYS[kind]
+    with pytest.raises(InvalidSpec, match=f"^{name} must be a real array{message}"):
+        call(value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call, name, valid",
+    [
+        pytest.param(call, name, valid, id=f"{entry}-{name}")
+        for entry, name, call, valid in ARRAYS
+        if valid.dtype != bool
+    ],
+)
+def test_non_finite_array_entry_raises_invalid_spec_naming_it(call, name, valid, bad):
+    # predict_probs turned a NaN or infinite feature into NaN probabilities
+    a = valid.astype(np.float64)
+    a.flat[-1] = bad
+    last = f"entry {a.size - 1}"
+    if a.ndim == 2:
+        last = f"row {a.shape[0] - 1}, column {a.shape[1] - 1}"
+    message = rf"^{name} entries must be finite; {last} \(0-based\) is {bad}"
+    with pytest.raises(InvalidSpec, match=message):
+        call(a)
 
 
 @pytest.mark.parametrize("rule", [adaptive_threshold, optimistic_threshold])
@@ -287,3 +391,108 @@ def test_delta_asy_refuses_nan_w_before_the_eigensolver():
     # a NaN W reached the covariance and surfaced as NumPy's LinAlgError
     with pytest.raises(InvalidSpec, match="W entries must be finite"):
         delta_asy(CAL, [[math.nan, 0.0], [0.0, 1.0]], m=1000)
+
+
+# Every public computation, called once with valid arguments: each argument
+# is replaced in turn by each value of BAD_VALUES, and the call must either
+# succeed or raise a NoisycalError, never a bare NumPy or Python error.
+BAD_VALUES = {
+    "str": "x",
+    "none": None,
+    "ragged": [[0.1, 0.2], [0.3]],
+    "nan": math.nan,
+    "dict": {},
+    "minus-one": -1,
+    "object": object(),
+}
+
+BLOCK4 = ContaminationSpec(family="block_rr", k=4, eps=0.1, b=2)
+TM = build_transition(RR2)
+SYNTH = SynthConfig(**SIZES, seed=0)
+EXPERIMENT = dict(
+    **SIZES,
+    clusters_per_class=2,
+    cube_side=2.0,
+    imbalance_mu=0.0,
+    family="rr",
+    eps=0.1,
+    nu=0.0,
+    b=None,
+    alpha=0.1,
+    methods=("standard",),
+    repetitions=1,
+    seed=0,
+    out=None,
+    randomized_scores=False,
+)
+
+# (callable, its valid keyword arguments)
+VALID_CALLS = [
+    (standard_threshold, dict(cal=CAL, alpha=0.1)),
+    (adaptive_threshold, dict(cal=CAL, w=W, alpha=0.1, delta=REPORT)),
+    (optimistic_threshold, dict(cal=CAL, w=W, alpha=0.1, delta=REPORT)),
+    (prediction_sets, dict(scores=SCORES, tau=0.5)),
+    (evaluate, dict(sets=SCORES <= 0.5, true_labels=[0, 1, 1])),
+    (BetaVector, dict(beta0=1.0, betas=np.zeros(2))),
+    (CorrectionReport, dict(method=CorrectionMethod.CN_ONLY, value=0.0)),
+    (b_term, dict(k=2, n=100, beta=BETA, w=W)),
+    (c_of_n, dict(n=100)),
+    (cn_envelope, dict(n=100)),
+    (delta_asy, dict(cal=CAL, w=W, h_ladder=(1 / 10, 1 / 20), m=1000, seed=0)),
+    (delta_fs, dict(n=100, k=2, w=W, c_n=0.1)),
+    (delta_fs_special, dict(spec=RR2, n=100, c_n=0.1)),
+    (delta_star_star_bound, dict(n=100, k=2, w=W)),
+    (estimate_covariance, dict(cal=CAL, w=W, grid=GRID)),
+    (omega_matrix, dict(w=W, beta=BETA)),
+    (
+        upper_bound_diagnostics,
+        dict(
+            n=100, k=2, t=T, rho=RHO, rho_tilde=RHO, delta_n=0.1, delta_ss_n=0.1, alpha=0.1
+        ),
+    ),
+    (CalibrationSet, dict(scores=SCORES, noisy_labels=[0, 1, 1])),
+    (delta_hat, dict(cal=CAL, w=W)),
+    (ContaminationSpec, dict(family="block_rr", k=4, eps=0.1, nu=0.0, b=2)),
+    (TransitionMatrix, dict(T=T, W=np.linalg.inv(T))),
+    (build_transition, dict(spec=BLOCK4)),
+    (closed_form_inverse, dict(spec=BLOCK4)),
+    (sample_noisy_labels, dict(true_labels=[0, 1, 1], tm=TM, seed=0)),
+    (transition_from_matrix, dict(t=T)),
+    (aps_scores, dict(probs=T, randomized=True, seed=0)),
+    (validate_probability_rows, dict(probs=T)),
+    (SoftmaxModel, dict(weights=np.zeros((2, 2)), iterations=0, final_loss=0.0)),
+    (
+        SynthConfig,
+        dict(**SIZES, clusters_per_class=2, cube_side=2.0, imbalance_mu=0.0, seed=0),
+    ),
+    (generate, dict(config=SYNTH)),
+    (predict_probs, dict(model=X3_MODEL, x=X3)),
+    (train_softmax, dict(x=X3, y=[0, 1, 1], n_classes=2)),
+    (ExperimentConfig, EXPERIMENT),
+    (ExperimentConfig.from_dict, dict(raw=EXPERIMENT)),
+    (run_synthetic, dict(config=ExperimentConfig(**EXPERIMENT))),
+    (correction_report, dict(spec=RR2, n=100, variant="fs")),
+]
+
+
+@pytest.mark.parametrize(
+    "call, kwargs, name, bad",
+    [
+        pytest.param(call, kwargs, name, bad, id=f"{call.__qualname__}-{name}-{kind}")
+        for call, kwargs in VALID_CALLS
+        for name in kwargs
+        for kind, bad in BAD_VALUES.items()
+    ],
+)
+def test_bad_argument_succeeds_or_raises_a_typed_error(call, kwargs, name, bad):
+    try:
+        call(**(kwargs | {name: bad}))
+    except NoisycalError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "call, kwargs", [pytest.param(c, k, id=c.__qualname__) for c, k in VALID_CALLS]
+)
+def test_each_valid_call_succeeds(call, kwargs):
+    call(**kwargs)

@@ -66,7 +66,7 @@ def test_calibration_set_leaves_caller_arrays_writable():
     "scores, labels, match",
     [
         ([[0.2, 0.9], [0.4, 0.8]], [0, 2], r"labels must lie in \[0, 1\]"),
-        ([0.2, 0.9], [0, 1], "2-d n x K matrix"),
+        ([0.2, 0.9], [0, 1], r"scores must be a 2-d array, got shape \(2,\)"),
         ([[0.2, 0.9], [0.4, 0.8]], [0.7, 1.2], "must be integers"),
     ],
     ids=["label-past-k", "one-dimensional-scores", "float-labels"],

@@ -225,8 +225,8 @@ def test_train_softmax_validation():
         (None, -1, {}, r"labels must lie in \[0, 1\]"),
         (None, 0.5, {}, "labels must be integers"),
         (None, None, {"n_classes": 2.7}, "n_classes must be an integer"),
-        (np.nan, None, {}, "x must be finite"),
-        (np.inf, None, {}, "x must be finite"),
+        (np.nan, None, {}, r"x entries must be finite; row 3, column 0 \(0-based\)"),
+        (np.inf, None, {}, r"x entries must be finite; row 3, column 0 \(0-based\)"),
     ],
     ids=["label-minus-one", "float-label", "float-n_classes", "nan-x", "inf-x"],
 )
