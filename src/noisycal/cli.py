@@ -59,6 +59,7 @@ from .errors import (
     SolverFailure,
     _check_alpha,
     _check_int,
+    _check_path,
     _check_type,
 )
 from .noise_model import (
@@ -186,6 +187,7 @@ class ExperimentConfig:
 
 
 def read_experiment_config(path: str) -> ExperimentConfig:
+    _check_path("path", path)
     try:
         with open(path) as handle:
             raw = json.load(handle)
@@ -366,6 +368,11 @@ def run_from_scores(
     test file when given, otherwise for the calibration rows themselves;
     coverage is reported whenever the evaluated rows carry ``y_true``.
     """
+    _check_path("scores_path", scores_path)
+    optional = {"transition_path": transition_path, "test_path": test_path, "out": out}
+    for name, path in optional.items():
+        if path is not None:
+            _check_path(name, path)
     if method not in METHODS:
         raise InvalidSpec(f"unknown method {method!r}; valid: {list(METHODS)}")
     if (transition_path is None) == (model is None):

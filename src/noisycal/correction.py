@@ -7,31 +7,25 @@ Three routes produce a correction:
   with Ramanujan's Q-function; bounded above by sqrt(pi / (2 n)).
 * ``delta_fs``: finite-sample bound c(n) (beta_0 + mean_k beta_k)
   + B(K, n, beta)/sqrt(n), minimized exactly over beta one branch of the min
-  inside B at a time: the chaining branch in closed form (a 1-D convex
-  piecewise-linear minimization over beta_0, O(K^2)).  The Massart branch
-  is in closed form too (the better of two symmetric candidates, O(K^2))
-  whenever W has the block form d I + s B + o (J - B) over contiguous
-  blocks of m labels, as the inverse of every parametric family does.  The
-  form is read off W itself, however W was given, so a family's W read
-  from a file qualifies too.  Every other W goes to a sparse linear
-  program solved by interior point (O(K^2) memory), the package's one use
-  of SciPy.
+  inside B at a time.  When W has the block form d I + s B + o (J - B)
+  over contiguous blocks of m labels, as every parametric family's inverse
+  does however it was given, both branches are in closed form.  For any
+  other W the chaining branch is in closed form (O(K^2)) and the Massart
+  branch a sparse linear program solved by interior point (O(K^2)
+  memory), the package's one use of SciPy.
 * ``delta_asy``: asymptotic route; estimates the plug-in covariance of the
   limiting Gaussian process once, on the finest grid of a halving ladder
   (``estimate_covariance``), factors it, simulates its absolute supremum on
   every level from one stream of m float32 draws, extrapolates the two
-  finest levels by one Richardson pass, and rescales by 1/sqrt(n).  The
-  normals come from a vectorized Box-Muller transform (float64 radius,
-  float32 angle) of one ``default_rng(seed)`` stream.  The draws stream
-  through two fixed float32 buffers of 2,048 draws (0.8 MiB each at
-  N = 101), one dense float32 product with the factor per slice, so the
-  working memory is O(nK + N^2), independent of m.  The default
-  ladder is h = 1/25, 1/50, 1/100 (finest grid N = 101 points): the
-  sampler costs O(N^2) per draw, while the extrapolate barely depends on N.
+  finest levels by one Richardson pass, and rescales by 1/sqrt(n), in
+  O(nK + N^2) working memory, independent of m.  The default ladder is
+  h = 1/25, 1/50, 1/100 (finest grid N = 101 points): the sampler costs
+  O(N^2) per draw, while the extrapolate barely depends on N.
 
 ``delta_star_star_bound`` and ``upper_bound_diagnostics`` compute the purely
 diagnostic quantities (the bound on the expected absolute supremum of the
-centered process, d(n), phi(n), and the inflation-floor threshold).
+centered process, d(n), phi(n), and the inflation-floor threshold); the
+bound takes the same closed forms, and for any other W two LPs.
 """
 
 from __future__ import annotations
@@ -64,7 +58,7 @@ from .noise_model import (
     _as_w,
     _inverse,
     _inverse_blocks,
-    closed_form_inverse,
+    build_transition,
 )
 
 __all__ = [
@@ -343,6 +337,20 @@ def _branch_lp(
     return BetaVector(beta0=float(res.x[0]), betas=res.x[1:nb].copy())
 
 
+def _check_bounded(k: int, weight: float, z_coef: float, per_column: bool) -> None:
+    """Raise SolverFailure when a signed branch is unbounded below: the
+    Massart branch (``per_column``) when z_coef < weight, the chaining
+    branch when z_coef < K weight."""
+    name, floor, what = ("Massart", weight, "the weight")
+    if not per_column:
+        name, floor, what = "chaining", k * weight, "K * weight ="
+    if not floor <= z_coef:
+        raise SolverFailure(
+            f"the {name} branch is unbounded below: its z coefficient {z_coef} "
+            f"is below {what} {floor}"
+        )
+
+
 def _chaining_minimizer(
     w: NDArray[np.float64], weight: float, z_coef: float
 ) -> BetaVector:
@@ -364,12 +372,8 @@ def _chaining_minimizer(
     O(K^2) work, no solver.
     """
     k = w.shape[0]
+    _check_bounded(k, weight, z_coef, per_column=False)
     slack = z_coef - k * weight
-    if not slack >= 0.0:
-        raise SolverFailure(
-            f"the chaining branch is unbounded below: its z coefficient {z_coef} "
-            f"is below K * weight = {k * weight}"
-        )
     diag = np.diag(w)
     off = w.copy()
     np.fill_diagonal(off, -np.inf)
@@ -446,41 +450,45 @@ def _block_size(w: NDArray[np.float64]) -> int | None:
     return m if np.all(np.abs(w - form) <= tol) else None
 
 
-def _family_massart_minimizer(
-    m: int, n: int, w: NDArray[np.float64], weight: float, z_coef: float
+def _block_minimizer(
+    m: int, w, weight: float, z_coef: float, per_column: bool, abs_objective: bool
 ) -> BetaVector:
-    """Exact minimizer of the signed Massart branch for a W of block form.
+    """The problem of :func:`_branch_lp`, solved exactly for a W of block form.
 
-    Minimizes weight * (beta0 + mean_k beta_k) + z_coef * max_l sum_k
-    |Omega[k, l]| for W = d I + s B + o (J - B) over blocks of m labels
-    (:func:`_block_size`), the form of every parametric family's W.  Such a
-    W is unchanged by a permutation group acting transitively on the
-    classes, and the branch is convex and invariant under it, so averaging
-    a minimizer over the group gives one with every beta_k = K x.  W has d
-    on its diagonal, s off it within a block and o across blocks;
-    beta0 = d - x zeroes the diagonal of Omega (optimal for z_coef >= weight)
-    and leaves
-
-        weight (d + (K-1) x) + z_coef ((m-1) |s - x| + (K-m) |o - x|),
-
-    convex piecewise linear in x with kinks at s (if m > 1) and o (if m < K).
-    The better kink is evaluated on w itself; for K = 1 every x gives
-    weight * d.  O(K^2) work, no solver.
+    W = d I + s B + o (J - B) over blocks of m labels (:func:`_block_size`)
+    is invariant under a permutation group transitive on the classes, and so
+    is each convex problem, so a minimizer averaged over the group has every
+    beta_k = K x.  A column of Omega then holds d - beta0 - x once, s - x
+    (m - 1) times and o - x (K - m) times; Massart sums their absolute
+    values, chaining takes the largest.  A minimizer is the best vertex of
+    the lines where a piece changes: beta0 = 0, x = 0, beta0 + x = d,
+    x = (s + o)/2 and, for v in {s, o}, x = v, beta0 = d - v and
+    beta0 + 2x = d + v.  O(K) work, no solver.
     """
-    if not weight <= z_coef:
-        raise SolverFailure(
-            f"the Massart branch is unbounded below: its z coefficient {z_coef} "
-            f"is below the weight {weight}"
-        )
     k = w.shape[0]
-    kinks = [w[0, 1]] if m > 1 else []
-    if m < k:
-        kinks.append(w[0, m])
-    candidates = [
-        BetaVector(beta0=float(w[0, 0] - x), betas=np.full(k, k * x))
-        for x in kinks or [0.0]
-    ]
-    return min(candidates, key=lambda beta: _fs_values(n, w, weight, beta)["massart"])
+    if not abs_objective:
+        _check_bounded(k, weight, z_coef, per_column)
+    # o = s for one block (m = K), s = d for K = 1: copies change nothing
+    d = w[0, 0]
+    s = w[0, 1] if k > 1 else d
+    o = w[0, m] if m < k else s
+    lines = [(1, 0, 0), (0, 1, 0), (1, 1, d), (0, 1, (s + o) / 2)]
+    for v in (s, o):
+        lines += [(0, 1, v), (1, 0, d - v), (1, 2, d + v)]
+    # the vertices: a beta0 + b x = c on both of two crossing lines; + 0.0
+    # turns a -0.0 of Cramer's rule into 0.0
+    a, b, c = np.array(lines, dtype=np.float64).T
+    i, j = np.triu_indices(a.size, 1)
+    det = a[i] * b[j] - a[j] * b[i]
+    cross = det != 0.0
+    i, j, det = i[cross], j[cross], det[cross]
+    beta0 = (c[i] * b[j] - c[j] * b[i]) / det + 0.0
+    x = (a[i] * c[j] - a[j] * c[i]) / det + 0.0
+    dev = np.abs([d - beta0 - x, s - x, o - x])
+    branch = np.array([1, m - 1, k - m]) @ dev if per_column else dev.max(axis=0)
+    linear = np.abs(beta0) + k * np.abs(x) if abs_objective else beta0 + k * x
+    best = int(np.argmin(weight * linear + z_coef * branch))
+    return BetaVector(beta0=float(beta0[best]), betas=np.full(k, k * x[best]))
 
 
 def _branch_minimizers(
@@ -489,49 +497,41 @@ def _branch_minimizers(
     """Minimizers of the Massart branch and, for K >= 2, of the chaining branch.
 
     One problem per branch of the min inside B; the z-coefficients include
-    the 2/sqrt(n) scale of B.  The signed chaining branch is solved in
-    closed form (:func:`_chaining_minimizer`), and so is the signed Massart
-    branch when :func:`_block_size` finds W of block form
-    (:func:`_family_massart_minimizer`).  Every other Massart branch, and
-    both branches of the ``abs_objective`` variant, are sparse
-    interior-point LPs (:func:`_branch_lp`).  The closed forms run first,
-    so an unbounded chaining branch fails before any LP is built.  w is a
-    finite K x K array (:func:`_checked_w`).
+    the 2/sqrt(n) scale of B.  A W of block form (:func:`_block_size`)
+    takes :func:`_block_minimizer` for both.  Any other W takes
+    :func:`_chaining_minimizer` for the signed chaining branch and the
+    sparse LP :func:`_branch_lp` for the rest.  The chaining branch runs
+    first, so an unbounded one fails before any LP is built.  w is a finite
+    K x K array (:func:`_checked_w`).
     """
     k = w.shape[0]
     scale = 2.0 / math.sqrt(n)
+    m = _block_size(w)
+
+    def solve(z_coef: float, per_column: bool) -> BetaVector:
+        if m is not None:
+            return _block_minimizer(m, w, weight, z_coef, per_column, abs_objective)
+        if per_column or abs_objective:
+            return _branch_lp(w, weight, z_coef, per_column, abs_objective)
+        return _chaining_minimizer(w, weight, z_coef)
+
     chaining = {}
     if k >= 2:
-        z_coef = scale * _chaining_constant(k)
-        chaining["chaining"] = (
-            _branch_lp(w, weight, z_coef, per_column=False, abs_objective=True)
-            if abs_objective
-            else _chaining_minimizer(w, weight, z_coef)
-        )
-    z_coef = scale * math.sqrt(math.log(k * n + 1.0))
-    m = None if abs_objective else _block_size(w)
-    if m is None:
-        massart = _branch_lp(
-            w, weight, z_coef, per_column=True, abs_objective=abs_objective
-        )
-    else:
-        massart = _family_massart_minimizer(m, n, w, weight, z_coef)
+        chaining["chaining"] = solve(scale * _chaining_constant(k), per_column=False)
+    massart = solve(scale * math.sqrt(math.log(k * n + 1.0)), per_column=True)
     return {"massart": massart, **chaining}
 
 
 def delta_fs(n: int, k: int, w, c_n: float) -> CorrectionReport:
     """Finite-sample correction for a finite K x K W, minimized exactly over beta.
 
-    Minimizes each branch of the min inside B exactly (see
-    :func:`_branch_minimizers`): the chaining branch in closed form, and
-    the Massart branch in closed form when W has the block form of the
-    parametric families, however it was given, and otherwise as a sparse
-    LP by interior point, the package's one use of SciPy.
-    ``branch_values`` records each branch's optimum, its own term at its own
-    minimizer (None for the chaining branch at K = 1).  The report carries
-    the minimizer with the smaller bound and the branch active there; the
-    reported value equals the objective evaluated on w at ``beta_star``,
-    which is the optimizer certificate.
+    Minimizes each branch of the min inside B exactly, in closed form for a
+    W of block form (see :func:`_branch_minimizers`).  ``branch_values``
+    records each branch's optimum, its own term at its own minimizer (None
+    for the chaining branch at K = 1).  The report carries the minimizer
+    with the smaller bound and the branch active there; the reported value
+    equals the objective evaluated on w at ``beta_star``, the optimizer
+    certificate.
     """
     w = _checked_w(n, k, w)
     _check_real("c_n", c_n, 0.0, math.inf, "()")
@@ -570,7 +570,7 @@ def delta_fs_special(spec: ContaminationSpec, n: int, c_n: float) -> CorrectionR
     _, diag, within, _ = _inverse_blocks(spec)
     k = spec.k
     beta = BetaVector(beta0=diag, betas=np.full(k, k * within))
-    values = _fs_values(n, closed_form_inverse(spec).W, c_n, beta)
+    values = _fs_values(n, build_transition(spec).W, c_n, beta)
     value, branch = _smallest(values)
     return CorrectionReport(
         method=CorrectionMethod.FINITE_SAMPLE,
@@ -852,9 +852,9 @@ def delta_star_star_bound(n: int, k: int, w) -> float:
 
     The same two branches as :func:`delta_fs`, with absolute values on the
     beta coefficients and the analytic envelope sqrt(pi/(2 n)) as the linear
-    weight; the bound is only valid with the envelope, not with c(n).  With
-    absolute values the chaining branch has no closed form, so both branches
-    are sparse interior-point LPs.
+    weight; the bound is only valid with the envelope, not with c(n).  A W
+    of block form takes the closed forms and loads no SciPy, any other W
+    two sparse LPs (see :func:`_branch_minimizers`).
     """
     scale = cn_envelope(n)
     w = _checked_w(n, k, w)

@@ -8,6 +8,7 @@ specification problems from genuine internal failures.
 from __future__ import annotations
 
 import math
+import os
 from numbers import Integral, Real
 
 import numpy as np
@@ -138,6 +139,17 @@ def _check_type(name: str, value, cls: type) -> None:
     if not isinstance(value, cls):
         got = type(value).__name__
         raise InvalidSpec(f"{name} must be a {cls.__name__}, got {got}")
+
+
+def _check_path(name: str, value) -> None:
+    """Raise InvalidSpec naming ``name`` unless value is a str or os.PathLike.
+
+    ``open`` would take an int as a file descriptor, read or write it and
+    close it, so an int is refused with every other type.
+    """
+    if not isinstance(value, (str, os.PathLike)):
+        got = type(value).__name__
+        raise InvalidSpec(f"{name} must be a str or os.PathLike, got {got}")
 
 
 def _check_array(name: str, value, dtype=np.float64, ndim=None, finite=True) -> NDArray:

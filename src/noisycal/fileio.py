@@ -35,7 +35,15 @@ from numpy.typing import NDArray
 
 from .calibrate import ThresholdResult
 from .correction import _jsonable
-from .errors import FileFormatError, LengthMismatch, _check_array
+from .errors import (
+    FileFormatError,
+    LengthMismatch,
+    _check_array,
+    _check_label_vector,
+    _check_path,
+    _check_real,
+    _check_type,
+)
 from .noise_model import TransitionMatrix, transition_from_matrix
 
 __all__ = [
@@ -189,6 +197,7 @@ def read_probability_csv(
     absent label columns are None.  The values are parsed, not checked as
     probabilities or scores.
     """
+    _check_path("path", path)
     table = None
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -250,14 +259,17 @@ def write_probability_csv(
     """Write rows of ``p_1..p_K[,y_noisy][,y_true]``, labels 1-based.
 
     The bytes are those of ``csv.writer``, which quotes none of these cells
-    and ends each row with ``\\r\\n``.  Label arrays must have one entry per
-    row of ``probs`` (LengthMismatch otherwise).
+    and ends each row with ``\\r\\n``.  ``probs`` must be a real matrix and
+    each label array a vector of 0-based labels in [0, K) (InvalidSpec
+    otherwise) with one entry per row of ``probs`` (LengthMismatch
+    otherwise); all are checked before the file is opened.
     """
-    probs = _check_array("probs", probs, finite=False)
+    _check_path("path", path)
+    probs = _check_array("probs", probs, ndim=2, finite=False)
     labels = {}
     for name, y in (("y_noisy", y_noisy), ("y_true", y_true)):
         if y is not None:
-            y = np.asarray(y, dtype=np.int64)
+            y = _check_label_vector(name, y, probs.shape[1])
             if y.shape != (probs.shape[0],):
                 raise LengthMismatch(f"{probs.shape[0]} rows vs {name} of shape {y.shape}")
             labels[name] = (y + 1).tolist()
@@ -276,6 +288,7 @@ def read_transition_csv(path: str) -> TransitionMatrix:
     Column sums may drift from 1 by up to 1e-6 (files store rounded
     decimals); anything further off is rejected, never repaired.
     """
+    _check_path("path", path)
     rows = _read_rows(path)
     if not rows:
         raise FileFormatError(f"{path} is empty")
@@ -304,6 +317,7 @@ def read_transition_csv(path: str) -> TransitionMatrix:
 
 def _write_dicts(path: str, header: Sequence[str], rows: Sequence[dict]) -> None:
     """Rows of dicts in ``header`` order; a row missing a column is refused."""
+    _check_path("path", path)
     with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, header, extrasaction="ignore")
         writer.writeheader()
@@ -327,12 +341,17 @@ def write_prediction_sets_csv(path: str, sets: NDArray[np.bool_], tau: float) ->
     """Rows of ``row,tau,set_size,labels`` from an n x K membership matrix.
 
     Labels are written 1-based and ;-joined; an empty set leaves the cell empty.
+    ``sets`` must be a real matrix and tau a real in [0, 1] (InvalidSpec
+    otherwise), both checked before the file is opened.
     """
+    _check_path("path", path)
+    sets = _check_array("sets", sets, bool, ndim=2)
+    _check_real("tau", tau, 0.0, 1.0)
     tau_cell = repr(float(tau))
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["row", "tau", "set_size", "labels"])
-        for i, row in enumerate(np.asarray(sets, dtype=bool), start=1):
+        for i, row in enumerate(sets, start=1):
             labels = np.flatnonzero(row) + 1
             writer.writerow(
                 [str(i), tau_cell, str(labels.size), ";".join(map(str, labels))]
@@ -340,6 +359,8 @@ def write_prediction_sets_csv(path: str, sets: NDArray[np.bool_], tau: float) ->
 
 
 def write_threshold_json(path: str, result: ThresholdResult) -> None:
+    _check_path("path", path)
+    _check_type("result", result, ThresholdResult)
     with open(path, "w") as handle:
         json.dump(_jsonable(result), handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")

@@ -12,10 +12,11 @@ K/b and K/2) and J the all-ones matrix.  T has the eigenvalues l1 = 1 - eps
 on contrasts within a block, l2 = l1 + m (within - across) on contrasts
 between blocks and 1 on constants, so its closed-form inverse is
 
-    W = I/l1 + (1/l2 - 1/l1) B/m + (1 - 1/l2) J/K.
+    W = I/l1 + (1/l2 - 1/l1) B/m + (1 - 1/l2) J/K,
 
-An explicit matrix, such as one read from a file, goes through
-``transition_from_matrix`` and is inverted numerically.
+which ``build_transition`` assembles.  An explicit matrix, such as one read
+from a file, goes through ``transition_from_matrix`` and is inverted
+numerically.
 
 Labels are 0-based everywhere inside the library; the file and CLI layers
 translate from the 1-based convention used in data files.
@@ -213,12 +214,18 @@ def _inverse(
 
 
 def build_transition(spec: ContaminationSpec) -> TransitionMatrix:
-    """Build T from a spec and invert it numerically.
+    """Build T from a spec and assemble W from the analytic inverse of its block form.
 
-    The inverse is always computed numerically here; use
-    :func:`closed_form_inverse` for the analytic W of the parametric families.
+    One formula serves every family (see the module docstring), so W has
+    exactly the block form; W = I exactly at eps = 0.
     """
-    return transition_from_matrix(_family_matrix(spec))
+    return TransitionMatrix(
+        T=_family_matrix(spec), W=_block_matrix(spec.k, *_inverse_blocks(spec))
+    )
+
+
+# the same constructor under its second public name
+closed_form_inverse = build_transition
 
 
 def transition_from_matrix(t: NDArray[np.float64]) -> TransitionMatrix:
@@ -226,17 +233,6 @@ def transition_from_matrix(t: NDArray[np.float64]) -> TransitionMatrix:
     # checked before the condition number, which needs a finite square matrix
     t = _check_square("T", t)
     return TransitionMatrix(T=t, W=_inverse(t, SingularTransition, "transition matrix"))
-
-
-def closed_form_inverse(spec: ContaminationSpec) -> TransitionMatrix:
-    """Build T and assemble W from the analytic inverse of its block form.
-
-    One formula serves every family (see the module docstring); W = I
-    exactly at eps = 0.
-    """
-    return TransitionMatrix(
-        T=_family_matrix(spec), W=_block_matrix(spec.k, *_inverse_blocks(spec))
-    )
 
 
 def sample_noisy_labels(

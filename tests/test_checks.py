@@ -4,7 +4,9 @@ record types raises the typed error of its one checker, and the message names
 the argument; any bad argument to a public computation either works or raises
 a NoisycalError."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -50,7 +52,22 @@ from noisycal import (
     upper_bound_diagnostics,
     validate_probability_rows,
 )
-from noisycal.cli import ExperimentConfig, correction_report, run_synthetic
+from noisycal.cli import (
+    ExperimentConfig,
+    correction_report,
+    read_experiment_config,
+    run_from_scores,
+    run_synthetic,
+)
+from noisycal.fileio import (
+    read_probability_csv,
+    read_transition_csv,
+    write_prediction_sets_csv,
+    write_probability_csv,
+    write_results_csv,
+    write_summary_csv,
+    write_threshold_json,
+)
 
 SCORES = np.array([[0.2, 0.9], [0.4, 0.8], [0.7, 0.1]])
 CAL = CalibrationSet(SCORES, np.array([0, 1, 1]))
@@ -496,3 +513,116 @@ def test_bad_argument_succeeds_or_raises_a_typed_error(call, kwargs, name, bad):
 )
 def test_each_valid_call_succeeds(call, kwargs):
     call(**kwargs)
+
+
+# The file readers and writers, each run in a directory that holds FILES:
+# every path argument, and every argument of the writers that convert
+# arrays, takes each value of BAD_VALUES in turn.  A refused call must leave
+# the directory as it was.
+FILES = {
+    "cal.csv": "p_1,p_2,y_noisy,y_true\n0.2,0.8,1,2\n0.6,0.4,2,1\n0.9,0.1,1,1\n",
+    "t.csv": "0.9,0.1\n0.1,0.9\n",
+    "config.json": json.dumps(EXPERIMENT),
+}
+RUN = dict(scores_path="cal.csv", method="standard")
+
+# (callable, its valid keyword arguments, the arguments to replace)
+FILE_CALLS = [
+    (read_probability_csv, dict(path="cal.csv"), ["path"]),
+    (read_transition_csv, dict(path="t.csv"), ["path"]),
+    (read_experiment_config, dict(path="config.json"), ["path"]),
+    (
+        write_probability_csv,
+        dict(path="new.csv", probs=T, y_noisy=[0, 1], y_true=[1, 1]),
+        ["path", "probs", "y_noisy", "y_true"],
+    ),
+    (
+        write_prediction_sets_csv,
+        dict(path="new.csv", sets=SCORES <= 0.5, tau=0.5),
+        ["path", "sets", "tau"],
+    ),
+    (write_results_csv, dict(path="new.csv", rows=[]), ["path"]),
+    (write_summary_csv, dict(path="new.csv", rows=[]), ["path"]),
+    (
+        write_threshold_json,
+        dict(path="new.json", result=standard_threshold(CAL, 0.1)),
+        ["path", "result"],
+    ),
+    (
+        run_from_scores,
+        RUN | dict(model="rr", eps=0.1, test_path="cal.csv", out="new"),
+        ["scores_path", "test_path", "out"],
+    ),
+    (run_from_scores, RUN | dict(transition_path="t.csv"), ["transition_path"]),
+]
+
+
+@pytest.fixture
+def file_dir(tmp_path, monkeypatch):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "call, kwargs, name, bad",
+    [
+        pytest.param(call, kwargs, name, bad, id=f"{call.__qualname__}-{name}-{kind}")
+        for call, kwargs, names in FILE_CALLS
+        for name in names
+        for kind, bad in BAD_VALUES.items()
+    ],
+)
+def test_bad_file_argument_succeeds_or_raises_a_typed_error(
+    file_dir, call, kwargs, name, bad
+):
+    try:
+        call(**(kwargs | {name: bad}))
+    except NoisycalError:
+        assert sorted(os.listdir(file_dir)) == sorted(FILES)
+
+
+@pytest.mark.parametrize(
+    "call, kwargs",
+    [pytest.param(c, k, id=c.__qualname__) for c, k, _ in FILE_CALLS],
+)
+def test_each_valid_file_call_succeeds(file_dir, call, kwargs):
+    call(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        pytest.param(read_probability_csv, (), id="read_probability_csv"),
+        pytest.param(read_transition_csv, (), id="read_transition_csv"),
+        pytest.param(read_experiment_config, (), id="read_experiment_config"),
+        pytest.param(
+            lambda fd: run_from_scores(fd, model="rr"), (), id="run_from_scores"
+        ),
+        pytest.param(write_results_csv, ([],), id="write_results_csv"),
+        pytest.param(write_summary_csv, ([],), id="write_summary_csv"),
+        pytest.param(write_probability_csv, (T,), id="write_probability_csv"),
+        pytest.param(
+            write_prediction_sets_csv,
+            (SCORES <= 0.5, 0.5),
+            id="write_prediction_sets_csv",
+        ),
+        pytest.param(
+            write_threshold_json,
+            (standard_threshold(CAL, 0.1),),
+            id="write_threshold_json",
+        ),
+    ],
+)
+def test_file_descriptor_path_is_refused_and_left_open(file_dir, call, args):
+    # open() takes an int as a file descriptor: the readers parsed the file
+    # behind it, the writers wrote to it, and both closed it
+    fd = os.open("cal.csv", os.O_RDWR)
+    try:
+        with pytest.raises(InvalidSpec, match="must be a str or os.PathLike, got int$"):
+            call(fd, *args)
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
+    assert (file_dir / "cal.csv").read_text() == FILES["cal.csv"]

@@ -22,6 +22,7 @@ from noisycal import (
     aps_scores,
     c_of_n,
     correction,
+    delta_star_star_bound,
 )
 from noisycal.cli import (
     METHODS,
@@ -779,7 +780,13 @@ def test_module_entry_point_runs_without_runtime_warning():
 
 _SCIPY_PROBE = """
 import sys
+
+import numpy as np
+
+from noisycal import ContaminationSpec, build_transition, delta_star_star_bound
+from noisycal import upper_bound_diagnostics
 from noisycal.cli import main
+from noisycal.fileio import read_transition_csv
 
 def scipy_modules():
     return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
@@ -793,6 +800,11 @@ assert main(argv + ["--k", "60", "--n", "1000", "--variant", "fs"]) == 0
 assert main(["synth-experiment", "--config", config]) == 0
 argv = ["calibrate", "--scores", scores, "--transition", block_transition]
 assert main(argv + ["--method", "adaptive-fs"]) == 0
+spec = ContaminationSpec(family="two_level_rr", k=60, eps=0.2, nu=0.5)
+for tm in (build_transition(spec), read_transition_csv(block_transition)):
+    dss = delta_star_star_bound(1000, tm.k, tm)
+    rho = np.full(tm.k, 1.0 / tm.k)
+    upper_bound_diagnostics(1000, tm.k, tm, rho, tm.T @ rho, 0.05, dss)
 assert not scipy_modules(), scipy_modules()
 argv = ["calibrate", "--scores", scores, "--transition", transition]
 assert main(argv + ["--method", "adaptive-fs"]) == 0
@@ -808,9 +820,9 @@ def dense_transition(k, seed):
 
 def test_only_the_finite_sample_lp_loads_scipy(tmp_path):
     # every route whose W has the block form of the parametric families runs
-    # without SciPy, adaptive-fs included (its Massart optimum is in closed
-    # form), whether the model came from flags or from a transition file;
-    # any other transition matrix needs the LP
+    # without SciPy, adaptive-fs and the delta** diagnostics included (their
+    # optima are in closed form), whether the model came from flags or from
+    # a transition file; any other transition matrix needs the LP
     path = tmp_path / "cal.csv"
     write_cal_csv(path, seed=14, n=50, k=4)
     block_path = tmp_path / "t_block.csv"
@@ -867,6 +879,7 @@ def test_family_fs_route_never_solves_the_lp(tmp_path, monkeypatch):
     report = correction_report(spec, 5000)
     assert report.method is CorrectionMethod.FINITE_SAMPLE
     assert 0.0 < report.value <= report.branch_values["massart"]
+    assert delta_star_star_bound(5000, 200, build_transition(spec)) >= report.value
 
     calls = []
 

@@ -451,25 +451,71 @@ for _k, _eps in itertools.product(_BLOCK_COUNTS, (0.0, 0.2, 0.6)):
 
 @pytest.mark.parametrize("case", list(FAMILY_CASES))
 def test_family_closed_form_matches_massart_lp(case):
+    # all four problems, each branch with the signed objective (delta_fs,
+    # weight c(n)) and with |beta| (delta_star_star_bound, weight the
+    # envelope), against the LP
     spec = ContaminationSpec(**FAMILY_CASES[case])
     w = build_transition(spec).W
     n = 5000
-    cn = c_of_n(n)
     assert correction._block_size(w) is not None
-    rep = delta_fs(n, spec.k, w, cn)
-    z_coef = (2.0 / math.sqrt(n)) * math.sqrt(math.log(spec.k * n + 1.0))
-    lp_beta = correction._branch_lp(w, cn, z_coef, per_column=True, abs_objective=False)
-    lp_massart = correction._fs_values(n, w, cn, lp_beta)["massart"]
-    assert rep.branch_values["massart"] == pytest.approx(lp_massart, rel=1e-9)
+    scale = 2.0 / math.sqrt(n)
+    problems = {"massart": (scale * math.sqrt(math.log(spec.k * n + 1.0)), True)}
+    if spec.k >= 2:
+        problems["chaining"] = (scale * correction._chaining_constant(spec.k), False)
+    optimum = {}
+    for weight, absolute in ((c_of_n(n), False), (cn_envelope(n), True)):
+        closed = correction._branch_minimizers(n, w, weight, absolute)
+        assert closed.keys() == problems.keys()
+        for name, (z_coef, per_column) in problems.items():
+            lp_beta = correction._branch_lp(w, weight, z_coef, per_column, absolute)
+            want = correction._fs_values(n, w, weight, lp_beta, absolute)[name]
+            got = correction._fs_values(n, w, weight, closed[name], absolute)[name]
+            assert got == pytest.approx(want, rel=1e-9), (name, absolute)
+            optimum[name, absolute] = want
     # each branch's optimum is at most that branch at any other beta, so the
     # bound is the smaller branch optimum
-    defined = [v for v in (lp_massart, rep.branch_values["chaining"]) if v is not None]
-    assert rep.value == pytest.approx(min(defined), rel=1e-9)
-    # delta_fs_special evaluates its candidate on the closed-form W, which
-    # differs from the numerical inverse in the last bits (up to 1e-13
-    # relative at eps = 0.6), so "never above" is checked to 1e-12
-    special = delta_fs_special(spec, n, cn)
-    assert rep.value <= special.value * (1.0 + 1e-12)
+    rep = delta_fs(n, spec.k, w, c_of_n(n))
+    massart = optimum["massart", False]
+    assert rep.branch_values["massart"] == pytest.approx(massart, rel=1e-9)
+    signed = [v for (_, absolute), v in optimum.items() if not absolute]
+    assert rep.value == pytest.approx(max(min(signed), 0.0), rel=1e-9)
+    star = min(v for (_, absolute), v in optimum.items() if absolute)
+    assert delta_star_star_bound(n, spec.k, w) == pytest.approx(star, rel=1e-9)
+    # delta_fs_special's candidate beta' is one of the closed form's
+    # vertices, evaluated on the same W
+    assert rep.value <= delta_fs_special(spec, n, c_of_n(n)).value
+
+
+def _objective(w, beta, weight, z_coef, per_column, absolute):
+    """weight * (beta0 + mean_k beta_k) + z_coef * branch, |beta| when absolute."""
+    abs_omega = np.abs(omega_matrix(w, beta))
+    branch = abs_omega.sum(axis=0).max() if per_column else abs_omega.max()
+    coefs = np.concatenate([[beta.beta0], beta.betas / len(beta.betas)])
+    return weight * (np.abs(coefs) if absolute else coefs).sum() + z_coef * branch
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_block_closed_form_matches_lp_on_any_block_w(seed):
+    # arbitrary d, s and o, and z coefficients from the boundedness edge up
+    # (from below it for |beta|), reach vertices that no family's W reaches
+    # at a real n: each of the lines beta0 = d - v, beta0 + 2x = d + v and
+    # x = (s + o)/2 is needed by some case here
+    rng = np.random.default_rng(seed)
+    for k, m in ((4, 2), (6, 2), (6, 3), (5, 5), (12, 3)):
+        d, s, o = rng.normal(size=3) * rng.choice([0.1, 1.0, 10.0], size=3)
+        block = np.arange(k) // m
+        w = np.where(block[:, None] == block[None, :], s, o) + (d - s) * np.eye(k)
+        assert correction._block_size(w) == m
+        weight = rng.uniform(0.01, 1.0)
+        for per_column, absolute in itertools.product((True, False), repeat=2):
+            edge = weight if per_column else k * weight
+            z_coef = edge * rng.uniform(0.2 if absolute else 1.0, 3.0)
+            args = (weight, z_coef, per_column, absolute)
+            got = correction._block_minimizer(m, w, *args)
+            want = correction._branch_lp(w, *args)
+            assert _objective(w, got, *args) == pytest.approx(
+                _objective(w, want, *args), rel=1e-9, abs=1e-12
+            ), (k, m, per_column, absolute)
 
 
 def test_family_closed_form_refuses_an_unbounded_massart_branch():

@@ -16,6 +16,7 @@ from noisycal import (
     CorrectionMethod,
     CorrectionReport,
     FileFormatError,
+    InvalidSpec,
     LengthMismatch,
     ThresholdResult,
     transition_from_matrix,
@@ -457,6 +458,28 @@ def test_prediction_sets_roundtrip(tmp_path):
     assert rows[1][2:] == ["2", "1;3"]  # labels are 1-based and ;-joined on disk
     assert rows[2][2:] == ["0", ""]
     assert rows[3][2:] == ["1", "2"]
+
+
+@pytest.mark.parametrize(
+    "write, kwargs, message",
+    [
+        # the entries were taken as rows: a two-row file of one-label sets
+        (write_prediction_sets_csv, dict(sets=[True, False], tau=0.5), "sets must be"),
+        # the header was written before the iteration failed
+        (write_prediction_sets_csv, dict(sets="x", tau=0.5), "sets must be a real"),
+        (write_prediction_sets_csv, dict(sets=[[True]], tau=1.5), "tau must lie in"),
+        # IndexError on probs.shape[1]
+        (write_probability_csv, dict(probs=[0.5, 0.5]), "probs must be a 2-d"),
+        (write_probability_csv, dict(probs=[[0.5, 0.5]], y_true=[2]), "y_true must"),
+    ],
+)
+def test_writers_refuse_bad_arrays_before_creating_the_file(
+    tmp_path, write, kwargs, message
+):
+    path = tmp_path / "out.csv"
+    with pytest.raises(InvalidSpec, match=f"^{message}"):
+        write(str(path), **kwargs)
+    assert not path.exists()
 
 
 def test_threshold_json_contents(tmp_path):

@@ -96,6 +96,8 @@ def test_closed_form_grid_against_elimination(k, eps):
 
 
 def test_block_form_matches_per_family_formulas_over_grid():
+    # one constructor under two public names
+    assert closed_form_inverse is build_transition
     specs = family_grid()
     assert any(s.family is Family.BLOCK_RR and s.b == s.k > 1 for s in specs)
     assert any(s.family is Family.TWO_LEVEL_RR and s.k == 2 for s in specs)
@@ -108,6 +110,18 @@ def test_block_form_matches_per_family_formulas_over_grid():
         assert np.max(np.abs(tm.W - w_ref)) <= 1e-13 * np.max(np.abs(w_ref)), spec
         if spec.eps == 0.0:
             assert np.array_equal(tm.W, np.eye(spec.k)), spec
+
+
+@pytest.mark.parametrize("family, nu", [("rr", 0.0), ("two_level_rr", 0.5)])
+def test_family_channel_near_eps_one_is_certified(family, nu):
+    # the numerical inverse of this T misses I by ~1e-7 and is refused; the
+    # family's channel takes the analytic W, which passes the residual check
+    spec = ContaminationSpec(family=family, k=4, eps=1.0 - 1e-10, nu=nu)
+    tm = build_transition(spec)
+    assert np.max(np.abs(tm.W @ tm.T - np.eye(4))) <= 1e-10
+    assert tm.condition_number > 1e9
+    with pytest.raises(SingularTransition, match="inverse residual"):
+        transition_from_matrix(tm.T)
 
 
 def test_two_level_constants_invariants():
