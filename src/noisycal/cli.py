@@ -2,14 +2,18 @@
 
 Three subcommands:
 
-* ``synth-experiment --config c.json`` runs the full synthetic pipeline
-  (generate, contaminate, train, score, calibrate, evaluate) for one or
-  more calibration methods over repeated seeds and writes results/summary
-  CSVs;
-* ``calibrate --scores s.csv --transition t.csv`` calibrates a threshold
-  from user-supplied probability or score rows;
+* ``synth-experiment --config c.json`` generates, contaminates, trains and
+  scores data over repeated seeds, runs the calibration pipeline for one or
+  more methods on each repetition and writes results/summary CSVs;
+* ``calibrate --scores s.csv --transition t.csv`` runs the pipeline on
+  user-supplied probability or score rows, after reading every input file;
 * ``correction --model rr --eps 0.1 --k 4 --n 5000`` prints a correction
   report as JSON.
+
+The one calibration pipeline, ``_pipeline``, chains: noisy-label scores in a
+``CalibrationSet``, the correction delta(n) of each method's route (shared by
+the methods on it), the threshold rule, the prediction sets, and their
+coverage and size as a ``results.csv`` row when true labels are given.
 
 Exit codes: 0 on success, 2 for validation problems (bad flags, bad config,
 malformed files, invalid model parameters), 1 for internal failures.
@@ -35,7 +39,6 @@ import numpy as np
 
 from . import fileio
 from .calibrate import (
-    ThresholdResult,
     adaptive_threshold,
     evaluate,
     optimistic_threshold,
@@ -90,7 +93,7 @@ __all__ = [
 # Each method's correction route, which results.csv records as
 # ``delta_method``, and its threshold rule, called as rule(cal, tm, alpha,
 # correction).  Methods on one route share one correction per calibration set
-# (see ``_correction``).  The rules reach calibrate's functions through this
+# (see ``_pipeline``).  The rules reach calibrate's functions through this
 # module's globals at call time, so wrappers installed on the module see
 # every call.
 _METHOD_TABLE = {
@@ -232,6 +235,36 @@ def _correction(
     return delta_fs_special(spec, n, c_n)
 
 
+def _pipeline(
+    cal, tm, spec, alpha, methods, asy_seed, seed, scores, y_true
+) -> list[tuple]:
+    """(threshold, prediction sets, results row) of each of ``methods``: the
+    correction of each route, computed once for the methods on it, the rule,
+    the sets of ``scores`` at tau and, when ``y_true`` is given, their
+    ``results.csv`` row with ``seed`` in its seed column (else None)."""
+    corrections: dict[str, CorrectionReport | None] = {}
+    runs = []
+    for method in methods:
+        route, rule = _METHOD_TABLE[method]
+        if route not in corrections:
+            corrections[route] = _correction(route, cal.n, tm, spec, cal, asy_seed)
+        thr = rule(cal, tm, alpha, corrections[route])
+        sets = prediction_sets(scores, thr.tau)
+        row = None if y_true is None else {
+            "method": method,
+            "n": cal.n,
+            "K": cal.k,
+            "alpha": alpha,
+            "delta_method": route,
+            "delta_value": 0.0 if thr.correction is None else thr.correction.value,
+            "tau_hat": thr.tau,
+            **evaluate(sets, y_true),
+            "seed": seed,
+        }
+        runs.append((thr, sets, row))
+    return runs
+
+
 def _run_rep(
     config: ExperimentConfig,
     spec: ContaminationSpec,
@@ -258,40 +291,11 @@ def _run_rep(
         seed=int(sub[2]),
     )
     cal = CalibrationSet.from_scores(s_cal, noisy[calib])
-
-    rows = []
-    corrections: dict[str, CorrectionReport | None] = {}
-    for method in config.methods:
-        route, rule = _METHOD_TABLE[method]
-        if route not in corrections:
-            corrections[route] = _correction(route, cal.n, tm, spec, cal, int(sub[3]))
-        thr = rule(cal, tm, config.alpha, corrections[route])
-        metrics = evaluate(prediction_sets(s_test, thr.tau), y[test])
-        rows.append(_results_row(method, cal, config.alpha, thr, metrics, rep_seed))
-    return rows
-
-
-def _results_row(
-    method: str,
-    cal: CalibrationSet,
-    alpha: float,
-    thr: ThresholdResult,
-    metrics: dict,
-    seed: int,
-) -> dict:
-    """One ``results.csv`` row (see ``fileio.RESULTS_HEADER``)."""
-    return {
-        "method": method,
-        "n": cal.n,
-        "K": cal.k,
-        "alpha": alpha,
-        "delta_method": _METHOD_TABLE[method][0],
-        "delta_value": 0.0 if thr.correction is None else thr.correction.value,
-        "tau_hat": thr.tau,
-        "coverage": metrics["coverage"],
-        "avg_size": metrics["avg_size"],
-        "seed": seed,
-    }
+    runs = _pipeline(
+        cal, tm, spec, config.alpha, config.methods, int(sub[3]), rep_seed,
+        s_test, y[test],
+    )
+    return [row for _, _, row in runs]
 
 
 def _summarize(config: ExperimentConfig, rows: list[dict]) -> list[dict]:
@@ -381,10 +385,17 @@ def run_from_scores(
         )
     _check_int("seed", seed, 0)
     seeds = np.random.SeedSequence(seed).generate_state(3)
-    s_cal, y_noisy, y_true_cal = _read_scores(scores_path, randomized, int(seeds[0]))
+    s_cal, y_noisy, y_true = _read_scores(scores_path, randomized, int(seeds[0]))
     if y_noisy is None:
         raise FileFormatError(f"{scores_path} needs a y_noisy column for calibration")
     k = s_cal.shape[1]
+    s_eval = s_cal
+    if test_path is not None:
+        s_eval, _, y_true = _read_scores(test_path, randomized, int(seeds[2]))
+        if s_eval.shape[1] != k:
+            raise InvalidSpec(
+                f"test rows have {s_eval.shape[1]} classes, calibration rows {k}"
+            )
 
     spec = None
     if transition_path is not None:
@@ -398,31 +409,18 @@ def run_from_scores(
         tm = build_transition(spec)
 
     cal = CalibrationSet.from_scores(s_cal, y_noisy)
-    route, rule = _METHOD_TABLE[method]
-    thr = rule(cal, tm, alpha, _correction(route, cal.n, tm, spec, cal, int(seeds[1])))
-
-    if test_path is not None:
-        s_eval, _, y_true_eval = _read_scores(test_path, randomized, int(seeds[2]))
-        if s_eval.shape[1] != k:
-            raise InvalidSpec(
-                f"test rows have {s_eval.shape[1]} classes, calibration rows {k}"
-            )
-    else:
-        s_eval, y_true_eval = s_cal, y_true_cal
-    sets = prediction_sets(s_eval, thr.tau)
-    metrics = evaluate(sets, y_true_eval) if y_true_eval is not None else None
-
+    [(thr, sets, row)] = _pipeline(
+        cal, tm, spec, alpha, [method], int(seeds[1]), seed, s_eval, y_true
+    )
     if out is not None:
         os.makedirs(out, exist_ok=True)
         fileio.write_threshold_json(os.path.join(out, "threshold.json"), thr)
         fileio.write_prediction_sets_csv(
             os.path.join(out, "prediction_sets.csv"), sets, thr.tau
         )
-        if metrics is not None:
-            fileio.write_results_csv(
-                os.path.join(out, "results.csv"),
-                [_results_row(method, cal, alpha, thr, metrics, seed)],
-            )
+        if row is not None:
+            fileio.write_results_csv(os.path.join(out, "results.csv"), [row])
+    metrics = None if row is None else {m: row[m] for m in ("coverage", "avg_size")}
     return {"threshold": thr, "sets": sets, "metrics": metrics}
 
 

@@ -269,11 +269,18 @@ def _branch_lp(
     max reduce to linear constraints.  ``A_ub`` is built as a sparse matrix
     (at most 3 nonzeros per row outside the K column-sum rows, so O(K^2)
     memory) and solved by HiGHS's interior-point method with crossover,
-    which scales in K where the default simplex does not.  SciPy is imported
-    here, not at module level, so the routes without an LP never load it.
+    which scales in K where the default simplex does not.  SciPy, the
+    optional ``lp`` extra, is imported here, not at module level, so the
+    routes without an LP never load it; without it this raises SolverFailure.
     """
-    from scipy import sparse
-    from scipy.optimize import linprog
+    try:
+        from scipy import sparse
+        from scipy.optimize import linprog
+    except ImportError as exc:
+        raise SolverFailure(
+            "a W without the block form needs SciPy's LP solver: "
+            "pip install 'noisycal[lp]'"
+        ) from exc
 
     k = w.shape[0]
     nb = 1 + k

@@ -37,6 +37,7 @@ from .calibrate import ThresholdResult
 from .correction import _jsonable
 from .errors import (
     FileFormatError,
+    InvalidSpec,
     LengthMismatch,
     _check_array,
     _check_label_vector,
@@ -316,16 +317,21 @@ def read_transition_csv(path: str) -> TransitionMatrix:
 
 
 def _write_dicts(path: str, header: Sequence[str], rows: Sequence[dict]) -> None:
-    """Rows of dicts in ``header`` order; a row missing a column is refused."""
+    """Rows of dicts in ``header`` order.  ``rows`` must be a list or tuple of
+    dicts (InvalidSpec otherwise), each holding every column (FileFormatError
+    otherwise); all are checked before the file is opened."""
     _check_path("path", path)
+    if not isinstance(rows, (list, tuple)):
+        raise InvalidSpec(f"rows must be a list of dicts, got {type(rows).__name__}")
+    for i, row in enumerate(rows):
+        _check_type(f"rows[{i}]", row, dict)
+        missing = [name for name in header if name not in row]
+        if missing:
+            raise FileFormatError(f"row is missing columns {missing}")
     with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, header, extrasaction="ignore")
         writer.writeheader()
-        for row in rows:
-            missing = [name for name in header if name not in row]
-            if missing:
-                raise FileFormatError(f"row is missing columns {missing}")
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def write_results_csv(path: str, rows: Sequence[dict]) -> None:

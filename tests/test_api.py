@@ -4,11 +4,13 @@ import re
 import types
 from pathlib import Path
 
+import numpy as np
+
 import noisycal
 import noisycal.cli
 import noisycal.fileio
 
-from test_cli import run_python
+from test_cli import dense_transition, run_python, write_cal_csv
 
 PUBLIC_NAMES = {
     "BetaVector", "CalibrationMethod", "CalibrationSet", "CholeskyFailure",
@@ -70,12 +72,58 @@ assert "scipy" not in sys.modules
 """
 
 
+def readme_quick_start():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quick_start = readme.split("## Quick start", 1)[1]
+    return re.search(r"```python\n(.*?)```", quick_start, re.DOTALL).group(1)
+
+
 def test_readme_quick_start_runs_without_scipy():
     # the example's W has the block form of randomized response, so delta_fs
     # takes the closed form and never loads SciPy
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    quick_start = readme.split("## Quick start", 1)[1]
-    code = re.search(r"```python\n(.*?)```", quick_start, re.DOTALL).group(1)
-    proc = run_python(["-c", _README_PROBE, code])
+    proc = run_python(["-c", _README_PROBE, readme_quick_start()])
     assert proc.returncode == 0, proc.stderr
     assert "tau =" in proc.stdout
+
+
+_NO_SCIPY_PROBE = """
+import sys
+
+sys.modules["scipy"] = None
+
+from noisycal import (
+    ContaminationSpec, SolverFailure, build_transition, c_of_n, delta_fs,
+    delta_star_star_bound,
+)
+from noisycal.cli import METHODS, main
+from noisycal.fileio import read_transition_csv
+
+quick_start, scores, transition = sys.argv[1:]
+exec(compile(quick_start, "README.md", "exec"), {"__name__": "__main__"})
+argv = ["calibrate", "--scores", scores, "--model", "block_rr", "--eps", "0.1"]
+for method in METHODS:
+    assert main(argv + ["--b", "2", "--method", method]) == 0, method
+spec = ContaminationSpec(family="block_rr", k=4, eps=0.1, b=2)
+assert delta_star_star_bound(1000, 4, build_transition(spec)) > 0.0
+tm = read_transition_csv(transition)
+try:
+    delta_fs(1000, tm.k, tm, c_of_n(1000))
+    raise AssertionError("the Massart LP ran without SciPy")
+except SolverFailure as exc:
+    assert "noisycal[lp]" in str(exc), exc
+argv = ["calibrate", "--scores", scores, "--transition", transition]
+assert main(argv + ["--method", "adaptive-fs"]) == 1
+"""
+
+
+def test_the_package_needs_numpy_alone(tmp_path):
+    # SciPy is the optional lp extra: every route runs without it but the
+    # Massart LP of a W without block form, which refuses with a typed error
+    scores, transition = tmp_path / "cal.csv", tmp_path / "t.csv"
+    write_cal_csv(scores, seed=17, n=60, k=4)
+    np.savetxt(str(transition), dense_transition(4, 17), delimiter=",", fmt="%.17g")
+    argv = ["-c", _NO_SCIPY_PROBE, readme_quick_start(), str(scores), str(transition)]
+    proc = run_python(argv)
+    assert proc.returncode == 0, proc.stderr
+    assert "tau =" in proc.stdout
+    assert "error: a W without the block form needs SciPy" in proc.stderr

@@ -541,8 +541,8 @@ FILE_CALLS = [
         dict(path="new.csv", sets=SCORES <= 0.5, tau=0.5),
         ["path", "sets", "tau"],
     ),
-    (write_results_csv, dict(path="new.csv", rows=[]), ["path"]),
-    (write_summary_csv, dict(path="new.csv", rows=[]), ["path"]),
+    (write_results_csv, dict(path="new.csv", rows=[]), ["path", "rows"]),
+    (write_summary_csv, dict(path="new.csv", rows=[]), ["path", "rows"]),
     (
         write_threshold_json,
         dict(path="new.json", result=standard_threshold(CAL, 0.1)),

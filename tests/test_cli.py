@@ -24,6 +24,7 @@ from noisycal import (
     correction,
     delta_star_star_bound,
 )
+from noisycal import cli
 from noisycal.cli import (
     METHODS,
     ExperimentConfig,
@@ -290,12 +291,36 @@ def test_run_from_scores_test_rows_and_mismatched_k(tmp_path):
         str(cal_path), model="rr", eps=0.1, method="standard", test_path=str(test_path)
     )
     assert len(result["sets"]) == 7
-    assert result["metrics"] is not None
+    assert result["metrics"].keys() == {"coverage", "avg_size"}
+    # the calibration rows' true labels do not evaluate the test rows
+    result = run_from_scores(
+        str(test_path), model="rr", eps=0.1, method="standard", test_path=str(cal_path)
+    )
+    assert len(result["sets"]) == 25
+    assert result["metrics"] is None
     bad3 = tmp_path / "bad3.csv"
     write_cal_csv(bad3, seed=10, n=5, k=3)
     with pytest.raises(InvalidSpec):
         run_from_scores(
             str(cal_path), model="rr", eps=0.1, method="standard", test_path=str(bad3)
+        )
+
+
+def test_run_from_scores_reads_test_rows_before_the_correction(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the correction ran before the test rows were read")
+
+    monkeypatch.setattr(cli, "delta_asy", refuse)
+    cal_path, test_path = tmp_path / "cal.csv", tmp_path / "test.csv"
+    write_cal_csv(cal_path, seed=16, n=20, k=2)
+    test_path.write_text("p_1,p_2,y_true\n0.5,half,1\n")
+    with pytest.raises(FileFormatError, match="line 2"):
+        run_from_scores(
+            str(cal_path),
+            model="rr",
+            eps=0.1,
+            method="adaptive-asy",
+            test_path=str(test_path),
         )
 
 

@@ -401,7 +401,8 @@ def test_results_csv_rejects_missing_key(tmp_path):
     row = results_row()
     del row["tau_hat"]
     with pytest.raises(FileFormatError):
-        write_results_csv(str(tmp_path / "r.csv"), [row])
+        write_results_csv(str(tmp_path / "r.csv"), [results_row(), row])
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_results_csv_floats_are_their_repr(tmp_path):
