@@ -192,10 +192,12 @@ class ExperimentConfig:
 def read_experiment_config(path: str) -> ExperimentConfig:
     _check_path("path", path)
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -336,7 +338,7 @@ def run_synthetic(config: ExperimentConfig) -> dict:
             raise
     summary = _summarize(config, rows)
     if config.out is not None:
-        os.makedirs(config.out, exist_ok=True)
+        fileio._writing(os.makedirs, config.out, exist_ok=True)
         fileio.write_results_csv(os.path.join(config.out, "results.csv"), rows)
         fileio.write_summary_csv(os.path.join(config.out, "summary.csv"), summary)
     return {"rows": rows, "summary": summary}
@@ -413,7 +415,7 @@ def run_from_scores(
         cal, tm, spec, alpha, [method], int(seeds[1]), seed, s_eval, y_true
     )
     if out is not None:
-        os.makedirs(out, exist_ok=True)
+        fileio._writing(os.makedirs, out, exist_ok=True)
         fileio.write_threshold_json(os.path.join(out, "threshold.json"), thr)
         fileio.write_prediction_sets_csv(
             os.path.join(out, "prediction_sets.csv"), sets, thr.tau

@@ -9,10 +9,9 @@ Three routes produce a correction:
   + B(K, n, beta)/sqrt(n), minimized exactly over beta one branch of the min
   inside B at a time.  When W has the block form d I + s B + o (J - B)
   over contiguous blocks of m labels, as every parametric family's inverse
-  does however it was given, both branches are in closed form.  For any
-  other W the chaining branch is in closed form (O(K^2)) and the Massart
-  branch a sparse linear program solved by interior point (O(K^2)
-  memory), the package's one use of SciPy.
+  does however it was given, both branches are in closed form.  Any other
+  W takes a sparse linear program per branch, solved by interior point
+  (O(K^2) memory), the package's one use of SciPy.
 * ``delta_asy``: asymptotic route; estimates the plug-in covariance of the
   limiting Gaussian process once, on the finest grid of a halving ladder
   (``estimate_covariance``), factors it, simulates its absolute supremum on
@@ -261,6 +260,7 @@ def _branch_lp(
 ) -> BetaVector:
     """Exact LP for one branch of the piecewise-linear bound, sparse, by IPM.
 
+    The solver of every branch and objective for a W without block form.
     Minimizes weight * (beta0 + mean_k beta_k) + z_coef * z, with the betas
     replaced by their absolute values when ``abs_objective``.  Variables:
     beta0, beta_1..K, [u0, u_1..K if abs_objective], [A_kl if per_column], z.
@@ -358,48 +358,6 @@ def _check_bounded(k: int, weight: float, z_coef: float, per_column: bool) -> No
         )
 
 
-def _chaining_minimizer(
-    w: NDArray[np.float64], weight: float, z_coef: float
-) -> BetaVector:
-    """Exact minimizer of the signed chaining branch, in closed form.
-
-    Minimizes weight * (beta0 + mean_k beta_k) + z_coef * max|Omega| for
-    K >= 2.  With b_k = beta_k / K, row k needs |W'[k, l] - b_k| <= z for
-    W' = W - beta0 I, and the smallest sum of b_k is b_k = max_l W'[k, l] - z.
-    That leaves (z_coef - K weight) z to minimize: the problem is unbounded
-    below when z_coef < K weight, and otherwise z is half the largest row
-    range.  With a_k = W[k, k], M_k and m_k the max and min of W[k, l] over
-    l != k, C = max_k(M_k - m_k), A = max_k(a_k - m_k), B = min_k(a_k - M_k):
-
-        z(beta0)  = max(C, A - beta0, beta0 - B) / 2,
-        b_k       = max(a_k - beta0, M_k) - z,
-
-    and the objective is convex piecewise linear in beta0 with kinks among
-    {a_k - M_k} and {A - C, B + C, (A + B)/2}; the minimum is the best kink.
-    O(K^2) work, no solver.
-    """
-    k = w.shape[0]
-    _check_bounded(k, weight, z_coef, per_column=False)
-    slack = z_coef - k * weight
-    diag = np.diag(w)
-    off = w.copy()
-    np.fill_diagonal(off, -np.inf)
-    big = off.max(axis=1)
-    np.fill_diagonal(off, np.inf)
-    small = off.min(axis=1)
-    c_range = float(np.max(big - small))
-    a_top = float(np.max(diag - small))
-    b_bot = float(np.min(diag - big))
-    beta0 = np.concatenate(
-        [diag - big, [a_top - c_range, b_bot + c_range, 0.5 * (a_top + b_bot)]]
-    )
-    tops = np.maximum(diag[None, :] - beta0[:, None], big[None, :])
-    z = 0.5 * np.maximum(c_range, np.maximum(a_top - beta0, beta0 - b_bot))
-    objective = weight * (beta0 + tops.sum(axis=1)) + slack * z
-    best = int(np.argmin(objective))
-    return BetaVector(beta0=float(beta0[best]), betas=k * (tops[best] - z[best]))
-
-
 def _fs_values(
     n: int, w, weight: float, beta: BetaVector, absolute: bool = False
 ) -> dict[str, float | None]:
@@ -470,11 +428,10 @@ def _block_minimizer(
     values, chaining takes the largest.  A minimizer is the best vertex of
     the lines where a piece changes: beta0 = 0, x = 0, beta0 + x = d,
     x = (s + o)/2 and, for v in {s, o}, x = v, beta0 = d - v and
-    beta0 + 2x = d + v.  O(K) work, no solver.
+    beta0 + 2x = d + v.  O(K) work, no solver.  A signed problem must be
+    bounded below, as :func:`_branch_minimizers` checks first.
     """
     k = w.shape[0]
-    if not abs_objective:
-        _check_bounded(k, weight, z_coef, per_column)
     # o = s for one block (m = K), s = d for K = 1: copies change nothing
     d = w[0, 0]
     s = w[0, 1] if k > 1 else d
@@ -503,37 +460,40 @@ def _branch_minimizers(
 ) -> dict[str, BetaVector]:
     """Minimizers of the Massart branch and, for K >= 2, of the chaining branch.
 
-    One problem per branch of the min inside B; the z-coefficients include
-    the 2/sqrt(n) scale of B.  A W of block form (:func:`_block_size`)
-    takes :func:`_block_minimizer` for both.  Any other W takes
-    :func:`_chaining_minimizer` for the signed chaining branch and the
-    sparse LP :func:`_branch_lp` for the rest.  The chaining branch runs
-    first, so an unbounded one fails before any LP is built.  w is a finite
-    K x K array (:func:`_checked_w`).
+    One problem per branch of the min inside B, chaining first; the
+    z-coefficients include the 2/sqrt(n) scale of B.  :func:`_block_size`
+    alone picks the solver: a W of block form takes :func:`_block_minimizer`
+    for every branch and objective, any other W the sparse LP
+    :func:`_branch_lp`.  A signed problem has both branches checked for
+    boundedness before either is solved, so an unbounded one fails with its
+    typed message before any LP is built.  w is a finite K x K array
+    (:func:`_checked_w`).
     """
     k = w.shape[0]
     scale = 2.0 / math.sqrt(n)
-    m = _block_size(w)
-
-    def solve(z_coef: float, per_column: bool) -> BetaVector:
-        if m is not None:
-            return _block_minimizer(m, w, weight, z_coef, per_column, abs_objective)
-        if per_column or abs_objective:
-            return _branch_lp(w, weight, z_coef, per_column, abs_objective)
-        return _chaining_minimizer(w, weight, z_coef)
-
-    chaining = {}
+    problems = {}
     if k >= 2:
-        chaining["chaining"] = solve(scale * _chaining_constant(k), per_column=False)
-    massart = solve(scale * math.sqrt(math.log(k * n + 1.0)), per_column=True)
-    return {"massart": massart, **chaining}
+        problems["chaining"] = (scale * _chaining_constant(k), False)
+    problems["massart"] = (scale * math.sqrt(math.log(k * n + 1.0)), True)
+    if not abs_objective:
+        for z_coef, per_column in problems.values():
+            _check_bounded(k, weight, z_coef, per_column)
+    m = _block_size(w)
+    betas = {}
+    for name, (z_coef, per_column) in problems.items():
+        args = (w, weight, z_coef, per_column, abs_objective)
+        betas[name] = _branch_lp(*args) if m is None else _block_minimizer(m, *args)
+    # Massart first: delta_fs keeps the first of two equal bounds
+    return {"massart": betas.pop("massart"), **betas}
 
 
 def delta_fs(n: int, k: int, w, c_n: float) -> CorrectionReport:
     """Finite-sample correction for a finite K x K W, minimized exactly over beta.
 
-    Minimizes each branch of the min inside B exactly, in closed form for a
-    W of block form (see :func:`_branch_minimizers`).  ``branch_values``
+    Minimizes each branch of the min inside B exactly: in closed form for a
+    W of block form, by one sparse LP per branch for any other W (see
+    :func:`_branch_minimizers`).  A branch unbounded below raises
+    SolverFailure naming it, before any LP runs.  ``branch_values``
     records each branch's optimum, its own term at its own minimizer (None
     for the chaining branch at K = 1).  The report carries the minimizer
     with the smaller bound and the branch active there; the reported value

@@ -89,7 +89,8 @@ class SingularM(NoisycalError):
 
 
 class FileFormatError(NoisycalError):
-    """A CSV or JSON input file failed to parse or validate."""
+    """A CSV or JSON input file failed to parse or validate, or an output
+    file or directory could not be written."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

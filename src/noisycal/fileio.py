@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from typing import Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 from numpy.typing import NDArray
@@ -93,6 +93,17 @@ def _read_rows(path: str) -> list[list[str]]:
         raise FileFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     except csv.Error as exc:
         raise FileFormatError(f"{path} is not valid CSV: {exc}") from exc
+
+
+def _writing(make: Callable, path: str, *args, **kwargs):
+    """``make(path, *args, **kwargs)``, such as ``open`` or ``os.makedirs``;
+    an OSError (a missing directory, a path that names a file or a
+    directory, no permission) becomes FileFormatError ``cannot write
+    {path}: ...``."""
+    try:
+        return make(path, *args, **kwargs)
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def _loadtxt(handle: TextIO, dtype: np.dtype) -> NDArray | None:
@@ -275,7 +286,7 @@ def write_probability_csv(
                 raise LengthMismatch(f"{probs.shape[0]} rows vs {name} of shape {y.shape}")
             labels[name] = (y + 1).tolist()
     header = [f"p_{j + 1}" for j in range(probs.shape[1])] + list(labels)
-    with open(path, "w", newline="") as handle:
+    with _writing(open, path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
         for i in range(probs.shape[0]):
             row = [*map(repr, probs[i].tolist())]
@@ -328,7 +339,7 @@ def _write_dicts(path: str, header: Sequence[str], rows: Sequence[dict]) -> None
         missing = [name for name in header if name not in row]
         if missing:
             raise FileFormatError(f"row is missing columns {missing}")
-    with open(path, "w", newline="") as handle:
+    with _writing(open, path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, header, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
@@ -354,7 +365,7 @@ def write_prediction_sets_csv(path: str, sets: NDArray[np.bool_], tau: float) ->
     sets = _check_array("sets", sets, bool, ndim=2)
     _check_real("tau", tau, 0.0, 1.0)
     tau_cell = repr(float(tau))
-    with open(path, "w", newline="") as handle:
+    with _writing(open, path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["row", "tau", "set_size", "labels"])
         for i, row in enumerate(sets, start=1):
@@ -367,6 +378,6 @@ def write_prediction_sets_csv(path: str, sets: NDArray[np.bool_], tau: float) ->
 def write_threshold_json(path: str, result: ThresholdResult) -> None:
     _check_path("path", path)
     _check_type("result", result, ThresholdResult)
-    with open(path, "w") as handle:
+    with _writing(open, path, "w") as handle:
         json.dump(_jsonable(result), handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")

@@ -108,9 +108,14 @@ assert delta_star_star_bound(1000, 4, build_transition(spec)) > 0.0
 tm = read_transition_csv(transition)
 try:
     delta_fs(1000, tm.k, tm, c_of_n(1000))
-    raise AssertionError("the Massart LP ran without SciPy")
+    raise AssertionError("an LP ran without SciPy")
 except SolverFailure as exc:
     assert "noisycal[lp]" in str(exc), exc
+try:
+    delta_fs(100, tm.k, tm, 1.0)
+    raise AssertionError("an unbounded Massart branch was solved")
+except SolverFailure as exc:
+    assert "the Massart branch is unbounded below" in str(exc), exc
 argv = ["calibrate", "--scores", scores, "--transition", transition]
 assert main(argv + ["--method", "adaptive-fs"]) == 1
 """
@@ -118,7 +123,8 @@ assert main(argv + ["--method", "adaptive-fs"]) == 1
 
 def test_the_package_needs_numpy_alone(tmp_path):
     # SciPy is the optional lp extra: every route runs without it but the
-    # Massart LP of a W without block form, which refuses with a typed error
+    # LPs of a W without block form, which refuse with a typed error; an
+    # unbounded branch is refused by name before any LP is built
     scores, transition = tmp_path / "cal.csv", tmp_path / "t.csv"
     write_cal_csv(scores, seed=17, n=60, k=4)
     np.savetxt(str(transition), dense_transition(4, 17), delimiter=",", fmt="%.17g")

@@ -156,6 +156,15 @@ def test_read_experiment_config(tmp_path):
         read_experiment_config(str(tmp_path / "missing.json"))
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"k": 2, "d": "\xff"}')
+    with pytest.raises(FileFormatError, match="is not UTF-8 text"):
+        read_experiment_config(str(path))
+    assert main(["synth-experiment", "--config", str(path)]) == 2
+    assert "is not UTF-8 text" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # synthetic experiment driver
 # ---------------------------------------------------------------------------
@@ -537,6 +546,24 @@ def test_main_domain_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
+    # os.makedirs on an existing regular file; nothing is written under it
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cal_path = tmp_path / "cal.csv"
+    write_cal_csv(cal_path)
+    argv = ["calibrate", "--scores", str(cal_path), "--model", "rr", "--eps", "0.1"]
+    assert main(argv + ["--method", "standard", "--out", str(taken)]) == 2
+    assert f"error: cannot write {taken}:" in capsys.readouterr().err
+    cfg = {"k": 2, "d": 4, "n_train": 150, "n_cal": 50, "n_test": 30}
+    cfg |= {"methods": ["standard"], "repetitions": 1, "out": str(taken)}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["synth-experiment", "--config", str(cfg_path)]) == 2
+    assert f"error: cannot write {taken}:" in capsys.readouterr().err
+    assert taken.read_text() == ""
+
+
 def test_main_calibrate_nan_score_exits_2(tmp_path, capsys):
     path = tmp_path / "s.csv"
     path.write_text("s_1,s_2,y_noisy\n0.2,nan,1\n0.5,0.7,2\n")
@@ -913,14 +940,14 @@ def test_family_fs_route_never_solves_the_lp(tmp_path, monkeypatch):
         return real_lp(w, *args, **kwargs)
 
     # a transition matrix read from a file whose inverse has no block form
-    # still needs the LP, once
+    # still needs the LP, once per branch
     monkeypatch.setattr(correction, "_branch_lp", count)
     cal_path = tmp_path / "cal.csv"
     write_cal_csv(cal_path, seed=15, n=40, k=3)
     t_path = tmp_path / "t.csv"
     np.savetxt(str(t_path), dense_transition(3, 15), delimiter=",", fmt="%.17g")
     run_from_scores(str(cal_path), transition_path=str(t_path), method="adaptive-fs")
-    assert calls == [(3, 3)]
+    assert calls == [(3, 3), (3, 3)]
 
 
 def test_methods_tuple_is_canonical():

@@ -421,11 +421,12 @@ def test_delta_star_star_matches_dense_lp_oracle(case):
 
 
 @pytest.mark.parametrize("case", list(FS_CASES))
-def test_chaining_closed_form_matches_dense_lp_oracle(case):
+def test_chaining_branch_matches_dense_lp_oracle(case):
+    # the closed form on a family's W, the sparse LP on a dense one
     k, n, w = FS_CASES[case]
     cn = c_of_n(n)
     z_coef = (2.0 / math.sqrt(n)) * correction._chaining_constant(k)
-    beta = correction._chaining_minimizer(w, cn, z_coef)
+    beta = correction._branch_minimizers(n, w, cn, abs_objective=False)["chaining"]
     objective = cn * (beta.beta0 + float(np.mean(beta.betas)))
     objective += z_coef * float(np.abs(omega_matrix(w, beta)).max())
     want = dense_branch_lp(k, w, cn, z_coef, per_column=False, abs_objective=False).fun
@@ -545,34 +546,28 @@ def test_perturbed_family_w_takes_the_lp():
     assert rep.value == pytest.approx(_oracle_bound(n, 6, w, cn, False), rel=1e-9)
 
 
-def test_chaining_closed_form_at_the_boundedness_edge():
-    # z coefficient exactly K * weight: bounded, z is no longer pinned
-    w = _family_w(Family.BLOCK_RR, 4, b=2)
-    for weight in (0.5, 2.0):
-        beta = correction._chaining_minimizer(w, weight, 4.0 * weight)
-        objective = weight * (beta.beta0 + float(np.mean(beta.betas)))
-        objective += 4.0 * weight * float(np.abs(omega_matrix(w, beta)).max())
-        want = dense_branch_lp(4, w, weight, 4.0 * weight, False, False).fun
-        assert objective == pytest.approx(want, rel=1e-12)
+def test_chaining_branch_at_the_boundedness_edge():
+    # z coefficient exactly K * weight: bounded, z is no longer pinned; the
+    # closed form on a W of block form, the sparse LP on a dense W
+    cases = ((_family_w(Family.BLOCK_RR, 4, b=2), 1e-12), (_random_dense_w(4, 7), 1e-9))
+    for w, rel in cases:
+        m = correction._block_size(w)
+        for weight in (0.5, 2.0):
+            args = (w, weight, 4.0 * weight, False, False)
+            if m is None:
+                beta = correction._branch_lp(*args)
+            else:
+                beta = correction._block_minimizer(m, *args)
+            objective = weight * (beta.beta0 + float(np.mean(beta.betas)))
+            objective += 4.0 * weight * float(np.abs(omega_matrix(w, beta)).max())
+            want = dense_branch_lp(4, *args).fun
+            assert objective == pytest.approx(want, rel=rel)
 
 
-def test_unbounded_chaining_branch_raises_solver_failure():
-    # below K * weight the chaining problem is unbounded below, as the dense
-    # LP reports; the closed form must fail the same way, not return a value
-    w = _family_w(Family.RANDOMIZED_RESPONSE, 4)
-    with pytest.raises(ValueError, match="unbounded"):
-        dense_branch_lp(4, w, 1.0, 3.9, per_column=False, abs_objective=False)
-    with pytest.raises(SolverFailure, match="unbounded"):
-        correction._chaining_minimizer(w, 1.0, 3.9)
-    # delta_fs at a weight far above c(n): chaining z coefficient 34.02 < 4 * 10
-    with pytest.raises(SolverFailure, match="chaining"):
-        delta_fs(100, 4, w, 10.0)
-    # and at weight 1 the chaining branch is bounded but the Massart branch is not
-    with pytest.raises(SolverFailure, match="unbounded"):
-        delta_fs(100, 4, w, 1.0)
-
-
-def test_delta_fs_builds_one_sparse_lp(monkeypatch):
+@pytest.fixture
+def linprog_calls(monkeypatch):
+    """The keyword arguments of every linprog call; _branch_lp imports
+    linprog from scipy.optimize when it runs, so the spy sits there."""
     calls = []
     real = scipy_optimize.linprog
 
@@ -580,18 +575,68 @@ def test_delta_fs_builds_one_sparse_lp(monkeypatch):
         calls.append(kwargs)
         return real(*args, **kwargs)
 
-    # the Massart LP imports linprog from scipy.optimize when it runs; a W of
-    # block form never reaches it, so this one is dense
     monkeypatch.setattr(scipy_optimize, "linprog", spy)
+    return calls
+
+
+def test_unbounded_chaining_branch_raises_solver_failure(linprog_calls):
+    # below K * weight the chaining problem is unbounded below, as the dense
+    # LP reports; delta_fs must refuse it by name before any LP runs
+    w = _random_dense_w(4, 7)
+    assert correction._block_size(w) is None
+    with pytest.raises(ValueError, match="unbounded"):
+        dense_branch_lp(4, w, 1.0, 3.9, per_column=False, abs_objective=False)
+    linprog_calls.clear()
+    # at a weight far above c(n): chaining z coefficient 34.02 < 4 * 10
+    with pytest.raises(SolverFailure, match="the chaining branch is unbounded below"):
+        delta_fs(100, 4, w, 10.0)
+    assert linprog_calls == []
+
+
+def test_unbounded_massart_branch_is_refused_before_any_lp(linprog_calls):
+    # at weight 1 and n = 100 the chaining branch is bounded but the Massart
+    # branch is not; a dense W is refused by name, as a W of block form is
+    w = _random_dense_w(4, 7)
+    with pytest.raises(SolverFailure, match="the Massart branch is unbounded below"):
+        delta_fs(100, 4, w, 1.0)
+    assert linprog_calls == []
+
+
+def test_delta_fs_builds_two_sparse_lps(linprog_calls):
+    # a W of block form never reaches the LP, so this one is dense: the
+    # chaining LP first, then the Massart LP
     k = 12
     delta_fs(1000, k, _random_dense_w(k, 12), c_of_n(1000))
-    assert len(calls) == 1
-    a_ub = calls[0]["A_ub"]
-    assert scipy_sparse.issparse(a_ub)
-    assert a_ub.shape == (2 * k * k + k, k * k + k + 2)
-    per_row = np.diff(a_ub.tocsr().indptr)
-    assert per_row[: 2 * k * k].max() <= 3
-    assert calls[0]["method"] == "highs-ipm"
+    shapes = [(2 * k * k, k + 2), (2 * k * k + k, k * k + k + 2)]
+    assert [call["A_ub"].shape for call in linprog_calls] == shapes
+    for call in linprog_calls:
+        a_ub = call["A_ub"]
+        assert scipy_sparse.issparse(a_ub)
+        per_row = np.diff(a_ub.tocsr().indptr)
+        assert per_row[: 2 * k * k].max() <= 3
+        assert call["method"] == "highs-ipm"
+
+
+_SOLVER_RULE_CASES = {
+    **{name: w for name, (_, _, w) in FS_CASES.items()},
+    **{
+        name: build_transition(ContaminationSpec(**kwargs)).W
+        for name, kwargs in FAMILY_CASES.items()
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(_SOLVER_RULE_CASES))
+def test_block_form_alone_picks_the_solver(case, linprog_calls):
+    # the closed form for a W of block form, one LP per branch otherwise
+    w = _SOLVER_RULE_CASES[case]
+    k, n = w.shape[0], 5000
+    want = 0 if correction._block_size(w) is not None else 2
+    delta_fs(n, k, w, c_of_n(n))
+    assert len(linprog_calls) == want
+    linprog_calls.clear()
+    delta_star_star_bound(n, k, w)
+    assert len(linprog_calls) == want
 
 
 def test_delta_fs_large_k_randomized_response_is_cn():

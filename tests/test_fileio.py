@@ -483,6 +483,28 @@ def test_writers_refuse_bad_arrays_before_creating_the_file(
     assert not path.exists()
 
 
+_RESULT = ThresholdResult(
+    tau=1.0, i_hat=None, method=CalibrationMethod.STANDARD, correction=None,
+    set_I_empty=True,
+)
+
+
+@pytest.mark.parametrize(
+    "write, args",
+    [
+        (write_probability_csv, (np.array([[0.5, 0.5]]),)),
+        (write_results_csv, ([],)),
+        (write_summary_csv, ([],)),
+        (write_prediction_sets_csv, (np.array([[True]]), 0.5)),
+        (write_threshold_json, (_RESULT,)),
+    ],
+)
+def test_writers_into_a_missing_directory_raise_file_format_error(tmp_path, write, args):
+    path = tmp_path / "missing" / "out.csv"
+    with pytest.raises(FileFormatError, match=f"^cannot write {path}: "):
+        write(str(path), *args)
+
+
 def test_threshold_json_contents(tmp_path):
     rep = CorrectionReport(method=CorrectionMethod.FINITE_SAMPLE, value=0.02)
     res = ThresholdResult(
