@@ -32,9 +32,11 @@ from numpy.typing import NDArray
 from .correction import CorrectionReport
 from .empirical import CalibrationSet, InflationCurve, delta_hat
 from .errors import (
+    InvalidSpec,
     LengthMismatch,
     _check_alpha,
     _check_array,
+    _check_int,
     _check_label_vector,
     _check_real,
     _check_type,
@@ -71,7 +73,9 @@ class ThresholdResult:
     ``i_hat`` is the attaining 1-based rank among the own-score order
     statistics (None when the fallback tau = 1 fired, flagged by
     ``set_I_empty``).  ``correction`` carries the delta(n) report for the
-    adaptive rules; ``warning`` flags unverifiable side conditions.
+    adaptive rules; ``warning`` flags unverifiable side conditions.  A
+    field of another type or out of range, or a ``set_I_empty`` other than
+    ``i_hat is None``, raises InvalidSpec naming it.
     """
 
     tau: float
@@ -80,6 +84,22 @@ class ThresholdResult:
     correction: CorrectionReport | None
     set_I_empty: bool
     warning: str | None = None
+
+    def __post_init__(self) -> None:
+        _check_real("tau", self.tau, 0.0, 1.0)
+        if self.i_hat is not None:
+            _check_int("i_hat", self.i_hat, 1)
+        _check_type("method", self.method, CalibrationMethod)
+        if self.correction is not None:
+            _check_type("correction", self.correction, CorrectionReport)
+        empty = self.i_hat is None
+        if self.set_I_empty is not empty:
+            raise InvalidSpec(
+                f"set_I_empty must be {empty} when i_hat is {self.i_hat}, "
+                f"got {self.set_I_empty!r}"
+            )
+        if self.warning is not None:
+            _check_type("warning", self.warning, str)
 
 
 def standard_threshold(cal: CalibrationSet, alpha: float) -> ThresholdResult:

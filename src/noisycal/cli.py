@@ -192,7 +192,7 @@ class ExperimentConfig:
 def read_experiment_config(path: str) -> ExperimentConfig:
     _check_path("path", path)
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             raw = json.load(handle)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc

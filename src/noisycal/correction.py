@@ -4,14 +4,17 @@ Three routes produce a correction:
 
 * ``c_of_n``: exact c(n) = E[max_i (i/n - U_(i))], the mean of the
   one-sided Kolmogorov-Smirnov statistic, in closed form as Q(n) / (2n)
-  with Ramanujan's Q-function; bounded above by sqrt(pi / (2 n)).
+  with Ramanujan's Q-function, summed up to n = 10^6 and taken from
+  Ramanujan's series above; bounded above by sqrt(pi / (2 n)).
 * ``delta_fs``: finite-sample bound c(n) (beta_0 + mean_k beta_k)
   + B(K, n, beta)/sqrt(n), minimized exactly over beta one branch of the min
-  inside B at a time.  When W has the block form d I + s B + o (J - B)
-  over contiguous blocks of m labels, as every parametric family's inverse
-  does however it was given, both branches are in closed form.  Any other
-  W takes a sparse linear program per branch, solved by interior point
-  (O(K^2) memory), the package's one use of SciPy.
+  inside B at a time; the branches, each with its constant, are declared
+  once (``_branches``), and the bound is the smaller branch optimum.  When
+  W has the block form d I + s B + o (J - B) over contiguous blocks of m
+  labels, as every parametric family's inverse does however it was given,
+  both branches are in closed form.  Any other W takes a sparse linear
+  program per branch, solved by interior point (O(K^2) memory), the
+  package's one use of SciPy.
 * ``delta_asy``: asymptotic route; estimates the plug-in covariance of the
   limiting Gaussian process once, on the finest grid of a halving ladder
   (``estimate_covariance``), factors it, simulates its absolute supremum on
@@ -24,7 +27,8 @@ Three routes produce a correction:
 ``delta_star_star_bound`` and ``upper_bound_diagnostics`` compute the purely
 diagnostic quantities (the bound on the expected absolute supremum of the
 centered process, d(n), phi(n), and the inflation-floor threshold); the
-bound takes the same closed forms, and for any other W two LPs.
+bound is the smaller of its two branch optima, by the same closed forms,
+and for any other W two LPs.
 """
 
 from __future__ import annotations
@@ -168,6 +172,11 @@ def cn_envelope(n: int) -> float:
     return math.sqrt(math.pi / (2.0 * n))
 
 
+# c_of_n sums Q(n) up to this n (arrays of at most 8,944 entries) and takes
+# Ramanujan's series above it, where the two agree to about 1e-15 relative
+_CN_SERIES_ABOVE = 10**6
+
+
 def c_of_n(n: int) -> float:
     """Exact c(n) = E[max_i (i/n - U_(i))] for n uniform order statistics.
 
@@ -175,10 +184,17 @@ def c_of_n(n: int) -> float:
     mean is Q(n) / (2n) with Ramanujan's Q-function
     Q(n) = sum_{k>=1} prod_{j<k} (1 - j/n) (Knuth, TAOCP vol. 1, 1.2.11.3).
     The terms fall like exp(-k^2 / 2n), so the sum stops at k = sqrt(80 n),
-    past which they are below e^-40: O(sqrt(n)) time and memory.
+    past which they are below e^-40: O(sqrt(n)) time and memory.  Above
+    n = 10^6 that memory would grow without bound, so Q(n) is Ramanujan's
+    series sqrt(pi n/2) - 1/3 + (1/12) sqrt(pi/(2n)) - 4/(135 n)
+    + (1/288) sqrt(pi/(2n^3)), whose next term is O(1/n^2): O(1) time.
     """
     _check_int("n", n, 1)
     n = int(n)
+    if n > _CN_SERIES_ABOVE:
+        r = math.sqrt(math.pi / (2.0 * n))
+        q = n * r - 1.0 / 3.0 + r / 12.0 - 4.0 / (135.0 * n) + r / (288.0 * n)
+        return q / (2.0 * n)
     kmax = min(n, math.isqrt(80 * n) + 1)
     terms = np.cumprod(1.0 - np.arange(1, kmax) / n)
     return float((1.0 + terms.sum()) / (2.0 * n))
@@ -213,42 +229,42 @@ def _checked_w(n: int, k: int, w) -> NDArray[np.float64]:
     return _as_w(w, k)
 
 
-def _branch_terms(n: int, beta: BetaVector, w) -> dict[str, float | None]:
-    """The two branches inside the min of B(K, n, beta), before the factor 2.
+def _branches(k: int, n: int) -> dict[str, tuple[float, bool]]:
+    """The branches inside the min of B(K, n, beta), chaining first.
 
-    ``massart`` is max_l sum_k |Omega[k, l]| * sqrt(log(K n + 1)) and
-    ``chaining`` is 24 max|Omega| (2 log K + 1)/(2 log K - 1) sqrt(2 K log K);
-    the chaining branch needs 2 log K > 1, so it is None for K = 1.
+    Each maps to its constant and ``per_column``: a branch is its constant
+    times the largest column sum of |Omega| when ``per_column`` (Massart,
+    sqrt(log(K n + 1))), else the largest entry (chaining,
+    24 (2 log K + 1)/(2 log K - 1) sqrt(2 K log K), for 2 log K > 1: K >= 2).
     """
-    abs_omega = np.abs(omega_matrix(w, beta))
-    k = abs_omega.shape[0]
-    massart = float(abs_omega.sum(axis=0).max()) * math.sqrt(math.log(k * n + 1.0))
-    chaining = None
+    branches = {}
     if k >= 2:
-        chaining = float(abs_omega.max()) * _chaining_constant(k)
-    return {"massart": massart, "chaining": chaining}
+        log_k = math.log(k)
+        ratio = (2.0 * log_k + 1.0) / (2.0 * log_k - 1.0)
+        branches["chaining"] = (24.0 * ratio * math.sqrt(2.0 * k * log_k), False)
+    branches["massart"] = (math.sqrt(math.log(k * n + 1.0)), True)
+    return branches
 
 
-def _chaining_constant(k: int) -> float:
-    """24 (2 log K + 1)/(2 log K - 1) sqrt(2 K log K), for K >= 2."""
-    log_k = math.log(k)
-    return 24.0 * ((2.0 * log_k + 1.0) / (2.0 * log_k - 1.0)) * math.sqrt(2.0 * k * log_k)
+def _branch_terms(n: int, beta: BetaVector, w) -> dict[str, float | None]:
+    """The branches of :func:`_branches` at beta, before the factor 2;
+    Massart first, chaining None for K = 1."""
+    abs_omega = np.abs(omega_matrix(w, beta))
+    terms: dict[str, float | None] = {"massart": None, "chaining": None}
+    for name, (constant, per_column) in _branches(abs_omega.shape[0], n).items():
+        size = abs_omega.sum(axis=0).max() if per_column else abs_omega.max()
+        terms[name] = float(size) * constant
+    return terms
 
 
 def b_term(k: int, n: int, beta: BetaVector, w) -> tuple[float, str]:
     """The deviation term B(K, n, beta) and which branch attained it.
 
-    B = 2 min{ max_l sum_k |Omega[k, l]| * sqrt(log(K n + 1)),
-               24 max|Omega| (2 log K + 1)/(2 log K - 1) sqrt(2 K log K) }.
-
-    The chaining branch needs 2 log K > 1; for K = 1 it is undefined and the
-    Massart branch is used alone.  W must be a finite K x K matrix.
+    B is twice the smaller branch of :func:`_branches` at beta, Massart on a
+    tie and alone for K = 1.  W must be a finite K x K matrix.
     """
-    terms = _branch_terms(n, beta, _checked_w(n, k, w))
-    chaining = terms["chaining"]
-    if chaining is None or terms["massart"] <= chaining:
-        return 2.0 * terms["massart"], "massart"
-    return 2.0 * chaining, "chaining"
+    term, branch = _smallest(_branch_terms(n, beta, _checked_w(n, k, w)))
+    return 2.0 * term, branch
 
 
 def _branch_lp(
@@ -342,20 +358,6 @@ def _branch_lp(
     if res.status != 0 or res.x is None:
         raise SolverFailure(f"LP did not reach an optimum: {res.message}")
     return BetaVector(beta0=float(res.x[0]), betas=res.x[1:nb].copy())
-
-
-def _check_bounded(k: int, weight: float, z_coef: float, per_column: bool) -> None:
-    """Raise SolverFailure when a signed branch is unbounded below: the
-    Massart branch (``per_column``) when z_coef < weight, the chaining
-    branch when z_coef < K weight."""
-    name, floor, what = ("Massart", weight, "the weight")
-    if not per_column:
-        name, floor, what = "chaining", k * weight, "K * weight ="
-    if not floor <= z_coef:
-        raise SolverFailure(
-            f"the {name} branch is unbounded below: its z coefficient {z_coef} "
-            f"is below {what} {floor}"
-        )
 
 
 def _fs_values(
@@ -458,33 +460,36 @@ def _block_minimizer(
 def _branch_minimizers(
     n: int, w: NDArray[np.float64], weight: float, abs_objective: bool
 ) -> dict[str, BetaVector]:
-    """Minimizers of the Massart branch and, for K >= 2, of the chaining branch.
+    """A minimizer of each branch of :func:`_branches`, in its order.
 
-    One problem per branch of the min inside B, chaining first; the
-    z-coefficients include the 2/sqrt(n) scale of B.  :func:`_block_size`
-    alone picks the solver: a W of block form takes :func:`_block_minimizer`
-    for every branch and objective, any other W the sparse LP
-    :func:`_branch_lp`.  A signed problem has both branches checked for
-    boundedness before either is solved, so an unbounded one fails with its
-    typed message before any LP is built.  w is a finite K x K array
-    (:func:`_checked_w`).
+    A branch's problem is weight * (beta0 + mean_k beta_k) + 2 branch /
+    sqrt(n), |beta| when ``abs_objective``.  :func:`_block_size` alone
+    picks the solver: :func:`_block_minimizer` for a W of block form, the
+    sparse LP :func:`_branch_lp` otherwise.  A signed problem is unbounded
+    below when its z coefficient is under the weight (Massart) or K times it
+    (chaining); every branch is checked first, so an unbounded one raises
+    SolverFailure naming it before any LP is built.  w is a finite K x K
+    array (:func:`_checked_w`).
     """
     k = w.shape[0]
     scale = 2.0 / math.sqrt(n)
-    problems = {}
-    if k >= 2:
-        problems["chaining"] = (scale * _chaining_constant(k), False)
-    problems["massart"] = (scale * math.sqrt(math.log(k * n + 1.0)), True)
-    if not abs_objective:
-        for z_coef, per_column in problems.values():
-            _check_bounded(k, weight, z_coef, per_column)
+    branches = _branches(k, n)
+    for constant, per_column in branches.values():
+        z_coef = scale * constant
+        name, floor, what = ("Massart", weight, "the weight")
+        if not per_column:
+            name, floor, what = "chaining", k * weight, "K * weight ="
+        if not abs_objective and not floor <= z_coef:
+            raise SolverFailure(
+                f"the {name} branch is unbounded below: its z coefficient {z_coef} "
+                f"is below {what} {floor}"
+            )
     m = _block_size(w)
     betas = {}
-    for name, (z_coef, per_column) in problems.items():
-        args = (w, weight, z_coef, per_column, abs_objective)
+    for name, (constant, per_column) in branches.items():
+        args = (w, weight, scale * constant, per_column, abs_objective)
         betas[name] = _branch_lp(*args) if m is None else _block_minimizer(m, *args)
-    # Massart first: delta_fs keeps the first of two equal bounds
-    return {"massart": betas.pop("massart"), **betas}
+    return betas
 
 
 def delta_fs(n: int, k: int, w, c_n: float) -> CorrectionReport:
@@ -495,26 +500,22 @@ def delta_fs(n: int, k: int, w, c_n: float) -> CorrectionReport:
     :func:`_branch_minimizers`).  A branch unbounded below raises
     SolverFailure naming it, before any LP runs.  ``branch_values``
     records each branch's optimum, its own term at its own minimizer (None
-    for the chaining branch at K = 1).  The report carries the minimizer
-    with the smaller bound and the branch active there; the reported value
-    equals the objective evaluated on w at ``beta_star``, the optimizer
-    certificate.
+    for the chaining branch at K = 1).  ``value`` is the smaller optimum,
+    Massart on a tie, and ``branch`` names it: a branch's optimum is at most
+    that branch at any beta, so no beta gives less.  ``beta_star`` is that
+    branch's minimizer, where the bound equals ``value``.
     """
     w = _checked_w(n, k, w)
     _check_real("c_n", c_n, 0.0, math.inf, "()")
+    betas = _branch_minimizers(n, w, c_n, abs_objective=False)
     branch_values: dict[str, float | None] = {"massart": None, "chaining": None}
-    best = None
-    for name, beta in _branch_minimizers(n, w, c_n, abs_objective=False).items():
-        values = _fs_values(n, w, c_n, beta)
-        branch_values[name] = values[name]
-        value, branch = _smallest(values)
-        if best is None or value < best[0]:
-            best = (value, branch, beta)
-    value, branch, beta = best
+    for name, beta in betas.items():
+        branch_values[name] = _fs_values(n, w, c_n, beta)[name]
+    value, branch = _smallest(branch_values)
     return CorrectionReport(
         method=CorrectionMethod.FINITE_SAMPLE,
         value=max(value, 0.0),
-        beta_star=beta,
+        beta_star=betas[branch],
         branch=branch,
         c_n=float(c_n),
         branch_values=branch_values,
@@ -817,17 +818,18 @@ def delta_asy(
 def delta_star_star_bound(n: int, k: int, w) -> float:
     """Bound on the expected absolute supremum of the centered process.
 
-    The same two branches as :func:`delta_fs`, with absolute values on the
-    beta coefficients and the analytic envelope sqrt(pi/(2 n)) as the linear
-    weight; the bound is only valid with the envelope, not with c(n).  A W
+    The smaller branch optimum of the same two branches as :func:`delta_fs`,
+    with absolute values on the beta coefficients and the analytic envelope
+    sqrt(pi/(2 n)) as the linear weight; the bound is only valid with the
+    envelope, not with c(n).  A W
     of block form takes the closed forms and loads no SciPy, any other W
     two sparse LPs (see :func:`_branch_minimizers`).
     """
     scale = cn_envelope(n)
     w = _checked_w(n, k, w)
     best = min(
-        _smallest(_fs_values(n, w, scale, beta, absolute=True))[0]
-        for beta in _branch_minimizers(n, w, scale, abs_objective=True).values()
+        _fs_values(n, w, scale, beta, absolute=True)[name]
+        for name, beta in _branch_minimizers(n, w, scale, abs_objective=True).items()
     )
     return float(max(best, 0.0))
 

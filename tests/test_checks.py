@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from noisycal import (
     BetaVector,
+    CalibrationMethod,
     CalibrationSet,
     ContaminationSpec,
     CorrectionMethod,
@@ -25,6 +26,7 @@ from noisycal import (
     NoisycalError,
     SoftmaxModel,
     SynthConfig,
+    ThresholdResult,
     TransitionMatrix,
     adaptive_threshold,
     aps_scores,
@@ -78,6 +80,9 @@ REPORT = CorrectionReport(method=CorrectionMethod.CN_ONLY, value=0.0)
 BETA = BetaVector(beta0=1.0, betas=np.zeros(2))
 RR2 = ContaminationSpec(family="rr", k=2, eps=0.1)
 SIZES = dict(k=2, d=4, n_train=10, n_cal=10, n_test=10)
+RESULT = dict(
+    tau=0.5, i_hat=1, method=CalibrationMethod.STANDARD, correction=None, set_I_empty=False
+)
 
 
 def _diagnostics(**kwargs):
@@ -127,6 +132,12 @@ SCALARS = [
         [-0.01],
     ),
     ("BetaVector", "beta0", lambda v: BetaVector(beta0=v, betas=np.zeros(2)), []),
+    (
+        "ThresholdResult",
+        "tau",
+        lambda v: ThresholdResult(**RESULT | {"tau": v}),
+        [-0.1, 1.1],
+    ),
     (
         "SoftmaxModel",
         "iterations",
@@ -310,6 +321,10 @@ OBJECTS = [
     ("correction_report", "variant", lambda a: correction_report(RR2, 100, variant=a)),
     ("ExperimentConfig.from_dict", "raw", ExperimentConfig.from_dict),
     ("run_synthetic", "config", run_synthetic),
+    *[
+        ("ThresholdResult", name, lambda a, n=name: ThresholdResult(**RESULT | {n: a}))
+        for name in ("method", "correction", "warning")
+    ],
 ]
 
 
@@ -321,6 +336,30 @@ def test_wrong_object_type_raises_invalid_spec_naming_it(call, name):
     # each raised AttributeError on the array
     with pytest.raises(InvalidSpec, match=f"^{name} must be a [A-Za-z]+, got ndarray"):
         call(SCORES)
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        pytest.param(dict(i_hat=0), "i_hat", id="i_hat-0"),
+        pytest.param(dict(i_hat=2.0), "i_hat", id="i_hat-float"),
+        pytest.param(dict(i_hat=True), "i_hat", id="i_hat-bool"),
+        pytest.param(dict(set_I_empty=True), "set_I_empty", id="empty-with-i_hat"),
+        pytest.param(dict(tau=1.0, i_hat=None), "set_I_empty", id="not-empty-without"),
+        pytest.param(dict(set_I_empty="no"), "set_I_empty", id="empty-str"),
+        pytest.param(dict(set_I_empty=0), "set_I_empty", id="empty-int"),
+        pytest.param(dict(method="standard"), "method", id="method-str"),
+        pytest.param(
+            dict(tau=math.nan, i_hat=-3, method="bogus", correction="x", set_I_empty="no"),
+            "tau",
+            id="every-field-bad",
+        ),
+    ],
+)
+def test_threshold_result_refuses_a_bad_or_inconsistent_field(fields, name):
+    # such a record was written into threshold.json as it was
+    with pytest.raises(InvalidSpec, match=f"^{name} must "):
+        ThresholdResult(**RESULT | fields)
 
 
 X3_MODEL = SoftmaxModel(weights=np.zeros((2, 2)), iterations=0, final_loss=0.0)
@@ -452,6 +491,7 @@ VALID_CALLS = [
     (evaluate, dict(sets=SCORES <= 0.5, true_labels=[0, 1, 1])),
     (BetaVector, dict(beta0=1.0, betas=np.zeros(2))),
     (CorrectionReport, dict(method=CorrectionMethod.CN_ONLY, value=0.0)),
+    (ThresholdResult, RESULT),
     (b_term, dict(k=2, n=100, beta=BETA, w=W)),
     (c_of_n, dict(n=100)),
     (cn_envelope, dict(n=100)),

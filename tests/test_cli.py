@@ -21,6 +21,7 @@ from noisycal import (
     ThresholdResult,
     aps_scores,
     c_of_n,
+    cn_envelope,
     correction,
     delta_star_star_bound,
 )
@@ -154,6 +155,14 @@ def test_read_experiment_config(tmp_path):
         read_experiment_config(str(bad))
     with pytest.raises(FileFormatError):
         read_experiment_config(str(tmp_path / "missing.json"))
+
+
+def test_config_with_a_byte_order_mark_is_read(tmp_path):
+    # json.load refused it: "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    path = tmp_path / "cfg.json"
+    text = json.dumps({"k": 2, "d": 4, "n_train": 20, "n_cal": 10, "n_test": 10})
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert read_experiment_config(str(path)).k == 2
 
 
 def test_non_utf8_config_exits_2(tmp_path, capsys):
@@ -478,6 +487,15 @@ def test_main_correction_large_k_randomized_response(capsys):
     assert blob["branch"] == "massart"
     assert set(blob["branch_values"]) == {"massart", "chaining"}
     assert blob["value"] == pytest.approx(min(blob["branch_values"].values()), rel=1e-9)
+
+
+def test_main_correction_astronomical_n(capsys):
+    # c(n) allocated arrays of sqrt(80 n) entries and exited 1 out of memory
+    n = 10**30
+    argv = ["correction", "--model", "rr", "--eps", "0.1", "--k", "4", "--n", str(n)]
+    assert main(argv) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["c_n"] == c_of_n(n) and 0.0 < blob["c_n"] < cn_envelope(n)
 
 
 def field_names(cls):

@@ -100,6 +100,35 @@ def test_c_of_n_huge_n_is_fast_and_finite():
     assert elapsed < 0.05
 
 
+def _exact_c_of_n(n):
+    # Q(n) = sum_k prod_{j<k} (1 - j/n), summed to k = sqrt(80 n)
+    terms = np.cumprod(1.0 - np.arange(1, math.isqrt(80 * n) + 1) / n)
+    return (1.0 + terms.sum()) / (2.0 * n)
+
+
+def _series_c_of_n(n):
+    # Ramanujan's series Q(n) ~ sqrt(pi n/2) - 1/3 + (1/12) sqrt(pi/(2n))
+    # - 4/(135 n) + (1/288) sqrt(pi/(2n^3)), as written
+    q = math.sqrt(math.pi * n / 2.0) - 1.0 / 3.0 + math.sqrt(math.pi / (2.0 * n)) / 12.0
+    q += -4.0 / (135.0 * n) + math.sqrt(math.pi / (2.0 * n**3)) / 288.0
+    return q / (2.0 * n)
+
+
+@pytest.mark.parametrize("n", [10**6, 10**6 + 1])
+def test_c_of_n_sum_and_series_agree_at_the_switch(n):
+    # c_of_n sums Q(n) up to 10^6 and takes the series above
+    assert c_of_n(n) == pytest.approx(_exact_c_of_n(n), rel=2e-15, abs=0.0)
+    assert c_of_n(n) == pytest.approx(_series_c_of_n(n), rel=2e-15, abs=0.0)
+
+
+def test_c_of_n_astronomical_n_is_finite():
+    # the sum's arrays of sqrt(80 n) entries asked for 63.6 PiB here
+    n = 10**30
+    value = c_of_n(n)
+    assert math.isfinite(value) and 0.0 < value < cn_envelope(n)
+    assert value == pytest.approx(math.sqrt(math.pi / (8.0 * n)), rel=1e-14)
+
+
 def test_c_of_n_below_envelope():
     for n in (1, 10, 100, 1000):
         assert c_of_n(n) <= cn_envelope(n)
@@ -425,7 +454,9 @@ def test_chaining_branch_matches_dense_lp_oracle(case):
     # the closed form on a family's W, the sparse LP on a dense one
     k, n, w = FS_CASES[case]
     cn = c_of_n(n)
-    z_coef = (2.0 / math.sqrt(n)) * correction._chaining_constant(k)
+    constant, per_column = correction._branches(k, n)["chaining"]
+    assert not per_column
+    z_coef = (2.0 / math.sqrt(n)) * constant
     beta = correction._branch_minimizers(n, w, cn, abs_objective=False)["chaining"]
     objective = cn * (beta.beta0 + float(np.mean(beta.betas)))
     objective += z_coef * float(np.abs(omega_matrix(w, beta)).max())
@@ -460,9 +491,10 @@ def test_family_closed_form_matches_massart_lp(case):
     n = 5000
     assert correction._block_size(w) is not None
     scale = 2.0 / math.sqrt(n)
-    problems = {"massart": (scale * math.sqrt(math.log(spec.k * n + 1.0)), True)}
-    if spec.k >= 2:
-        problems["chaining"] = (scale * correction._chaining_constant(spec.k), False)
+    problems = {
+        name: (scale * constant, per_column)
+        for name, (constant, per_column) in correction._branches(spec.k, n).items()
+    }
     optimum = {}
     for weight, absolute in ((c_of_n(n), False), (cn_envelope(n), True)):
         closed = correction._branch_minimizers(n, w, weight, absolute)
@@ -485,6 +517,29 @@ def test_family_closed_form_matches_massart_lp(case):
     # delta_fs_special's candidate beta' is one of the closed form's
     # vertices, evaluated on the same W
     assert rep.value <= delta_fs_special(spec, n, c_of_n(n)).value
+
+
+def _family_case(case):
+    spec = ContaminationSpec(**FAMILY_CASES[case])
+    return spec.k, 5000, build_transition(spec).W
+
+
+@pytest.mark.parametrize(
+    "k, n, w",
+    [pytest.param(*FS_CASES[case], id=case) for case in FS_CASES]
+    + [pytest.param(*_family_case(case), id=case) for case in FAMILY_CASES],
+)
+def test_delta_fs_reports_the_smaller_branch_optimum(k, n, w):
+    # the value is the smaller branch optimum itself, not a rescoring of
+    # the minimizers, and beta_star is that branch's own minimizer
+    cn = c_of_n(n)
+    rep = delta_fs(n, k, w, cn)
+    defined = [v for v in rep.branch_values.values() if v is not None]
+    assert rep.value == min(defined)
+    assert rep.branch_values[rep.branch] == rep.value
+    beta = correction._branch_minimizers(n, w, cn, abs_objective=False)[rep.branch]
+    assert rep.beta_star.beta0 == beta.beta0
+    assert np.array_equal(rep.beta_star.betas, beta.betas)
 
 
 def _objective(w, beta, weight, z_coef, per_column, absolute):
