@@ -62,6 +62,7 @@ from .errors import (
     SolverFailure,
     _check_alpha,
     _check_int,
+    _check_n,
     _check_path,
     _check_type,
 )
@@ -150,8 +151,8 @@ class ExperimentConfig:
         repeated = sorted({m for m in methods if methods.count(m) > 1})
         if repeated:
             raise InvalidSpec(f"methods repeat {repeated}")
-        if self.out is not None and not isinstance(self.out, str):
-            raise InvalidSpec(f"out must be a directory path, got {self.out!r}")
+        if self.out is not None:
+            _check_path("out", self.out)
         _check_int("repetitions", self.repetitions, 1)
         _check_int("seed", self.seed, 0)
         if self.b is not None:
@@ -432,7 +433,7 @@ def correction_report(
     variant: str = "fs",
 ) -> CorrectionReport:
     """Correction value for a parametric model at calibration size n."""
-    _check_int("n", n, 1)
+    _check_n(n)
     _check_type("variant", variant, str)
     if variant not in _VARIANT_ROUTES:
         raise InvalidSpec(f"unknown correction variant {variant!r}")

@@ -10,11 +10,13 @@ Three routes produce a correction:
   + B(K, n, beta)/sqrt(n), minimized exactly over beta one branch of the min
   inside B at a time; the branches, each with its constant, are declared
   once (``_branches``), and the bound is the smaller branch optimum.  When
-  W has the block form d I + s B + o (J - B) over contiguous blocks of m
-  labels, as every parametric family's inverse does however it was given,
-  both branches are in closed form.  Any other W takes a sparse linear
+  ``noise_model._block_form`` reads W's block form (d on the diagonal, s
+  within and o across contiguous blocks of m labels), as every parametric
+  family's inverse has however it was given, both branches are in closed
+  form from (K, m, d, s, o) alone.  Any other W takes a sparse linear
   program per branch, solved by interior point (O(K^2) memory), the
-  package's one use of SciPy.
+  package's one use of SciPy.  ``delta_fs`` and ``delta_fs_special`` build
+  their report in one place, ``_fs_report``.
 * ``delta_asy``: asymptotic route; estimates the plug-in covariance of the
   limiting Gaussian process once, on the finest grid of a halving ladder
   (``estimate_covariance``), factors it, simulates its absolute supremum on
@@ -51,6 +53,7 @@ from .errors import (
     _check_alpha,
     _check_array,
     _check_int,
+    _check_n,
     _check_real,
     _check_square,
     _check_type,
@@ -59,6 +62,7 @@ from .noise_model import (
     ContaminationSpec,
     TransitionMatrix,
     _as_w,
+    _block_form,
     _inverse,
     _inverse_blocks,
     build_transition,
@@ -168,7 +172,7 @@ def _jsonable(obj):
 
 def cn_envelope(n: int) -> float:
     """Analytic envelope sqrt(pi / (2 n)) >= c(n), used by the delta** bound."""
-    _check_int("n", n, 1)
+    _check_n(n)
     return math.sqrt(math.pi / (2.0 * n))
 
 
@@ -188,8 +192,9 @@ def c_of_n(n: int) -> float:
     n = 10^6 that memory would grow without bound, so Q(n) is Ramanujan's
     series sqrt(pi n/2) - 1/3 + (1/12) sqrt(pi/(2n)) - 4/(135 n)
     + (1/288) sqrt(pi/(2n^3)), whose next term is O(1/n^2): O(1) time.
+    n above 10^300 raises InvalidSpec, as at every entry point that takes n.
     """
-    _check_int("n", n, 1)
+    _check_n(n)
     n = int(n)
     if n > _CN_SERIES_ABOVE:
         r = math.sqrt(math.pi / (2.0 * n))
@@ -224,7 +229,7 @@ def _checked_w(n: int, k: int, w) -> NDArray[np.float64]:
     The one check of the public finite-sample entry points, so the private
     kernels read K from ``w.shape[0]``.
     """
-    _check_int("n", n, 1)
+    _check_n(n)
     _check_int("k", k, 1)
     return _as_w(w, k)
 
@@ -385,44 +390,12 @@ def _smallest(values: dict[str, float | None]) -> tuple[float, str]:
     return min(defined, key=lambda pair: pair[0])
 
 
-# W has the block form when every entry lies within this multiple of max|W|
-# of the form read off its first row
-_BLOCK_RTOL = 1e-12
-
-
-def _block_size(w: NDArray[np.float64]) -> int | None:
-    """m when W = d I + s B + o (J - B) over contiguous blocks of m labels.
-
-    B is the block-diagonal matrix of ones over blocks of m labels (the
-    block form of :mod:`noisycal.noise_model`), J the all-ones matrix.  The
-    form is read off W's first row: W[0, 0] on the diagonal, s = W[0, 1],
-    m the length of the row's leading run of entries equal to s (K when the
-    run fills the row) and o = W[0, m].  W has that form when m divides K
-    and every entry lies within ``_BLOCK_RTOL`` max|W| of it; otherwise the
-    result is None.  A W whose s and o agree, such as randomized response's,
-    is one block (m = K).  O(K^2) work.
-    """
-    k = w.shape[0]
-    if k == 1:
-        return 1
-    tol = _BLOCK_RTOL * float(np.abs(w).max())
-    off_run = np.abs(w[0, 1:] - w[0, 1]) > tol
-    m = 1 + int(np.argmax(off_run)) if off_run.any() else k
-    if k % m:
-        return None
-    block = np.arange(k) // m
-    across = w[0, m] if m < k else 0.0
-    form = np.where(block[:, None] == block[None, :], w[0, 1], across)
-    np.fill_diagonal(form, w[0, 0])
-    return m if np.all(np.abs(w - form) <= tol) else None
-
-
 def _block_minimizer(
-    m: int, w, weight: float, z_coef: float, per_column: bool, abs_objective: bool
+    form: tuple, weight: float, z_coef: float, per_column: bool, abs_objective: bool
 ) -> BetaVector:
-    """The problem of :func:`_branch_lp`, solved exactly for a W of block form.
+    """The problem of :func:`_branch_lp`, solved exactly from W's block form.
 
-    W = d I + s B + o (J - B) over blocks of m labels (:func:`_block_size`)
+    A W of ``form`` (K, m, d, s, o) (:func:`~noisycal.noise_model._block_form`)
     is invariant under a permutation group transitive on the classes, and so
     is each convex problem, so a minimizer averaged over the group has every
     beta_k = K x.  A column of Omega then holds d - beta0 - x once, s - x
@@ -433,11 +406,7 @@ def _block_minimizer(
     beta0 + 2x = d + v.  O(K) work, no solver.  A signed problem must be
     bounded below, as :func:`_branch_minimizers` checks first.
     """
-    k = w.shape[0]
-    # o = s for one block (m = K), s = d for K = 1: copies change nothing
-    d = w[0, 0]
-    s = w[0, 1] if k > 1 else d
-    o = w[0, m] if m < k else s
+    k, m, d, s, o = form
     lines = [(1, 0, 0), (0, 1, 0), (1, 1, d), (0, 1, (s + o) / 2)]
     for v in (s, o):
         lines += [(0, 1, v), (1, 0, d - v), (1, 2, d + v)]
@@ -463,9 +432,9 @@ def _branch_minimizers(
     """A minimizer of each branch of :func:`_branches`, in its order.
 
     A branch's problem is weight * (beta0 + mean_k beta_k) + 2 branch /
-    sqrt(n), |beta| when ``abs_objective``.  :func:`_block_size` alone
-    picks the solver: :func:`_block_minimizer` for a W of block form, the
-    sparse LP :func:`_branch_lp` otherwise.  A signed problem is unbounded
+    sqrt(n), |beta| when ``abs_objective``.  ``_block_form`` alone picks the
+    solver: :func:`_block_minimizer` on W's block form, the sparse LP
+    :func:`_branch_lp` on a W without one.  A signed problem is unbounded
     below when its z coefficient is under the weight (Massart) or K times it
     (chaining); every branch is checked first, so an unbounded one raises
     SolverFailure naming it before any LP is built.  w is a finite K x K
@@ -484,12 +453,32 @@ def _branch_minimizers(
                 f"the {name} branch is unbounded below: its z coefficient {z_coef} "
                 f"is below {what} {floor}"
             )
-    m = _block_size(w)
-    betas = {}
-    for name, (constant, per_column) in branches.items():
-        args = (w, weight, scale * constant, per_column, abs_objective)
-        betas[name] = _branch_lp(*args) if m is None else _block_minimizer(m, *args)
-    return betas
+    form = _block_form(w)
+    solve, data = (_branch_lp, w) if form is None else (_block_minimizer, form)
+    return {
+        name: solve(data, weight, scale * constant, per_column, abs_objective)
+        for name, (constant, per_column) in branches.items()
+    }
+
+
+def _fs_report(n: int, w, c_n: float, betas: dict[str, BetaVector]) -> CorrectionReport:
+    """The finite-sample report of ``betas``, a beta per branch of :func:`_branches`.
+
+    Each branch is evaluated at its own beta (``branch_values``, chaining None
+    at K = 1); ``value`` is the smaller, Massart on a tie, at ``beta_star``.
+    """
+    branch_values: dict[str, float | None] = {"massart": None, "chaining": None}
+    for name, beta in betas.items():
+        branch_values[name] = _fs_values(n, w, c_n, beta)[name]
+    value, branch = _smallest(branch_values)
+    return CorrectionReport(
+        method=CorrectionMethod.FINITE_SAMPLE,
+        value=max(value, 0.0),
+        beta_star=betas[branch],
+        branch=branch,
+        c_n=float(c_n),
+        branch_values=branch_values,
+    )
 
 
 def delta_fs(n: int, k: int, w, c_n: float) -> CorrectionReport:
@@ -507,19 +496,7 @@ def delta_fs(n: int, k: int, w, c_n: float) -> CorrectionReport:
     """
     w = _checked_w(n, k, w)
     _check_real("c_n", c_n, 0.0, math.inf, "()")
-    betas = _branch_minimizers(n, w, c_n, abs_objective=False)
-    branch_values: dict[str, float | None] = {"massart": None, "chaining": None}
-    for name, beta in betas.items():
-        branch_values[name] = _fs_values(n, w, c_n, beta)[name]
-    value, branch = _smallest(branch_values)
-    return CorrectionReport(
-        method=CorrectionMethod.FINITE_SAMPLE,
-        value=max(value, 0.0),
-        beta_star=betas[branch],
-        branch=branch,
-        c_n=float(c_n),
-        branch_values=branch_values,
-    )
+    return _fs_report(n, w, c_n, _branch_minimizers(n, w, c_n, abs_objective=False))
 
 
 def delta_fs_special(spec: ContaminationSpec, n: int, c_n: float) -> CorrectionReport:
@@ -533,21 +510,13 @@ def delta_fs_special(spec: ContaminationSpec, n: int, c_n: float) -> CorrectionR
     two-level model.  Used as the optimizer cross-check and as a fast
     simplified mode.
     """
-    _check_int("n", n, 1)
+    _check_n(n)
     _check_real("c_n", c_n, 0.0, math.inf, "()")
     _, diag, within, _ = _inverse_blocks(spec)
     k = spec.k
     beta = BetaVector(beta0=diag, betas=np.full(k, k * within))
-    values = _fs_values(n, build_transition(spec).W, c_n, beta)
-    value, branch = _smallest(values)
-    return CorrectionReport(
-        method=CorrectionMethod.FINITE_SAMPLE,
-        value=max(value, 0.0),
-        beta_star=beta,
-        branch=branch,
-        c_n=float(c_n),
-        branch_values=values,
-    )
+    w = build_transition(spec).W
+    return _fs_report(n, w, c_n, dict.fromkeys(_branches(k, n), beta))
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +827,7 @@ def upper_bound_diagnostics(
     the two-sided coverage guarantee; alpha enters the formula even though
     the rest is model-only, so it is an explicit argument here.
     """
-    _check_int("n", n, 1)
+    _check_n(n)
     _check_int("k", k, 1)
     t = _check_square("t", t.T if isinstance(t, TransitionMatrix) else t, k)
     rho = _check_array("rho", rho)

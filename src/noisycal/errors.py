@@ -111,6 +111,20 @@ def _check_int(name: str, value, minimum: int) -> None:
         raise InvalidSpec(f"{name} must be >= {minimum}, got {value}")
 
 
+# the largest calibration size n: c(n), its envelope sqrt(pi / (2n)), the
+# bound's log(K n + 1) and 2 / sqrt(n), and the diagnostics' n^(1/4), 2/n and
+# log(2n) all stay finite and positive up to it; past ~9e307, 2n overflows a
+# float and c(n) would come out as -0.0
+_N_MAX = 10**300
+
+
+def _check_n(n) -> None:
+    """Raise InvalidSpec unless the calibration size n is an integer in [1, 10**300]."""
+    _check_int("n", n, 1)
+    if n > _N_MAX:
+        raise InvalidSpec(f"n must be at most 10**300, got {n}")
+
+
 def _check_real(name: str, value, low=-math.inf, high=math.inf, ends="[]") -> None:
     """Raise InvalidSpec naming ``name`` unless value is a finite real in range.
 

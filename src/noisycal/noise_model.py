@@ -16,7 +16,7 @@ between blocks and 1 on constants, so its closed-form inverse is
 
 which ``build_transition`` assembles.  An explicit matrix, such as one read
 from a file, goes through ``transition_from_matrix`` and is inverted
-numerically.
+numerically.  ``_block_form`` reads the form back off any W.
 
 Labels are 0-based everywhere inside the library; the file and CLI layers
 translate from the 1-based convention used in data files.
@@ -158,8 +158,8 @@ def _as_w(w, k: int | None = None) -> NDArray[np.float64]:
     return _check_square("W", w.W if isinstance(w, TransitionMatrix) else w, k)
 
 
-def _family_blocks(spec: ContaminationSpec) -> tuple[int, float, float]:
-    """(m, within, across) of the family's block form (module docstring).
+def _family_blocks(spec: ContaminationSpec) -> tuple[int, float, float, float]:
+    """(m, 1 - eps, within, across): T's :func:`_block_matrix` arguments after K.
 
     m = K for RR, whose one block leaves ``across`` unused, K/b for block RR
     and K/2 for the two-level model.
@@ -167,9 +167,9 @@ def _family_blocks(spec: ContaminationSpec) -> tuple[int, float, float]:
     _check_type("spec", spec, ContaminationSpec)
     k, eps = spec.k, spec.eps
     if spec.family is Family.TWO_LEVEL_RR:
-        return k // 2, (eps / k) * (1.0 + spec.nu), (eps / k) * (1.0 - spec.nu)
+        return k // 2, 1.0 - eps, (eps / k) * (1.0 + spec.nu), (eps / k) * (1.0 - spec.nu)
     m = k // spec.b if spec.family is Family.BLOCK_RR else k
-    return m, eps / m, 0.0
+    return m, 1.0 - eps, eps / m, 0.0
 
 
 def _block_matrix(
@@ -182,15 +182,37 @@ def _block_matrix(
     return out + diag * np.eye(k)
 
 
-def _family_matrix(spec: ContaminationSpec) -> NDArray[np.float64]:
-    m, within, across = _family_blocks(spec)
-    return _block_matrix(spec.k, m, 1.0 - spec.eps, within, across)
+# W has the block form when every entry lies within this multiple of max|W|
+# of the form read off its first row
+_BLOCK_RTOL = 1e-12
+
+
+def _block_form(w: NDArray[np.float64]) -> tuple[int, int, float, float, float] | None:
+    """(K, m, d, s, o) when W = (d - s) I + s B + o (J - B) in blocks of m labels.
+
+    Read off W's first row: diagonal d, s = W[0, 1], m the length of the
+    row's leading run of entries equal to s (K when it fills the row, and
+    then o = s) and o = W[0, m]; s = d at K = 1.  None unless m divides K
+    and every entry lies within ``_BLOCK_RTOL`` max|W| of that
+    :func:`_block_matrix`.  O(K^2) work.
+    """
+    k = w.shape[0]
+    d = w[0, 0]
+    s = w[0, 1] if k > 1 else d
+    tol = _BLOCK_RTOL * float(np.abs(w).max())
+    off_run = np.abs(w[0, 1:] - s) > tol
+    m = 1 + int(np.argmax(off_run)) if off_run.any() else k
+    if k % m:
+        return None
+    o = w[0, m] if m < k else s
+    if np.all(np.abs(w - _block_matrix(k, m, d - s, s, o)) <= tol):
+        return k, m, d, s, o
+    return None
 
 
 def _inverse_blocks(spec: ContaminationSpec) -> tuple[int, float, float, float]:
     """(m, diag, within, across) of W = T^{-1} from T's eigenvalues l1, l2."""
-    m, within, across = _family_blocks(spec)
-    lam1 = 1.0 - spec.eps
+    m, lam1, within, across = _family_blocks(spec)
     inv1, inv2 = 1.0 / lam1, 1.0 / (lam1 + m * (within - across))
     outer = (1.0 - inv2) / spec.k
     return m, inv1, (inv2 - inv1) / m + outer, outer
@@ -219,9 +241,9 @@ def build_transition(spec: ContaminationSpec) -> TransitionMatrix:
     One formula serves every family (see the module docstring), so W has
     exactly the block form; W = I exactly at eps = 0.
     """
-    return TransitionMatrix(
-        T=_family_matrix(spec), W=_block_matrix(spec.k, *_inverse_blocks(spec))
-    )
+    blocks = _family_blocks(spec)  # checks spec's type before spec.k is read
+    w = _block_matrix(spec.k, *_inverse_blocks(spec))
+    return TransitionMatrix(T=_block_matrix(spec.k, *blocks), W=w)
 
 
 # the same constructor under its second public name

@@ -58,8 +58,6 @@ def validate_probability_rows(probs: NDArray[np.float64]) -> NDArray[np.float64]
     that is not finite raises InvalidSpec.
     """
     p = _check_array("probs", probs)
-    if p.ndim == 1:
-        p = p[None, :]
     if p.ndim != 2 or p.shape[1] < 1:
         raise InvalidProbability(f"expected an n x K matrix, got shape {p.shape}")
     if p.min(initial=0.0) < -1e-9:
@@ -100,13 +98,12 @@ def aps_scores(
     """
     _check_int("seed", seed, 0)
     p = validate_probability_rows(probs)
-    n, k = p.shape
+    n = p.shape[0]
     # argsort of -p with a stable sort ranks ties by ascending label index
     order = np.argsort(-p, axis=1, kind="stable")
     csum = np.cumsum(np.take_along_axis(p, order, axis=1), axis=1)
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(k), (n, k)), axis=1)
-    s = np.take_along_axis(csum, ranks, axis=1)
+    s = np.empty_like(csum)
+    np.put_along_axis(s, order, csum, axis=1)
     if randomized:
         s = s - np.random.default_rng(seed).random(n)[:, None] * p
     return np.clip(s, 0.0, 1.0)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from noisycal import (
     ContaminationSpec,
     CorrectionMethod,
     CorrectionReport,
+    EmptyClass,
     Family,
     FileFormatError,
     InvalidSpec,
@@ -157,6 +159,16 @@ def test_read_experiment_config(tmp_path):
         read_experiment_config(str(tmp_path / "missing.json"))
 
 
+def test_config_that_is_not_an_object_is_refused(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    message = f"{path} must hold a single JSON object"
+    with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+        read_experiment_config(str(path))
+    assert main(["synth-experiment", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_config_with_a_byte_order_mark_is_read(tmp_path):
     # json.load refused it: "Unexpected UTF-8 BOM (decode using utf-8-sig)"
     path = tmp_path / "cfg.json"
@@ -196,6 +208,29 @@ def test_run_synthetic_row_provenance(tmp_path):
     summary = result["summary"]
     assert [s["method"] for s in summary] == list(cfg.methods)
     assert all(s["repetitions"] == cfg.repetitions for s in summary)
+
+
+def test_run_synthetic_tags_the_failing_repetition(tmp_path, capsys):
+    # two calibration rows cannot hold all three classes
+    cfg = {"k": 3, "d": 4, "n_train": 150, "n_cal": 2, "n_test": 30, "eps": 0.1}
+    cfg |= {"methods": ["adaptive-fs"], "repetitions": 2}
+    with pytest.raises(EmptyClass, match="^class 1 has no calibration samples$") as exc:
+        run_synthetic(ExperimentConfig(**cfg))
+    assert exc.value.repetition == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["synth-experiment", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: repetition 0: class 1 has no calibration samples\n"
+
+
+def test_run_synthetic_out_may_be_a_path(tmp_path):
+    # refused as "out must be a directory path", though run_from_scores and
+    # every writer take an os.PathLike
+    cfg = small_config(out=tmp_path / "out", methods=("standard",), repetitions=1)
+    run_synthetic(cfg)
+    assert (tmp_path / "out" / "results.csv").read_text().startswith("method,")
+    assert (tmp_path / "out" / "summary.csv").read_text().startswith("method,")
 
 
 def test_run_synthetic_deterministic(tmp_path):
@@ -262,6 +297,25 @@ def test_run_from_scores_transition_file_matches_model(tmp_path):
     assert via_model["threshold"].tau == pytest.approx(
         via_file["threshold"].tau, abs=1e-12
     )
+
+
+def test_run_from_scores_refuses_an_unknown_method(tmp_path):
+    path = tmp_path / "cal.csv"
+    write_cal_csv(path)
+    message = f"unknown method 'bogus'; valid: {list(METHODS)}"
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        run_from_scores(str(path), model="rr", eps=0.1, method="bogus")
+
+
+def test_run_from_scores_refuses_a_transition_file_of_another_k(tmp_path):
+    cal_path = tmp_path / "cal.csv"
+    write_cal_csv(cal_path, k=2)
+    spec = ContaminationSpec(family=Family.RANDOMIZED_RESPONSE, k=3, eps=0.2)
+    t_path = tmp_path / "t.csv"
+    np.savetxt(str(t_path), build_transition(spec).T, delimiter=",", fmt="%.17g")
+    message = "^transition matrix is 3 x 3 but rows have 2 classes$"
+    with pytest.raises(InvalidSpec, match=message):
+        run_from_scores(str(cal_path), transition_path=str(t_path), method="standard")
 
 
 def test_run_from_scores_simplified_needs_parametric_model(tmp_path):
@@ -498,6 +552,18 @@ def test_main_correction_astronomical_n(capsys):
     assert blob["c_n"] == c_of_n(n) and 0.0 < blob["c_n"] < cn_envelope(n)
 
 
+@pytest.mark.parametrize("n", [10**308, 10**400], ids=["1e308", "1e400"])
+@pytest.mark.parametrize("variant", ["fs", "cn"])
+def test_main_correction_refuses_n_above_the_bound(capsys, n, variant):
+    # at 10**308 "cn" printed a value of -0.0 and exited 0, and "fs" refused
+    # c_n = -0.0; at 10**400 both exited 1 with an OverflowError traceback
+    argv = ["correction", "--model", "rr", "--eps", "0.1", "--k", "4", "--n", str(n)]
+    assert main([*argv, "--variant", variant]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n must be at most 10**300, got {n}\n"
+
+
 def field_names(cls):
     return {f.name for f in dataclasses.fields(cls)}
 
@@ -717,7 +783,7 @@ def test_main_synth_experiment_bad_integer_field_exits_2(tmp_path, capsys, bad, 
         ({"methods": ["standard", "standard"]}, "methods repeat ['standard']"),
         ({"methods": "standard"}, "methods must be a list of names, got 'standard'"),
         ({"methods": 5}, "methods must be a list of names, got 5"),
-        ({"out": 5}, "out must be a directory path, got 5"),
+        ({"out": 5}, "out must be a str or os.PathLike, got int"),
     ],
     ids=["repeated-methods", "string-methods", "non-iterable-methods", "non-string-out"],
 )

@@ -39,9 +39,11 @@ from noisycal import (
     delta_fs_special,
     delta_star_star_bound,
     estimate_covariance,
+    noise_model,
     omega_matrix,
     upper_bound_diagnostics,
 )
+from noisycal.cli import correction_report
 
 from oracles import (
     brute_b_term,
@@ -127,6 +129,45 @@ def test_c_of_n_astronomical_n_is_finite():
     value = c_of_n(n)
     assert math.isfinite(value) and 0.0 < value < cn_envelope(n)
     assert value == pytest.approx(math.sqrt(math.pi / (8.0 * n)), rel=1e-14)
+
+
+N_MAX = 10**300
+
+
+def _calls_of_n():
+    """Each public entry point that takes n, as a call of n alone, on block
+    RR at K = 4."""
+    spec = ContaminationSpec(family="block_rr", k=4, eps=0.2, b=2)
+    tm = build_transition(spec)
+    cn, rho = c_of_n(N_MAX), np.full(4, 0.25)
+    beta = BetaVector(beta0=1.0, betas=np.zeros(4))
+
+    def diagnostics(n):
+        values = upper_bound_diagnostics(n, 4, tm, rho, rho, cn, cn)
+        return min(values["d_n"], values["phi_n"])
+
+    return {
+        "c_of_n": c_of_n,
+        "cn_envelope": cn_envelope,
+        "b_term": lambda n: b_term(4, n, beta, tm)[0],
+        "delta_fs": lambda n: delta_fs(n, 4, tm, cn).value,
+        "delta_fs_special": lambda n: delta_fs_special(spec, n, cn).value,
+        "delta_star_star_bound": lambda n: delta_star_star_bound(n, 4, tm),
+        "upper_bound_diagnostics": diagnostics,
+        "correction_report": lambda n: correction_report(spec, n, "cn").value,
+    }
+
+
+@pytest.mark.parametrize("name", list(_calls_of_n()))
+def test_every_entry_point_refuses_n_above_the_bound(name):
+    # at n = 10**308, 2n overflowed: c(n) read -0.0 and its envelope 0.0; from
+    # 10**309 sqrt(n) raised a bare OverflowError
+    call = _calls_of_n()[name]
+    value = call(N_MAX)
+    assert math.isfinite(value) and value > 0.0
+    for n in (N_MAX + 1, 10**308, 10**309, 10**400):
+        with pytest.raises(InvalidSpec, match=rf"^n must be at most 10\*\*300, got {n}$"):
+            call(n)
 
 
 def test_c_of_n_below_envelope():
@@ -489,7 +530,7 @@ def test_family_closed_form_matches_massart_lp(case):
     spec = ContaminationSpec(**FAMILY_CASES[case])
     w = build_transition(spec).W
     n = 5000
-    assert correction._block_size(w) is not None
+    assert noise_model._block_form(w) is not None
     scale = 2.0 / math.sqrt(n)
     problems = {
         name: (scale * constant, per_column)
@@ -561,13 +602,14 @@ def test_block_closed_form_matches_lp_on_any_block_w(seed):
         d, s, o = rng.normal(size=3) * rng.choice([0.1, 1.0, 10.0], size=3)
         block = np.arange(k) // m
         w = np.where(block[:, None] == block[None, :], s, o) + (d - s) * np.eye(k)
-        assert correction._block_size(w) == m
+        form = noise_model._block_form(w)
+        assert form[:2] == (k, m)
         weight = rng.uniform(0.01, 1.0)
         for per_column, absolute in itertools.product((True, False), repeat=2):
             edge = weight if per_column else k * weight
             z_coef = edge * rng.uniform(0.2 if absolute else 1.0, 3.0)
             args = (weight, z_coef, per_column, absolute)
-            got = correction._block_minimizer(m, w, *args)
+            got = correction._block_minimizer(form, *args)
             want = correction._branch_lp(w, *args)
             assert _objective(w, got, *args) == pytest.approx(
                 _objective(w, want, *args), rel=1e-9, abs=1e-12
@@ -591,10 +633,10 @@ def test_perturbed_family_w_takes_the_lp():
     # one off-diagonal entry moved by 1e-6 breaks the block form: the closed
     # form must not be taken, and the LP still reaches the exact optimum
     w = build_transition(ContaminationSpec(family="block_rr", k=6, eps=0.2, b=2)).W
-    assert correction._block_size(w) == 3
+    assert noise_model._block_form(w)[1] == 3
     w = w.copy()
     w[4, 1] += 1e-6
-    assert correction._block_size(w) is None
+    assert noise_model._block_form(w) is None
     n = 2000
     cn = c_of_n(n)
     rep = delta_fs(n, 6, w, cn)
@@ -606,16 +648,16 @@ def test_chaining_branch_at_the_boundedness_edge():
     # closed form on a W of block form, the sparse LP on a dense W
     cases = ((_family_w(Family.BLOCK_RR, 4, b=2), 1e-12), (_random_dense_w(4, 7), 1e-9))
     for w, rel in cases:
-        m = correction._block_size(w)
+        form = noise_model._block_form(w)
         for weight in (0.5, 2.0):
-            args = (w, weight, 4.0 * weight, False, False)
-            if m is None:
-                beta = correction._branch_lp(*args)
+            args = (weight, 4.0 * weight, False, False)
+            if form is None:
+                beta = correction._branch_lp(w, *args)
             else:
-                beta = correction._block_minimizer(m, *args)
+                beta = correction._block_minimizer(form, *args)
             objective = weight * (beta.beta0 + float(np.mean(beta.betas)))
             objective += 4.0 * weight * float(np.abs(omega_matrix(w, beta)).max())
-            want = dense_branch_lp(4, *args).fun
+            want = dense_branch_lp(4, w, *args).fun
             assert objective == pytest.approx(want, rel=rel)
 
 
@@ -638,7 +680,7 @@ def test_unbounded_chaining_branch_raises_solver_failure(linprog_calls):
     # below K * weight the chaining problem is unbounded below, as the dense
     # LP reports; delta_fs must refuse it by name before any LP runs
     w = _random_dense_w(4, 7)
-    assert correction._block_size(w) is None
+    assert noise_model._block_form(w) is None
     with pytest.raises(ValueError, match="unbounded"):
         dense_branch_lp(4, w, 1.0, 3.9, per_column=False, abs_objective=False)
     linprog_calls.clear()
@@ -686,7 +728,7 @@ def test_block_form_alone_picks_the_solver(case, linprog_calls):
     # the closed form for a W of block form, one LP per branch otherwise
     w = _SOLVER_RULE_CASES[case]
     k, n = w.shape[0], 5000
-    want = 0 if correction._block_size(w) is not None else 2
+    want = 0 if noise_model._block_form(w) is not None else 2
     delta_fs(n, k, w, c_of_n(n))
     assert len(linprog_calls) == want
     linprog_calls.clear()
@@ -1000,6 +1042,13 @@ def test_jittered_cholesky_matches_dense_jitter(shift, expected_mult):
     jitter = mult * (float(np.trace(sigma)) / 101)
     assert np.array_equal(chol, np.linalg.cholesky(sigma + jitter * np.eye(101)))
     assert np.array_equal(sigma, before)
+
+
+def test_jittered_cholesky_refuses_an_indefinite_matrix():
+    # eigenvalues 3 and -1: no jitter of the ladder reaches the -1
+    message = r"^Cholesky failed even at jitter 1e-06 \* mean diagonal$"
+    with pytest.raises(CholeskyFailure, match=message):
+        correction._jittered_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------

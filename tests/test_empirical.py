@@ -50,6 +50,14 @@ def test_calibration_set_validates_own_score():
     assert "own_score" not in inspect.signature(CalibrationSet).parameters
 
 
+def test_calibration_set_refuses_no_rows_and_a_label_per_row_too_few():
+    with pytest.raises(InvalidSpec, match="^scores must have at least one row$"):
+        CalibrationSet(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+    message = r"^noisy_labels must have shape \(3,\), got \(2,\)$"
+    with pytest.raises(InvalidSpec, match=message):
+        CalibrationSet(np.full((3, 2), 0.5), np.array([0, 1]))
+
+
 def test_calibration_set_leaves_caller_arrays_writable():
     scores, labels = np.array([[0.2, 0.9], [0.4, 0.8]]), np.array([0, 1])
     cal = CalibrationSet.from_scores(scores, labels)

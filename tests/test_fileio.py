@@ -526,6 +526,17 @@ def test_threshold_json_contents(tmp_path):
     assert blob["correction"]["value"] == 0.02
 
 
+def test_threshold_json_writes_a_numpy_integer_rank_as_an_integer(tmp_path):
+    res = ThresholdResult(
+        tau=0.5, i_hat=np.int64(3), method=CalibrationMethod.STANDARD,
+        correction=None, set_I_empty=False,
+    )
+    path = tmp_path / "t.json"
+    write_threshold_json(str(path), res)
+    i_hat = json.loads(path.read_text())["i_hat"]
+    assert i_hat == 3 and type(i_hat) is int
+
+
 def test_threshold_json_fallback_round_trips(tmp_path):
     res = ThresholdResult(
         tau=1.0,

@@ -199,6 +199,15 @@ def test_transition_matrix_refuses_non_finite_entries(cell):
         TransitionMatrix(T=np.eye(2), W=t)
 
 
+def test_transition_matrix_refuses_a_negative_entry():
+    # columns that sum to 1 through a negative entry
+    t = np.array([[1.1, 0.0], [-0.1, 1.0]])
+    for call in (lambda: TransitionMatrix(T=t, W=np.linalg.inv(t)),
+                 lambda: transition_from_matrix(t)):
+        with pytest.raises(InvalidSpec, match="^T entries must be nonnegative$"):
+            call()
+
+
 def test_transition_from_matrix_singular():
     with pytest.raises(SingularTransition):
         transition_from_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))

@@ -78,6 +78,14 @@ def test_validate_probability_rows():
         validate_probability_rows(np.array([[1.2, -0.2]]))
 
 
+def test_probability_vector_is_refused():
+    # a vector was taken as one row: [0.25, 0.75] gave APS scores [[1.0, 0.75]]
+    message = r"^expected an n x K matrix, got shape \(2,\)$"
+    for call in (validate_probability_rows, aps_scores):
+        with pytest.raises(InvalidProbability, match=message):
+            call(np.array([0.25, 0.75]))
+
+
 def test_prediction_set_examples():
     row = np.array([[0.5, 0.8, 1.0]])
     assert prediction_sets(row, 1.0).tolist() == [[True, True, True]]
