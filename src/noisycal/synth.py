@@ -7,14 +7,17 @@ a seeded permutation, and draws class labels with probabilities proportional
 to exp(-mu * k).  The classifier is L2-regularized softmax regression fitted
 to its optimum: damped Newton with backtracking until the gradient is below
 a fixed tolerance, with the last class's bias pinned at zero because the
-unpenalized biases are invariant under a common shift.  The calibration
-machinery is classifier-agnostic, so anything producing probability rows
-works.
+unpenalized biases are invariant under a common shift.  Each Newton step
+builds the K(d+1) x K(d+1) Hessian from one Gram product per chunk of about
+1 MiB of rows p_i kron x_i and reads each diagonal block off the zero sum of
+its block row, at O(n K^2 (d+1)^2) cost.  The calibration machinery is
+classifier-agnostic, so anything producing probability rows works.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from numpy.typing import NDArray
@@ -118,7 +121,8 @@ def generate(config: SynthConfig) -> tuple[NDArray[np.float64], NDArray[np.int64
     n = config.n_total
     y = rng.choice(k, size=n, p=rho)
     member = rng.integers(0, cpc, size=n)
-    x = centers[class_clusters[y, member]] + rng.standard_normal((n, d))
+    x = rng.standard_normal((n, d))
+    x += centers[class_clusters[y, member]]
     return x, y.astype(np.int64)
 
 
@@ -131,6 +135,17 @@ _MAX_NEWTON_STEPS = 100
 _ARMIJO = 0.25
 _SHRINK = 0.5
 _MAX_SHRINKS = 40
+# Entries of p_i kron x_i per Hessian chunk: 2**17 float64, 1 MiB.
+_CHUNK_ENTRIES = 2**17
+
+
+def _row_max(a: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The largest entry of each row of a, as a column.
+
+    One ``np.maximum`` per column: exact, like ``a.max(axis=1)``, which
+    reduces row by row and so runs ~25x slower at K = 4 columns.
+    """
+    return reduce(np.maximum, a.T)[:, None]
 
 
 def _loss_and_probs(
@@ -139,13 +154,12 @@ def _loss_and_probs(
     weights: NDArray[np.float64],
 ) -> tuple[float, NDArray[np.float64]]:
     logits = xb @ weights
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= _row_max(logits)
     expl = np.exp(logits)
-    probs = expl / expl.sum(axis=1, keepdims=True)
+    total = expl.sum(axis=1)
+    probs = expl / total[:, None]
     n = xb.shape[0]
-    nll = -float(
-        np.mean(logits[np.arange(n), y] - np.log(expl.sum(axis=1)))
-    )
+    nll = -float(np.mean(logits[np.arange(n), y] - np.log(total)))
     penalty = 0.5 * _L2 * float(np.sum(weights[:-1] ** 2))
     return nll + penalty, probs
 
@@ -155,28 +169,36 @@ def _hessian(
 ) -> NDArray[np.float64]:
     """Hessian of the objective, parameters ordered class by class.
 
-    The cross-entropy part is sum_i (diag p_i - p_i p_i^T) kron x_i x_i^T / n:
-    a block diagonal (class c's block is sum_i p_ic x_i x_i^T) minus A^T A,
-    where row i of A is p_i kron x_i.  A^T A is accumulated over row chunks
-    into one reused buffer, so no n x K(d+1) matrix is ever formed.
+    The cross-entropy part is sum_i (diag p_i - p_i p_i^T) kron x_i x_i^T / n.
+    Its off-diagonal blocks are those of -A^T A, where row i of A is
+    p_i kron x_i.  A^T A is accumulated over chunks of about 1 MiB of A
+    (``_CHUNK_ENTRIES`` float64 entries, at least 256 rows), one Gram product
+    per chunk into one reused buffer, so no n x K(d+1) matrix is ever formed.
+    Every p_i sums to 1, so each block row of the cross-entropy part sums to
+    zero: each diagonal block is minus the sum of the other blocks in its
+    row.  Taking it as sum_i p_ic x_i x_i^T minus A^T A's block instead
+    would subtract two nearly equal sums as p_ic -> 1.  A call costs
+    O(n K^2 (d+1)^2).
     """
     n, m = xb.shape
     k = probs.shape[1]
     size = k * m
+    rows = max(256, _CHUNK_ENTRIES // size)
     hess = np.zeros((size, size))
-    blocks = np.zeros((k, m, m))
     gram = np.empty((size, size))
-    rows = max(256, 2**15 // size)
+    chunk = np.empty((min(rows, n), k, m))
     for start in range(0, n, rows):
         xc = xb[start : start + rows]
-        a = probs[start : start + rows, :, None] * xc[:, None, :]
-        blocks += np.matmul(a.transpose(1, 2, 0), xc)
+        a = chunk[: xc.shape[0]]
+        np.einsum("ic,ij->icj", probs[start : start + rows], xc, out=a)
         a = a.reshape(xc.shape[0], size)
         np.matmul(a.T, a, out=gram)
         hess -= gram
-    del gram
-    for c in range(k):
-        hess[c * m : (c + 1) * m, c * m : (c + 1) * m] += blocks[c]
+    del gram, chunk
+    blocks = hess.reshape(k, m, k, m)
+    diagonal = np.arange(k)
+    blocks[diagonal, :, diagonal] = 0.0
+    blocks[diagonal, :, diagonal] = -blocks.sum(axis=2)
     hess /= n
     penalized = np.arange(size) % m != m - 1
     hess[penalized, penalized] += l2
@@ -215,14 +237,16 @@ def train_softmax(
     k = int(y.max()) + 1 if n_classes is None else int(n_classes)
     n, d = x.shape
     xb = np.hstack([x, np.ones((n, 1))])
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), y] = 1.0
+    at_label = (np.arange(n), y)
 
     weights = np.zeros((d + 1, k))
     loss, probs = _loss_and_probs(xb, y, weights)
     steps = 0
     while steps < _MAX_NEWTON_STEPS:
-        grad = xb.T @ (probs - onehot) / n
+        residual = probs.copy()
+        residual[at_label] -= 1.0
+        grad = xb.T @ residual / n
+        del residual  # before _hessian fills its chunk buffer
         grad[:-1] += _L2 * weights[:-1]
         if np.abs(grad).max() <= _GRAD_TOL:
             break
@@ -257,6 +281,6 @@ def predict_probs(model: SoftmaxModel, x: NDArray[np.float64]) -> NDArray[np.flo
             f"model expects {model.weights.shape[0] - 1}"
         )
     logits = np.hstack([x, np.ones((x.shape[0], 1))]) @ model.weights
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= _row_max(logits)
     expl = np.exp(logits)
     return expl / expl.sum(axis=1, keepdims=True)

@@ -599,6 +599,29 @@ def softmax_objective(weights: np.ndarray, x: np.ndarray, y: np.ndarray, l2: flo
     return float(loss), grad, probs
 
 
+def brute_hessian(x: np.ndarray, probs: np.ndarray, l2: float) -> np.ndarray:
+    """Hessian of ``softmax_objective`` at the weights that give ``probs``.
+
+    sum_i (diag p_i - p_i p_i^T) kron x_i x_i^T / n over the rows x_i of
+    [x, 1], one Kronecker product per row, parameters ordered class by class,
+    plus l2 on the diagonal entry of every weight but the biases.  The
+    diagonal of diag p - p p^T is formed as p (1 - p), which is exact to
+    rounding even as p -> 1.
+    """
+    n = x.shape[0]
+    xb = np.hstack([x, np.ones((n, 1))])
+    m = xb.shape[1]
+    hess = np.zeros((probs.shape[1] * m,) * 2)
+    for p, row in zip(probs, xb):
+        w = -np.outer(p, p)
+        np.fill_diagonal(w, p * (1.0 - p))
+        hess += np.kron(w, np.outer(row, row))
+    hess /= n
+    penalized = np.arange(hess.shape[0]) % m != m - 1
+    hess[penalized, penalized] += l2
+    return hess
+
+
 def softmax_reference(x: np.ndarray, y: np.ndarray, l2: float, k: int) -> np.ndarray:
     """Weights minimizing ``softmax_objective`` by scipy's L-BFGS-B.
 

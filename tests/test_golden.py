@@ -85,14 +85,14 @@ CALIBRATE = {
         "72f2a98ebf755ac7", "2f3201f89a849005",
     ),
     ("rr", "adaptive-fs"): (
-        0.9202726349863695, 861, 0.019651606463089062,
+        0.9202726349863697, 861, 0.019651606463089062,
         {"chaining": 0.019651606463089062, "massart": 0.019651606463089062},
-        "9e9b34b392a3289f", None,
+        "facd34dd5920fa00", None,
     ),
     ("rr", "adaptive-fs-simplified"): (
-        0.9202726349863695, 861, 0.019651606463089062,
+        0.9202726349863697, 861, 0.019651606463089062,
         {"chaining": 0.019651606463089062, "massart": 0.019651606463089062},
-        "9e9b34b392a3289f", None,
+        "facd34dd5920fa00", None,
     ),
     ("rr", "adaptive-asy"): (
         0.9275262872518827, 874, 0.03327585733327156,
@@ -135,9 +135,9 @@ CALIBRATE = {
         "72f2a98ebf755ac7", "2f3201f89a849005",
     ),
     ("block_rr", "adaptive-fs"): (
-        0.9527292769005208, 904, 0.0448763186352862,
+        0.9527292769005207, 904, 0.0448763186352862,
         {"chaining": 0.6895916752951972, "massart": 0.0448763186352862},
-        "009dd09764260362", None,
+        "c8861c64413fad8f", None,
     ),
     ("block_rr", "adaptive-fs-simplified"): (
         0.957679731321453, 919, 0.060275227575938804,
@@ -157,35 +157,35 @@ CALIBRATE = {
     ("dense", "standard"): (
         0.9999999999999999, 902, None,
         None,
-        "f10c17b742a1d0e3", "c8f092416e34ef46",
+        "0f3ac4b472b36973", "77bedea89a3ea74a",
     ),
     ("dense", "adaptive-fs"): (
         0.9995108471104706, 891, 0.05464277224600258,
-        {"chaining": 0.8786644154486549, "massart": 0.05464277224600258},
+        {"chaining": 0.8786644154486556, "massart": 0.05464277224600258},
         "491574256bd77437", None,
     ),
     ("dense", "adaptive-asy"): (
-        0.989542831921301, 858, 0.036149504322667204,
+        0.9895428319213009, 858, 0.036149504322667204,
         None,
-        "fe84e051bcb73536", None,
+        "7c30eab52a9c41db", None,
     ),
     ("dense", "adaptive-plus"): (
-        0.989542831921301, 858, 0.036149504322667204,
+        0.9895428319213009, 858, 0.036149504322667204,
         None,
-        "fe84e051bcb73536", None,
+        "7c30eab52a9c41db", None,
     ),
 }
 
 # (seed, method): (tau_hat, delta_value) of each results.csv row
 SYNTH_ROWS = {
     (2026, "standard"): (0.9044215077128746, 0.0),
-    (2026, "adaptive-fs"): (0.9425808538197762, 0.06874192591390473),
-    (2026, "adaptive-fs-simplified"): (0.9812134172507585, 0.09109991799956528),
+    (2026, "adaptive-fs"): (0.9425808538197761, 0.06874192591390473),
+    (2026, "adaptive-fs-simplified"): (0.9812134172507583, 0.09109991799956528),
     (2026, "adaptive-asy"): (0.9043683990434338, 0.04942465149846006),
     (2026, "adaptive-plus"): (0.9043683990434338, 0.04942465149846006),
     (2027, "standard"): (0.9154224073113282, 0.0),
-    (2027, "adaptive-fs"): (0.9865373329008185, 0.06874192591390473),
-    (2027, "adaptive-fs-simplified"): (0.9943139570730407, 0.09109991799956528),
+    (2027, "adaptive-fs"): (0.9865373329008184, 0.06874192591390473),
+    (2027, "adaptive-fs-simplified"): (0.9943139570730405, 0.09109991799956528),
     (2027, "adaptive-asy"): (0.9761254741846699, 0.04960541127135411),
     (2027, "adaptive-plus"): (0.9154224073113282, 0.04960541127135411),
 }

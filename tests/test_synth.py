@@ -1,6 +1,7 @@
 """Tests for the synthetic data generator and the softmax classifier."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from noisycal import (
     predict_probs,
     train_softmax,
 )
-from noisycal.synth import _hessian
-from oracles import softmax_objective, softmax_reference
+from noisycal.synth import _CHUNK_ENTRIES, _hessian
+from oracles import brute_hessian, softmax_objective, softmax_reference
 
 
 def config(**kw):
@@ -188,8 +189,8 @@ def test_train_softmax_extra_classes_widen_output():
 
 
 def test_hessian_matches_central_differences_of_the_gradient():
-    # 8 classes and 15 features give 128 parameters, so the 600 rows are
-    # accumulated in three chunks; parameters are ordered class by class
+    # 8 classes and 15 features give 128 parameters, whose 600 rows fit in
+    # one chunk; parameters are ordered class by class
     rng = np.random.default_rng(4)
     n, d, k, l2 = 600, 15, 8, 1e-3
     x = rng.standard_normal((n, d))
@@ -205,6 +206,71 @@ def test_hessian_matches_central_differences_of_the_gradient():
         minus = softmax_objective(w - shift, x, y, l2)[1]
         numeric[:, col] = ((plus - minus) / (2.0 * h)).T.ravel()
     assert float(np.abs(hess - numeric).max()) <= 1e-8
+
+
+def near_one_probs(rng, n, k):
+    # one class per row at 1 - 1e-12, the rest share r = 1 - p_near in
+    # powers of two, so every row sums to exactly 1
+    near = 1.0 - 1e-12
+    r = 1.0 - near
+    shares = r / 2.0 ** np.arange(1, k)
+    shares[-1] *= 2.0
+    probs = np.empty((n, k))
+    for i in range(n):
+        probs[i] = np.roll(np.append(near, shares), rng.integers(k))
+    assert np.all(probs.sum(axis=1) == 1.0)
+    return probs
+
+
+@pytest.mark.parametrize(
+    "n, d, k, near_one",
+    [
+        # 4 x 21 parameters make chunks of 1560 rows: one full and one of a row
+        (_CHUNK_ENTRIES // 84 + 1, 20, 4, False),
+        (50, 3, 2, False),
+        (600, 3, 60, False),
+        (40, 5, 4, True),
+    ],
+    ids=["ragged-chunk", "k2", "k60", "near-one"],
+)
+def test_hessian_matches_brute_force(n, d, k, near_one):
+    # the cross-entropy part (l2 = 0) to 1e-13 of its largest entry: a block
+    # built as B_c - G_cc loses ~1e-4 of it when p_ic = 1 - 1e-12
+    rng = np.random.default_rng(n + k)
+    x = rng.standard_normal((n, d))
+    if near_one:
+        probs = near_one_probs(rng, n, k)
+    else:
+        probs = rng.dirichlet(np.ones(k), size=n)
+    xb = np.hstack([x, np.ones((n, 1))])
+    cross = _hessian(xb, probs, 0.0)
+    scale = float(np.abs(cross).max())
+    assert float(np.abs(cross - brute_hessian(x, probs, 0.0)).max()) <= 1e-13 * scale
+    hess = _hessian(xb, probs, 1e-3)
+    ref = brute_hessian(x, probs, 1e-3)
+    assert float(np.abs(hess - ref).max()) <= 1e-13 * float(np.abs(ref).max())
+    assert float(np.abs(cross - cross.T).max()) <= 1e-14 * scale
+    m = d + 1
+    assert float(np.abs(cross.reshape(k, m, k, m).sum(axis=2)).max()) <= 1e-14 * scale
+    eig = np.linalg.eigvalsh(cross)
+    assert eig[0] >= -1e-14 * eig[-1]
+
+
+def test_hessian_working_memory_is_two_matrices_and_one_chunk():
+    # K = 60 and d = 12 give a 780 x 780 Hessian (4.6 MiB) and chunks of
+    # 256 rows (1.5 MiB); the n = 5000 rows of A would take 30 MiB
+    rng = np.random.default_rng(0)
+    n, d, k = 5000, 12, 60
+    xb = np.hstack([rng.standard_normal((n, d)), np.ones((n, 1))])
+    probs = rng.dirichlet(np.ones(k), size=n)
+    size = k * (d + 1)
+    tracemalloc.start()
+    try:
+        _hessian(xb, probs, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 * size**2 + 256 * size) * 8 + 2**20
 
 
 def test_train_softmax_validation():
