@@ -219,8 +219,8 @@ def _correction(
     ``"cn"`` is c(n) alone, ``"asy"`` needs the calibration set itself, and
     ``"fs-simplified"`` a parametric contamination model.  ``"fs"`` is
     :func:`delta_fs` on ``tm``, in closed form whenever W has the block form
-    of the parametric families, whether it came from ``spec`` or from a
-    file; any other matrix needs the Massart LP.
+    of the parametric families under any labelling, whether it came from
+    ``spec`` or from a file; any other matrix needs the Massart LP.
     """
     if route == "none":
         return None

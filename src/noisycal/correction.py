@@ -11,12 +11,12 @@ Three routes produce a correction:
   inside B at a time; the branches, each with its constant, are declared
   once (``_branches``), and the bound is the smaller branch optimum.  When
   ``noise_model._block_form`` reads W's block form (d on the diagonal, s
-  within and o across contiguous blocks of m labels), as every parametric
-  family's inverse has however it was given, both branches are in closed
-  form from (K, m, d, s, o) alone.  Any other W takes a sparse linear
-  program per branch, solved by interior point (O(K^2) memory), the
-  package's one use of SciPy.  ``delta_fs`` and ``delta_fs_special`` build
-  their report in one place, ``_fs_report``.
+  within and o across blocks of m labels, under any labelling), as every
+  parametric family's inverse has however it was given or relabelled, both
+  branches are in closed form from K, m, d, s and o alone.  Any other W
+  takes a sparse linear program per branch, solved by interior point
+  (O(K^2) memory), the package's one use of SciPy.  ``delta_fs`` and
+  ``delta_fs_special`` build their report in one place, ``_fs_report``.
 * ``delta_asy``: asymptotic route; estimates the plug-in covariance of the
   limiting Gaussian process once, on the finest grid of a halving ladder
   (``estimate_covariance``), factors it, simulates its absolute supremum on
@@ -63,8 +63,9 @@ from .noise_model import (
     TransitionMatrix,
     _as_w,
     _block_form,
-    _inverse,
-    _inverse_blocks,
+    _block_inverse,
+    _conditioned,
+    _family_blocks,
     build_transition,
 )
 
@@ -395,9 +396,10 @@ def _block_minimizer(
 ) -> BetaVector:
     """The problem of :func:`_branch_lp`, solved exactly from W's block form.
 
-    A W of ``form`` (K, m, d, s, o) (:func:`~noisycal.noise_model._block_form`)
-    is invariant under a permutation group transitive on the classes, and so
-    is each convex problem, so a minimizer averaged over the group has every
+    A W of ``form`` (blocks, d, s, o), K labels in blocks of m
+    (:func:`~noisycal.noise_model._block_form`), is invariant under a
+    permutation group transitive on the classes, and so is each convex
+    problem, so a minimizer averaged over the group has every
     beta_k = K x.  A column of Omega then holds d - beta0 - x once, s - x
     (m - 1) times and o - x (K - m) times; Massart sums their absolute
     values, chaining takes the largest.  A minimizer is the best vertex of
@@ -406,7 +408,8 @@ def _block_minimizer(
     beta0 + 2x = d + v.  O(K) work, no solver.  A signed problem must be
     bounded below, as :func:`_branch_minimizers` checks first.
     """
-    k, m, d, s, o = form
+    blocks, d, s, o = form
+    k, m = blocks.size, np.count_nonzero(blocks == 0)
     lines = [(1, 0, 0), (0, 1, 0), (1, 1, d), (0, 1, (s + o) / 2)]
     for v in (s, o):
         lines += [(0, 1, v), (1, 0, d - v), (1, 2, d + v)]
@@ -503,16 +506,16 @@ def delta_fs_special(spec: ContaminationSpec, n: int, c_n: float) -> CorrectionR
     """Analytic candidate beta' for the parametric families, evaluated.
 
     beta'_0 = 1/(1-eps), the coefficient of I in W, and every beta'_k is K
-    times W's within-block coefficient (see
-    :func:`~noisycal.noise_model._inverse_blocks`): -eps/(1-eps) for
-    randomized response, where Omega vanishes and the value is c(n)
-    exactly, -b eps/(1-eps) for block RR and the paper's -p for the
-    two-level model.  Used as the optimizer cross-check and as a fast
-    simplified mode.
+    times W's within-block coefficient, both as the closed form
+    (:func:`~noisycal.noise_model._block_inverse`) gives them on the family's
+    own blocks: -eps/(1-eps) for randomized response, where Omega vanishes
+    and the value is c(n) exactly, -b eps/(1-eps) for block RR and the
+    paper's -p for the two-level model.  Used as the optimizer cross-check
+    and as a fast simplified mode.
     """
     _check_n(n)
     _check_real("c_n", c_n, 0.0, math.inf, "()")
-    _, diag, within, _ = _inverse_blocks(spec)
+    _, diag, within, _ = _block_inverse(*_family_blocks(spec))
     k = spec.k
     beta = BetaVector(beta0=diag, betas=np.full(k, k * within))
     w = build_transition(spec).W
@@ -842,7 +845,7 @@ def upper_bound_diagnostics(
     _check_real("delta_n", delta_n, 0.0, math.inf, "[)")
     _check_real("delta_ss_n", delta_ss_n, 0.0, math.inf, "[)")
     mix = t * rho[None, :] / rho_tilde[:, None]
-    v = _inverse(mix, SingularM, "mixing matrix M")
+    v = np.linalg.inv(_conditioned(mix, SingularM, "mixing matrix M"))
     bracket = float(np.max(rho / rho_tilde * np.abs(v).sum(axis=1)))
     d_n = n**0.25 * delta_ss_n
     phi_n = 3.0 * delta_ss_n + 2.0 / n + n**-0.25 + (bracket - 1.0) / (n + 1.0)

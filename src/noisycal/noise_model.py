@@ -7,16 +7,20 @@ randomized response) share one block form,
 
     T = (1 - eps) I + within B + across (J - B),
 
-where B is the block-diagonal matrix of ones over blocks of m labels (m = K,
-K/b and K/2) and J the all-ones matrix.  T has the eigenvalues l1 = 1 - eps
+where B[i, j] = 1 when labels i and j share a block of m labels (m = K, K/b
+and K/2) and J is the all-ones matrix.  T has the eigenvalues l1 = 1 - eps
 on contrasts within a block, l2 = l1 + m (within - across) on contrasts
 between blocks and 1 on constants, so its closed-form inverse is
 
-    W = I/l1 + (1/l2 - 1/l1) B/m + (1 - 1/l2) J/K,
+    W = I/l1 + (1/l2 - 1/l1) B/m + (1 - 1/l2) J/K.
 
-which ``build_transition`` assembles.  An explicit matrix, such as one read
-from a file, goes through ``transition_from_matrix`` and is inverted
-numerically.  ``_block_form`` reads the form back off any W.
+Renaming the classes changes nothing in this, so the blocks need not be runs
+of contiguous labels.  Every T, a family's or one read from a file, takes
+one route to W, ``transition_from_matrix``: ``_block_form`` reads T's block
+form under any labelling, and a T that has one gets this W from its own
+entries (``_block_inverse``); every other T is inverted numerically.
+``build_transition`` hands a family's T to that route, and ``_block_form``
+reads W's block form the same way.
 
 Labels are 0-based everywhere inside the library; the file and CLI layers
 translate from the 1-based convention used in data files.
@@ -135,8 +139,8 @@ class TransitionMatrix:
         resid = np.max(np.abs(w @ t - np.eye(t.shape[0])))
         if resid > 1e-10:
             raise SingularTransition(
-                f"inverse residual ||W T - I|| = {resid:.3e} exceeds 1e-10; "
-                "T is too ill-conditioned to certify"
+                f"W does not invert T: inverse residual ||W T - I|| = {resid:.3e} "
+                "exceeds 1e-10"
             )
         t.setflags(write=False)
         w.setflags(write=False)
@@ -158,70 +162,78 @@ def _as_w(w, k: int | None = None) -> NDArray[np.float64]:
     return _check_square("W", w.W if isinstance(w, TransitionMatrix) else w, k)
 
 
-def _family_blocks(spec: ContaminationSpec) -> tuple[int, float, float, float]:
-    """(m, 1 - eps, within, across): T's :func:`_block_matrix` arguments after K.
+def _family_blocks(
+    spec: ContaminationSpec,
+) -> tuple[NDArray[np.int64], float, float, float]:
+    """(blocks, 1 - eps, within, across): T's :func:`_block_matrix` arguments.
 
-    m = K for RR, whose one block leaves ``across`` unused, K/b for block RR
-    and K/2 for the two-level model.
+    ``blocks`` maps each label to its block of m labels: m = K for RR, whose
+    one block leaves ``across`` unused, K/b for block RR and K/2 for the
+    two-level model.
     """
     _check_type("spec", spec, ContaminationSpec)
     k, eps = spec.k, spec.eps
     if spec.family is Family.TWO_LEVEL_RR:
-        return k // 2, 1.0 - eps, (eps / k) * (1.0 + spec.nu), (eps / k) * (1.0 - spec.nu)
-    m = k // spec.b if spec.family is Family.BLOCK_RR else k
-    return m, 1.0 - eps, eps / m, 0.0
+        m = k // 2
+        within, across = (eps / k) * (1.0 + spec.nu), (eps / k) * (1.0 - spec.nu)
+    else:
+        m = k // spec.b if spec.family is Family.BLOCK_RR else k
+        within, across = eps / m, 0.0
+    return np.arange(k) // m, 1.0 - eps, within, across
 
 
 def _block_matrix(
-    k: int, m: int, diag: float, within: float, across: float
+    blocks: NDArray[np.int64], diag: float, within: float, across: float
 ) -> NDArray[np.float64]:
-    """diag I + within B + across (J - B) for K labels in blocks of m."""
-    out = np.full((k, k), across)
-    for start in range(0, k, m):
-        out[start : start + m, start : start + m] = within
-    return out + diag * np.eye(k)
+    """diag I + within B + across (J - B), B[i, j] = 1 when labels i and j
+    share a block of ``blocks``."""
+    same = blocks[:, None] == blocks[None, :]
+    return np.where(same, within, across) + diag * np.eye(blocks.size)
 
 
-# W has the block form when every entry lies within this multiple of max|W|
-# of the form read off its first row
+# a matrix has the block form when every entry lies within this multiple of
+# its max|entry| of the form read off its first row
 _BLOCK_RTOL = 1e-12
 
 
-def _block_form(w: NDArray[np.float64]) -> tuple[int, int, float, float, float] | None:
-    """(K, m, d, s, o) when W = (d - s) I + s B + o (J - B) in blocks of m labels.
+def _block_form(
+    a: NDArray[np.float64],
+) -> tuple[NDArray[np.int64], float, float, float] | None:
+    """(blocks, d, s, o) when a = (d - s) I + s B + o (J - B), under any labelling.
 
-    Read off W's first row: diagonal d, s = W[0, 1], m the length of the
-    row's leading run of entries equal to s (K when it fills the row, and
-    then o = s) and o = W[0, m]; s = d at K = 1.  None unless m divides K
-    and every entry lies within ``_BLOCK_RTOL`` max|W| of that
-    :func:`_block_matrix`.  O(K^2) work.
+    ``blocks`` maps each label to its block, numbered by first label, all of
+    one size m; B[i, j] = 1 when labels i and j share a block.  d is a[0, 0];
+    the within value s is one of the first two distinct off-diagonal values
+    of row 0 (the other one's labels cannot also form equal blocks), and o
+    is the other value, o = s for one block (m = K, one distinct value) and
+    s = o = 0 at K = 1.  Label i's block is i's first label whose entry in
+    row i is s.  None unless the blocks have one size and every entry lies
+    within ``_BLOCK_RTOL`` max|a| of that :func:`_block_matrix`.  O(K^2)
+    work; reads T and W alike.
     """
-    k = w.shape[0]
-    d = w[0, 0]
-    s = w[0, 1] if k > 1 else d
-    tol = _BLOCK_RTOL * float(np.abs(w).max())
-    off_run = np.abs(w[0, 1:] - s) > tol
-    m = 1 + int(np.argmax(off_run)) if off_run.any() else k
-    if k % m:
-        return None
-    o = w[0, m] if m < k else s
-    if np.all(np.abs(w - _block_matrix(k, m, d - s, s, o)) <= tol):
-        return k, m, d, s, o
+    k = a.shape[0]
+    d = float(a[0, 0])
+    tol = _BLOCK_RTOL * float(np.abs(a).max())
+    row = a[0, 1:]
+    # the first two distinct off-diagonal values of row 0; either may be s
+    values = row[:1].tolist() + row[np.abs(row - row[:1]) > tol][:1].tolist()
+    pairs = [(values[i], values[-1 - i]) for i in range(len(values))]
+    for s, o in pairs or [(0.0, 0.0)]:
+        same = np.abs(a - s) <= tol
+        np.fill_diagonal(same, True)
+        blocks = np.unique(same.argmax(axis=1), return_inverse=True)[1]
+        sizes = np.bincount(blocks)
+        if np.all(sizes == sizes[0]) and np.all(
+            np.abs(a - _block_matrix(blocks, d - s, s, o)) <= tol
+        ):
+            return blocks, d, s, o
     return None
 
 
-def _inverse_blocks(spec: ContaminationSpec) -> tuple[int, float, float, float]:
-    """(m, diag, within, across) of W = T^{-1} from T's eigenvalues l1, l2."""
-    m, lam1, within, across = _family_blocks(spec)
-    inv1, inv2 = 1.0 / lam1, 1.0 / (lam1 + m * (within - across))
-    outer = (1.0 - inv2) / spec.k
-    return m, inv1, (inv2 - inv1) / m + outer, outer
-
-
-def _inverse(
+def _conditioned(
     a: NDArray[np.float64], error: type[Exception], name: str
 ) -> NDArray[np.float64]:
-    """Dense inverse of a finite square matrix, refused when near-singular.
+    """``a``, a finite square matrix, unless near-singular.
 
     Raises ``error`` naming ``name`` unless the 2-norm condition number of
     ``a``, the measure :attr:`TransitionMatrix.condition_number` reports, is
@@ -232,18 +244,30 @@ def _inverse(
         raise error(
             f"{name} is numerically singular: condition number {cond:.3e} exceeds 1e12"
         )
-    return np.linalg.inv(a)
+    return a
+
+
+def _block_inverse(
+    blocks: NDArray[np.int64], diag: float, within: float, across: float
+) -> tuple[NDArray[np.int64], float, float, float]:
+    """W's :func:`_block_matrix` arguments from those of a column-stochastic T.
+
+    T has the eigenvalues l1 = diag, l2 = l1 + m (within - across) and 1
+    (see the module docstring).
+    """
+    k, m = blocks.size, np.count_nonzero(blocks == 0)
+    inv1, inv2 = 1.0 / diag, 1.0 / (diag + m * (within - across))
+    outer = (1.0 - inv2) / k
+    return blocks, inv1, (inv2 - inv1) / m + outer, outer
 
 
 def build_transition(spec: ContaminationSpec) -> TransitionMatrix:
-    """Build T from a spec and assemble W from the analytic inverse of its block form.
+    """Build a family's T from a spec and wrap it with :func:`transition_from_matrix`.
 
-    One formula serves every family (see the module docstring), so W has
-    exactly the block form; W = I exactly at eps = 0.
+    T has the block form, so W is its closed-form inverse; W = I exactly at
+    eps = 0.
     """
-    blocks = _family_blocks(spec)  # checks spec's type before spec.k is read
-    w = _block_matrix(spec.k, *_inverse_blocks(spec))
-    return TransitionMatrix(T=_block_matrix(spec.k, *blocks), W=w)
+    return transition_from_matrix(_block_matrix(*_family_blocks(spec)))
 
 
 # the same constructor under its second public name
@@ -251,10 +275,19 @@ closed_form_inverse = build_transition
 
 
 def transition_from_matrix(t: NDArray[np.float64]) -> TransitionMatrix:
-    """Wrap an explicit matrix, inverting it numerically."""
+    """Wrap an explicit matrix T with its inverse W.
+
+    T is refused past a condition number of 1e12.  A T of block form under
+    any labelling (:func:`_block_form`), as every family's T has, gets the
+    closed-form W; any other T is inverted numerically.
+    """
     # checked before the condition number, which needs a finite square matrix
-    t = _check_square("T", t)
-    return TransitionMatrix(T=t, W=_inverse(t, SingularTransition, "transition matrix"))
+    t = _conditioned(_check_square("T", t), SingularTransition, "transition matrix")
+    form = _block_form(t)
+    if form is None:
+        return TransitionMatrix(T=t, W=np.linalg.inv(t))
+    blocks, d, s, o = form
+    return TransitionMatrix(T=t, W=_block_matrix(*_block_inverse(blocks, d - s, s, o)))
 
 
 def sample_noisy_labels(

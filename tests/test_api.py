@@ -98,7 +98,7 @@ from noisycal import (
 from noisycal.cli import METHODS, main
 from noisycal.fileio import read_transition_csv
 
-quick_start, scores, transition = sys.argv[1:]
+quick_start, scores, transition, relabelled = sys.argv[1:]
 exec(compile(quick_start, "README.md", "exec"), {"__name__": "__main__"})
 argv = ["calibrate", "--scores", scores, "--model", "block_rr", "--eps", "0.1"]
 for method in METHODS:
@@ -118,17 +118,28 @@ except SolverFailure as exc:
     assert "the Massart branch is unbounded below" in str(exc), exc
 argv = ["calibrate", "--scores", scores, "--transition", transition]
 assert main(argv + ["--method", "adaptive-fs"]) == 1
+argv = ["calibrate", "--scores", scores, "--transition", relabelled]
+assert main(argv + ["--method", "adaptive-fs"]) == 0
 """
 
 
 def test_the_package_needs_numpy_alone(tmp_path):
     # SciPy is the optional lp extra: every route runs without it but the
     # LPs of a W without block form, which refuse with a typed error; an
-    # unbounded branch is refused by name before any LP is built
+    # unbounded branch is refused by name before any LP is built; a family's
+    # T with its labels permuted keeps the block form
     scores, transition = tmp_path / "cal.csv", tmp_path / "t.csv"
+    relabelled = tmp_path / "relabelled.csv"
     write_cal_csv(scores, seed=17, n=60, k=4)
     np.savetxt(str(transition), dense_transition(4, 17), delimiter=",", fmt="%.17g")
-    argv = ["-c", _NO_SCIPY_PROBE, readme_quick_start(), str(scores), str(transition)]
+    spec = noisycal.ContaminationSpec(family="block_rr", k=4, eps=0.1, b=2)
+    perm = [0, 2, 1, 3]
+    t = noisycal.build_transition(spec).T[np.ix_(perm, perm)]
+    np.savetxt(str(relabelled), t, delimiter=",", fmt="%.17g")
+    argv = [
+        "-c", _NO_SCIPY_PROBE, readme_quick_start(), str(scores), str(transition),
+        str(relabelled),
+    ]
     proc = run_python(argv)
     assert proc.returncode == 0, proc.stderr
     assert "tau =" in proc.stdout

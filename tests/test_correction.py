@@ -27,6 +27,7 @@ from noisycal import (
     LadderMismatch,
     SingularM,
     SolverFailure,
+    adaptive_threshold,
     aps_scores,
     b_term,
     build_transition,
@@ -41,6 +42,9 @@ from noisycal import (
     estimate_covariance,
     noise_model,
     omega_matrix,
+    optimistic_threshold,
+    standard_threshold,
+    transition_from_matrix,
     upper_bound_diagnostics,
 )
 from noisycal.cli import correction_report
@@ -603,7 +607,7 @@ def test_block_closed_form_matches_lp_on_any_block_w(seed):
         block = np.arange(k) // m
         w = np.where(block[:, None] == block[None, :], s, o) + (d - s) * np.eye(k)
         form = noise_model._block_form(w)
-        assert form[:2] == (k, m)
+        assert np.array_equal(form[0], block)
         weight = rng.uniform(0.01, 1.0)
         for per_column, absolute in itertools.product((True, False), repeat=2):
             edge = weight if per_column else k * weight
@@ -629,12 +633,18 @@ def test_family_closed_form_refuses_an_unbounded_massart_branch():
         delta_fs(100, 4, w, 1.0)
 
 
-def test_perturbed_family_w_takes_the_lp():
-    # one off-diagonal entry moved by 1e-6 breaks the block form: the closed
-    # form must not be taken, and the LP still reaches the exact optimum
+@pytest.mark.parametrize(
+    "perm, blocks",
+    [(range(6), [0, 0, 0, 1, 1, 1]), ([4, 0, 3, 5, 1, 2], [0, 1, 0, 0, 1, 1])],
+    ids=["labelled", "relabelled"],
+)
+def test_perturbed_family_w_takes_the_lp(perm, blocks):
+    # one off-diagonal entry moved by 1e-6 breaks the block form, under any
+    # labelling: the closed form must not be taken, and the LP still reaches
+    # the exact optimum
     w = build_transition(ContaminationSpec(family="block_rr", k=6, eps=0.2, b=2)).W
-    assert noise_model._block_form(w)[1] == 3
-    w = w.copy()
+    w = w[np.ix_(perm, perm)]
+    assert np.array_equal(noise_model._block_form(w)[0], blocks)
     w[4, 1] += 1e-6
     assert noise_model._block_form(w) is None
     n = 2000
@@ -734,6 +744,75 @@ def test_block_form_alone_picks_the_solver(case, linprog_calls):
     linprog_calls.clear()
     delta_star_star_bound(n, k, w)
     assert len(linprog_calls) == want
+
+
+# Every family at K in {4, 12, 60}, relabelled by a random permutation pi.
+# Tolerances fixed before the first run: the relabelled delta_fs and
+# delta_star_star_bound sum Omega's columns in another order, so they agree
+# to 1e-12; delta_asy also accumulates the covariance in another order before
+# its Cholesky factor, so it agrees to 1e-9; tau and i_hat are equal.
+_RELABEL_CASES = {
+    f"{family}-k{k}": dict(family=family, k=k, eps=0.3, nu=0.5, b=k // 3 if k > 4 else 2)
+    for family in ("rr", "block_rr", "two_level_rr")
+    for k in (4, 12, 60)
+}
+
+
+@pytest.mark.parametrize("case", list(_RELABEL_CASES))
+def test_relabelling_changes_no_threshold(case, linprog_calls):
+    # permute the score columns, the noisy labels and W's rows and columns
+    # together; the relabelled T takes the closed form W, so no LP runs
+    spec = ContaminationSpec(**_RELABEL_CASES[case])
+    k, n, alpha = spec.k, 2000, 0.1
+    rng = np.random.default_rng(k)
+    scores = aps_scores(rng.dirichlet(np.ones(k), size=n), randomized=False)
+    labels = rng.integers(0, k, size=n)
+    pi = rng.permutation(k)
+    inv = np.argsort(pi)
+    tm = build_transition(spec)
+    relabelled = transition_from_matrix(tm.T[np.ix_(inv, inv)])
+    assert np.array_equal(relabelled.W, tm.W[np.ix_(inv, inv)])
+    problems = [
+        (CalibrationSet.from_scores(scores, labels), tm.W),
+        (CalibrationSet.from_scores(scores[:, inv], pi[labels]), relabelled.W),
+    ]
+    cn = c_of_n(n)
+    got = []
+    for cal, w in problems:
+        fs = delta_fs(n, k, w, cn)
+        asy = delta_asy(cal, w, m=20_000, seed=3)
+        rules = [
+            standard_threshold(cal, alpha),
+            adaptive_threshold(cal, w, alpha, fs),
+            adaptive_threshold(cal, w, alpha, asy),
+            optimistic_threshold(cal, w, alpha, asy),
+        ]
+        got.append((fs.value, delta_star_star_bound(n, k, w), asy.value, rules))
+    (fs, star, asy, rules), (fs_pi, star_pi, asy_pi, rules_pi) = got
+    assert fs_pi == pytest.approx(fs, rel=1e-12)
+    assert star_pi == pytest.approx(star, rel=1e-12)
+    assert asy_pi == pytest.approx(asy, rel=1e-9)
+    for rule, rule_pi in zip(rules, rules_pi):
+        assert (rule_pi.tau, rule_pi.i_hat) == (rule.tau, rule.i_hat)
+    assert linprog_calls == []
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.2])
+def test_single_class_corrections_are_cn(eps):
+    # K = 1: T = W = [[1]] whatever eps is, Omega vanishes and both
+    # corrections are c(n); beta_star is the closed form's first optimal
+    # vertex, beta' the family's (1/(1-eps), 1 - 1/(1-eps))
+    spec = ContaminationSpec(family="rr", k=1, eps=eps)
+    assert np.array_equal(build_transition(spec).W, [[1.0]])
+    n = 5000
+    cn = c_of_n(n)
+    rep = delta_fs(n, 1, build_transition(spec), cn)
+    assert (rep.value, rep.branch_values) == (cn, {"massart": cn, "chaining": None})
+    assert (rep.beta_star.beta0, rep.beta_star.betas.tolist()) == (0.0, [1.0])
+    special = delta_fs_special(spec, n, cn)
+    assert special.value == cn
+    beta0 = 1.0 / (1.0 - eps)
+    assert (special.beta_star.beta0, special.beta_star.betas.tolist()) == (beta0, [1.0 - beta0])
 
 
 def test_delta_fs_large_k_randomized_response_is_cn():

@@ -12,6 +12,7 @@ from noisycal import (
     TransitionMatrix,
     build_transition,
     closed_form_inverse,
+    noise_model,
     sample_noisy_labels,
     transition_from_matrix,
     upper_bound_diagnostics,
@@ -114,14 +115,79 @@ def test_block_form_matches_per_family_formulas_over_grid():
 
 @pytest.mark.parametrize("family, nu", [("rr", 0.0), ("two_level_rr", 0.5)])
 def test_family_channel_near_eps_one_is_certified(family, nu):
-    # the numerical inverse of this T misses I by ~1e-7 and is refused; the
-    # family's channel takes the analytic W, which passes the residual check
+    # the family's T, given as a matrix and relabelled, takes the closed-form
+    # W that passes the residual check; its numerical inverse misses I by
+    # ~1e-7 and was refused
     spec = ContaminationSpec(family=family, k=4, eps=1.0 - 1e-10, nu=nu)
     tm = build_transition(spec)
     assert np.max(np.abs(tm.W @ tm.T - np.eye(4))) <= 1e-10
     assert tm.condition_number > 1e9
+    assert np.array_equal(transition_from_matrix(tm.T).W, tm.W)
+    perm = np.array([2, 0, 3, 1])
+    relabelled = transition_from_matrix(tm.T[np.ix_(perm, perm)])
+    assert np.array_equal(relabelled.W, tm.W[np.ix_(perm, perm)])
+
+
+def test_near_singular_t_without_block_form_is_refused():
+    # the rr channel above with two columns swapped: condition number 1e10
+    # and no block form, so T is inverted numerically, and that inverse
+    # misses I by more than 1e-10
+    t = build_transition(rr(4, 1.0 - 1e-10)).T[:, [1, 0, 2, 3]]
+    assert 1e9 < np.linalg.cond(t) <= 1e12
     with pytest.raises(SingularTransition, match="inverse residual"):
-        transition_from_matrix(tm.T)
+        transition_from_matrix(t)
+
+
+def test_family_past_the_condition_limit_is_refused():
+    # rr at K = 4 and 1 - eps = 1e-13 has condition number 1e13
+    spec = rr(4, 1.0 - 1e-13)
+    with pytest.raises(SingularTransition, match=r"condition number \S+ exceeds 1e12$"):
+        build_transition(spec)
+
+
+def test_transition_matrix_names_a_w_that_does_not_invert_t():
+    # T = I is perfectly conditioned: the fault is W's
+    msg = r"^W does not invert T: inverse residual \|\|W T - I\|\| = 1\.000e\+00 exceeds 1e-10$"
+    with pytest.raises(SingularTransition, match=msg):
+        TransitionMatrix(T=np.eye(3), W=2 * np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ContaminationSpec(family="block_rr", k=6, eps=0.2, b=6),
+        ContaminationSpec(family="block_rr", k=6, eps=0.2, b=1),
+        ContaminationSpec(family="two_level_rr", k=2, eps=0.2, nu=0.5),
+    ],
+    ids=["block-b-eq-k", "block-b1", "two-level-k2"],
+)
+def test_block_form_of_one_block_channels(spec):
+    # blocks of one label (block RR with b = K, where T = I, and the
+    # two-level halves at K = 2) and RR leave one distinct off-diagonal
+    # value, read as one block of K labels; its closed form is the family's W
+    tm = build_transition(spec)
+    blocks, d, s, o = noise_model._block_form(tm.T)
+    assert np.array_equal(blocks, np.zeros(spec.k))
+    assert (d, s, o) == (tm.T[0, 0], tm.T[0, 1], tm.T[0, 1])
+    w_ref = reference_family_inverse(spec)
+    assert np.max(np.abs(tm.W - w_ref)) <= 1e-13 * np.max(np.abs(w_ref))
+
+
+def test_identity_of_one_label_is_its_own_inverse():
+    # no off-diagonal entry to read: s = o = 0 at K = 1
+    tm = transition_from_matrix(np.eye(1))
+    assert np.array_equal(tm.W, np.eye(1))
+    blocks, d, s, o = noise_model._block_form(tm.T)
+    assert np.array_equal(blocks, [0]) and (d, s, o) == (1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("perm", [range(6), [3, 1, 5, 0, 2, 4]])
+def test_blocks_of_unequal_size_are_not_block_form(perm):
+    # two off-diagonal values, within the blocks {0, 2, 4, 5} and {1, 3}:
+    # neither value's labels form blocks of one size, under any labelling
+    blocks = np.array([0, 1, 0, 1, 0, 0])
+    a = np.where(blocks[:, None] == blocks[None, :], 0.1, 0.02) + 0.5 * np.eye(6)
+    assert noise_model._block_form(a[np.ix_(perm, perm)]) is None
 
 
 def test_two_level_constants_invariants():
