@@ -41,7 +41,8 @@ class InvalidSpec(NoisycalError):
 
 
 class SingularTransition(NoisycalError):
-    """The transition matrix is numerically singular and cannot be inverted."""
+    """The transition matrix's condition number exceeds 1e12, or the W given
+    with it does not invert it to working precision."""
 
 
 class InvalidProbability(NoisycalError):

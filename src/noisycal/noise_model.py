@@ -16,11 +16,18 @@ between blocks and 1 on constants, so its closed-form inverse is
 
 Renaming the classes changes nothing in this, so the blocks need not be runs
 of contiguous labels.  Every T, a family's or one read from a file, takes
-one route to W, ``transition_from_matrix``: ``_block_form`` reads T's block
-form under any labelling, and a T that has one gets this W from its own
-entries (``_block_inverse``); every other T is inverted numerically.
-``build_transition`` hands a family's T to that route, and ``_block_form``
-reads W's block form the same way.
+one route to W, ``transition_from_matrix``: ``_exact_block_form`` reads T's
+block form to working precision under any labelling, and a T that has one
+gets this W from its own entries (``_block_inverse``); every other T is
+inverted numerically.  ``build_transition`` hands a family's T to that
+route, and ``_block_form`` reads W's block form the same way, within the
+looser tolerance that the rounding of a computed W needs.
+
+One rule certifies a channel, however it is built: its 2-norm condition
+number must be at most 1e12 (``_conditioned``).  A T that has the block
+form to working precision takes that number from the eigenvalues above,
+any other T from an SVD.  A W given with T need only invert it to working
+precision, which is a check of W, not a second limit on T.
 
 Labels are 0-based everywhere inside the library; the file and CLI layers
 translate from the 1-based convention used in data files.
@@ -28,6 +35,8 @@ translate from the 1-based convention used in data files.
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -114,6 +123,10 @@ class ContaminationSpec:
 class TransitionMatrix:
     """A validated transition matrix together with its inverse.
 
+    T is refused past a condition number of 1e12, the one certification rule
+    (see the module docstring), and W unless it inverts T to working
+    precision.
+
     Fields
     ------
     T : ndarray
@@ -127,7 +140,6 @@ class TransitionMatrix:
 
     def __post_init__(self) -> None:
         t = _check_square("T", self.T).copy()
-        w = _check_square("W", self.W, t.shape[0]).copy()
         if np.any(t < 0.0):
             raise InvalidSpec("T entries must be nonnegative")
         colsums = t.sum(axis=0)
@@ -136,11 +148,24 @@ class TransitionMatrix:
                 "T columns must sum to 1 within 1e-10; "
                 f"worst deviation {np.max(np.abs(colsums - 1.0)):.3e}"
             )
-        resid = np.max(np.abs(w @ t - np.eye(t.shape[0])))
-        if resid > 1e-10:
+        # T is certified before W is looked at: a singular T has no W
+        _conditioned(t, SingularTransition, "transition matrix")
+        w = _check_square("W", self.W, t.shape[0]).copy()
+        # W must invert T to working precision: max|W T - I| at most
+        # 2 K u ||W||inf ||T||inf.  The computed product misses W T by at
+        # most gamma_K |W| |T|, about K u ||W||inf ||T||inf (Higham, Accuracy
+        # and Stability of Numerical Algorithms, 3.5); a W that inverts some
+        # T + dT, |dT| <= K u max|T| (the backward error gamma_K allows an
+        # inverse, and the tolerance of _exact_block_form), misses I by
+        # W dT, at most K u ||W||inf ||T||inf more.  Closed-form and LU
+        # inverses of certified T at K = 1 to 200 miss I by at most 1.33 K u.
+        k = t.shape[0]
+        resid = float(np.max(np.abs(w @ t - np.eye(k))))
+        bound = 2 * k * _U * np.linalg.norm(w, np.inf) * np.linalg.norm(t, np.inf)
+        if not resid <= bound:
             raise SingularTransition(
-                f"W does not invert T: inverse residual ||W T - I|| = {resid:.3e} "
-                "exceeds 1e-10"
+                f"W does not invert T: max|W T - I| = {resid:.3e} exceeds "
+                f"2 K u ||W||inf ||T||inf = {bound:.3e}"
             )
         t.setflags(write=False)
         w.setflags(write=False)
@@ -154,7 +179,7 @@ class TransitionMatrix:
     @property
     def condition_number(self) -> float:
         """2-norm condition number of T (equal to that of W)."""
-        return float(np.linalg.cond(self.T))
+        return _condition_number(self.T)
 
 
 def _as_w(w, k: int | None = None) -> NDArray[np.float64]:
@@ -192,12 +217,16 @@ def _block_matrix(
 
 
 # a matrix has the block form when every entry lies within this multiple of
-# its max|entry| of the form read off its first row
+# its max|entry| of the form read off its first row; a computed W carries
+# the rounding of its inverse
 _BLOCK_RTOL = 1e-12
+
+# the unit roundoff of float64
+_U = 2.0**-53
 
 
 def _block_form(
-    a: NDArray[np.float64],
+    a: NDArray[np.float64], rtol: float = _BLOCK_RTOL
 ) -> tuple[NDArray[np.int64], float, float, float] | None:
     """(blocks, d, s, o) when a = (d - s) I + s B + o (J - B), under any labelling.
 
@@ -208,12 +237,11 @@ def _block_form(
     is the other value, o = s for one block (m = K, one distinct value) and
     s = o = 0 at K = 1.  Label i's block is i's first label whose entry in
     row i is s.  None unless the blocks have one size and every entry lies
-    within ``_BLOCK_RTOL`` max|a| of that :func:`_block_matrix`.  O(K^2)
-    work; reads T and W alike.
+    within ``rtol`` max|a| of that form.  O(K^2) work; reads T and W alike.
     """
     k = a.shape[0]
     d = float(a[0, 0])
-    tol = _BLOCK_RTOL * float(np.abs(a).max())
+    tol = rtol * float(np.abs(a).max())
     row = a[0, 1:]
     # the first two distinct off-diagonal values of row 0; either may be s
     values = row[:1].tolist() + row[np.abs(row - row[:1]) > tol][:1].tolist()
@@ -223,11 +251,56 @@ def _block_form(
         np.fill_diagonal(same, True)
         blocks = np.unique(same.argmax(axis=1), return_inverse=True)[1]
         sizes = np.bincount(blocks)
-        if np.all(sizes == sizes[0]) and np.all(
-            np.abs(a - _block_matrix(blocks, d - s, s, o)) <= tol
-        ):
+        form = _block_matrix(blocks, 0.0, s, o)
+        np.fill_diagonal(form, d)
+        if np.all(sizes == sizes[0]) and np.all(np.abs(a - form) <= tol):
             return blocks, d, s, o
     return None
+
+
+def _exact_block_form(
+    a: NDArray[np.float64],
+) -> tuple[NDArray[np.int64], float, float, float] | None:
+    """:func:`_block_form` to working precision: every entry within K u max|a|.
+
+    That is the backward error gamma_K allows a numerical inverse, so the
+    closed-form W of this form inverts T as closely as an LU inverse would,
+    and its eigenvalues give T's condition number as closely as an SVD.
+    """
+    return _block_form(a, a.shape[0] * _U)
+
+
+def _block_eigenvalues(
+    blocks: NDArray[np.int64], diag: float, within: float, across: float
+) -> tuple[int, float, float, float]:
+    """(m, l1, l2, l0) of :func:`_block_matrix` ``(blocks, diag, within, across)``.
+
+    m is the block size, l1 = diag the eigenvalue on contrasts within a
+    block, l2 = l1 + m (within - across) on contrasts between blocks and
+    l0 = l2 + K across on constants (1 for a column-stochastic T).
+    """
+    m = int(np.count_nonzero(blocks == 0))
+    l2 = diag + m * (within - across)
+    return m, diag, l2, l2 + blocks.size * across
+
+
+def _condition_number(a: NDArray[np.float64]) -> float:
+    """2-norm condition number of a finite square matrix ``a``.
+
+    A matrix of block form (:func:`_exact_block_form`) is symmetric, so its
+    condition number is the ratio of the largest to the smallest modulus of
+    the eigenvalues that occur (:func:`_block_eigenvalues`): l1 when m > 1,
+    l2 when K > m, and l0; inf when one of them is 0.  Any other matrix
+    takes an SVD.
+    """
+    form = _exact_block_form(a)
+    if form is None:
+        return float(np.linalg.cond(a))
+    blocks, d, s, o = form
+    m, l1, l2, l0 = _block_eigenvalues(blocks, d - s, s, o)
+    moduli = [abs(l0)] + [abs(l1)] * (m > 1) + [abs(l2)] * (blocks.size > m)
+    low = min(moduli)
+    return max(moduli) / low if low > 0.0 else math.inf
 
 
 def _conditioned(
@@ -235,11 +308,11 @@ def _conditioned(
 ) -> NDArray[np.float64]:
     """``a``, a finite square matrix, unless near-singular.
 
-    Raises ``error`` naming ``name`` unless the 2-norm condition number of
-    ``a``, the measure :attr:`TransitionMatrix.condition_number` reports, is
-    at most 1e12.
+    The one certification rule: raises ``error`` naming ``name`` unless the
+    2-norm condition number of ``a`` (:func:`_condition_number`) is at most
+    1e12.
     """
-    cond = float(np.linalg.cond(a))
+    cond = _condition_number(a)
     if not cond <= 1e12:
         raise error(
             f"{name} is numerically singular: condition number {cond:.3e} exceeds 1e12"
@@ -250,14 +323,11 @@ def _conditioned(
 def _block_inverse(
     blocks: NDArray[np.int64], diag: float, within: float, across: float
 ) -> tuple[NDArray[np.int64], float, float, float]:
-    """W's :func:`_block_matrix` arguments from those of a column-stochastic T.
-
-    T has the eigenvalues l1 = diag, l2 = l1 + m (within - across) and 1
-    (see the module docstring).
-    """
-    k, m = blocks.size, np.count_nonzero(blocks == 0)
-    inv1, inv2 = 1.0 / diag, 1.0 / (diag + m * (within - across))
-    outer = (1.0 - inv2) / k
+    """W's :func:`_block_matrix` arguments from those of a column-stochastic T,
+    whose eigenvalues l1 and l2 (:func:`_block_eigenvalues`) are not 0."""
+    m, l1, l2, _ = _block_eigenvalues(blocks, diag, within, across)
+    inv1, inv2 = 1.0 / l1, 1.0 / l2
+    outer = (1.0 - inv2) / blocks.size
     return blocks, inv1, (inv2 - inv1) / m + outer, outer
 
 
@@ -277,17 +347,25 @@ closed_form_inverse = build_transition
 def transition_from_matrix(t: NDArray[np.float64]) -> TransitionMatrix:
     """Wrap an explicit matrix T with its inverse W.
 
-    T is refused past a condition number of 1e12.  A T of block form under
-    any labelling (:func:`_block_form`), as every family's T has, gets the
-    closed-form W; any other T is inverted numerically.
+    A T of block form to working precision under any labelling
+    (:func:`_exact_block_form`), as every family's T has, gets the
+    closed-form W; any other T is inverted numerically.  The constructor
+    certifies T, so T is refused past a condition number of 1e12.
     """
-    # checked before the condition number, which needs a finite square matrix
-    t = _conditioned(_check_square("T", t), SingularTransition, "transition matrix")
-    form = _block_form(t)
+    t = _check_square("T", t)
+    form = _exact_block_form(t)
+    # an exactly singular T has no W: W = 0 stands in, and the constructor
+    # refuses T by its condition number
+    w = np.zeros_like(t)
     if form is None:
-        return TransitionMatrix(T=t, W=np.linalg.inv(t))
-    blocks, d, s, o = form
-    return TransitionMatrix(T=t, W=_block_matrix(*_block_inverse(blocks, d - s, s, o)))
+        with contextlib.suppress(np.linalg.LinAlgError):
+            w = np.linalg.inv(t)
+    else:
+        blocks, d, s, o = form
+        _, l1, l2, _ = _block_eigenvalues(blocks, d - s, s, o)
+        if l1 * l2 != 0.0:
+            w = _block_matrix(*_block_inverse(blocks, d - s, s, o))
+    return TransitionMatrix(T=t, W=w)
 
 
 def sample_noisy_labels(

@@ -10,6 +10,7 @@ tautology.
 from __future__ import annotations
 
 import csv
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,6 +137,64 @@ def family_grid() -> list:
                     for nu in (0.0, 0.2, 0.8, 1.0)
                 ]
     return specs
+
+
+def ladder_spec(family: str, k: int, one_minus_eps: float) -> ContaminationSpec:
+    """A family's spec at 1 - eps on the near-singular ladders: block RR
+    with b = 2 blocks, two-level RR with nu = 0.3."""
+    extra = {"block_rr": {"b": 2}, "two_level_rr": {"nu": 0.3}}.get(family, {})
+    return ContaminationSpec(family=family, k=k, eps=1.0 - one_minus_eps, **extra)
+
+
+# 1 - eps along {3, 1} x 10^-j, j = 1..14: the channel grows worse conditioned
+NEAR_ONE = [a * 10.0**-j for j in range(1, 15) for a in (3.0, 1.0)]
+
+
+def exact_family_condition(spec) -> Fraction | float:
+    """The exact 2-norm condition number of a family's T as stored in floats.
+
+    The stored T is symmetric, with d on its diagonal and s within and o
+    across blocks of m labels, so the condition number is max/min of the
+    moduli of its eigenvalues: l1 = d - s on contrasts within a block (m >
+    1), l2 = l1 + m (s - o) on contrasts between blocks (K > m) and the row
+    sum on constants, all in rationals here; inf when T is singular.
+    """
+    t = reference_family_matrix(spec)
+    k = spec.k
+    m = {Family.BLOCK_RR: k // (spec.b or 1), Family.TWO_LEVEL_RR: k // 2}.get(spec.family, k)
+    d, s, o = (Fraction(float(x)) for x in (t[0, 0], t[0, m - 1], t[0, k - 1]))
+    l1 = d - s
+    moduli = [abs(sum(Fraction(float(x)) for x in t[0]))]
+    moduli += [abs(l1)] * (m > 1) + [abs(l1 + m * (s - o))] * (k > m)
+    return math.inf if min(moduli) == 0 else max(moduli) / min(moduli)
+
+
+def skewed_channel(k: int, eps: float) -> np.ndarray:
+    """(1 - eps) q 1^T + eps P, q proportional to 1..K and P the cyclic
+    shift: column-stochastic, with a condition number of about 1.2/eps to
+    1.4/eps, and never of block form, as its diagonal is not constant."""
+    q = np.arange(1.0, k + 1.0) / (k * (k + 1) / 2)
+    return (1.0 - eps) * np.outer(q, np.ones(k)) + eps * np.roll(np.eye(k), 1, axis=0)
+
+
+# eps of skewed_channel along {3, 1} x 10^-j, j = 2..14: condition numbers
+# from ~40 to ~1.3e14, none within 15% of the limit 1e12
+SKEWED_EPS = [a * 10.0**-j for j in range(2, 15) for a in (3.0, 1.0)]
+
+
+def spy_svd(monkeypatch) -> list:
+    """Record the shape of every matrix handed to ``np.linalg.svd``, also by
+    ``np.linalg.cond``, which looks svd up in the globals of its own module
+    (``numpy.linalg.linalg`` on NumPy 1, ``numpy.linalg._linalg`` on 2)."""
+    real, calls = np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setitem(inspect.unwrap(np.linalg.cond).__globals__, "svd", spy)
+    return calls
 
 
 def reference_noisy_labels(true_labels: np.ndarray, t: np.ndarray, seed: int) -> np.ndarray:

@@ -20,12 +20,14 @@ from noisycal import (
     Family,
     FileFormatError,
     InvalidSpec,
+    SingularTransition,
     ThresholdResult,
     aps_scores,
     c_of_n,
     cn_envelope,
     correction,
     delta_star_star_bound,
+    transition_from_matrix,
 )
 from noisycal import cli
 from noisycal.cli import (
@@ -39,6 +41,15 @@ from noisycal.cli import (
 )
 from noisycal.fileio import RESULTS_HEADER, write_probability_csv
 from noisycal.noise_model import build_transition
+from oracles import (
+    NEAR_ONE,
+    SKEWED_EPS,
+    family_grid,
+    ladder_spec,
+    reference_family_matrix,
+    skewed_channel,
+    spy_svd,
+)
 
 
 def small_config(**kw):
@@ -297,6 +308,50 @@ def test_run_from_scores_transition_file_matches_model(tmp_path):
     assert via_model["threshold"].tau == pytest.approx(
         via_file["threshold"].tau, abs=1e-12
     )
+
+
+def test_family_routes_run_no_svd(tmp_path, monkeypatch):
+    # a T of block form takes its condition number from its eigenvalues; an
+    # SVD grows a fresh process by 0.8 MiB as it maps LAPACK code
+    calls = spy_svd(monkeypatch)
+    for spec in family_grid():
+        build_transition(spec)
+    cal_path = tmp_path / "cal.csv"
+    write_cal_csv(cal_path, seed=5, n=40, k=4)
+    run_from_scores(str(cal_path), model="two_level_rr", eps=0.2, nu=0.2, method="adaptive-fs")
+    correction_report(ContaminationSpec(family="block_rr", k=60, eps=0.2, b=6), 5000)
+    assert calls == []
+    np.linalg.cond(np.eye(2))
+    assert calls == [(2, 2)]
+
+
+@pytest.mark.parametrize("k", [4, 12])
+def test_calibrate_takes_every_certified_near_singular_channel(tmp_path, capsys, k):
+    # the family and skewed channels up to condition number 1e12, most of
+    # which the absolute residual bound 1e-10 refused: calibrate returns a
+    # threshold or exits with a typed error, never with a traceback
+    cal_path, t_path = tmp_path / "cal.csv", tmp_path / "t.csv"
+    write_cal_csv(cal_path, seed=k, n=60, k=k)
+    channels = [
+        reference_family_matrix(ladder_spec(family, k, one_minus_eps))
+        for family in ("rr", "block_rr", "two_level_rr")
+        for one_minus_eps in NEAR_ONE
+    ]
+    channels += [skewed_channel(k, eps) for eps in SKEWED_EPS]
+    ran = 0
+    for t in channels:
+        try:
+            transition_from_matrix(t)
+        except SingularTransition:
+            continue
+        np.savetxt(str(t_path), t, delimiter=",", fmt="%.17g")
+        argv = ["calibrate", "--scores", str(cal_path), "--transition", str(t_path)]
+        code = main(argv + ["--method", "adaptive-fs"])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert code == 0 or err.startswith("error: "), err
+        ran += 1
+    assert ran >= 80
 
 
 def test_run_from_scores_refuses_an_unknown_method(tmp_path):

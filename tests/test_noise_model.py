@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from noisycal import (
@@ -18,13 +20,21 @@ from noisycal import (
     upper_bound_diagnostics,
 )
 from oracles import (
+    NEAR_ONE,
+    SKEWED_EPS,
+    exact_family_condition,
     family_grid,
     gauss_inverse,
+    ladder_spec,
     reference_family_inverse,
     reference_family_matrix,
     reference_noisy_labels,
+    skewed_channel,
+    spy_svd,
     two_level_constants,
 )
+
+FAMILIES = ("rr", "block_rr", "two_level_rr")
 
 
 def rr(k, eps):
@@ -128,14 +138,15 @@ def test_family_channel_near_eps_one_is_certified(family, nu):
     assert np.array_equal(relabelled.W, tm.W[np.ix_(perm, perm)])
 
 
-def test_near_singular_t_without_block_form_is_refused():
+def test_near_singular_t_without_block_form_is_certified():
     # the rr channel above with two columns swapped: condition number 1e10
-    # and no block form, so T is inverted numerically, and that inverse
-    # misses I by more than 1e-10
+    # and no block form, so T is inverted numerically; that inverse misses I
+    # by ~2e-7, which is rounding at this conditioning, not a fault of W
     t = build_transition(rr(4, 1.0 - 1e-10)).T[:, [1, 0, 2, 3]]
     assert 1e9 < np.linalg.cond(t) <= 1e12
-    with pytest.raises(SingularTransition, match="inverse residual"):
-        transition_from_matrix(t)
+    tm = transition_from_matrix(t)
+    assert tm.condition_number == np.linalg.cond(t)
+    assert np.array_equal(tm.W, np.linalg.inv(t))
 
 
 def test_family_past_the_condition_limit_is_refused():
@@ -145,9 +156,139 @@ def test_family_past_the_condition_limit_is_refused():
         build_transition(spec)
 
 
+def _certified(build, arg) -> bool:
+    """Whether ``build(arg)`` certifies a channel; a refusal must name the
+    condition limit."""
+    try:
+        build(arg)
+    except SingularTransition as exc:
+        assert re.fullmatch(
+            r"transition matrix is numerically singular: "
+            r"condition number \S+ exceeds 1e12",
+            str(exc),
+        ), exc
+        return False
+    return True
+
+
+@pytest.mark.parametrize("k", [4, 60, 200])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_refusal_is_monotone_at_the_condition_limit(family, k):
+    # as 1 - eps falls, a family's channel is certified exactly while the
+    # exact condition number of its stored T is at most 1e12, then refused by
+    # that limit and no other rule
+    outcomes = []
+    for one_minus_eps in NEAR_ONE:
+        spec = ladder_spec(family, k, one_minus_eps)
+        outcomes.append(_certified(build_transition, spec))
+        assert outcomes[-1] == (exact_family_condition(spec) <= 1e12), spec
+    assert outcomes[0] and not outcomes[-1]
+    assert outcomes == sorted(outcomes, reverse=True)
+
+
+@pytest.mark.parametrize("k", [4, 60, 200])
+def test_refusal_without_block_form_is_monotone_at_the_condition_limit(k):
+    outcomes = []
+    for eps in SKEWED_EPS:
+        t = skewed_channel(k, eps)
+        assert noise_model._block_form(t) is None
+        outcomes.append(_certified(transition_from_matrix, t))
+        assert outcomes[-1] == (np.linalg.cond(t) <= 1e12), eps
+    assert outcomes[0] and not outcomes[-1]
+    assert outcomes == sorted(outcomes, reverse=True)
+
+
+def test_direct_construction_takes_the_condition_limit():
+    # rr at K = 4 and 1 - eps = 3e-14 with its closed-form W, which misses I
+    # by only 5.6e-15: the constructor took it at condition number 3.3e13,
+    # which transition_from_matrix refuses
+    t = reference_family_matrix(rr(4, 1.0 - 3e-14))
+    blocks, d, s, o = noise_model._block_form(t)
+    w = noise_model._block_matrix(*noise_model._block_inverse(blocks, d - s, s, o))
+    assert np.max(np.abs(w @ t - np.eye(4))) <= 1e-14
+    with pytest.raises(SingularTransition) as route:
+        transition_from_matrix(t)
+    message = r"^transition matrix is numerically singular: condition number 3\.336e\+13 exceeds 1e12$"
+    with pytest.raises(SingularTransition, match=message) as direct:
+        TransitionMatrix(T=t, W=w)
+    assert str(direct.value) == str(route.value)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        np.full((3, 3), 1.0 / 3.0),
+        # blocks {0, 1} and {2, 3}: l1 = 0.5, l2 = 0.5 + 2 (0 - 0.25) = 0
+        np.array(
+            [
+                [0.5, 0.0, 0.25, 0.25],
+                [0.0, 0.5, 0.25, 0.25],
+                [0.25, 0.25, 0.5, 0.0],
+                [0.25, 0.25, 0.0, 0.5],
+            ]
+        ),
+        np.array([[0.5, 0.5, 0.2], [0.3, 0.3, 0.3], [0.2, 0.2, 0.5]]),
+    ],
+    ids=["block-l1-zero", "block-l2-zero", "equal-columns"],
+)
+def test_exactly_singular_t_raises_the_typed_error_alone(t):
+    # a RuntimeWarning fails the test too (pyproject's filterwarnings), as
+    # would a ZeroDivisionError from the closed form or a LinAlgError
+    for build in (transition_from_matrix, lambda t: TransitionMatrix(T=t, W=np.eye(t.shape[0]))):
+        with pytest.raises(SingularTransition, match="condition number"):
+            build(t)
+
+
+@pytest.mark.parametrize("k", [4, 12, 60])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_relabelled_channel_keeps_its_certification(family, k):
+    # the last point is just past the limit, at condition number 1.1e12
+    perm = np.random.default_rng(k).permutation(k)
+    assert exact_family_condition(ladder_spec(family, k, 9e-13)) > 1e12
+    for one_minus_eps in (0.3, 1e-6, 1e-11, 9e-13):
+        t = reference_family_matrix(ladder_spec(family, k, one_minus_eps))
+        relabelled = t[np.ix_(perm, perm)]
+        cond = noise_model._condition_number(t)
+        assert noise_model._condition_number(relabelled) == pytest.approx(cond, rel=1e-12)
+        certified = _certified(transition_from_matrix, t)
+        assert _certified(transition_from_matrix, relabelled) == certified == (cond <= 1e12)
+
+
+@pytest.mark.parametrize("balanced", [True, False], ids=["two-blocks", "no-block-form"])
+def test_near_block_t_gets_its_own_inverse(balanced):
+    # rr at K = 60 and 1 - eps = 1e-11, moved along a contrast v by at most
+    # 8e-15 an entry: within the 1e-12 tolerance of W's block-form reading,
+    # which takes it for rr.  The closed form of rr misses T's eigenvalue on
+    # v, 1e-11 - delta, by up to 5%; T's own inverse is accurate to about
+    # cond u = 1e-5, and so is its condition number
+    k = 60
+    v = np.resize([1.0, -1.0], k) if balanced else np.random.default_rng(7).standard_normal(k)
+    v -= v.mean()
+    v /= np.linalg.norm(v)
+    delta = 8e-15 / np.max(np.abs(np.outer(v, v)))
+    t = reference_family_matrix(rr(k, 1.0 - 1e-11)) - delta * np.outer(v, v)
+    assert np.array_equal(noise_model._block_form(t)[0], np.zeros(k))
+    tm = transition_from_matrix(t)
+    assert tm.W @ v == pytest.approx(v / (1e-11 - delta), rel=1e-3)
+    assert tm.condition_number == pytest.approx(np.linalg.cond(t), rel=1e-3)
+
+
+def test_t_is_certified_once(monkeypatch):
+    # the constructor alone certifies: one SVD for a T without the block
+    # form, none for a T of block form
+    calls = spy_svd(monkeypatch)
+    transition_from_matrix(skewed_channel(12, 0.3))
+    assert calls == [(12, 12)]
+    build_transition(rr(12, 0.3))
+    assert calls == [(12, 12)]
+
+
 def test_transition_matrix_names_a_w_that_does_not_invert_t():
     # T = I is perfectly conditioned: the fault is W's
-    msg = r"^W does not invert T: inverse residual \|\|W T - I\|\| = 1\.000e\+00 exceeds 1e-10$"
+    msg = (
+        r"^W does not invert T: max\|W T - I\| = 1\.000e\+00 exceeds "
+        r"2 K u \|\|W\|\|inf \|\|T\|\|inf = 1\.332e-15$"
+    )
     with pytest.raises(SingularTransition, match=msg):
         TransitionMatrix(T=np.eye(3), W=2 * np.eye(3))
 
@@ -293,8 +434,8 @@ def _symmetric2(d):
             True,
         ),
         (_symmetric2(1e-13), "numerically singular", True),
-        # condition number 5e8: invertible, but W T misses I by more than 1e-10
-        (_symmetric2(1e-9), "inverse residual", False),
+        # condition number 5e8: certified, though W T misses I by 7e-9
+        (_symmetric2(1e-9), None, False),
         # randomized response at eps = 0.999999, K = 3: condition number 1e6
         (1e-6 * np.eye(3) + 0.999999 / 3.0, None, False),
     ],
@@ -306,7 +447,9 @@ def test_near_singular_matrices_keep_their_outcomes(t, transition_error, mixing_
     rho_tilde = t @ rho
     if transition_error is None:
         tm = transition_from_matrix(t)
-        assert np.max(np.abs(tm.W @ tm.T - np.eye(k))) <= 1e-10
+        # W inverts T to working precision: K u ||W||inf ||T||inf
+        norms = np.linalg.norm(tm.W, np.inf) * np.linalg.norm(tm.T, np.inf)
+        assert np.max(np.abs(tm.W @ tm.T - np.eye(k))) <= k * 2.0**-53 * norms
     else:
         with pytest.raises(SingularTransition, match=transition_error):
             transition_from_matrix(t)
@@ -367,8 +510,11 @@ def test_sample_noisy_deterministic():
 
 
 def test_condition_number_surfaces():
-    tm = build_transition(rr(4, 0.1))
-    assert tm.condition_number == pytest.approx(np.linalg.cond(tm.T), rel=1e-12)
+    # read off the block form's eigenvalues, it agrees with an SVD
+    for spec in family_grid():
+        tm = build_transition(spec)
+        assert tm.condition_number <= 1e6, spec
+        assert tm.condition_number == pytest.approx(np.linalg.cond(tm.T), rel=1e-12), spec
 
 
 @st.composite
@@ -390,6 +536,9 @@ def parametric_specs(draw, eps=st.floats(min_value=0.0, max_value=0.9)):
 
 
 @given(parametric_specs())
+# nu = 1e-12: W's reading, within 1e-12, would take T for one block, whose
+# closed-form W missed I by 2.5e-13; T is read as two blocks
+@example(ContaminationSpec(family=Family.TWO_LEVEL_RR, k=4, eps=0.5, nu=1e-12))
 def test_closed_form_inverse_inverts_built_transition_property(spec):
     w = closed_form_inverse(spec).W
     t = build_transition(spec).T
