@@ -57,7 +57,6 @@ from .noise_model import (
     build_transition,
     closed_form_inverse,
     sample_noisy_labels,
-    transition_from_matrix,
 )
 from .scores import aps_scores, validate_probability_rows
 from .synth import (

@@ -10,12 +10,12 @@ Three routes produce a correction:
   + B(K, n, beta)/sqrt(n), minimized exactly over beta one branch of the min
   inside B at a time; the branches, each with its constant, are declared
   once (``_branches``), and the bound is the smaller branch optimum.  When
-  ``noise_model._block_form`` reads W's block form (d on the diagonal, s
-  within and o across blocks of m labels, under any labelling), as every
+  ``noise_model._block_form`` reads W's block form (diag I + within B +
+  across (J - B), blocks of m labels under any labelling), as every
   parametric family's inverse has however it was given or relabelled, both
-  branches are in closed form from K, m, d, s and o alone.  Any other W
-  takes a sparse linear program per branch, solved by interior point
-  (O(K^2) memory), the package's one use of SciPy.  ``delta_fs`` and
+  branches are in closed form from K, m, diag, within and across alone.
+  Any other W takes a sparse linear program per branch, solved by interior
+  point (O(K^2) memory), the package's one use of SciPy.  ``delta_fs`` and
   ``delta_fs_special`` build their report in one place, ``_fs_report``.
 * ``delta_asy``: asymptotic route; estimates the plug-in covariance of the
   limiting Gaussian process once, on the finest grid of a halving ladder
@@ -63,9 +63,7 @@ from .noise_model import (
     TransitionMatrix,
     _as_w,
     _block_form,
-    _block_inverse,
     _conditioned,
-    _family_blocks,
     build_transition,
 )
 
@@ -396,8 +394,9 @@ def _block_minimizer(
 ) -> BetaVector:
     """The problem of :func:`_branch_lp`, solved exactly from W's block form.
 
-    A W of ``form`` (blocks, d, s, o), K labels in blocks of m
-    (:func:`~noisycal.noise_model._block_form`), is invariant under a
+    A W of ``form`` (blocks, diag, s, o), K labels in blocks of m
+    (:func:`~noisycal.noise_model._block_form`), with d = diag + s on its
+    diagonal, s within and o across blocks, is invariant under a
     permutation group transitive on the classes, and so is each convex
     problem, so a minimizer averaged over the group has every
     beta_k = K x.  A column of Omega then holds d - beta0 - x once, s - x
@@ -408,8 +407,8 @@ def _block_minimizer(
     beta0 + 2x = d + v.  O(K) work, no solver.  A signed problem must be
     bounded below, as :func:`_branch_minimizers` checks first.
     """
-    blocks, d, s, o = form
-    k, m = blocks.size, np.count_nonzero(blocks == 0)
+    blocks, diag, s, o = form
+    k, m, d = blocks.size, np.count_nonzero(blocks == 0), diag + s
     lines = [(1, 0, 0), (0, 1, 0), (1, 1, d), (0, 1, (s + o) / 2)]
     for v in (s, o):
         lines += [(0, 1, v), (1, 0, d - v), (1, 2, d + v)]
@@ -505,20 +504,22 @@ def delta_fs(n: int, k: int, w, c_n: float) -> CorrectionReport:
 def delta_fs_special(spec: ContaminationSpec, n: int, c_n: float) -> CorrectionReport:
     """Analytic candidate beta' for the parametric families, evaluated.
 
-    beta'_0 = 1/(1-eps), the coefficient of I in W, and every beta'_k is K
-    times W's within-block coefficient, both as the closed form
-    (:func:`~noisycal.noise_model._block_inverse`) gives them on the family's
-    own blocks: -eps/(1-eps) for randomized response, where Omega vanishes
-    and the value is c(n) exactly, -b eps/(1-eps) for block RR and the
-    paper's -p for the two-level model.  Used as the optimizer cross-check
-    and as a fast simplified mode.
+    beta'_0 is the coefficient of I in W and every beta'_k is K times W's
+    within-block coefficient, both read off W's own block form
+    (:func:`~noisycal.noise_model._block_form`): 1/(1-eps) with
+    -eps/(1-eps) for randomized response, where Omega vanishes and the value
+    is c(n) exactly, -b eps/(1-eps) for block RR and the paper's -p for the
+    two-level model.  Where W reads as one block of K labels (block RR with
+    b = K, where W = I, and the two-level model at K = 2) Omega vanishes too,
+    and the value is c(n).  Used as the optimizer cross-check and as a fast
+    simplified mode.
     """
     _check_n(n)
     _check_real("c_n", c_n, 0.0, math.inf, "()")
-    _, diag, within, _ = _block_inverse(*_family_blocks(spec))
+    w = build_transition(spec).W
+    _, diag, within, _ = _block_form(w)
     k = spec.k
     beta = BetaVector(beta0=diag, betas=np.full(k, k * within))
-    w = build_transition(spec).W
     return _fs_report(n, w, c_n, dict.fromkeys(_branches(k, n), beta))
 
 
@@ -698,7 +699,7 @@ def _mean_se(stat: NDArray[np.float64]):
     return stat.mean(axis=-1), stat.std(axis=-1, ddof=1) / math.sqrt(stat.shape[-1])
 
 
-def _condition_number(chol: NDArray[np.float64]) -> float:
+def _covariance_condition(chol: NDArray[np.float64]) -> float:
     """Exact 2-norm condition number of the factored covariance L L^T.
 
     The ratio of its extreme eigenvalues, which are positive because the
@@ -760,7 +761,7 @@ def delta_asy(
     strides = [int(round(h / hs[-1])) for h in hs]
     sigma = estimate_covariance(cal, w, grid)
     sups, chol, jitter = _ladder_sups(sigma, strides, m, seed)
-    condition_number = math.inf if chol is None else _condition_number(chol)
+    condition_number = math.inf if chol is None else _covariance_condition(chol)
     means, ses = _mean_se(sups)
     extrapolated, extrapolated_se = _mean_se(weights @ sups)
     diagnostics = {
@@ -845,7 +846,8 @@ def upper_bound_diagnostics(
     _check_real("delta_n", delta_n, 0.0, math.inf, "[)")
     _check_real("delta_ss_n", delta_ss_n, 0.0, math.inf, "[)")
     mix = t * rho[None, :] / rho_tilde[:, None]
-    v = np.linalg.inv(_conditioned(mix, SingularM, "mixing matrix M"))
+    _conditioned(mix, SingularM, "mixing matrix M")
+    v = np.linalg.inv(mix)
     bracket = float(np.max(rho / rho_tilde * np.abs(v).sum(axis=1)))
     d_n = n**0.25 * delta_ss_n
     phi_n = 3.0 * delta_ss_n + 2.0 / n + n**-0.25 + (bracket - 1.0) / (n + 1.0)

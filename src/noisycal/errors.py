@@ -41,8 +41,7 @@ class InvalidSpec(NoisycalError):
 
 
 class SingularTransition(NoisycalError):
-    """The transition matrix's condition number exceeds 1e12, or the W given
-    with it does not invert it to working precision."""
+    """The transition matrix's condition number exceeds 1e12."""
 
 
 class InvalidProbability(NoisycalError):

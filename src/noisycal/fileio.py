@@ -45,7 +45,7 @@ from .errors import (
     _check_real,
     _check_type,
 )
-from .noise_model import TransitionMatrix, transition_from_matrix
+from .noise_model import TransitionMatrix
 
 __all__ = [
     "RESULTS_HEADER",
@@ -324,7 +324,7 @@ def read_transition_csv(path: str) -> TransitionMatrix:
         raise FileFormatError(
             f"column {worst + 1} sums to {float(colsums[worst])!r}, not 1 within 1e-6"
         )
-    return transition_from_matrix(matrix / colsums)
+    return TransitionMatrix(matrix / colsums)
 
 
 def _write_dicts(path: str, header: Sequence[str], rows: Sequence[dict]) -> None:

@@ -15,19 +15,18 @@ between blocks and 1 on constants, so its closed-form inverse is
     W = I/l1 + (1/l2 - 1/l1) B/m + (1 - 1/l2) J/K.
 
 Renaming the classes changes nothing in this, so the blocks need not be runs
-of contiguous labels.  Every T, a family's or one read from a file, takes
-one route to W, ``transition_from_matrix``: ``_exact_block_form`` reads T's
-block form to working precision under any labelling, and a T that has one
-gets this W from its own entries (``_block_inverse``); every other T is
-inverted numerically.  ``build_transition`` hands a family's T to that
-route, and ``_block_form`` reads W's block form the same way, within the
-looser tolerance that the rounding of a computed W needs.
+of contiguous labels.  A channel is built from T alone: ``TransitionMatrix(T)``
+reads T's block form once, to working precision under any labelling
+(``_exact_block_form``), and derives both W and T's condition number from
+that reading.  A T that has the block form gets this W from its own entries
+(``_block_inverse``) and its condition number from the eigenvalues above;
+every other T is inverted numerically and takes an SVD.
+``build_transition`` hands a family's T to that constructor, and
+``_block_form`` reads W's block form the same way, within the looser
+tolerance that the rounding of a computed W needs.
 
-One rule certifies a channel, however it is built: its 2-norm condition
-number must be at most 1e12 (``_conditioned``).  A T that has the block
-form to working precision takes that number from the eigenvalues above,
-any other T from an SVD.  A W given with T need only invert it to working
-precision, which is a check of W, not a second limit on T.
+One rule certifies a channel: its 2-norm condition number must be at most
+1e12 (``_conditioned``).  A certified T is nonsingular, so its W exists.
 
 Labels are 0-based everywhere inside the library; the file and CLI layers
 translate from the 1-based convention used in data files.
@@ -35,9 +34,8 @@ translate from the 1-based convention used in data files.
 
 from __future__ import annotations
 
-import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -59,7 +57,6 @@ __all__ = [
     "TransitionMatrix",
     "build_transition",
     "closed_form_inverse",
-    "transition_from_matrix",
     "sample_noisy_labels",
 ]
 
@@ -121,22 +118,26 @@ class ContaminationSpec:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """A validated transition matrix together with its inverse.
+    """A certified transition matrix T together with its inverse W.
 
-    T is refused past a condition number of 1e12, the one certification rule
-    (see the module docstring), and W unless it inverts T to working
-    precision.
+    Built from T alone.  T is refused past a condition number of 1e12, the
+    one certification rule (see the module docstring); W and the condition
+    number are derived from one reading of T's block form.
 
     Fields
     ------
     T : ndarray
         Column-stochastic K x K matrix, ``T[k, l] = P(noisy=k | true=l)``.
     W : ndarray
-        Inverse of ``T``.
+        Inverse of ``T``: the closed form when T has the block form, an LU
+        inverse otherwise.
+    condition_number : float
+        2-norm condition number of T (equal to that of W), at most 1e12.
     """
 
     T: NDArray[np.float64]
-    W: NDArray[np.float64]
+    W: NDArray[np.float64] = field(init=False)
+    condition_number: float = field(init=False)
 
     def __post_init__(self) -> None:
         t = _check_square("T", self.T).copy()
@@ -148,38 +149,17 @@ class TransitionMatrix:
                 "T columns must sum to 1 within 1e-10; "
                 f"worst deviation {np.max(np.abs(colsums - 1.0)):.3e}"
             )
-        # T is certified before W is looked at: a singular T has no W
-        _conditioned(t, SingularTransition, "transition matrix")
-        w = _check_square("W", self.W, t.shape[0]).copy()
-        # W must invert T to working precision: max|W T - I| at most
-        # 2 K u ||W||inf ||T||inf.  The computed product misses W T by at
-        # most gamma_K |W| |T|, about K u ||W||inf ||T||inf (Higham, Accuracy
-        # and Stability of Numerical Algorithms, 3.5); a W that inverts some
-        # T + dT, |dT| <= K u max|T| (the backward error gamma_K allows an
-        # inverse, and the tolerance of _exact_block_form), misses I by
-        # W dT, at most K u ||W||inf ||T||inf more.  Closed-form and LU
-        # inverses of certified T at K = 1 to 200 miss I by at most 1.33 K u.
-        k = t.shape[0]
-        resid = float(np.max(np.abs(w @ t - np.eye(k))))
-        bound = 2 * k * _U * np.linalg.norm(w, np.inf) * np.linalg.norm(t, np.inf)
-        if not resid <= bound:
-            raise SingularTransition(
-                f"W does not invert T: max|W T - I| = {resid:.3e} exceeds "
-                f"2 K u ||W||inf ||T||inf = {bound:.3e}"
-            )
+        form, cond = _conditioned(t, SingularTransition, "transition matrix")
+        w = np.linalg.inv(t) if form is None else _block_matrix(*_block_inverse(*form))
         t.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "T", t)
         object.__setattr__(self, "W", w)
+        object.__setattr__(self, "condition_number", cond)
 
     @property
     def k(self) -> int:
         return self.T.shape[0]
-
-    @property
-    def condition_number(self) -> float:
-        """2-norm condition number of T (equal to that of W)."""
-        return _condition_number(self.T)
 
 
 def _as_w(w, k: int | None = None) -> NDArray[np.float64]:
@@ -187,9 +167,11 @@ def _as_w(w, k: int | None = None) -> NDArray[np.float64]:
     return _check_square("W", w.W if isinstance(w, TransitionMatrix) else w, k)
 
 
-def _family_blocks(
-    spec: ContaminationSpec,
-) -> tuple[NDArray[np.int64], float, float, float]:
+# the arguments (blocks, diag, within, across) of _block_matrix
+_BlockForm = tuple[NDArray[np.int64], float, float, float]
+
+
+def _family_blocks(spec: ContaminationSpec) -> _BlockForm:
     """(blocks, 1 - eps, within, across): T's :func:`_block_matrix` arguments.
 
     ``blocks`` maps each label to its block of m labels: m = K for RR, whose
@@ -225,42 +207,40 @@ _BLOCK_RTOL = 1e-12
 _U = 2.0**-53
 
 
-def _block_form(
-    a: NDArray[np.float64], rtol: float = _BLOCK_RTOL
-) -> tuple[NDArray[np.int64], float, float, float] | None:
-    """(blocks, d, s, o) when a = (d - s) I + s B + o (J - B), under any labelling.
+def _block_form(a: NDArray[np.float64], rtol: float = _BLOCK_RTOL) -> _BlockForm | None:
+    """:func:`_block_matrix`'s arguments ``(blocks, diag, within, across)``
+    when ``a`` has that form under any labelling, so that
+    ``_block_matrix(*form)`` rebuilds it.
 
     ``blocks`` maps each label to its block, numbered by first label, all of
-    one size m; B[i, j] = 1 when labels i and j share a block.  d is a[0, 0];
-    the within value s is one of the first two distinct off-diagonal values
-    of row 0 (the other one's labels cannot also form equal blocks), and o
-    is the other value, o = s for one block (m = K, one distinct value) and
-    s = o = 0 at K = 1.  Label i's block is i's first label whose entry in
-    row i is s.  None unless the blocks have one size and every entry lies
-    within ``rtol`` max|a| of that form.  O(K^2) work; reads T and W alike.
+    one size m.  The within value is one of the first two distinct
+    off-diagonal values of row 0 (the other one's labels cannot also form
+    equal blocks), and across is the other value: across = within for one
+    block (m = K, one distinct value), and both are 0 at K = 1.  Label i's
+    block is i's first label whose entry in row i is the within value, and
+    diag is a[0, 0] less that value.  None unless the blocks have one size
+    and every entry lies within ``rtol`` max|a| of that form.  O(K^2) work;
+    reads T and W alike.
     """
-    k = a.shape[0]
-    d = float(a[0, 0])
     tol = rtol * float(np.abs(a).max())
     row = a[0, 1:]
-    # the first two distinct off-diagonal values of row 0; either may be s
+    # the first two distinct off-diagonal values of row 0; either may be
+    # the within value
     values = row[:1].tolist() + row[np.abs(row - row[:1]) > tol][:1].tolist()
     pairs = [(values[i], values[-1 - i]) for i in range(len(values))]
-    for s, o in pairs or [(0.0, 0.0)]:
-        same = np.abs(a - s) <= tol
+    for within, across in pairs or [(0.0, 0.0)]:
+        same = np.abs(a - within) <= tol
         np.fill_diagonal(same, True)
         blocks = np.unique(same.argmax(axis=1), return_inverse=True)[1]
         sizes = np.bincount(blocks)
-        form = _block_matrix(blocks, 0.0, s, o)
-        np.fill_diagonal(form, d)
+        form = _block_matrix(blocks, 0.0, within, across)
+        np.fill_diagonal(form, a[0, 0])
         if np.all(sizes == sizes[0]) and np.all(np.abs(a - form) <= tol):
-            return blocks, d, s, o
+            return blocks, float(a[0, 0]) - within, within, across
     return None
 
 
-def _exact_block_form(
-    a: NDArray[np.float64],
-) -> tuple[NDArray[np.int64], float, float, float] | None:
+def _exact_block_form(a: NDArray[np.float64]) -> _BlockForm | None:
     """:func:`_block_form` to working precision: every entry within K u max|a|.
 
     That is the backward error gamma_K allows a numerical inverse, so the
@@ -284,47 +264,48 @@ def _block_eigenvalues(
     return m, diag, l2, l2 + blocks.size * across
 
 
-def _condition_number(a: NDArray[np.float64]) -> float:
-    """2-norm condition number of a finite square matrix ``a``.
+def _condition_number(a: NDArray[np.float64], form: _BlockForm | None) -> float:
+    """2-norm condition number of a finite square matrix ``a`` whose
+    :func:`_exact_block_form` is ``form``.
 
-    A matrix of block form (:func:`_exact_block_form`) is symmetric, so its
-    condition number is the ratio of the largest to the smallest modulus of
-    the eigenvalues that occur (:func:`_block_eigenvalues`): l1 when m > 1,
-    l2 when K > m, and l0; inf when one of them is 0.  Any other matrix
-    takes an SVD.
+    A matrix of block form is symmetric, so its condition number is the
+    ratio of the largest to the smallest modulus of the eigenvalues that
+    occur (:func:`_block_eigenvalues`): l1 when m > 1, l2 when K > m, and
+    l0; inf when one of them is 0.  Any other matrix (``form`` None) takes
+    an SVD.
     """
-    form = _exact_block_form(a)
     if form is None:
         return float(np.linalg.cond(a))
-    blocks, d, s, o = form
-    m, l1, l2, l0 = _block_eigenvalues(blocks, d - s, s, o)
-    moduli = [abs(l0)] + [abs(l1)] * (m > 1) + [abs(l2)] * (blocks.size > m)
+    m, l1, l2, l0 = _block_eigenvalues(*form)
+    moduli = [abs(l0)] + [abs(l1)] * (m > 1) + [abs(l2)] * (a.shape[0] > m)
     low = min(moduli)
     return max(moduli) / low if low > 0.0 else math.inf
 
 
 def _conditioned(
     a: NDArray[np.float64], error: type[Exception], name: str
-) -> NDArray[np.float64]:
-    """``a``, a finite square matrix, unless near-singular.
+) -> tuple[_BlockForm | None, float]:
+    """``(form, cond)``: the :func:`_exact_block_form` of ``a``, a finite
+    square matrix, and its condition number, both from one reading of ``a``.
 
     The one certification rule: raises ``error`` naming ``name`` unless the
-    2-norm condition number of ``a`` (:func:`_condition_number`) is at most
-    1e12.
+    2-norm condition number (:func:`_condition_number`) is at most 1e12.
     """
-    cond = _condition_number(a)
+    form = _exact_block_form(a)
+    cond = _condition_number(a, form)
     if not cond <= 1e12:
         raise error(
             f"{name} is numerically singular: condition number {cond:.3e} exceeds 1e12"
         )
-    return a
+    return form, cond
 
 
 def _block_inverse(
     blocks: NDArray[np.int64], diag: float, within: float, across: float
-) -> tuple[NDArray[np.int64], float, float, float]:
+) -> _BlockForm:
     """W's :func:`_block_matrix` arguments from those of a column-stochastic T,
-    whose eigenvalues l1 and l2 (:func:`_block_eigenvalues`) are not 0."""
+    whose eigenvalues l1 and l2 (:func:`_block_eigenvalues`) are not 0, as
+    for every certified T."""
     m, l1, l2, _ = _block_eigenvalues(blocks, diag, within, across)
     inv1, inv2 = 1.0 / l1, 1.0 / l2
     outer = (1.0 - inv2) / blocks.size
@@ -332,40 +313,16 @@ def _block_inverse(
 
 
 def build_transition(spec: ContaminationSpec) -> TransitionMatrix:
-    """Build a family's T from a spec and wrap it with :func:`transition_from_matrix`.
+    """A family's T from a spec, as a :class:`TransitionMatrix`.
 
     T has the block form, so W is its closed-form inverse; W = I exactly at
     eps = 0.
     """
-    return transition_from_matrix(_block_matrix(*_family_blocks(spec)))
+    return TransitionMatrix(_block_matrix(*_family_blocks(spec)))
 
 
 # the same constructor under its second public name
 closed_form_inverse = build_transition
-
-
-def transition_from_matrix(t: NDArray[np.float64]) -> TransitionMatrix:
-    """Wrap an explicit matrix T with its inverse W.
-
-    A T of block form to working precision under any labelling
-    (:func:`_exact_block_form`), as every family's T has, gets the
-    closed-form W; any other T is inverted numerically.  The constructor
-    certifies T, so T is refused past a condition number of 1e12.
-    """
-    t = _check_square("T", t)
-    form = _exact_block_form(t)
-    # an exactly singular T has no W: W = 0 stands in, and the constructor
-    # refuses T by its condition number
-    w = np.zeros_like(t)
-    if form is None:
-        with contextlib.suppress(np.linalg.LinAlgError):
-            w = np.linalg.inv(t)
-    else:
-        blocks, d, s, o = form
-        _, l1, l2, _ = _block_eigenvalues(blocks, d - s, s, o)
-        if l1 * l2 != 0.0:
-            w = _block_matrix(*_block_inverse(blocks, d - s, s, o))
-    return TransitionMatrix(T=t, W=w)
 
 
 def sample_noisy_labels(

@@ -107,8 +107,18 @@ def reference_family_inverse(spec) -> np.ndarray:
 
 
 def reference_beta_prime(spec) -> tuple[float, float]:
-    """(beta'_0, beta'_k) of the analytic candidate, one formula per family."""
-    eps = spec.eps
+    """(beta'_0, beta'_k) of the analytic candidate, one formula per family.
+
+    Blocks of one label (block RR with b = K, K = 1, and the two-level model
+    at K = 2) leave W one off-diagonal value, so W reads as one block of K
+    labels: beta'_0 is W's diagonal less that value, beta'_k K times it.
+    """
+    eps, k = spec.eps, spec.k
+    m = {Family.BLOCK_RR: k // (spec.b or 1), Family.TWO_LEVEL_RR: k // 2}.get(spec.family, k)
+    if m == 1:
+        w = reference_family_inverse(spec)
+        off = w[0, 1] if k > 1 else 0.0
+        return w[0, 0] - off, k * off
     if spec.family is Family.RANDOMIZED_RESPONSE:
         beta = -eps / (1.0 - eps)
     elif spec.family is Family.BLOCK_RR:

@@ -26,7 +26,7 @@ PUBLIC_NAMES = {
     "delta_star_star_bound", "estimate_covariance", "evaluate", "generate",
     "omega_matrix", "optimistic_threshold", "predict_probs", "prediction_sets",
     "sample_noisy_labels", "standard_threshold", "train_softmax",
-    "transition_from_matrix", "upper_bound_diagnostics",
+    "upper_bound_diagnostics",
     "validate_probability_rows",
 }
 
@@ -38,7 +38,7 @@ def test_public_api_is_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 51
 
 
 def test_fileio_and_cli_surfaces_are_pinned():

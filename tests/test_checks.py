@@ -50,7 +50,6 @@ from noisycal import (
     sample_noisy_labels,
     standard_threshold,
     train_softmax,
-    transition_from_matrix,
     upper_bound_diagnostics,
     validate_probability_rows,
 )
@@ -271,9 +270,7 @@ MATRICES = [
     ("b_term", "W", lambda m: b_term(2, 100, BETA, m)),
     ("delta_fs", "W", lambda m: delta_fs(100, 2, m, 0.1)),
     ("delta_star_star_bound", "W", lambda m: delta_star_star_bound(100, 2, m)),
-    ("transition_from_matrix", "T", transition_from_matrix),
-    ("TransitionMatrix-T", "T", lambda m: TransitionMatrix(T=m, W=W)),
-    ("TransitionMatrix-W", "W", lambda m: TransitionMatrix(T=W, W=m)),
+    ("TransitionMatrix-T", "T", TransitionMatrix),
     ("upper_bound_diagnostics", "t", lambda m: _diagnostics(t=m)),
 ]
 
@@ -510,11 +507,10 @@ VALID_CALLS = [
     (CalibrationSet, dict(scores=SCORES, noisy_labels=[0, 1, 1])),
     (delta_hat, dict(cal=CAL, w=W)),
     (ContaminationSpec, dict(family="block_rr", k=4, eps=0.1, nu=0.0, b=2)),
-    (TransitionMatrix, dict(T=T, W=np.linalg.inv(T))),
+    (TransitionMatrix, dict(T=T)),
     (build_transition, dict(spec=BLOCK4)),
     (closed_form_inverse, dict(spec=BLOCK4)),
     (sample_noisy_labels, dict(true_labels=[0, 1, 1], tm=TM, seed=0)),
-    (transition_from_matrix, dict(t=T)),
     (aps_scores, dict(probs=T, randomized=True, seed=0)),
     (validate_probability_rows, dict(probs=T)),
     (SoftmaxModel, dict(weights=np.zeros((2, 2)), iterations=0, final_loss=0.0)),

@@ -22,12 +22,12 @@ from noisycal import (
     InvalidSpec,
     SingularTransition,
     ThresholdResult,
+    TransitionMatrix,
     aps_scores,
     c_of_n,
     cn_envelope,
     correction,
     delta_star_star_bound,
-    transition_from_matrix,
 )
 from noisycal import cli
 from noisycal.cli import (
@@ -341,7 +341,7 @@ def test_calibrate_takes_every_certified_near_singular_channel(tmp_path, capsys,
     ran = 0
     for t in channels:
         try:
-            transition_from_matrix(t)
+            TransitionMatrix(t)
         except SingularTransition:
             continue
         np.savetxt(str(t_path), t, delimiter=",", fmt="%.17g")
@@ -785,6 +785,17 @@ def test_main_calibrate_non_finite_transition_exits_2(tmp_path, capsys, cell):
     argv = ["calibrate", "--scores", str(cal_path), "--transition", str(t_path)]
     assert main(argv + ["--method", "adaptive-fs"]) == 2
     assert "error: line 2: transition matrix entries must be finite" in (
+        capsys.readouterr().err
+    )
+
+
+def test_main_calibrate_singular_transition_exits_2(tmp_path, capsys):
+    cal_path, t_path = tmp_path / "cal.csv", tmp_path / "t.csv"
+    write_cal_csv(cal_path, seed=8, n=40, k=2)
+    t_path.write_text("0.5,0.5\n0.5,0.5\n")
+    argv = ["calibrate", "--scores", str(cal_path), "--transition", str(t_path)]
+    assert main(argv + ["--method", "adaptive-fs"]) == 2
+    assert "transition matrix is numerically singular: condition number inf" in (
         capsys.readouterr().err
     )
 

@@ -27,6 +27,7 @@ from noisycal import (
     LadderMismatch,
     SingularM,
     SolverFailure,
+    TransitionMatrix,
     adaptive_threshold,
     aps_scores,
     b_term,
@@ -44,7 +45,6 @@ from noisycal import (
     omega_matrix,
     optimistic_threshold,
     standard_threshold,
-    transition_from_matrix,
     upper_bound_diagnostics,
 )
 from noisycal.cli import correction_report
@@ -417,7 +417,8 @@ def test_delta_fs_special_two_level_nu_zero_reduces_to_rr():
 
 def test_delta_fs_special_matches_per_family_beta_over_grid():
     # beta' from W's block form against the per-family formulas, evaluated on
-    # the per-family W
+    # the per-family W; blocks of one label read as one block of K labels,
+    # where Omega vanishes and the value is c(n)
     n = 1000
     cn = c_of_n(n)
     for spec in family_grid():
@@ -770,7 +771,7 @@ def test_relabelling_changes_no_threshold(case, linprog_calls):
     pi = rng.permutation(k)
     inv = np.argsort(pi)
     tm = build_transition(spec)
-    relabelled = transition_from_matrix(tm.T[np.ix_(inv, inv)])
+    relabelled = TransitionMatrix(tm.T[np.ix_(inv, inv)])
     assert np.array_equal(relabelled.W, tm.W[np.ix_(inv, inv)])
     problems = [
         (CalibrationSet.from_scores(scores, labels), tm.W),
@@ -801,7 +802,7 @@ def test_relabelling_changes_no_threshold(case, linprog_calls):
 def test_single_class_corrections_are_cn(eps):
     # K = 1: T = W = [[1]] whatever eps is, Omega vanishes and both
     # corrections are c(n); beta_star is the closed form's first optimal
-    # vertex, beta' the family's (1/(1-eps), 1 - 1/(1-eps))
+    # vertex, beta' W's own block form (1, 0), whatever eps is
     spec = ContaminationSpec(family="rr", k=1, eps=eps)
     assert np.array_equal(build_transition(spec).W, [[1.0]])
     n = 5000
@@ -811,8 +812,7 @@ def test_single_class_corrections_are_cn(eps):
     assert (rep.beta_star.beta0, rep.beta_star.betas.tolist()) == (0.0, [1.0])
     special = delta_fs_special(spec, n, cn)
     assert special.value == cn
-    beta0 = 1.0 / (1.0 - eps)
-    assert (special.beta_star.beta0, special.beta_star.betas.tolist()) == (beta0, [1.0 - beta0])
+    assert (special.beta_star.beta0, special.beta_star.betas.tolist()) == (1.0, [0.0])
 
 
 def test_delta_fs_large_k_randomized_response_is_cn():

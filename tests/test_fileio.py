@@ -18,8 +18,10 @@ from noisycal import (
     FileFormatError,
     InvalidSpec,
     LengthMismatch,
+    SingularTransition,
     ThresholdResult,
-    transition_from_matrix,
+    TransitionMatrix,
+    build_transition,
 )
 from noisycal.fileio import (
     RESULTS_HEADER,
@@ -32,7 +34,7 @@ from noisycal.fileio import (
     write_summary_csv,
     write_threshold_json,
 )
-from oracles import reference_probability_csv
+from oracles import ladder_spec, reference_probability_csv, spy_svd
 
 
 def probs(seed=0, n=6, k=3):
@@ -314,7 +316,7 @@ def test_probability_writer_matches_csv_writer(tmp_path):
 
 def test_transition_roundtrip(tmp_path):
     t = np.array([[0.9, 0.2], [0.1, 0.8]])
-    tm = transition_from_matrix(t)
+    tm = TransitionMatrix(t)
     path = str(tmp_path / "t.csv")
     np.savetxt(path, tm.T, delimiter=",", fmt="%.17g")
     got = read_transition_csv(path)
@@ -362,6 +364,32 @@ def test_transition_read_rejects_non_square(tmp_path):
         fh.write("0.9,0.1\n")
     with pytest.raises(FileFormatError):
         read_transition_csv(path)
+
+
+def test_transition_read_refuses_a_singular_matrix(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("0.5,0.5\n0.5,0.5\n")
+    with pytest.raises(SingularTransition, match="condition number inf exceeds 1e12$"):
+        read_transition_csv(str(path))
+
+
+@pytest.mark.parametrize("k", [2, 4, 12, 60, 200])
+@pytest.mark.parametrize("family", ["rr", "block_rr", "two_level_rr"])
+def test_transition_csv_of_a_family_takes_its_closed_form(tmp_path, monkeypatch, family, k):
+    # a family's T read back from its decimals, each column rescaled to sum
+    # to 1, moves by at most K u and keeps its block form: W is the closed
+    # form to within the condition number times that, with no SVD taken
+    spec = ladder_spec(family, k, 0.7)
+    tm = build_transition(spec)
+    path = str(tmp_path / "t.csv")
+    np.savetxt(path, tm.T, delimiter=",", fmt="%.17g")
+    calls = spy_svd(monkeypatch)
+    got = read_transition_csv(path)
+    assert calls == []
+    ku = k * 2.0**-53
+    assert np.max(np.abs(got.T - tm.T)) <= ku
+    assert np.max(np.abs(got.W - tm.W)) <= ku * tm.condition_number * np.max(np.abs(tm.W))
+    assert got.condition_number == pytest.approx(tm.condition_number, rel=ku)
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,12 @@ import pytest
 from noisycal import (
     ContaminationSpec,
     SynthConfig,
+    TransitionMatrix,
     build_transition,
     generate,
     predict_probs,
     sample_noisy_labels,
     train_softmax,
-    transition_from_matrix,
 )
 from noisycal.cli import METHODS, main
 from noisycal.fileio import write_probability_csv
@@ -211,7 +211,7 @@ def inputs(tmp_path_factory):
         f: build_transition(ContaminationSpec(family=f, k=K, eps=0.2, nu=0.5, b=2))
         for f in FAMILIES
     }
-    channels["dense"] = transition_from_matrix(DENSE_T)
+    channels["dense"] = TransitionMatrix(DENSE_T)
     for i, (name, tm) in enumerate(channels.items()):
         noisy = sample_noisy_labels(y[:N_CAL], tm, seed=SEED + i)
         path = str(root / f"{name}.csv")

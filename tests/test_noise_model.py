@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -16,9 +17,9 @@ from noisycal import (
     closed_form_inverse,
     noise_model,
     sample_noisy_labels,
-    transition_from_matrix,
     upper_bound_diagnostics,
 )
+from noisycal.cli import correction_report
 from oracles import (
     NEAR_ONE,
     SKEWED_EPS,
@@ -126,15 +127,14 @@ def test_block_form_matches_per_family_formulas_over_grid():
 @pytest.mark.parametrize("family, nu", [("rr", 0.0), ("two_level_rr", 0.5)])
 def test_family_channel_near_eps_one_is_certified(family, nu):
     # the family's T, given as a matrix and relabelled, takes the closed-form
-    # W that passes the residual check; its numerical inverse misses I by
-    # ~1e-7 and was refused
+    # W, which inverts it to 1e-10; its numerical inverse misses I by ~1e-7
     spec = ContaminationSpec(family=family, k=4, eps=1.0 - 1e-10, nu=nu)
     tm = build_transition(spec)
     assert np.max(np.abs(tm.W @ tm.T - np.eye(4))) <= 1e-10
     assert tm.condition_number > 1e9
-    assert np.array_equal(transition_from_matrix(tm.T).W, tm.W)
+    assert np.array_equal(TransitionMatrix(tm.T).W, tm.W)
     perm = np.array([2, 0, 3, 1])
-    relabelled = transition_from_matrix(tm.T[np.ix_(perm, perm)])
+    relabelled = TransitionMatrix(tm.T[np.ix_(perm, perm)])
     assert np.array_equal(relabelled.W, tm.W[np.ix_(perm, perm)])
 
 
@@ -144,7 +144,7 @@ def test_near_singular_t_without_block_form_is_certified():
     # by ~2e-7, which is rounding at this conditioning, not a fault of W
     t = build_transition(rr(4, 1.0 - 1e-10)).T[:, [1, 0, 2, 3]]
     assert 1e9 < np.linalg.cond(t) <= 1e12
-    tm = transition_from_matrix(t)
+    tm = TransitionMatrix(t)
     assert tm.condition_number == np.linalg.cond(t)
     assert np.array_equal(tm.W, np.linalg.inv(t))
 
@@ -154,6 +154,10 @@ def test_family_past_the_condition_limit_is_refused():
     spec = rr(4, 1.0 - 1e-13)
     with pytest.raises(SingularTransition, match=r"condition number \S+ exceeds 1e12$"):
         build_transition(spec)
+    # the refusal names the condition number, 3.3e13 at 1 - eps = 3e-14
+    message = r"^transition matrix is numerically singular: condition number 3\.336e\+13 exceeds 1e12$"
+    with pytest.raises(SingularTransition, match=message):
+        TransitionMatrix(reference_family_matrix(rr(4, 1.0 - 3e-14)))
 
 
 def _certified(build, arg) -> bool:
@@ -192,26 +196,10 @@ def test_refusal_without_block_form_is_monotone_at_the_condition_limit(k):
     for eps in SKEWED_EPS:
         t = skewed_channel(k, eps)
         assert noise_model._block_form(t) is None
-        outcomes.append(_certified(transition_from_matrix, t))
+        outcomes.append(_certified(TransitionMatrix, t))
         assert outcomes[-1] == (np.linalg.cond(t) <= 1e12), eps
     assert outcomes[0] and not outcomes[-1]
     assert outcomes == sorted(outcomes, reverse=True)
-
-
-def test_direct_construction_takes_the_condition_limit():
-    # rr at K = 4 and 1 - eps = 3e-14 with its closed-form W, which misses I
-    # by only 5.6e-15: the constructor took it at condition number 3.3e13,
-    # which transition_from_matrix refuses
-    t = reference_family_matrix(rr(4, 1.0 - 3e-14))
-    blocks, d, s, o = noise_model._block_form(t)
-    w = noise_model._block_matrix(*noise_model._block_inverse(blocks, d - s, s, o))
-    assert np.max(np.abs(w @ t - np.eye(4))) <= 1e-14
-    with pytest.raises(SingularTransition) as route:
-        transition_from_matrix(t)
-    message = r"^transition matrix is numerically singular: condition number 3\.336e\+13 exceeds 1e12$"
-    with pytest.raises(SingularTransition, match=message) as direct:
-        TransitionMatrix(T=t, W=w)
-    assert str(direct.value) == str(route.value)
 
 
 @pytest.mark.parametrize(
@@ -234,9 +222,8 @@ def test_direct_construction_takes_the_condition_limit():
 def test_exactly_singular_t_raises_the_typed_error_alone(t):
     # a RuntimeWarning fails the test too (pyproject's filterwarnings), as
     # would a ZeroDivisionError from the closed form or a LinAlgError
-    for build in (transition_from_matrix, lambda t: TransitionMatrix(T=t, W=np.eye(t.shape[0]))):
-        with pytest.raises(SingularTransition, match="condition number"):
-            build(t)
+    with pytest.raises(SingularTransition, match="condition number"):
+        TransitionMatrix(t)
 
 
 @pytest.mark.parametrize("k", [4, 12, 60])
@@ -248,10 +235,29 @@ def test_relabelled_channel_keeps_its_certification(family, k):
     for one_minus_eps in (0.3, 1e-6, 1e-11, 9e-13):
         t = reference_family_matrix(ladder_spec(family, k, one_minus_eps))
         relabelled = t[np.ix_(perm, perm)]
-        cond = noise_model._condition_number(t)
-        assert noise_model._condition_number(relabelled) == pytest.approx(cond, rel=1e-12)
-        certified = _certified(transition_from_matrix, t)
-        assert _certified(transition_from_matrix, relabelled) == certified == (cond <= 1e12)
+        cond, cond_pi = (
+            noise_model._condition_number(a, noise_model._exact_block_form(a))
+            for a in (t, relabelled)
+        )
+        assert cond_pi == pytest.approx(cond, rel=1e-12)
+        certified = _certified(TransitionMatrix, t)
+        assert _certified(TransitionMatrix, relabelled) == certified == (cond <= 1e12)
+
+
+@pytest.mark.parametrize("k", [2, 4, 12, 60, 200])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_relabelled_family_t_takes_the_relabelled_closed_form(monkeypatch, family, k):
+    # T given as a matrix under a random labelling is read in its block form:
+    # its W is the family's closed form relabelled, bit for bit, and its
+    # condition number that of the family, with no SVD taken
+    calls = spy_svd(monkeypatch)
+    perm = np.random.default_rng(k).permutation(k)
+    for one_minus_eps in (0.7, 1e-6, 1e-11):
+        tm = build_transition(ladder_spec(family, k, one_minus_eps))
+        relabelled = TransitionMatrix(tm.T[np.ix_(perm, perm)])
+        assert np.array_equal(relabelled.W, tm.W[np.ix_(perm, perm)]), one_minus_eps
+        assert relabelled.condition_number == tm.condition_number, one_minus_eps
+    assert calls == []
 
 
 @pytest.mark.parametrize("balanced", [True, False], ids=["two-blocks", "no-block-form"])
@@ -268,29 +274,39 @@ def test_near_block_t_gets_its_own_inverse(balanced):
     delta = 8e-15 / np.max(np.abs(np.outer(v, v)))
     t = reference_family_matrix(rr(k, 1.0 - 1e-11)) - delta * np.outer(v, v)
     assert np.array_equal(noise_model._block_form(t)[0], np.zeros(k))
-    tm = transition_from_matrix(t)
+    tm = TransitionMatrix(t)
     assert tm.W @ v == pytest.approx(v / (1e-11 - delta), rel=1e-3)
     assert tm.condition_number == pytest.approx(np.linalg.cond(t), rel=1e-3)
 
 
 def test_t_is_certified_once(monkeypatch):
-    # the constructor alone certifies: one SVD for a T without the block
-    # form, none for a T of block form
+    # the constructor reads T's block form once and certifies it from that
+    # reading: one SVD for a T without the block form, none for a T of
+    # block form, and none and no reading when the condition number is read
+    # afterwards.  correction_report builds its channel once; the readings
+    # of W in correction go through that module's own name
     calls = spy_svd(monkeypatch)
-    transition_from_matrix(skewed_channel(12, 0.3))
-    assert calls == [(12, 12)]
-    build_transition(rr(12, 0.3))
-    assert calls == [(12, 12)]
+    real, reads = noise_model._block_form, []
 
+    def spy(a, *args, **kwargs):
+        reads.append(np.array(a))
+        return real(a, *args, **kwargs)
 
-def test_transition_matrix_names_a_w_that_does_not_invert_t():
-    # T = I is perfectly conditioned: the fault is W's
-    msg = (
-        r"^W does not invert T: max\|W T - I\| = 1\.000e\+00 exceeds "
-        r"2 K u \|\|W\|\|inf \|\|T\|\|inf = 1\.332e-15$"
-    )
-    with pytest.raises(SingularTransition, match=msg):
-        TransitionMatrix(T=np.eye(3), W=2 * np.eye(3))
+    monkeypatch.setattr(noise_model, "_block_form", spy)
+    dense = TransitionMatrix(skewed_channel(12, 0.3))
+    assert calls == [(12, 12)]
+    assert len(reads) == 1 and np.array_equal(reads[0], dense.T)
+    spec = rr(12, 0.3)
+    family = build_transition(spec)
+    assert calls == [(12, 12)]
+    assert len(reads) == 2 and np.array_equal(reads[1], family.T)
+    conds = dense.condition_number, family.condition_number
+    assert calls == [(12, 12)] and len(reads) == 2
+    report = correction_report(spec, 1000)
+    assert report.condition_number == conds[1]
+    assert calls == [(12, 12)]
+    assert len(reads) == 3 and np.array_equal(reads[2], family.T)
+    assert conds[0] == np.linalg.cond(dense.T)
 
 
 @pytest.mark.parametrize(
@@ -307,19 +323,19 @@ def test_block_form_of_one_block_channels(spec):
     # two-level halves at K = 2) and RR leave one distinct off-diagonal
     # value, read as one block of K labels; its closed form is the family's W
     tm = build_transition(spec)
-    blocks, d, s, o = noise_model._block_form(tm.T)
-    assert np.array_equal(blocks, np.zeros(spec.k))
-    assert (d, s, o) == (tm.T[0, 0], tm.T[0, 1], tm.T[0, 1])
+    form = noise_model._block_form(tm.T)
+    assert np.array_equal(form[0], np.zeros(spec.k))
+    assert form[1:] == (tm.T[0, 0] - tm.T[0, 1], tm.T[0, 1], tm.T[0, 1])
     w_ref = reference_family_inverse(spec)
     assert np.max(np.abs(tm.W - w_ref)) <= 1e-13 * np.max(np.abs(w_ref))
 
 
 def test_identity_of_one_label_is_its_own_inverse():
     # no off-diagonal entry to read: s = o = 0 at K = 1
-    tm = transition_from_matrix(np.eye(1))
+    tm = TransitionMatrix(np.eye(1))
     assert np.array_equal(tm.W, np.eye(1))
-    blocks, d, s, o = noise_model._block_form(tm.T)
-    assert np.array_equal(blocks, [0]) and (d, s, o) == (1.0, 0.0, 0.0)
+    blocks, diag, within, across = noise_model._block_form(tm.T)
+    assert np.array_equal(blocks, [0]) and (diag, within, across) == (1.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("perm", [range(6), [3, 1, 5, 0, 2, 4]])
@@ -391,33 +407,41 @@ def test_explicit_matrix_not_repaired():
     # off by 2e-6 in a column: rejected, never renormalized
     m = np.array([[0.5 + 2e-6, 0.5], [0.5, 0.5]])
     with pytest.raises(InvalidSpec, match="columns must sum to 1"):
-        transition_from_matrix(m)
+        TransitionMatrix(m)
 
 
 @pytest.mark.parametrize("cell", [np.nan, np.inf])
 def test_transition_matrix_refuses_non_finite_entries(cell):
-    # transition_from_matrix leaked scipy's ValueError from the LU
+    # the numerical inverse leaked scipy's ValueError from the LU
     t = np.array([[0.9, 0.2], [0.1, cell]])
     with pytest.raises(InvalidSpec, match="must be finite"):
-        transition_from_matrix(t)
-    with pytest.raises(InvalidSpec, match="must be finite"):
-        TransitionMatrix(T=t, W=np.eye(2))
-    with pytest.raises(InvalidSpec, match="must be finite"):
-        TransitionMatrix(T=np.eye(2), W=t)
+        TransitionMatrix(t)
 
 
 def test_transition_matrix_refuses_a_negative_entry():
     # columns that sum to 1 through a negative entry
     t = np.array([[1.1, 0.0], [-0.1, 1.0]])
-    for call in (lambda: TransitionMatrix(T=t, W=np.linalg.inv(t)),
-                 lambda: transition_from_matrix(t)):
-        with pytest.raises(InvalidSpec, match="^T entries must be nonnegative$"):
-            call()
+    with pytest.raises(InvalidSpec, match="^T entries must be nonnegative$"):
+        TransitionMatrix(t)
 
 
-def test_transition_from_matrix_singular():
+def test_transition_matrix_singular():
     with pytest.raises(SingularTransition):
-        transition_from_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        TransitionMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("name", ["W", "condition_number"])
+def test_transition_matrix_takes_t_alone(name):
+    # W and the condition number are derived from T, never passed in
+    with pytest.raises(TypeError, match=name):
+        TransitionMatrix(T=np.eye(2), **{name: np.eye(2)})
+
+
+def test_replacing_t_derives_w_afresh():
+    tm = build_transition(rr(3, 0.2))
+    other = dataclasses.replace(tm, T=reference_family_matrix(rr(3, 0.5)))
+    assert np.array_equal(other.W, build_transition(rr(3, 0.5)).W)
+    assert other.condition_number == build_transition(rr(3, 0.5)).condition_number
 
 
 def _symmetric2(d):
@@ -446,13 +470,13 @@ def test_near_singular_matrices_keep_their_outcomes(t, transition_error, mixing_
     rho = np.full(k, 1.0 / k)
     rho_tilde = t @ rho
     if transition_error is None:
-        tm = transition_from_matrix(t)
+        tm = TransitionMatrix(t)
         # W inverts T to working precision: K u ||W||inf ||T||inf
         norms = np.linalg.norm(tm.W, np.inf) * np.linalg.norm(tm.T, np.inf)
         assert np.max(np.abs(tm.W @ tm.T - np.eye(k))) <= k * 2.0**-53 * norms
     else:
         with pytest.raises(SingularTransition, match=transition_error):
-            transition_from_matrix(t)
+            TransitionMatrix(t)
     args = (100, k, t, rho, rho_tilde, 0.1, 0.1)
     if mixing_error:
         with pytest.raises(SingularM):
@@ -464,9 +488,9 @@ def test_near_singular_matrices_keep_their_outcomes(t, transition_error, mixing_
 @pytest.mark.parametrize(
     "t", [np.array([[0.5, 0.5, 0.2], [0.5, 0.5, 0.8]]), np.array([1.0]), np.zeros((0, 0))]
 )
-def test_transition_from_matrix_refuses_non_square(t):
+def test_transition_matrix_refuses_non_square(t):
     with pytest.raises(InvalidSpec, match="square"):
-        transition_from_matrix(t)
+        TransitionMatrix(t)
 
 
 def test_sample_noisy_identity():
@@ -573,10 +597,60 @@ def column_stochastic(draw):
 def test_sample_noisy_matches_per_sample_cdf_property(model, draws, seed):
     # the K x n per-sample CDF the sampler once built gives the same labels
     if isinstance(model, np.ndarray):
-        tm = transition_from_matrix(model)
+        tm = TransitionMatrix(model)
     else:
         tm = build_transition(model)
     y = np.array(draws, dtype=np.int64) % tm.k
     got = sample_noisy_labels(y, tm, seed=seed)
     assert got.dtype == np.int64
     assert np.array_equal(got, reference_noisy_labels(y, tm.T, seed))
+
+
+def _relabelled(spec, seed):
+    """A family's T as stored, its labels permuted at random."""
+    perm = np.random.default_rng(seed).permutation(spec.k)
+    return reference_family_matrix(spec)[np.ix_(perm, perm)]
+
+
+def _skewed2(a, d):
+    """A 2 x 2 channel of determinant d, with no block form unless a = (1 + d)/2."""
+    return np.array([[a, a - d], [1.0 - a, 1.0 - a + d]])
+
+
+CHANNELS = st.one_of(
+    st.builds(
+        _relabelled,
+        st.one_of(
+            parametric_specs(eps=st.floats(0.0, 1.0 - 1e-13)),
+            st.builds(
+                ladder_spec,
+                st.sampled_from(FAMILIES),
+                st.sampled_from([4, 12, 60]),
+                st.sampled_from(NEAR_ONE),
+            ),
+        ),
+        st.integers(0, 2**32 - 1),
+    ),
+    column_stochastic(),
+    st.builds(skewed_channel, st.sampled_from([4, 12, 60]), st.sampled_from(SKEWED_EPS)),
+    st.builds(_symmetric2, st.floats(1e-13, 0.5)),
+    st.builds(_skewed2, st.floats(0.5, 1.0), st.floats(1e-13, 0.5)),
+)
+
+
+@given(CHANNELS)
+@example(_symmetric2(1e-9))
+@example(reference_family_matrix(ladder_spec("two_level_rr", 60, 1e-11)))
+def test_certified_w_inverts_t_to_working_precision_property(t):
+    # max|W T - I| <= 2 K u ||W||inf ||T||inf for every certified T: the
+    # rounding of the product (gamma_K |W| |T|) plus W times a backward
+    # error of K u max|T|, the closed form's reading tolerance and what an
+    # LU inverse may carry
+    try:
+        tm = TransitionMatrix(t)
+    except SingularTransition:
+        return
+    k = tm.k
+    resid = np.max(np.abs(tm.W @ tm.T - np.eye(k)))
+    norms = np.linalg.norm(tm.W, np.inf) * np.linalg.norm(tm.T, np.inf)
+    assert resid <= 2 * k * 2.0**-53 * norms
