@@ -66,7 +66,7 @@ class CalibrationMethod(str, Enum):
     ADAPTIVE_PLUS = "adaptive_plus"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThresholdResult:
     """A calibrated threshold with its provenance.
 

@@ -48,10 +48,10 @@ from .calibrate import (
 from .correction import (
     CorrectionMethod,
     CorrectionReport,
+    _fs_special,
     c_of_n,
     delta_asy,
     delta_fs,
-    delta_fs_special,
 )
 from .empirical import CalibrationSet
 from .errors import (
@@ -217,7 +217,8 @@ def _correction(
     """The correction of one route at calibration size n; None for ``"none"``.
 
     ``"cn"`` is c(n) alone, ``"asy"`` needs the calibration set itself, and
-    ``"fs-simplified"`` a parametric contamination model.  ``"fs"`` is
+    ``"fs-simplified"`` a parametric contamination model, whose channel
+    ``tm`` it reads once (:func:`~noisycal.correction._fs_special`).  ``"fs"`` is
     :func:`delta_fs` on ``tm``, in closed form whenever W has the block form
     of the parametric families under any labelling, whether it came from
     ``spec`` or from a file; any other matrix needs the Massart LP.
@@ -235,7 +236,7 @@ def _correction(
         return CorrectionReport(method=CorrectionMethod.CN_ONLY, value=c_n, c_n=c_n)
     if route == "fs":
         return delta_fs(n, tm.k, tm, c_n)
-    return delta_fs_special(spec, n, c_n)
+    return _fs_special(tm, n, c_n)
 
 
 def _pipeline(

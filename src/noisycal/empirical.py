@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationSet:
     """Calibration scores with their noisy labels.
 
@@ -82,7 +82,7 @@ class CalibrationSet:
         return self.scores.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InflationCurve:
     """Delta_hat evaluated at the own-score order statistics."""
 

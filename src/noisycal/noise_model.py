@@ -116,7 +116,7 @@ class ContaminationSpec:
                 raise InvalidSpec(f"two-level model needs an even k, got {self.k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """A certified transition matrix T together with its inverse W.
 

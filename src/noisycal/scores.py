@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidProbability, InvalidSpec, _check_array, _check_int
+from .errors import InvalidProbability, InvalidSpec, _check_array, _check_int, _check_type
 
 __all__ = [
     "validate_probability_rows",
@@ -85,7 +85,8 @@ def aps_scores(
     probs : ndarray
         n x K probability rows (validated and renormalized on ingest).
     randomized : bool
-        Subtract U * probs with one uniform U per row, shared across labels.
+        Subtract U * probs with one uniform U per row, shared across labels;
+        anything but a bool raises InvalidSpec.
     seed : int
         Seed for the randomization draws; the deterministic variant consumes
         no randomness.
@@ -96,6 +97,7 @@ def aps_scores(
         n x K scores in [0, 1]; s(x, k) is the cumulative sum of the descending
         sorted probabilities down to the rank of k.
     """
+    _check_type("randomized", randomized, bool)
     _check_int("seed", seed, 0)
     p = validate_probability_rows(probs)
     n = p.shape[0]

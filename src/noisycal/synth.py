@@ -72,7 +72,7 @@ class SynthConfig:
         return self.n_train + self.n_cal + self.n_test
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SoftmaxModel:
     """Affine softmax classifier; last weight row is the bias."""
 

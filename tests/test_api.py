@@ -1,10 +1,12 @@
 """The public surface of ``noisycal``, pinned so that a change to it is deliberate."""
 
+import dataclasses
 import re
 import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import noisycal
 import noisycal.cli
@@ -62,6 +64,58 @@ def test_fileio_and_cli_surfaces_are_pinned():
         "correction_report",
         "main",
     ]
+
+
+def _calibration_set():
+    rng = np.random.default_rng(3)
+    return noisycal.CalibrationSet.from_scores(rng.random((20, 3)), np.arange(20) % 3)
+
+
+_SPEC = dict(family="block_rr", k=4, eps=0.2, b=2)
+# each public record, built afresh from the same inputs on every call
+RECORDS = {
+    "BetaVector": lambda: noisycal.BetaVector(1.0, np.zeros(3)),
+    "CalibrationSet": _calibration_set,
+    "ContaminationSpec": lambda: noisycal.ContaminationSpec(**_SPEC),
+    "CorrectionReport": lambda: noisycal.cli.correction_report(
+        noisycal.ContaminationSpec(**_SPEC), 1000
+    ),
+    "ExperimentConfig": lambda: noisycal.cli.ExperimentConfig(
+        k=3, d=4, n_train=30, n_cal=30, n_test=30
+    ),
+    "InflationCurve": lambda: noisycal.delta_hat(_calibration_set(), np.eye(3)),
+    "SoftmaxModel": lambda: noisycal.SoftmaxModel(np.zeros((3, 2)), 0, 0.0),
+    "SynthConfig": lambda: noisycal.SynthConfig(k=3, d=4, n_train=30, n_cal=30, n_test=30),
+    "ThresholdResult": lambda: noisycal.standard_threshold(_calibration_set(), 0.1),
+    "TransitionMatrix": lambda: noisycal.build_transition(
+        noisycal.ContaminationSpec(**_SPEC)
+    ),
+}
+# records of scalars compare by value; a record with an array, dict or such
+# record field compares by identity, so == and hash never touch an array
+VALUE_RECORDS = {"ContaminationSpec", "ExperimentConfig", "SynthConfig"}
+
+
+def test_every_public_record_is_listed():
+    records = {
+        name
+        for module in (noisycal, noisycal.cli)
+        for name, value in vars(module).items()
+        if not name.startswith("_") and isinstance(value, type)
+        and dataclasses.is_dataclass(value)
+    }
+    assert records == RECORDS.keys()
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_compare_hash_and_print(name):
+    a, b = RECORDS[name](), RECORDS[name]()
+    assert type(a).__name__ == name
+    assert a == a and (a == b) is (name in VALUE_RECORDS)
+    assert hash(a) == hash(a)
+    if name in VALUE_RECORDS:
+        assert hash(a) == hash(b)
+    assert repr(a).startswith(f"{name}(")
 
 
 _README_PROBE = """

@@ -29,7 +29,7 @@ from noisycal import (
     correction,
     delta_star_star_bound,
 )
-from noisycal import cli
+from noisycal import cli, noise_model
 from noisycal.cli import (
     METHODS,
     ExperimentConfig,
@@ -505,6 +505,38 @@ def test_correction_report_variants():
         correction_report(spec, 0)
     with pytest.raises(InvalidSpec, match="n must be an integer"):
         correction_report(spec, 500.0)
+
+
+@pytest.fixture
+def t_readings(monkeypatch):
+    """The shape of every matrix whose block form noise_model reads."""
+    readings = []
+    real = noise_model._block_form
+
+    def spy(a, *args, **kwargs):
+        readings.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(noise_model, "_block_form", spy)
+    return readings
+
+
+@pytest.mark.parametrize("variant", ["fs", "simplified", "cn"])
+def test_correction_report_reads_t_once(variant, t_readings):
+    # the report builds its channel once and every variant takes that
+    # channel, so T's block form is read once whatever the variant
+    spec = ContaminationSpec(family=Family.BLOCK_RR, k=4, eps=0.2, b=2)
+    correction_report(spec, 500, variant=variant)
+    assert t_readings == [(4, 4)]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_calibrate_reads_t_once(method, tmp_path, t_readings):
+    # one channel per run, whatever the method
+    path = tmp_path / "cal.csv"
+    write_cal_csv(path, seed=21, n=60, k=4)
+    run_from_scores(str(path), model="block_rr", eps=0.2, b=2, method=method)
+    assert t_readings == [(4, 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -1090,14 +1122,14 @@ def test_family_fs_route_never_solves_the_lp(tmp_path, monkeypatch):
         return real_lp(w, *args, **kwargs)
 
     # a transition matrix read from a file whose inverse has no block form
-    # still needs the LP, once per branch
+    # still needs the LP, once, for the Massart branch
     monkeypatch.setattr(correction, "_branch_lp", count)
     cal_path = tmp_path / "cal.csv"
     write_cal_csv(cal_path, seed=15, n=40, k=3)
     t_path = tmp_path / "t.csv"
     np.savetxt(str(t_path), dense_transition(3, 15), delimiter=",", fmt="%.17g")
     run_from_scores(str(cal_path), transition_path=str(t_path), method="adaptive-fs")
-    assert calls == [(3, 3), (3, 3)]
+    assert calls == [(3, 3)]
 
 
 def test_methods_tuple_is_canonical():

@@ -9,7 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from scipy import optimize as scipy_optimize
 from scipy import sparse as scipy_sparse
 from hypothesis import strategies as st
@@ -531,7 +531,8 @@ for _k, _eps in itertools.product(_BLOCK_COUNTS, (0.0, 0.2, 0.6)):
 def test_family_closed_form_matches_massart_lp(case):
     # all four problems, each branch with the signed objective (delta_fs,
     # weight c(n)) and with |beta| (delta_star_star_bound, weight the
-    # envelope), against the LP
+    # envelope): Massart against the sparse LP, chaining against the dense
+    # LP oracle
     spec = ContaminationSpec(**FAMILY_CASES[case])
     w = build_transition(spec).W
     n = 5000
@@ -546,7 +547,11 @@ def test_family_closed_form_matches_massart_lp(case):
         closed = correction._branch_minimizers(n, w, weight, absolute)
         assert closed.keys() == problems.keys()
         for name, (z_coef, per_column) in problems.items():
-            lp_beta = correction._branch_lp(w, weight, z_coef, per_column, absolute)
+            if per_column:
+                lp_beta = correction._branch_lp(w, weight, z_coef, absolute)
+            else:
+                x = dense_branch_lp(spec.k, w, weight, z_coef, False, absolute).x
+                lp_beta = BetaVector(beta0=x[0], betas=x[1 : 1 + spec.k])
             want = correction._fs_values(n, w, weight, lp_beta, absolute)[name]
             got = correction._fs_values(n, w, weight, closed[name], absolute)[name]
             assert got == pytest.approx(want, rel=1e-9), (name, absolute)
@@ -560,8 +565,8 @@ def test_family_closed_form_matches_massart_lp(case):
     assert rep.value == pytest.approx(max(min(signed), 0.0), rel=1e-9)
     star = min(v for (_, absolute), v in optimum.items() if absolute)
     assert delta_star_star_bound(n, spec.k, w) == pytest.approx(star, rel=1e-9)
-    # delta_fs_special's candidate beta' is one of the closed form's
-    # vertices, evaluated on the same W
+    # delta_fs_special's candidate beta' is one point of each problem,
+    # evaluated on the same W, so it cannot beat the optimum
     assert rep.value <= delta_fs_special(spec, n, c_of_n(n)).value
 
 
@@ -599,9 +604,11 @@ def _objective(w, beta, weight, z_coef, per_column, absolute):
 @pytest.mark.parametrize("seed", range(20))
 def test_block_closed_form_matches_lp_on_any_block_w(seed):
     # arbitrary d, s and o, and z coefficients from the boundedness edge up
-    # (from below it for |beta|), reach vertices that no family's W reaches
-    # at a real n: each of the lines beta0 = d - v, beta0 + 2x = d + v and
-    # x = (s + o)/2 is needed by some case here
+    # (from below it for |beta|), reach optima that no family's W reaches
+    # at a real n: the Massart form's four points x = d, 0, s and o with
+    # beta0 = d - x, or beta0 = 0 for |beta| below z = weight, against the
+    # sparse LP; the chaining kernel on the same W, whose |beta| draws below
+    # z = K weight take the crossings of two A_k lines, against the dense LP
     rng = np.random.default_rng(seed)
     for k, m in ((4, 2), (6, 2), (6, 3), (5, 5), (12, 3)):
         d, s, o = rng.normal(size=3) * rng.choice([0.1, 1.0, 10.0], size=3)
@@ -614,11 +621,53 @@ def test_block_closed_form_matches_lp_on_any_block_w(seed):
             edge = weight if per_column else k * weight
             z_coef = edge * rng.uniform(0.2 if absolute else 1.0, 3.0)
             args = (weight, z_coef, per_column, absolute)
-            got = correction._block_minimizer(form, *args)
-            want = correction._branch_lp(w, *args)
+            if per_column:
+                got = correction._block_minimizer(form, weight, z_coef, absolute)
+                lp_beta = correction._branch_lp(w, weight, z_coef, absolute)
+                want = _objective(w, lp_beta, *args)
+            else:
+                got = correction._chaining_minimizer(w, weight, z_coef, absolute)
+                want = dense_branch_lp(k, w, *args).fun
             assert _objective(w, got, *args) == pytest.approx(
-                _objective(w, want, *args), rel=1e-9, abs=1e-12
+                want, rel=1e-9, abs=1e-12
             ), (k, m, per_column, absolute)
+
+
+@st.composite
+def chaining_problems(draw):
+    """(K, W, weight, z, abs_objective) for the chaining kernel: W a dense
+    channel inverse, a non-stochastic Gaussian matrix, a matrix with ties
+    or a relabelled block form, K = 2..12, z from K weight up (signed) or
+    from 0.2 K weight up (|beta|)."""
+    k = draw(st.integers(min_value=2, max_value=12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["inverse", "gaussian", "ties", "block"]))
+    if kind == "inverse":
+        w = _random_dense_w(k, seed)
+    elif kind == "gaussian":
+        w = rng.normal(size=(k, k)) * rng.choice([0.1, 1.0, 10.0])
+    elif kind == "ties":
+        w = rng.integers(-2, 3, size=(k, k)) / 2.0
+    else:
+        m = draw(st.sampled_from([m for m in range(1, k + 1) if k % m == 0]))
+        d, s, o = rng.normal(size=3)
+        block = rng.permutation(np.arange(k) // m)
+        w = np.where(block[:, None] == block[None, :], s, o) + (d - s) * np.eye(k)
+    absolute = draw(st.booleans())
+    weight = draw(st.floats(min_value=0.01, max_value=1.0))
+    ratio = draw(st.floats(min_value=0.2 if absolute else 1.0, max_value=50.0))
+    return k, w, weight, ratio * (k * weight), absolute
+
+
+@settings(deadline=None)
+@given(chaining_problems())
+def test_chaining_kernel_matches_dense_lp(problem):
+    k, w, weight, z_coef, absolute = problem
+    beta = correction._chaining_minimizer(w, weight, z_coef, absolute)
+    args = (weight, z_coef, False, absolute)
+    want = dense_branch_lp(k, w, *args).fun
+    assert _objective(w, beta, *args) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_family_closed_form_refuses_an_unbounded_massart_branch():
@@ -629,7 +678,7 @@ def test_family_closed_form_refuses_an_unbounded_massart_branch():
     w = build_transition(spec).W
     z_coef = (2.0 / math.sqrt(100)) * math.sqrt(math.log(4 * 100 + 1.0))
     with pytest.raises(SolverFailure, match="unbounded"):
-        correction._branch_lp(w, 1.0, z_coef, per_column=True, abs_objective=False)
+        correction._branch_lp(w, 1.0, z_coef, abs_objective=False)
     with pytest.raises(SolverFailure, match="Massart branch is unbounded"):
         delta_fs(100, 4, w, 1.0)
 
@@ -656,19 +705,14 @@ def test_perturbed_family_w_takes_the_lp(perm, blocks):
 
 def test_chaining_branch_at_the_boundedness_edge():
     # z coefficient exactly K * weight: bounded, z is no longer pinned; the
-    # closed form on a W of block form, the sparse LP on a dense W
+    # one chaining kernel on a W of block form and on a dense W
     cases = ((_family_w(Family.BLOCK_RR, 4, b=2), 1e-12), (_random_dense_w(4, 7), 1e-9))
     for w, rel in cases:
-        form = noise_model._block_form(w)
         for weight in (0.5, 2.0):
-            args = (weight, 4.0 * weight, False, False)
-            if form is None:
-                beta = correction._branch_lp(w, *args)
-            else:
-                beta = correction._block_minimizer(form, *args)
+            beta = correction._chaining_minimizer(w, weight, 4.0 * weight, False)
             objective = weight * (beta.beta0 + float(np.mean(beta.betas)))
             objective += 4.0 * weight * float(np.abs(omega_matrix(w, beta)).max())
-            want = dense_branch_lp(4, w, *args).fun
+            want = dense_branch_lp(4, w, weight, 4.0 * weight, False, False).fun
             assert objective == pytest.approx(want, rel=rel)
 
 
@@ -710,12 +754,12 @@ def test_unbounded_massart_branch_is_refused_before_any_lp(linprog_calls):
     assert linprog_calls == []
 
 
-def test_delta_fs_builds_two_sparse_lps(linprog_calls):
+def test_delta_fs_builds_one_sparse_lp(linprog_calls):
     # a W of block form never reaches the LP, so this one is dense: the
-    # chaining LP first, then the Massart LP
+    # Massart LP alone, as the chaining branch has its exact kernel
     k = 12
     delta_fs(1000, k, _random_dense_w(k, 12), c_of_n(1000))
-    shapes = [(2 * k * k, k + 2), (2 * k * k + k, k * k + k + 2)]
+    shapes = [(2 * k * k + k, k * k + k + 2)]
     assert [call["A_ub"].shape for call in linprog_calls] == shapes
     for call in linprog_calls:
         a_ub = call["A_ub"]
@@ -736,10 +780,11 @@ _SOLVER_RULE_CASES = {
 
 @pytest.mark.parametrize("case", list(_SOLVER_RULE_CASES))
 def test_block_form_alone_picks_the_solver(case, linprog_calls):
-    # the closed form for a W of block form, one LP per branch otherwise
+    # the closed form for a W of block form, the Massart LP otherwise; the
+    # chaining branch never takes an LP
     w = _SOLVER_RULE_CASES[case]
     k, n = w.shape[0], 5000
-    want = 0 if noise_model._block_form(w) is not None else 2
+    want = 0 if noise_model._block_form(w) is not None else 1
     delta_fs(n, k, w, c_of_n(n))
     assert len(linprog_calls) == want
     linprog_calls.clear()
@@ -801,8 +846,8 @@ def test_relabelling_changes_no_threshold(case, linprog_calls):
 @pytest.mark.parametrize("eps", [0.0, 0.2])
 def test_single_class_corrections_are_cn(eps):
     # K = 1: T = W = [[1]] whatever eps is, Omega vanishes and both
-    # corrections are c(n); beta_star is the closed form's first optimal
-    # vertex, beta' W's own block form (1, 0), whatever eps is
+    # corrections are c(n); beta_star is the first optimal point of the
+    # Massart form (x = d), beta' W's own block form (1, 0), whatever eps is
     spec = ContaminationSpec(family="rr", k=1, eps=eps)
     assert np.array_equal(build_transition(spec).W, [[1.0]])
     n = 5000

@@ -68,6 +68,14 @@ def test_aps_rejects_bad_seed(seed, message):
         aps_scores(p, randomized=True, seed=seed)
 
 
+@pytest.mark.parametrize("randomized", ["false", 0, 1, None, np.bool_(True)])
+def test_aps_rejects_a_non_bool_randomized(randomized):
+    # a truthy string such as "false" must not switch the randomization on
+    p = np.array([[0.7, 0.3], [0.4, 0.6]])
+    with pytest.raises(InvalidSpec, match="randomized must be a bool, got"):
+        aps_scores(p, randomized=randomized)
+
+
 def test_validate_probability_rows():
     with pytest.raises(InvalidProbability):
         validate_probability_rows(np.array([[0.7, 0.2]]))
