@@ -559,7 +559,9 @@ def one_call_ladder_sups(sigma: np.ndarray, strides, m: int, seed: int):
     the jitter ladder that succeeds, takes the N x m float32 normals of
     ``ladder_normals`` and multiplies them by the float32 factor in one
     product, then reduces each level separately.  Returns the
-    float64 suprema per stride, the factor and the multiplier.
+    float64 suprema per stride, the 2 x m float64 sums S1 = sum_j |x_j| and
+    S2 = sum_j x_j^2 of each product column (not centred), the factor and
+    the multiplier.
     """
     npts = sigma.shape[0]
     mean_diag = float(np.trace(sigma)) / npts
@@ -571,9 +573,13 @@ def one_call_ladder_sups(sigma: np.ndarray, strides, m: int, seed: int):
             continue
     else:
         raise np.linalg.LinAlgError("no jitter of the ladder makes sigma factorable")
-    x = np.abs(chol.astype(np.float32) @ ladder_normals(npts, m, seed))
-    sups = np.stack([x[::stride].max(axis=0) for stride in strides])
-    return sups.astype(np.float64), chol, mult
+    x = chol.astype(np.float32) @ ladder_normals(npts, m, seed)
+    ax = np.abs(x)
+    sums = np.stack(
+        [ax.sum(axis=0, dtype=np.float64), (x * x).sum(axis=0, dtype=np.float64)]
+    )
+    sups = np.stack([ax[::stride].max(axis=0) for stride in strides])
+    return sups.astype(np.float64), sums, chol, mult
 
 
 def dense_branch_lp(

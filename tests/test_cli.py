@@ -982,7 +982,7 @@ def test_main_calibrate_asy_method(tmp_path, capsys):
     assert code == 0
     blob = json.loads((out / "threshold.json").read_text())
     assert blob["correction"]["method"] == "asymptotic"
-    assert blob["correction"]["mc_diagnostics"]["M"] == 100000
+    assert blob["correction"]["mc_diagnostics"]["M"] == 50000
     assert blob["correction"]["mc_diagnostics"]["extrapolated_se"] > 0.0
     assert blob["correction"]["mc_diagnostics"]["cholesky_jitter"] in (
         1e-10,

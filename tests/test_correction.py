@@ -1050,7 +1050,8 @@ def test_ladder_sups_match_dense_float64_oracle():
     # float32 draws and product against the same draws times the dense
     # float64 factor; m = 13,000 spans seven slices
     strides, m = (4, 2, 1), 13_000
-    sups, chol, _ = correction._ladder_sups(bridge_covariance(401), strides, m, seed=21)
+    sigma = bridge_covariance(401)
+    sups, _, chol, _ = correction._ladder_sups(sigma, strides, m, seed=21)
     assert sups.dtype == np.float64 and sups.shape == (len(strides), m)
     np.testing.assert_allclose(
         sups, dense_ladder_sups(chol, strides, m, seed=21), rtol=1e-5, atol=0.0
@@ -1067,10 +1068,33 @@ def test_ladder_sups_equal_one_call_sampler(npts, strides, ragged):
     # would send to a matrix-vector product
     m = 2 * correction._LADDER_DRAWS + 1 if ragged else 1000
     sigma = bridge_covariance(npts)
-    sups, chol, mult = correction._ladder_sups(sigma, strides, m, seed=5)
-    want, want_chol, want_mult = one_call_ladder_sups(sigma, strides, m, seed=5)
+    sups, controls, chol, mult = correction._ladder_sups(sigma, strides, m, seed=5)
+    want, sums, want_chol, want_mult = one_call_ladder_sups(sigma, strides, m, seed=5)
     assert np.array_equal(chol, want_chol) and mult == want_mult
     assert np.array_equal(sups, want)
+    # the controls are those sums less their exact means, read off the
+    # float32 factor actually multiplied
+    lower = chol.astype(np.float32).astype(np.float64)
+    cov = lower @ lower.T
+    means = [math.sqrt(2.0 / math.pi) * np.sqrt(cov.diagonal()).sum(), np.trace(cov)]
+    np.testing.assert_allclose(controls + np.array(means)[:, None], sums, rtol=1e-12)
+
+
+def test_ladder_controls_have_their_exact_means():
+    # over 100,000 bridge draws, S1 and S2 less sqrt(2/pi) sum_j sigma_j and
+    # trace(L L^T) average to zero within 4 SE: a wrong mean would bias the
+    # regression estimate, and every threshold with it
+    _, controls, _, _ = correction._ladder_sups(
+        bridge_covariance(101), (4, 2, 1), 100_000, seed=13
+    )
+    mean, se = correction._mean_se(controls)
+    assert np.all(np.abs(mean) <= 4.0 * se)
+
+
+def test_ladder_zero_covariance_has_zero_controls():
+    sups, controls, chol, mult = correction._ladder_sups(np.zeros((5, 5)), (2, 1), 1000, 0)
+    assert not sups.any() and not controls.any() and controls.shape == (2, 1000)
+    assert chol is None and mult is None
 
 
 def test_ladder_sups_working_memory_does_not_grow_with_m():
@@ -1109,7 +1133,7 @@ def test_box_muller_fills_odd_slices(npts):
     scratch = np.empty(correction._LADDER_DRAWS * npts, dtype=np.float32)
     correction._box_muller(np.random.default_rng(3), z, scratch)
     assert np.isfinite(z).all()
-    sups, _, _ = correction._ladder_sups(np.eye(npts), (1,), m, seed=3)
+    sups, _, _, _ = correction._ladder_sups(np.eye(npts), (1,), m, seed=3)
     assert np.isfinite(sups).all() and (sups > 0.0).all()
 
 
@@ -1186,7 +1210,7 @@ def extrapolate(monkeypatch, levels):
     rows = np.array([levels[h] for h in sorted(levels, reverse=True)])
 
     def fixed_sups(sigma, strides, m, seed):
-        return np.repeat(rows[:, None], m, axis=1), None, None
+        return np.repeat(rows[:, None], m, axis=1), np.zeros((2, m)), None, None
 
     monkeypatch.setattr(correction, "_ladder_sups", fixed_sups)
     cal, w = asy_inputs(seed=12, n=200)
@@ -1262,6 +1286,8 @@ def test_delta_asy_diagnostics_contents():
         "raw",
         "extrapolated",
         "extrapolated_se",
+        "control_coefficients",
+        "variance_factor",
         "condition_number",
         "cholesky_jitter",
     }
@@ -1467,6 +1493,34 @@ def test_default_ladder_agrees_with_fine_ladder(instance):
     tol = 4.0 * math.hypot(coarse["extrapolated_se"], fine["extrapolated_se"])
     tol += 0.005 * fine["extrapolated"]
     assert abs(coarse["extrapolated"] - fine["extrapolated"]) <= tol
+
+
+def bridge_instance():
+    """K = 1, W = (1) and n evenly spread scores, none on a grid point: the
+    plug-in covariance on the default grid is the Brownian bridge's."""
+    n = 1000
+    scores = ((np.arange(n) + 0.5) / n)[:, None]
+    return CalibrationSet.from_scores(scores, np.zeros(n, dtype=np.int64)), np.eye(1)
+
+
+@pytest.mark.parametrize("instance", [bridge_instance, oracle_instance])
+def test_default_m_meets_the_precision_rule(instance):
+    # the rule that set the default m: with the two control variates, the
+    # SE of the extrapolate is at most that of the plain estimator at
+    # m = 100,000 on the same seed; on the bridge the controlled extrapolate
+    # also lies within 0.005 of the exact supremum
+    cal, w = instance()
+    d = delta_asy(cal, w).mc_diagnostics
+    assert d["M"] == 50_000
+    sigma = estimate_covariance(cal, w, np.linspace(0.0, 1.0, 101))
+    if instance is bridge_instance:
+        np.testing.assert_allclose(sigma, bridge_covariance(101), rtol=0.0, atol=1e-12)
+    sups, _, _, _ = correction._ladder_sups(sigma, (4, 2, 1), 100_000, seed=0)
+    r2 = math.sqrt(2.0)
+    _, plain_se = correction._mean_se((r2 * sups[2] - sups[1]) / (r2 - 1.0))
+    assert d["extrapolated_se"] <= plain_se
+    if instance is bridge_instance:
+        assert abs(d["extrapolated"] - BRIDGE_SUP) <= 0.005
 
 
 def test_condition_number_is_exact():
