@@ -21,10 +21,8 @@ row i's set.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 from numpy.typing import NDArray
@@ -105,20 +103,27 @@ class ThresholdResult:
 def standard_threshold(cal: CalibrationSet, alpha: float) -> ThresholdResult:
     """Split-conformal threshold: the ceil((1+n)(1-alpha))-th own score.
 
-    The index is computed in exact rational arithmetic on the given float
-    alpha, so boundary cases like (1+n)(1-alpha) landing on an integer do not
-    depend on rounding of the product.
+    The index is computed in exact integer arithmetic on the given float
+    alpha (``_standard_index``), so boundary cases like (1+n)(1-alpha)
+    landing on an integer do not depend on rounding of the product.
     """
     _check_type("cal", cal, CalibrationSet)
     _check_alpha(alpha)
     n = cal.n
-    index = math.ceil((1 + n) * (1 - Fraction(alpha)))
+    index = _standard_index(n, alpha)
     return _threshold_from_mask(
         np.sort(cal.own_score),
         np.arange(1, n + 1) >= index,
         CalibrationMethod.STANDARD,
         None,
     )
+
+
+def _standard_index(n: int, alpha: float) -> int:
+    """ceil((1+n)(1-alpha)) for the exact rational value p/q of the float
+    alpha: -((-(1+n)(q-p)) // q), all in integers."""
+    p, q = alpha.as_integer_ratio()
+    return -(-(1 + n) * (q - p) // q)
 
 
 def _threshold_from_mask(

@@ -32,7 +32,6 @@ import json
 import math
 import os
 import sys
-import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -563,6 +562,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {_with_rep(exc)}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback  # only on this path: it adds to every CLI start
+
         traceback.print_exc()
         return 1
 

@@ -354,25 +354,38 @@ def write_summary_csv(path: str, rows: Sequence[dict]) -> None:
     _write_dicts(path, SUMMARY_HEADER, rows)
 
 
+# Rows of the membership matrix formatted per write of the prediction sets.
+_SET_ROWS = 4096
+
+
 def write_prediction_sets_csv(path: str, sets: NDArray[np.bool_], tau: float) -> None:
     """Rows of ``row,tau,set_size,labels`` from an n x K membership matrix.
 
     Labels are written 1-based and ;-joined; an empty set leaves the cell empty.
-    ``sets`` must be a real matrix and tau a real in [0, 1] (InvalidSpec
-    otherwise), both checked before the file is opened.
+    The bytes are those of ``csv.writer``, which quotes none of these cells
+    and ends each row with ``\\r\\n``.  Rows are formatted ``_SET_ROWS`` at a
+    time from one ``np.nonzero`` of each block, so the working memory does
+    not grow with n.  ``sets`` must be a real matrix and tau a real in
+    [0, 1] (InvalidSpec otherwise), both checked before the file is opened.
     """
     _check_path("path", path)
     sets = _check_array("sets", sets, bool, ndim=2)
     _check_real("tau", tau, 0.0, 1.0)
     tau_cell = repr(float(tau))
+    names = np.array([str(c) for c in range(1, sets.shape[1] + 1)])
     with _writing(open, path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["row", "tau", "set_size", "labels"])
-        for i, row in enumerate(sets, start=1):
-            labels = np.flatnonzero(row) + 1
-            writer.writerow(
-                [str(i), tau_cell, str(labels.size), ";".join(map(str, labels))]
-            )
+        handle.write("row,tau,set_size,labels\r\n")
+        for start in range(0, sets.shape[0], _SET_ROWS):
+            block = sets[start : start + _SET_ROWS]
+            rows, cols = np.nonzero(block)
+            labels = names[cols].tolist()
+            ends = np.searchsorted(rows, np.arange(1, block.shape[0] + 1)).tolist()
+            lines, begin = [], 0
+            for i, end in enumerate(ends, start=start + 1):
+                cell = ";".join(labels[begin:end])
+                lines.append(f"{i},{tau_cell},{end - begin},{cell}\r\n")
+                begin = end
+            handle.write("".join(lines))
 
 
 def write_threshold_json(path: str, result: ThresholdResult) -> None:

@@ -454,6 +454,18 @@ def reference_probability_csv(path: str):
     )
 
 
+def reference_prediction_sets_csv(path: str, sets: np.ndarray, tau: float) -> None:
+    """``write_prediction_sets_csv`` by one ``csv.writer`` row per set."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["row", "tau", "set_size", "labels"])
+        for i, row in enumerate(sets, start=1):
+            labels = np.flatnonzero(row) + 1
+            writer.writerow(
+                [str(i), repr(float(tau)), str(labels.size), ";".join(map(str, labels))]
+            )
+
+
 def mc_c_of_n(n: int, m: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo mean and SE of max_i (i/n - U_(i)) over m replicates."""
     rng = np.random.default_rng(seed)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from noisycal import calibrate
 from noisycal import (
     OPTIMISTIC_CAVEAT,
     CalibrationMethod,
@@ -88,6 +89,32 @@ def test_standard_index_matches_oracle(n, alpha):
         assert res.i_hat is None and res.tau == 1.0
     else:
         assert res.i_hat == want
+
+
+@st.composite
+def index_cases(draw):
+    """(n, alpha): any float alpha in (0, 1), or alpha = j / 2^e with j odd
+    and 1 + n a multiple of 2^e, so that (1 + n)(1 - alpha) is an integer."""
+    if draw(st.booleans()):
+        e = draw(st.integers(1, 40))
+        alpha = (2 * draw(st.integers(0, 2 ** (e - 1) - 1)) + 1) / 2**e
+        return draw(st.integers(1, 2**20)) * 2**e - 1, alpha
+    alpha = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return draw(st.integers(1, 10**12)), alpha
+
+
+@given(index_cases())
+def test_standard_index_is_the_fraction_formula(case):
+    # the integer ceiling of the float's exact ratio against Fraction's
+    n, alpha = case
+    assert calibrate._standard_index(n, alpha) == brute_standard_index(n, alpha)
+
+
+def test_standard_takes_a_numpy_float32_alpha():
+    # Fraction refused a float32 with a bare TypeError
+    cal = random_calibration(5, 15, 2)
+    res = standard_threshold(cal, np.float32(0.25))
+    assert res.i_hat == 12 == brute_standard_index(15, 0.25)
 
 
 def test_standard_rejects_bad_alpha():

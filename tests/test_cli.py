@@ -1076,27 +1076,32 @@ def test_only_the_finite_sample_lp_loads_scipy(tmp_path):
     assert "adaptive-fs: coverage" in proc.stdout
 
 
-_MA_PROBE = """
+_UNLOADED_PROBE = """
 import sys
 from noisycal.cli import main
 
 scores, config, out = sys.argv[1:]
 argv = ["calibrate", "--scores", scores, "--model", "rr", "--eps", "0.1"]
+assert main(argv + ["--method", "standard"]) == 0
 assert main(argv + ["--method", "adaptive-asy", "--out", out]) == 0
 assert main(["synth-experiment", "--config", config]) == 0
-assert "numpy.ma" not in sys.modules
+for name in ("numpy.ma", "fractions", "decimal", "traceback"):
+    assert name not in sys.modules, name
 """
 
 
 def test_calibrate_and_synth_leave_numpy_ma_unloaded(tmp_path):
-    # np.unique in the two-class check of train_softmax imported numpy.ma
+    # np.unique in the two-class check of train_softmax imported numpy.ma;
+    # the standard index took fractions, and with it decimal; traceback is
+    # needed only to print an unexpected error
     path = tmp_path / "cal.csv"
     write_cal_csv(path, seed=15, n=50, k=4)
     cfg = {"k": 4, "d": 4, "n_train": 100, "n_cal": 40, "n_test": 20}
     cfg |= {"family": "rr", "eps": 0.2, "methods": ["standard"]}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    proc = run_python(["-c", _MA_PROBE, str(path), str(cfg_path), str(tmp_path / "out")])
+    argv = [str(p) for p in (path, cfg_path, tmp_path / "out")]
+    proc = run_python(["-c", _UNLOADED_PROBE, *argv])
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "threshold.json").exists()
     assert "standard: coverage" in proc.stdout

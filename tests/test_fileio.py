@@ -34,7 +34,12 @@ from noisycal.fileio import (
     write_summary_csv,
     write_threshold_json,
 )
-from oracles import ladder_spec, reference_probability_csv, spy_svd
+from oracles import (
+    ladder_spec,
+    reference_prediction_sets_csv,
+    reference_probability_csv,
+    spy_svd,
+)
 
 
 def probs(seed=0, n=6, k=3):
@@ -487,6 +492,21 @@ def test_prediction_sets_roundtrip(tmp_path):
     assert rows[1][2:] == ["2", "1;3"]  # labels are 1-based and ;-joined on disk
     assert rows[2][2:] == ["0", ""]
     assert rows[3][2:] == ["1", "2"]
+
+
+@pytest.mark.parametrize(
+    "n, k, tau",
+    [(0, 3, 0.5), (7, 1, 1.0), (noisycal.fileio._SET_ROWS + 1, 5, 0.123456789)],
+    ids=["no-rows", "one-class", "two-blocks"],
+)
+def test_prediction_sets_bytes_match_csv_writer(tmp_path, n, k, tau):
+    # empty sets, full sets and a block boundary, against one csv.writer row
+    # per set
+    rng = np.random.default_rng(n + k)
+    sets = rng.uniform(size=(n, k)) < rng.choice([0.0, 0.3, 1.0], size=(n, 1))
+    write_prediction_sets_csv(str(tmp_path / "a.csv"), sets, tau)
+    reference_prediction_sets_csv(str(tmp_path / "b.csv"), sets, tau)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisycal import (
     DegenerateData,
@@ -17,7 +19,7 @@ from noisycal import (
     predict_probs,
     train_softmax,
 )
-from noisycal.synth import _CHUNK_ENTRIES, _hessian
+from noisycal.synth import _CHUNK_ENTRIES, _DENSE_LIMIT, _cg_step, _hessian
 from oracles import brute_hessian, softmax_objective, softmax_reference
 
 
@@ -271,6 +273,92 @@ def test_hessian_working_memory_is_two_matrices_and_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak < (2 * size**2 + 256 * size) * 8 + 2**20
+
+
+@st.composite
+def softmax_problems(draw):
+    """(x, y, weights) with K(d+1) at most ``_DENSE_LIMIT`` (K = 2..10,
+    d = 1..10) or just above it (d = 9..12): normal features at a drawn
+    scale, every class labelled at least once, weights 0.3 times normal."""
+    above = draw(st.booleans())
+    if above:
+        d = draw(st.integers(9, 12))
+        k = _DENSE_LIMIT // (d + 1) + draw(st.integers(1, 4))
+    else:
+        d, k = draw(st.integers(1, 10)), draw(st.integers(2, 10))
+    n = k + draw(st.integers(5, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, d)) * draw(st.sampled_from([0.1, 1.0, 3.0]))
+    y = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+    return x, y, 0.3 * rng.standard_normal((d + 1, k))
+
+
+@settings(deadline=None, max_examples=25)
+@given(softmax_problems())
+def test_cg_step_solves_the_newton_system(problem):
+    # against the brute-force Hessian and a dense solve of the system with
+    # the last bias pinned: the step's residual meets the forcing tolerance
+    x, y, w = problem
+    _, grad, probs = softmax_objective(w, x, y, 1e-3)
+    g = grad.T.ravel()
+    step = _cg_step(np.hstack([x, np.ones((x.shape[0], 1))]), probs, g, 1e-3)
+    hess = brute_hessian(x, probs, 1e-3)[:-1, :-1]
+    exact = np.linalg.solve(hess, -g[:-1])
+    gnorm = float(np.linalg.norm(g[:-1]))
+    assert step[-1] == 0.0
+    residual = float(np.linalg.norm(hess @ (step[:-1] - exact)))
+    assert residual <= min(0.5, math.sqrt(gnorm)) * gnorm * (1.0 + 1e-6)
+
+
+@settings(deadline=None, max_examples=10)
+@given(softmax_problems())
+def test_train_softmax_meets_the_gradient_tolerance_on_either_route(problem):
+    # the stopping rule, read back through the oracle's own gradient, with
+    # room for the oracle's rounding
+    x, y, _ = problem
+    model = train_softmax(x, y)
+    loss, grad, _ = softmax_objective(model.weights, x, y, 1e-3)
+    assert float(np.abs(grad).max()) <= 1.001e-9
+    assert abs(loss - model.final_loss) <= 1e-12
+    assert model.weights[-1, -1] == 0.0
+
+
+def cg_problem(k, d, n, seed, labelled=None):
+    # Gaussian-cluster data with K(d+1) above the limit, labelled with the
+    # first ``labelled`` classes only when given
+    assert k * (d + 1) > _DENSE_LIMIT
+    cfg = SynthConfig(k=labelled or k, d=d, n_train=n, n_cal=1, n_test=1, seed=seed)
+    x, y = generate(cfg)
+    return x[:n], y[:n]
+
+
+def test_train_softmax_above_the_limit_matches_reference():
+    x, y = cg_problem(24, 20, 600, seed=1)
+    assert_reference_optimum(train_softmax(x, y, n_classes=24), x, y)
+
+
+def test_train_softmax_above_the_limit_with_absent_classes():
+    # classes 27..29 never occur: as on the dense route, the fit stops with
+    # finite weights and their probabilities driven down
+    x, y = cg_problem(30, 16, 600, seed=2, labelled=27)
+    model = train_softmax(x, y, n_classes=30)
+    probs = predict_probs(model, x)
+    assert np.all(np.isfinite(model.weights))
+    assert float(probs[:, 27:].max()) < 1e-6
+
+
+def test_train_softmax_above_the_limit_never_forms_the_hessian():
+    # K = 200 and d = 20 give 4200 parameters, whose Hessian alone would
+    # take 135 MiB; the n x K arrays of 1000 rows take 1.5 MiB each
+    x, y = cg_problem(200, 20, 1000, seed=3)
+    size = 200 * 21
+    tracemalloc.start()
+    try:
+        train_softmax(x, y, n_classes=200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size**2 * 8 / 8  # an eighth of that one matrix
 
 
 def test_train_softmax_validation():
