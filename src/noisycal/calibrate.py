@@ -21,7 +21,7 @@ row i's set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -30,7 +30,6 @@ from numpy.typing import NDArray
 from .correction import CorrectionReport
 from .empirical import CalibrationSet, InflationCurve, delta_hat
 from .errors import (
-    InvalidSpec,
     LengthMismatch,
     _check_alpha,
     _check_array,
@@ -69,19 +68,20 @@ class ThresholdResult:
     """A calibrated threshold with its provenance.
 
     ``i_hat`` is the attaining 1-based rank among the own-score order
-    statistics (None when the fallback tau = 1 fired, flagged by
-    ``set_I_empty``).  ``correction`` carries the delta(n) report for the
-    adaptive rules; ``warning`` flags unverifiable side conditions.  A
-    field of another type or out of range, or a ``set_I_empty`` other than
-    ``i_hat is None``, raises InvalidSpec naming it.
+    statistics (None when the fallback tau = 1 fired).  ``correction``
+    carries the delta(n) report for the adaptive rules.  A field of another
+    type or out of range raises InvalidSpec naming it.  Two fields follow
+    from these and are not passed: ``set_I_empty``, whether the fallback
+    fired (``i_hat is None``), and ``warning``, the unverifiable side
+    condition of the optimistic rule (None for the other rules).
     """
 
     tau: float
     i_hat: int | None
     method: CalibrationMethod
     correction: CorrectionReport | None
-    set_I_empty: bool
-    warning: str | None = None
+    set_I_empty: bool = field(init=False)
+    warning: str | None = field(init=False)
 
     def __post_init__(self) -> None:
         _check_real("tau", self.tau, 0.0, 1.0)
@@ -90,14 +90,9 @@ class ThresholdResult:
         _check_type("method", self.method, CalibrationMethod)
         if self.correction is not None:
             _check_type("correction", self.correction, CorrectionReport)
-        empty = self.i_hat is None
-        if self.set_I_empty is not empty:
-            raise InvalidSpec(
-                f"set_I_empty must be {empty} when i_hat is {self.i_hat}, "
-                f"got {self.set_I_empty!r}"
-            )
-        if self.warning is not None:
-            _check_type("warning", self.warning, str)
+        object.__setattr__(self, "set_I_empty", self.i_hat is None)
+        optimistic = self.method is CalibrationMethod.ADAPTIVE_PLUS
+        object.__setattr__(self, "warning", OPTIMISTIC_CAVEAT if optimistic else None)
 
 
 def standard_threshold(cal: CalibrationSet, alpha: float) -> ThresholdResult:
@@ -131,7 +126,6 @@ def _threshold_from_mask(
     mask: NDArray[np.bool_],
     method: CalibrationMethod,
     correction: CorrectionReport | None,
-    warning: str | None = None,
 ) -> ThresholdResult:
     """The smallest rank in ``mask``, or the fallback tau = 1 when it is empty."""
     empty = not mask.any()
@@ -141,8 +135,6 @@ def _threshold_from_mask(
         i_hat=None if empty else first + 1,
         method=method,
         correction=correction,
-        set_I_empty=empty,
-        warning=warning,
     )
 
 
@@ -178,7 +170,8 @@ def optimistic_threshold(
     The inner correction is max(Delta_hat(S_(i)) - delta(n), -(1-alpha)/n),
     so the index set contains the adaptive one and the threshold is never
     larger.  The extra validity hypothesis is unverifiable from contaminated
-    data, so the result carries a warning instead of refusing to run.
+    data, so the result carries a warning (``ThresholdResult.warning``)
+    instead of refusing to run.
     """
     curve, ranks = _adaptive_inputs(cal, w, alpha, delta)
     inner = np.maximum(curve.values - delta.value, -(1.0 - alpha) / cal.n)
@@ -188,7 +181,6 @@ def optimistic_threshold(
         ranks >= rhs,
         CalibrationMethod.ADAPTIVE_PLUS,
         delta,
-        warning=OPTIMISTIC_CAVEAT,
     )
 
 

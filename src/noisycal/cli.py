@@ -7,6 +7,8 @@ Three subcommands:
   more methods on each repetition and writes results/summary CSVs;
 * ``calibrate --scores s.csv --transition t.csv`` runs the pipeline on
   user-supplied probability or score rows, after reading every input file;
+  the channel comes from ``--model`` or ``--transition`` alike, and the
+  simplified method needs a W of block form from either;
 * ``correction --model rr --eps 0.1 --k 4 --n 5000`` prints a correction
   report as JSON.
 
@@ -209,38 +211,35 @@ def _correction(
     route: str,
     n: int,
     tm: TransitionMatrix,
-    spec: ContaminationSpec | None,
     cal: CalibrationSet | None = None,
     asy_seed: int = 0,
 ) -> CorrectionReport | None:
-    """The correction of one route at calibration size n; None for ``"none"``.
+    """The correction of one route at calibration size n, with ``tm``'s
+    condition number; None for ``"none"``.
 
-    ``"cn"`` is c(n) alone, ``"asy"`` needs the calibration set itself, and
-    ``"fs-simplified"`` a parametric contamination model, whose channel
-    ``tm`` it reads once (:func:`~noisycal.correction._fs_special`).  ``"fs"`` is
-    :func:`delta_fs` on ``tm``, in closed form whenever W has the block form
-    of the parametric families under any labelling, whether it came from
-    ``spec`` or from a file; any other matrix needs the Massart LP.
+    ``"cn"`` is c(n) alone and ``"asy"`` needs the calibration set itself.
+    ``"fs"`` (:func:`delta_fs`) and ``"fs-simplified"``
+    (:func:`~noisycal.correction._fs_special`) read W's block form under any
+    labelling, whether ``tm`` came from ``--model`` or ``--transition``: on
+    any other W ``"fs"`` needs the Massart LP and ``"fs-simplified"`` raises
+    InvalidSpec.
     """
     if route == "none":
         return None
     if route == "asy":
-        return delta_asy(cal, tm, seed=asy_seed)
-    if route == "fs-simplified" and spec is None:
-        raise InvalidSpec(
-            "the simplified correction needs a parametric contamination model"
-        )
-    c_n = c_of_n(n)
-    if route == "cn":
-        return CorrectionReport(method=CorrectionMethod.CN_ONLY, value=c_n, c_n=c_n)
-    if route == "fs":
-        return delta_fs(n, tm.k, tm, c_n)
-    return _fs_special(tm, n, c_n)
+        report = delta_asy(cal, tm, seed=asy_seed)
+    else:
+        c_n = c_of_n(n)
+        if route == "cn":
+            report = CorrectionReport(method=CorrectionMethod.CN_ONLY, value=c_n, c_n=c_n)
+        elif route == "fs":
+            report = delta_fs(n, tm.k, tm, c_n)
+        else:
+            report = _fs_special(tm, n, c_n)
+    return dataclasses.replace(report, condition_number=tm.condition_number)
 
 
-def _pipeline(
-    cal, tm, spec, alpha, methods, asy_seed, seed, scores, y_true
-) -> list[tuple]:
+def _pipeline(cal, tm, alpha, methods, asy_seed, seed, scores, y_true) -> list[tuple]:
     """(threshold, prediction sets, results row) of each of ``methods``: the
     correction of each route, computed once for the methods on it, the rule,
     the sets of ``scores`` at tau and, when ``y_true`` is given, their
@@ -250,7 +249,7 @@ def _pipeline(
     for method in methods:
         route, rule = _METHOD_TABLE[method]
         if route not in corrections:
-            corrections[route] = _correction(route, cal.n, tm, spec, cal, asy_seed)
+            corrections[route] = _correction(route, cal.n, tm, cal, asy_seed)
         thr = rule(cal, tm, alpha, corrections[route])
         sets = prediction_sets(scores, thr.tau)
         row = None if y_true is None else {
@@ -268,12 +267,7 @@ def _pipeline(
     return runs
 
 
-def _run_rep(
-    config: ExperimentConfig,
-    spec: ContaminationSpec,
-    tm: TransitionMatrix,
-    rep: int,
-) -> list[dict]:
+def _run_rep(config: ExperimentConfig, tm: TransitionMatrix, rep: int) -> list[dict]:
     rep_seed = config.seed + rep
     sub = np.random.SeedSequence(rep_seed).generate_state(4)
     x, y = generate(config.synth(rep_seed))
@@ -295,7 +289,7 @@ def _run_rep(
     )
     cal = CalibrationSet.from_scores(s_cal, noisy[calib])
     runs = _pipeline(
-        cal, tm, spec, config.alpha, config.methods, int(sub[3]), rep_seed,
+        cal, tm, config.alpha, config.methods, int(sub[3]), rep_seed,
         s_test, y[test],
     )
     return [row for _, _, row in runs]
@@ -328,12 +322,11 @@ def _summarize(config: ExperimentConfig, rows: list[dict]) -> list[dict]:
 def run_synthetic(config: ExperimentConfig) -> dict:
     """Run the synthetic experiment; returns {"rows": [...], "summary": [...]}."""
     _check_type("config", config, ExperimentConfig)
-    spec = config.contamination()
-    tm = build_transition(spec)
+    tm = build_transition(config.contamination())
     rows = []
     for rep in range(config.repetitions):
         try:
-            rows += _run_rep(config, spec, tm, rep)
+            rows += _run_rep(config, tm, rep)
         except NoisycalError as exc:
             exc.repetition = rep
             raise
@@ -400,7 +393,6 @@ def run_from_scores(
                 f"test rows have {s_eval.shape[1]} classes, calibration rows {k}"
             )
 
-    spec = None
     if transition_path is not None:
         tm = fileio.read_transition_csv(transition_path)
         if tm.k != k:
@@ -408,12 +400,11 @@ def run_from_scores(
                 f"transition matrix is {tm.k} x {tm.k} but rows have {k} classes"
             )
     else:
-        spec = ContaminationSpec(family=model, k=k, eps=eps, nu=nu, b=b)
-        tm = build_transition(spec)
+        tm = build_transition(ContaminationSpec(family=model, k=k, eps=eps, nu=nu, b=b))
 
     cal = CalibrationSet.from_scores(s_cal, y_noisy)
     [(thr, sets, row)] = _pipeline(
-        cal, tm, spec, alpha, [method], int(seeds[1]), seed, s_eval, y_true
+        cal, tm, alpha, [method], int(seeds[1]), seed, s_eval, y_true
     )
     if out is not None:
         fileio._writing(os.makedirs, out, exist_ok=True)
@@ -437,9 +428,7 @@ def correction_report(
     _check_type("variant", variant, str)
     if variant not in _VARIANT_ROUTES:
         raise InvalidSpec(f"unknown correction variant {variant!r}")
-    tm = build_transition(spec)
-    report = _correction(_VARIANT_ROUTES[variant], n, tm, spec)
-    return dataclasses.replace(report, condition_number=tm.condition_number)
+    return _correction(_VARIANT_ROUTES[variant], n, build_transition(spec))
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:

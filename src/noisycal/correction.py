@@ -234,13 +234,12 @@ def _checked_w(n: int, k: int, w) -> NDArray[np.float64]:
     return _as_w(w, k)
 
 
-def _branches(k: int, n: int) -> dict[str, tuple[float, bool]]:
-    """The branches inside the min of B(K, n, beta), chaining first.
+def _branches(k: int, n: int) -> dict[str, float]:
+    """The constant of each branch inside the min of B(K, n, beta), chaining first.
 
-    Each maps to its constant and ``per_column``: a branch is its constant
-    times the largest column sum of |Omega| when ``per_column`` (Massart,
-    sqrt(log(K n + 1))), else the largest entry (chaining,
-    24 (2 log K + 1)/(2 log K - 1) sqrt(2 K log K), for 2 log K > 1: K >= 2).
+    Chaining, 24 (2 log K + 1)/(2 log K - 1) sqrt(2 K log K), for
+    2 log K > 1 (K >= 2), times the largest entry of |Omega|; Massart,
+    sqrt(log(K n + 1)), times its largest column sum (see ``_BRANCH_RULES``).
     A column sum is at most K times the largest entry, so chaining cannot
     beat Massart while K sqrt(log(K n + 1)) is at most its constant: 743
     against 1335 at K = 200, n = 5000.
@@ -249,8 +248,8 @@ def _branches(k: int, n: int) -> dict[str, tuple[float, bool]]:
     if k >= 2:
         log_k = math.log(k)
         ratio = (2.0 * log_k + 1.0) / (2.0 * log_k - 1.0)
-        branches["chaining"] = (24.0 * ratio * math.sqrt(2.0 * k * log_k), False)
-    branches["massart"] = (math.sqrt(math.log(k * n + 1.0)), True)
+        branches["chaining"] = 24.0 * ratio * math.sqrt(2.0 * k * log_k)
+    branches["massart"] = math.sqrt(math.log(k * n + 1.0))
     return branches
 
 
@@ -259,9 +258,8 @@ def _branch_terms(n: int, beta: BetaVector, w) -> dict[str, float | None]:
     Massart first, chaining None for K = 1."""
     abs_omega = np.abs(omega_matrix(w, beta))
     terms: dict[str, float | None] = {"massart": None, "chaining": None}
-    for name, (constant, per_column) in _branches(abs_omega.shape[0], n).items():
-        size = abs_omega.sum(axis=0).max() if per_column else abs_omega.max()
-        terms[name] = float(size) * constant
+    for name, constant in _branches(abs_omega.shape[0], n).items():
+        terms[name] = float(_BRANCH_RULES[name][0](abs_omega)) * constant
     return terms
 
 
@@ -299,51 +297,35 @@ def _branch_lp(
 
     k = w.shape[0]
     nb = 1 + k
-    nu = nb if abs_objective else 0
-    nvars = nb + nu + k * k + 1
-    i_a = nb + nu
-    i_z = nvars - 1
-
-    # rows 2c and 2c + 1 encode +Omega[kk, ll] <= A[kk, ll] and
-    # -Omega[kk, ll] <= A[kk, ll] for the cell c = kk * K + ll, where
-    # Omega[kk, ll] = W[kk, ll] - beta0 * 1[kk = ll] - beta_kk / K
-    cell = np.repeat(np.arange(k * k), 2)
-    kk, ll = np.divmod(cell, k)
-    sign = np.tile([1.0, -1.0], k * k)
-    row = np.arange(2 * k * k)
-    on_diag = kk == ll
-    # then sum_kk A[kk, ll] <= z for every column ll, in the next K rows
-    a_cell, nrows = np.arange(k * k), 2 * k * k
-    rows = [row, row, row[on_diag], nrows + a_cell % k, nrows + np.arange(k)]
-    cols = [1 + kk, i_a + cell, np.zeros(int(on_diag.sum()), dtype=np.intp)]
-    cols += [i_a + a_cell, np.full(k, i_z)]
-    vals = [-sign / k, -np.ones(row.shape), -sign[on_diag], np.ones(k * k), -np.ones(k)]
-    rhs = [-sign * w.ravel()[cell], np.zeros(k)]
-    nrows += k
-    if abs_objective:
-        # +-beta_j <= u_j
-        j = np.repeat(np.arange(nb), 2)
-        row = nrows + np.arange(2 * nb)
-        rows += [row, row]
-        cols += [j, nb + j]
-        vals += [np.tile([1.0, -1.0], nb), -np.ones(2 * nb)]
-        rhs.append(np.zeros(2 * nb))
-        nrows += 2 * nb
-    a_ub = sparse.csr_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nrows, nvars),
+    eye, pair, twice = sparse.eye_array, np.array([[1.0], [-1.0]]), np.ones((2, 1))
+    # the coefficients of Omega[kk, ll] = W[kk, ll] - beta0 1[kk = ll] - beta_kk / K
+    # on beta0 and beta_1..K, one row per cell kk * K + ll
+    omega = -sparse.hstack(
+        [np.eye(k).reshape(-1, 1), sparse.kron(eye(k), np.ones((k, 1))) / k]
     )
-
-    cost = np.zeros(nvars)
-    first = nb if abs_objective else 0
-    cost[first] = weight
-    cost[first + 1 : first + nb] = weight / k
-    cost[i_z] = z_coef
+    # columns beta, A, z: +Omega <= A and -Omega <= A in rows 2 cell and
+    # 2 cell + 1, then each column sum of A at most z
+    grid = [
+        [sparse.kron(omega, pair), -sparse.kron(eye(k * k), twice), None],
+        [None, sparse.hstack([eye(k)] * k), -np.ones((k, 1))],
+    ]
+    b_ub = [-np.kron(w.ravel(), pair.ravel()), np.zeros(k)]
+    linear = np.r_[weight, np.full(k, weight / k)]
+    cost = [linear, np.zeros(k * k), [z_coef]]
+    if abs_objective:
+        # the u_j after the betas, and +-beta_j <= u_j in the last rows
+        for row in grid:
+            row.insert(1, None)
+        grid.append(
+            [sparse.kron(eye(nb), pair), -sparse.kron(eye(nb), twice), None, None]
+        )
+        b_ub.append(np.zeros(2 * nb))
+        cost.insert(0, np.zeros(nb))
 
     res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=np.concatenate(rhs),
+        np.concatenate(cost),
+        A_ub=sparse.bmat(grid, format="csr"),
+        b_ub=np.concatenate(b_ub),
         bounds=(None, None),
         method="highs-ipm",
     )
@@ -465,38 +447,58 @@ def _chaining_minimizer(
     return BetaVector(beta0=float(best[0]), betas=k * solve(best)[1][0])
 
 
+def _massart_minimizer(
+    w: NDArray[np.float64], weight: float, z_coef: float, abs_objective: bool
+) -> BetaVector:
+    """The Massart branch's problem: ``_block_form`` alone picks the solver,
+    :func:`_block_minimizer` on W's block form, :func:`_branch_lp` otherwise."""
+    form = _block_form(w)
+    if form is None:
+        return _branch_lp(w, weight, z_coef, abs_objective)
+    return _block_minimizer(form, weight, z_coef, abs_objective)
+
+
+# Each branch of ``_branches`` by name: the size of |Omega| that its constant
+# multiplies; its boundedness edge, the least z coefficient at which its signed
+# problem is bounded below, from K and the weight, with the branch's and the
+# edge's names in the message; and its exact minimizer.
+_BRANCH_RULES = {
+    "chaining": (
+        np.max, lambda k, wt: k * wt, ("chaining", "K * weight ="), _chaining_minimizer
+    ),
+    "massart": (
+        lambda a: a.sum(axis=0).max(), lambda k, wt: wt, ("Massart", "the weight"),
+        _massart_minimizer,
+    ),
+}
+
+
 def _branch_minimizers(
     n: int, w: NDArray[np.float64], weight: float, abs_objective: bool
 ) -> dict[str, BetaVector]:
     """A minimizer of each branch of :func:`_branches`, in its order.
 
     A branch's problem is weight * (beta0 + mean_k beta_k) + 2 branch /
-    sqrt(n), |beta| when ``abs_objective``.  Every W's chaining branch takes
-    the exact kernel :func:`_chaining_minimizer`.  ``_block_form`` alone
-    picks the Massart solver: :func:`_block_minimizer` on W's block form,
-    the sparse LP :func:`_branch_lp` on a W without one.  A signed problem
-    is unbounded below when its z coefficient is under the weight (Massart)
-    or K times it (chaining), and raises SolverFailure naming it before its
-    solver runs, so before any LP.  w is a finite K x K array
+    sqrt(n), |beta| when ``abs_objective``, solved by the branch's minimizer
+    in ``_BRANCH_RULES``: the exact kernel :func:`_chaining_minimizer` for
+    every W, and :func:`_massart_minimizer`.  A signed problem is unbounded
+    below when its z coefficient is under the branch's edge, the weight
+    (Massart) or K times it (chaining), and raises SolverFailure naming it
+    before its solver runs, so before any LP.  w is a finite K x K array
     (:func:`_checked_w`).
     """
     k = w.shape[0]
     scale = 2.0 / math.sqrt(n)
-    form = _block_form(w)
-    massart = (_branch_lp, w) if form is None else (_block_minimizer, form)
     minimizers = {}
-    for name, (constant, per_column) in _branches(k, n).items():
-        z_coef = scale * constant
-        label, floor, what = ("Massart", weight, "the weight")
-        if not per_column:
-            label, floor, what = "chaining", k * weight, "K * weight ="
+    for name, constant in _branches(k, n).items():
+        _, edge, (label, what), solve = _BRANCH_RULES[name]
+        z_coef, floor = scale * constant, edge(k, weight)
         if not abs_objective and not floor <= z_coef:
             raise SolverFailure(
                 f"the {label} branch is unbounded below: its z coefficient {z_coef} "
                 f"is below {what} {floor}"
             )
-        solve, data = massart if per_column else (_chaining_minimizer, w)
-        minimizers[name] = solve(data, weight, z_coef, abs_objective)
+        minimizers[name] = solve(w, weight, z_coef, abs_objective)
     return minimizers
 
 
@@ -549,7 +551,8 @@ def delta_fs_special(spec: ContaminationSpec, n: int, c_n: float) -> CorrectionR
     two-level model.  Where W reads as one block of K labels (block RR with
     b = K, where W = I, and the two-level model at K = 2) Omega vanishes too,
     and the value is c(n).  Used as the optimizer cross-check and as a fast
-    simplified mode; :func:`_fs_special` takes a channel already built.
+    simplified mode; :func:`_fs_special` takes a channel already built, of
+    any W with the block form.
     """
     _check_n(n)
     _check_real("c_n", c_n, 0.0, math.inf, "()")
@@ -557,8 +560,18 @@ def delta_fs_special(spec: ContaminationSpec, n: int, c_n: float) -> CorrectionR
 
 
 def _fs_special(tm: TransitionMatrix, n: int, c_n: float) -> CorrectionReport:
-    """:func:`delta_fs_special` on a family's built channel, n and c_n checked."""
-    _, diag, within, _ = _block_form(tm.W)
+    """:func:`delta_fs_special` on a built channel, n and c_n checked.
+
+    Any channel whose W has the block form qualifies, a family's T read from
+    a file included; any other W raises InvalidSpec.
+    """
+    form = _block_form(tm.W)
+    if form is None:
+        raise InvalidSpec(
+            "the simplified correction needs a W of block form (diag I + within B "
+            "+ across (J - B), blocks of m labels); this channel's W has none"
+        )
+    _, diag, within, _ = form
     beta = BetaVector(beta0=diag, betas=np.full(tm.k, tm.k * within))
     return _fs_report(n, tm.W, c_n, dict.fromkeys(_branches(tm.k, n), beta))
 
@@ -800,11 +813,9 @@ def delta_asy(
     {0, h, 2h, ..., 1}.  The ladder needs at least two steps and they must
     halve, so each grid is a strided sub-grid of the finest: one covariance,
     one factor and one stream of m draws serve every level.  The normals
-    are drawn by a vectorized Box-Muller transform, so the values for a
-    given seed differ from releases that used NumPy's ziggurat sampler by
-    Monte-Carlo error only.  The draws stream through fixed buffers
-    (:func:`_ladder_sups`): O(nK + N^2) working memory, independent of m.
-    A covariance of nonpositive trace is zero, and gives 0.  One Richardson
+    are drawn by a vectorized Box-Muller transform, and stream through fixed
+    buffers (:func:`_ladder_sups`): O(nK + N^2) working memory, independent
+    of m.  A covariance of nonpositive trace is zero, and gives 0.  One Richardson
     pass with exponent 1/2 (the grid bias of a Gaussian supremum is
     O(sqrt(h))) takes the two finest levels A(h) and A(h/2) to
     (sqrt(2) A(h/2) - A(h)) / (sqrt(2) - 1), per replicate; coarser levels
@@ -825,10 +836,12 @@ def delta_asy(
     ladder h = 1/25, 1/50, 1/100 ends on a grid of N = 101 points.  Each
     draw costs O(N) normals and an O(N^2) product; at N = 101 and
     m = 50,000 the normals took 25 of 46 ms and the fit under 1 ms (median
-    of 7 runs on 2 vCPUs).  The extrapolate barely moves with N: on the exact
-    Brownian-bridge covariance it lies within 0.001 of sqrt(pi/2) log 2, the
-    exact supremum, at N = 101 as at N = 1601.  A finer ladder can be passed
-    explicitly.
+    of 7 runs on 2 vCPUs).  On the exact Brownian-bridge covariance the
+    extrapolate barely moves with N: it lies within 0.001 of
+    sqrt(pi/2) log 2, the exact supremum, at N = 101 as at N = 1601.  Where
+    the scores bunch near 1, as trained APS scores do, the uniform grid is
+    too coarse and the default underestimates the supremum (ROADMAP item 1).
+    A finer ladder can be passed explicitly.
     """
     _check_int("m", m, 1000)
     _check_int("seed", seed, 0)

@@ -382,6 +382,9 @@ def train_softmax(
             t *= _SHRINK
         else:
             break
+        if cand_loss == loss and t < 1.0:  # flat to rounding: Armijo can't rank t
+            cand = weights + direction
+            cand_loss, cand_probs = _loss_and_probs(xb, y, cand)
         weights, loss, probs = cand, cand_loss, cand_probs
         steps += 1
     return SoftmaxModel(weights=weights, iterations=steps, final_loss=loss)

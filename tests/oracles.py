@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import integrate, optimize, sparse, special
 
 from noisycal import ContaminationSpec, EmptyClass, Family, FileFormatError, correction
 
@@ -660,12 +660,63 @@ def dense_branch_lp(
     cost[first] = weight
     cost[first + 1 : first + 1 + k] = weight / k
     cost[i_z] = z_coef
+    # HiGHS's default feasibility tolerances, 1e-7, can leave the optimum
+    # ~4e-7 relative high on a near-degenerate W, above the 1e-9 the tests ask
     res = optimize.linprog(
-        cost, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=(None, None), method="highs"
+        cost, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=(None, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     if res.status != 0:
         raise ValueError(f"dense LP did not reach an optimum: {res.message}")
     return res
+
+
+def index_massart_lp(w: np.ndarray, weight: float, z_coef: float, abs_objective: bool):
+    """(cost, A_ub, b_ub) of the Massart LP that ``correction._branch_lp``
+    hands to HiGHS, built cell by cell from index arithmetic.
+
+    Variables: beta0, beta_1..K, [u0, u_1..K], A_kl (cell c = kk K + ll), z.
+    Rows 2c and 2c + 1 hold +Omega[kk, ll] <= A_c and -Omega[kk, ll] <= A_c,
+    the next K rows every column sum of A at most z, and with |beta| the
+    last 2 (K + 1) rows +-beta_j <= u_j.  A_ub is a canonical CSR array.
+    """
+    k = w.shape[0]
+    nb = 1 + k
+    nu = nb if abs_objective else 0
+    nvars = nb + nu + k * k + 1
+    i_a = nb + nu
+    i_z = nvars - 1
+
+    cell = np.repeat(np.arange(k * k), 2)
+    kk, ll = np.divmod(cell, k)
+    sign = np.tile([1.0, -1.0], k * k)
+    row = np.arange(2 * k * k)
+    on_diag = kk == ll
+    a_cell, nrows = np.arange(k * k), 2 * k * k
+    rows = [row, row, row[on_diag], nrows + a_cell % k, nrows + np.arange(k)]
+    cols = [1 + kk, i_a + cell, np.zeros(int(on_diag.sum()), dtype=np.intp)]
+    cols += [i_a + a_cell, np.full(k, i_z)]
+    vals = [-sign / k, -np.ones(row.shape), -sign[on_diag], np.ones(k * k), -np.ones(k)]
+    rhs = [-sign * w.ravel()[cell], np.zeros(k)]
+    nrows += k
+    if abs_objective:
+        j = np.repeat(np.arange(nb), 2)
+        row = nrows + np.arange(2 * nb)
+        rows += [row, row]
+        cols += [j, nb + j]
+        vals += [np.tile([1.0, -1.0], nb), -np.ones(2 * nb)]
+        rhs.append(np.zeros(2 * nb))
+        nrows += 2 * nb
+    a_ub = sparse.csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nrows, nvars),
+    )
+    cost = np.zeros(nvars)
+    first = nb if abs_objective else 0
+    cost[first] = weight
+    cost[first + 1 : first + nb] = weight / k
+    cost[i_z] = z_coef
+    return cost, a_ub, np.concatenate(rhs)
 
 
 def softmax_objective(weights: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float):

@@ -1,6 +1,8 @@
 """The public surface of ``noisycal``, pinned so that a change to it is deliberate."""
 
+import ast
 import dataclasses
+import importlib
 import re
 import types
 from pathlib import Path
@@ -198,3 +200,34 @@ def test_the_package_needs_numpy_alone(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "tau =" in proc.stdout
     assert "error: a W without the block form needs SciPy" in proc.stderr
+
+
+# (module, attribute) pairs of bench/tracing.py's WRAPS that no longer
+# resolve, so their per-layer metrics read 0: FOUND 8, 11, 35 and 77 of
+# CHANGES.md, until the tracer reads a record instead (ROADMAP item 3)
+STALE_TRACED_NAMES = {
+    ("noisycal.calibrate", "build_cdfs"),
+    ("noisycal.correction", "simulate_gbb_sup"),
+    ("noisycal.correction", "linprog"),
+    ("noisycal.cli", "delta_fs_special"),
+}
+
+
+def test_every_traced_name_resolves():
+    # the tracer wraps each function under the name the package looks it up
+    # by; a rename would silently zero that layer's metric.  WRAPS is read
+    # from the file's syntax tree, so bench/ is only read
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    [wraps] = [
+        node.value
+        for node in ast.parse(tracing.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["WRAPS"]
+    ]
+    names = [(entry.elts[0].value, entry.elts[1].value) for entry in wraps.elts]
+    unresolved = {
+        (module, attr)
+        for module, attr in names
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    }
+    assert unresolved == STALE_TRACED_NAMES

@@ -16,6 +16,7 @@ from noisycal import (
     Family,
     InvalidSpec,
     LengthMismatch,
+    ThresholdResult,
     adaptive_threshold,
     closed_form_inverse,
     delta_hat,
@@ -70,6 +71,20 @@ def test_standard_overflow_falls_back_to_one():
     assert res.tau == 1.0
     assert res.i_hat is None
     assert res.set_I_empty
+
+
+@pytest.mark.parametrize("method", list(CalibrationMethod))
+@pytest.mark.parametrize("i_hat", [1, None])
+def test_threshold_result_derives_set_I_empty_and_warning(method, i_hat):
+    # both follow from i_hat and the rule, so neither can be passed
+    fields = dict(tau=1.0, i_hat=i_hat, method=method, correction=None)
+    res = ThresholdResult(**fields)
+    assert res.set_I_empty is (i_hat is None)
+    optimistic = method is CalibrationMethod.ADAPTIVE_PLUS
+    assert res.warning == (OPTIMISTIC_CAVEAT if optimistic else None)
+    for name, value in (("set_I_empty", i_hat is None), ("warning", None)):
+        with pytest.raises(TypeError, match=name):
+            ThresholdResult(**fields, **{name: value})
 
 
 def test_standard_index_is_exact_in_alpha():

@@ -79,9 +79,7 @@ REPORT = CorrectionReport(method=CorrectionMethod.CN_ONLY, value=0.0)
 BETA = BetaVector(beta0=1.0, betas=np.zeros(2))
 RR2 = ContaminationSpec(family="rr", k=2, eps=0.1)
 SIZES = dict(k=2, d=4, n_train=10, n_cal=10, n_test=10)
-RESULT = dict(
-    tau=0.5, i_hat=1, method=CalibrationMethod.STANDARD, correction=None, set_I_empty=False
-)
+RESULT = dict(tau=0.5, i_hat=1, method=CalibrationMethod.STANDARD, correction=None)
 
 
 def _diagnostics(**kwargs):
@@ -320,7 +318,7 @@ OBJECTS = [
     ("run_synthetic", "config", run_synthetic),
     *[
         ("ThresholdResult", name, lambda a, n=name: ThresholdResult(**RESULT | {n: a}))
-        for name in ("method", "correction", "warning")
+        for name in ("method", "correction")
     ],
 ]
 
@@ -341,19 +339,15 @@ def test_wrong_object_type_raises_invalid_spec_naming_it(call, name):
         pytest.param(dict(i_hat=0), "i_hat", id="i_hat-0"),
         pytest.param(dict(i_hat=2.0), "i_hat", id="i_hat-float"),
         pytest.param(dict(i_hat=True), "i_hat", id="i_hat-bool"),
-        pytest.param(dict(set_I_empty=True), "set_I_empty", id="empty-with-i_hat"),
-        pytest.param(dict(tau=1.0, i_hat=None), "set_I_empty", id="not-empty-without"),
-        pytest.param(dict(set_I_empty="no"), "set_I_empty", id="empty-str"),
-        pytest.param(dict(set_I_empty=0), "set_I_empty", id="empty-int"),
         pytest.param(dict(method="standard"), "method", id="method-str"),
         pytest.param(
-            dict(tau=math.nan, i_hat=-3, method="bogus", correction="x", set_I_empty="no"),
+            dict(tau=math.nan, i_hat=-3, method="bogus", correction="x"),
             "tau",
             id="every-field-bad",
         ),
     ],
 )
-def test_threshold_result_refuses_a_bad_or_inconsistent_field(fields, name):
+def test_threshold_result_refuses_a_bad_field(fields, name):
     # such a record was written into threshold.json as it was
     with pytest.raises(InvalidSpec, match=f"^{name} must "):
         ThresholdResult(**RESULT | fields)

@@ -39,7 +39,7 @@ from noisycal.cli import (
     run_from_scores,
     run_synthetic,
 )
-from noisycal.fileio import RESULTS_HEADER, write_probability_csv
+from noisycal.fileio import RESULTS_HEADER, read_transition_csv, write_probability_csv
 from noisycal.noise_model import build_transition
 from oracles import (
     NEAR_ONE,
@@ -373,18 +373,70 @@ def test_run_from_scores_refuses_a_transition_file_of_another_k(tmp_path):
         run_from_scores(str(cal_path), transition_path=str(t_path), method="standard")
 
 
-def test_run_from_scores_simplified_needs_parametric_model(tmp_path):
+@pytest.mark.parametrize(
+    "flags",
+    [dict(model="block_rr", eps=0.2, b=2), dict(model="two_level_rr", eps=0.2, nu=0.5)],
+    ids=["block_rr", "two_level_rr"],
+)
+def test_simplified_method_takes_a_family_transition_file(tmp_path, flags):
+    # the simplified correction reads W's own block form, so a family's T
+    # from a file, as is and relabelled (score columns and noisy labels
+    # permuted with it), gives the --model run's delta and tau; randomized
+    # scores draw one uniform a row, so they permute with the columns
+    k, n = 4, 2000
+    options = dict(method="adaptive-fs-simplified", randomized=True, seed=3)
+    p, y_noisy, _ = write_cal_csv(tmp_path / "cal.csv", seed=16, n=n, k=k)
+    spec = ContaminationSpec(family=flags["model"], k=k, eps=0.2, nu=0.5, b=2)
+    t = build_transition(spec).T
+    pi = np.array([2, 0, 3, 1])
+    inv = np.argsort(pi)
+    assert not np.array_equal(t[np.ix_(inv, inv)], t)
+    write_probability_csv(str(tmp_path / "cal_pi.csv"), p[:, inv], y_noisy=pi[y_noisy])
+    np.savetxt(str(tmp_path / "t.csv"), t, delimiter=",", fmt="%.17g")
+    np.savetxt(str(tmp_path / "t_pi.csv"), t[np.ix_(inv, inv)], delimiter=",", fmt="%.17g")
+    want = run_from_scores(str(tmp_path / "cal.csv"), **flags, **options)["threshold"]
+    assert want.tau < 1.0
+    for cal, t_name in (("cal.csv", "t.csv"), ("cal_pi.csv", "t_pi.csv")):
+        got = run_from_scores(
+            str(tmp_path / cal), transition_path=str(tmp_path / t_name), **options
+        )["threshold"]
+        assert got.correction.value == pytest.approx(want.correction.value, rel=1e-12)
+        assert (got.tau, got.i_hat) == (want.tau, want.i_hat)
+
+
+def test_simplified_method_refuses_a_w_without_block_form(tmp_path, capsys):
     cal_path = tmp_path / "cal.csv"
-    write_cal_csv(cal_path, seed=6, n=20, k=2)
-    spec = ContaminationSpec(family=Family.RANDOMIZED_RESPONSE, k=2, eps=0.1)
+    write_cal_csv(cal_path, seed=6, n=20, k=3)
     t_path = tmp_path / "t.csv"
-    np.savetxt(str(t_path), build_transition(spec).T, delimiter=",", fmt="%.17g")
-    with pytest.raises(InvalidSpec):
-        run_from_scores(
-            str(cal_path),
-            transition_path=str(t_path),
-            method="adaptive-fs-simplified",
-        )
+    np.savetxt(str(t_path), dense_transition(3, 6), delimiter=",", fmt="%.17g")
+    method = "adaptive-fs-simplified"
+    with pytest.raises(InvalidSpec, match="needs a W of block form"):
+        run_from_scores(str(cal_path), transition_path=str(t_path), method=method)
+    argv = ["calibrate", "--scores", str(cal_path), "--transition", str(t_path)]
+    assert main(argv + ["--method", method]) == 2
+    assert "needs a W of block form" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["adaptive-fs", "adaptive-asy"])
+def test_threshold_json_carries_the_channel_condition_number(tmp_path, method):
+    # every correction report carries T's condition number, whether the
+    # channel came from --model or from a dense --transition file (T as
+    # read, its columns renormalized)
+    cal_path = tmp_path / "cal.csv"
+    write_cal_csv(cal_path, seed=17, n=60, k=3)
+    t_path = tmp_path / "t.csv"
+    np.savetxt(str(t_path), dense_transition(3, 17), delimiter=",", fmt="%.17g")
+    family = ContaminationSpec(family=Family.RANDOMIZED_RESPONSE, k=3, eps=0.2)
+    runs = {
+        "model": (["--model", "rr", "--eps", "0.2"], build_transition(family).T),
+        "transition": (["--transition", str(t_path)], read_transition_csv(str(t_path)).T),
+    }
+    for name, (flags, t) in runs.items():
+        out = tmp_path / name
+        argv = ["calibrate", "--scores", str(cal_path), *flags, "--method", method]
+        assert main(argv + ["--out", str(out)]) == 0
+        blob = json.loads((out / "threshold.json").read_text())
+        assert blob["correction"]["condition_number"] == TransitionMatrix(t).condition_number
 
 
 def test_run_from_scores_writes_outputs(tmp_path):

@@ -55,6 +55,7 @@ from oracles import (
     dense_branch_lp,
     dense_ladder_sups,
     family_grid,
+    index_massart_lp,
     mc_c_of_n,
     multiplier_sup,
     one_call_ladder_sups,
@@ -500,9 +501,9 @@ def test_chaining_branch_matches_dense_lp_oracle(case):
     # the closed form on a family's W, the sparse LP on a dense one
     k, n, w = FS_CASES[case]
     cn = c_of_n(n)
-    constant, per_column = correction._branches(k, n)["chaining"]
-    assert not per_column
-    z_coef = (2.0 / math.sqrt(n)) * constant
+    branches = correction._branches(k, n)
+    assert list(branches) == ["chaining", "massart"]
+    z_coef = (2.0 / math.sqrt(n)) * branches["chaining"]
     beta = correction._branch_minimizers(n, w, cn, abs_objective=False)["chaining"]
     objective = cn * (beta.beta0 + float(np.mean(beta.betas)))
     objective += z_coef * float(np.abs(omega_matrix(w, beta)).max())
@@ -539,15 +540,14 @@ def test_family_closed_form_matches_massart_lp(case):
     assert noise_model._block_form(w) is not None
     scale = 2.0 / math.sqrt(n)
     problems = {
-        name: (scale * constant, per_column)
-        for name, (constant, per_column) in correction._branches(spec.k, n).items()
+        name: scale * constant for name, constant in correction._branches(spec.k, n).items()
     }
     optimum = {}
     for weight, absolute in ((c_of_n(n), False), (cn_envelope(n), True)):
         closed = correction._branch_minimizers(n, w, weight, absolute)
         assert closed.keys() == problems.keys()
-        for name, (z_coef, per_column) in problems.items():
-            if per_column:
+        for name, z_coef in problems.items():
+            if name == "massart":
                 lp_beta = correction._branch_lp(w, weight, z_coef, absolute)
             else:
                 x = dense_branch_lp(spec.k, w, weight, z_coef, False, absolute).x
@@ -767,6 +767,40 @@ def test_delta_fs_builds_one_sparse_lp(linprog_calls):
         per_row = np.diff(a_ub.tocsr().indptr)
         assert per_row[: 2 * k * k].max() <= 3
         assert call["method"] == "highs-ipm"
+
+
+class _Captured(Exception):
+    """Raised by the linprog stand-in once it has recorded its arguments."""
+
+
+@pytest.mark.parametrize("absolute", [False, True], ids=["signed", "abs"])
+@pytest.mark.parametrize("k", [2, 3, 7, 20, 60])
+def test_massart_lp_is_the_index_built_lp(k, absolute, monkeypatch):
+    # the LP assembled from named blocks is the one the index arithmetic
+    # built, entry for entry: A_ub's CSR structure and values (no explicit
+    # zeros), b_ub and the cost; the stand-in stops before HiGHS runs
+    calls = []
+
+    def capture(cost, **kwargs):
+        calls.append((cost, kwargs))
+        raise _Captured
+
+    monkeypatch.setattr(scipy_optimize, "linprog", capture)
+    n = 1000
+    w = _random_dense_w(k, 200 + k)
+    weight = c_of_n(n)
+    z_coef = (2.0 / math.sqrt(n)) * correction._branches(k, n)["massart"]
+    with pytest.raises(_Captured):
+        correction._branch_lp(w, weight, z_coef, absolute)
+    [(cost, kwargs)] = calls
+    want_cost, want_a, want_b = index_massart_lp(w, weight, z_coef, absolute)
+    a_ub = kwargs["A_ub"]
+    assert a_ub.format == "csr" and a_ub.shape == want_a.shape
+    assert np.all(a_ub.data != 0.0)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a_ub, part), getattr(want_a, part)), part
+    assert np.array_equal(kwargs["b_ub"], want_b)
+    assert np.array_equal(cost, want_cost)
 
 
 _SOLVER_RULE_CASES = {

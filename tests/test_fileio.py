@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import noisycal.fileio
 from noisycal import (
+    OPTIMISTIC_CAVEAT,
     CalibrationMethod,
     CorrectionMethod,
     CorrectionReport,
@@ -532,8 +533,7 @@ def test_writers_refuse_bad_arrays_before_creating_the_file(
 
 
 _RESULT = ThresholdResult(
-    tau=1.0, i_hat=None, method=CalibrationMethod.STANDARD, correction=None,
-    set_I_empty=True,
+    tau=1.0, i_hat=None, method=CalibrationMethod.STANDARD, correction=None
 )
 
 
@@ -560,7 +560,6 @@ def test_threshold_json_contents(tmp_path):
         i_hat=91,
         method=CalibrationMethod.ADAPTIVE,
         correction=rep,
-        set_I_empty=False,
     )
     path = str(tmp_path / "t.json")
     write_threshold_json(path, res)
@@ -576,8 +575,7 @@ def test_threshold_json_contents(tmp_path):
 
 def test_threshold_json_writes_a_numpy_integer_rank_as_an_integer(tmp_path):
     res = ThresholdResult(
-        tau=0.5, i_hat=np.int64(3), method=CalibrationMethod.STANDARD,
-        correction=None, set_I_empty=False,
+        tau=0.5, i_hat=np.int64(3), method=CalibrationMethod.STANDARD, correction=None
     )
     path = tmp_path / "t.json"
     write_threshold_json(str(path), res)
@@ -586,13 +584,12 @@ def test_threshold_json_writes_a_numpy_integer_rank_as_an_integer(tmp_path):
 
 
 def test_threshold_json_fallback_round_trips(tmp_path):
+    # set_I_empty and warning follow from i_hat and the method, and are written
     res = ThresholdResult(
         tau=1.0,
         i_hat=None,
-        method=CalibrationMethod.STANDARD,
+        method=CalibrationMethod.ADAPTIVE_PLUS,
         correction=None,
-        set_I_empty=True,
-        warning="index set empty",
     )
     path = str(tmp_path / "t.json")
     write_threshold_json(path, res)
@@ -602,7 +599,7 @@ def test_threshold_json_fallback_round_trips(tmp_path):
     assert blob["i_hat"] is None
     assert blob["correction"] is None
     assert blob["set_I_empty"] is True
-    assert blob["warning"] == "index set empty"
+    assert blob["warning"] == OPTIMISTIC_CAVEAT
 
 
 def test_threshold_json_writes_every_field_of_the_record(tmp_path):
@@ -613,7 +610,7 @@ def test_threshold_json_writes_every_field_of_the_record(tmp_path):
 
     rep = CorrectionReport(method=CorrectionMethod.CN_ONLY, value=0.02, c_n=0.02)
     res = TimedResult(
-        tau=0.5, i_hat=3, method=CalibrationMethod.ADAPTIVE, correction=rep, set_I_empty=False
+        tau=0.5, i_hat=3, method=CalibrationMethod.ADAPTIVE, correction=rep
     )
     path = str(tmp_path / "t.json")
     write_threshold_json(path, res)

@@ -323,6 +323,21 @@ def test_train_softmax_meets_the_gradient_tolerance_on_either_route(problem):
     assert model.weights[-1, -1] == 0.0
 
 
+@pytest.mark.parametrize("seed, d, k, n", [(711, 4, 6, 34), (1070, 2, 4, 27)])
+def test_train_softmax_converges_where_the_loss_is_flat_to_rounding(seed, d, k, n):
+    # problems whose last Newton steps lower the loss by less than its
+    # rounding: Armijo alone accepted ever shorter steps of no measurable
+    # progress and stopped after the step limit, the gradient above tolerance
+    rng = np.random.default_rng(seed)
+    rng.integers(1, 11), rng.integers(2, 11), rng.integers(5, 31)
+    x = rng.standard_normal((n, d)) * [0.1, 1.0, 3.0][seed % 3]
+    y = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+    model = train_softmax(x, y)
+    _, grad, _ = softmax_objective(model.weights, x, y, 1e-3)
+    assert float(np.abs(grad).max()) <= 1.001e-9
+    assert model.iterations < 20
+
+
 def cg_problem(k, d, n, seed, labelled=None):
     # Gaussian-cluster data with K(d+1) above the limit, labelled with the
     # first ``labelled`` classes only when given
