@@ -18,14 +18,15 @@ Three routes produce a correction:
   use of SciPy.  ``_fs_report`` builds both finite-sample reports.
 * ``delta_asy``: asymptotic route; estimates the plug-in covariance of the
   limiting Gaussian process once, on the finest grid of a halving ladder
-  (``estimate_covariance``), factors it, simulates its absolute supremum on
-  every level from one stream of m float32 draws, extrapolates the two
-  finest levels by one Richardson pass, cuts the extrapolate's Monte-Carlo
-  error with two control variates of exactly known mean, and rescales by
-  1/sqrt(n), in O(nK + N^2) working memory, independent of m.  The default
-  ladder is h = 1/25, 1/50, 1/100 (finest grid N = 101 points) with
-  m = 50,000 draws; each draw costs O(N) normals and an O(N^2) product, and
-  at N = 101 the normals dominate.
+  (``estimate_covariance``), factors it by one symmetric eigendecomposition
+  with its negative eigenvalues clipped (``_psd_factor``), simulates its
+  absolute supremum on every level from one stream of m float32 draws,
+  extrapolates the two finest levels by one Richardson pass, cuts the
+  extrapolate's Monte-Carlo error with two control variates of exactly
+  known mean, and rescales by 1/sqrt(n), in O(nK + N^2) working memory,
+  independent of m.  The default ladder is h = 1/25, 1/50, 1/100 (finest
+  grid N = 101 points) with m = 50,000 draws; each draw costs O(N) normals
+  and an O(N^2) product, and at N = 101 the normals dominate.
 
 ``delta_star_star_bound`` and ``upper_bound_diagnostics`` compute the purely
 diagnostic quantities (the bound on the expected absolute supremum of the
@@ -117,10 +118,10 @@ class CorrectionReport:
     route, ``mc_diagnostics`` records the grid ladder, the per-level
     Monte-Carlo estimates with standard errors, the extrapolated (unscaled)
     supremum and its standard error, the two fitted control coefficients and
-    the variance factor they gained, the covariance condition number, and the
-    Cholesky jitter multiplier of the finest-grid factorization (None for an
-    all-zero covariance, which is not factored).  ``condition_number``
-    optionally carries the transition-matrix conditioning for audit.
+    the variance factor they gained, and ``covariance_eigenvalues``, the
+    smallest and largest eigenvalue of the finest-grid covariance before its
+    negative ones are clipped to 0.  ``condition_number`` optionally carries
+    the transition-matrix conditioning for audit.
     """
 
     method: CorrectionMethod
@@ -622,33 +623,40 @@ def estimate_covariance(cal: CalibrationSet, w, grid) -> NDArray[np.float64]:
     return 0.5 * (g + g.T)
 
 
-_JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+# A covariance whose smallest eigenvalue lies below -_PSD_TOL times its mean
+# diagonal is refused: so negative an eigenvalue is no rounding of a PSD matrix
+_PSD_TOL = 1e-6
 
 
-def _jittered_cholesky(
+def _psd_factor(
     sigma: NDArray[np.float64],
-) -> tuple[NDArray[np.float64], float]:
-    """Lower Cholesky factor of sigma + mult * mean(diag sigma) * I.
+) -> tuple[NDArray[np.float64], tuple[float, float]]:
+    """F = Q sqrt(max(Lambda, 0)) from sigma = Q Lambda Q^T, and sigma's
+    (lambda_min, lambda_max) before clipping.
 
-    ``mult`` is the first value of the jitter ladder at which the
-    factorization succeeds; it is returned with the factor.  sigma must have
-    a positive trace.  Raises CholeskyFailure when the whole ladder fails.
+    F F^T is the nearest PSD matrix to sigma in the Frobenius norm (Higham,
+    Linear Algebra Appl. 103, 1988), whatever sigma's rank.  A plug-in
+    covariance is singular by construction (its t = 0 row vanishes when no
+    score is 0, its t = 1 row when every column of W sums to 1, as a
+    channel's does), so it has no Cholesky factor.  A sigma of nonpositive
+    trace is zero up to rounding and gives the zero factor.  Raises
+    CholeskyFailure when lambda_min is below -``_PSD_TOL`` times the mean
+    diagonal, or when the eigendecomposition fails.
     """
-    npts = sigma.shape[0]
-    mean_diag = float(np.trace(sigma)) / npts
-    # one copy serves every try: only its diagonal changes
-    jittered = sigma.copy()
-    diag = sigma.diagonal()
-    for mult in _JITTER_LADDER:
-        jittered.flat[:: npts + 1] = diag + mult * mean_diag
-        try:
-            chol = np.linalg.cholesky(jittered)
-        except np.linalg.LinAlgError:
-            continue
-        return chol, mult
-    raise CholeskyFailure(
-        f"Cholesky failed even at jitter {_JITTER_LADDER[-1]} * mean diagonal"
-    )
+    try:
+        lam, q = np.linalg.eigh(sigma)
+    except np.linalg.LinAlgError as exc:
+        raise CholeskyFailure(f"covariance eigendecomposition failed: {exc}") from exc
+    extremes = (float(lam[0]), float(lam[-1]))
+    mean_diag = float(np.trace(sigma)) / sigma.shape[0]
+    if mean_diag <= 0.0:
+        return np.zeros_like(sigma), extremes
+    if lam[0] < -_PSD_TOL * mean_diag:
+        raise CholeskyFailure(
+            f"covariance is not PSD: its smallest eigenvalue {lam[0]:.6g} is below "
+            f"-{_PSD_TOL:g} * mean diagonal ({mean_diag:.6g})"
+        )
+    return q * np.sqrt(np.maximum(lam, 0.0)), extremes
 
 
 # The ladder's draws stream through two float32 buffers of this many draws,
@@ -694,37 +702,33 @@ def _box_muller(
 
 def _ladder_sups(
     sigma: NDArray[np.float64], strides, m: int, seed: int
-) -> tuple[
-    NDArray[np.float64], NDArray[np.float64], NDArray[np.float64] | None, float | None
-]:
-    """Absolute suprema of m draws x = L z, L L^T the jittered sigma, and
-    two centred control variates per draw.
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], tuple]:
+    """Absolute suprema of m draws x = F z, F the :func:`_psd_factor` of
+    sigma, and two centred control variates per draw.
 
     Row j of the suprema holds, per replicate, max |x| over every
     strides[j]-th point, all rows from the same draws of one
     ``default_rng(seed)`` stream; each stride is half the one before it.
     The controls are S1 = sum_j |x_j| and S2 = sum_j x_j^2 over all N points,
-    each less its exact mean: with sigma_j^2 = sum_l L[j, l]^2 of the float32
+    each less its exact mean: with sigma_j^2 = sum_l F[j, l]^2 of the float32
     factor actually multiplied, E S1 = sqrt(2/pi) sum_j sigma_j and
     E S2 = sum_j sigma_j^2.  Returns the float64 suprema, the 2 x m float64
-    controls, L and its jitter multiplier.  A sigma of nonpositive trace is
-    zero (it is PSD up to rounding), so it is not factored: its suprema and
-    controls are 0 and L and the multiplier None.
+    controls, F and sigma's extreme eigenvalues (lambda_min, lambda_max).
+    A sigma of nonpositive trace has the zero factor, so its suprema and
+    controls are 0.
 
-    sigma and L stay float64.  The normals z come from ``_box_muller``;
-    z and the product L z are float32 and stream through two fixed buffers
+    sigma and F stay float64.  The normals z come from ``_box_muller``;
+    z and the product F z are float32 and stream through two fixed buffers
     of ``_LADDER_DRAWS`` draws: each slice holds one draw per column and is
-    multiplied by a float32 copy of L in one dense product, so column i of
-    the result is L z_i and each level's maxima run along contiguous rows.
+    multiplied by a float32 copy of F in one dense product, so column i of
+    the result is F z_i and each level's maxima run along contiguous rows.
     The squares go into the z buffer, free after the product, and both
     control sums accumulate in float64.  The working memory is O(N^2),
     independent of m; only the m suprema per level and the 2 m controls
     are kept.
     """
-    if np.trace(sigma) <= 0.0:
-        return np.zeros((len(strides), m)), np.zeros((2, m)), None, None
-    chol, mult = _jittered_cholesky(sigma)
-    lower32 = chol.astype(np.float32)
+    factor, eigenvalues = _psd_factor(sigma)
+    factor32 = factor.astype(np.float32)
     rng = np.random.default_rng(seed)
     npts = sigma.shape[0]
     z_buf = np.empty(_LADDER_DRAWS * npts, dtype=np.float32)
@@ -744,7 +748,7 @@ def _ladder_sups(
         z = z_buf[: npts * b].reshape(npts, b)
         x = x_buf[: npts * b].reshape(npts, b)
         _box_muller(rng, z, x_buf)
-        np.matmul(lower32, z, out=x)
+        np.matmul(factor32, z, out=x)
         np.square(x, out=z)
         controls[1, start:stop] = z.sum(axis=0, dtype=np.float64)
         np.abs(x, out=x)
@@ -757,11 +761,11 @@ def _ladder_sups(
         for j in range(1, len(strides)):
             np.maximum(level, x[strides[j] :: strides[j - 1]].max(axis=0), out=level)
             sups[j, start:stop] = level
-    lower = lower32.astype(np.float64)
-    variances = (lower * lower).sum(axis=1)
+    rounded = factor32.astype(np.float64)
+    variances = (rounded * rounded).sum(axis=1)
     controls[0] -= math.sqrt(2.0 / math.pi) * np.sqrt(variances).sum()
     controls[1] -= variances.sum()
-    return sups, controls, chol, mult
+    return sups, controls, factor, eigenvalues
 
 
 def _mean_se(stat: NDArray[np.float64]):
@@ -790,16 +794,6 @@ def _controlled_mean_se(values: NDArray[np.float64], controls: NDArray[np.float6
     return mean, se, beta, factor
 
 
-def _covariance_condition(chol: NDArray[np.float64]) -> float:
-    """Exact 2-norm condition number of the factored covariance L L^T.
-
-    The ratio of its extreme eigenvalues, which are positive because the
-    jittered factor is nonsingular.
-    """
-    eig = np.linalg.eigvalsh(chol @ chol.T)
-    return float(eig[-1] / eig[0])
-
-
 def delta_asy(
     cal: CalibrationSet,
     w,
@@ -815,7 +809,9 @@ def delta_asy(
     one factor and one stream of m draws serve every level.  The normals
     are drawn by a vectorized Box-Muller transform, and stream through fixed
     buffers (:func:`_ladder_sups`): O(nK + N^2) working memory, independent
-    of m.  A covariance of nonpositive trace is zero, and gives 0.  One Richardson
+    of m.  The factor comes from one eigendecomposition (:func:`_psd_factor`),
+    whose extreme eigenvalues are recorded as ``covariance_eigenvalues``.  A
+    covariance of nonpositive trace is zero, and gives 0.  One Richardson
     pass with exponent 1/2 (the grid bias of a Gaussian supremum is
     O(sqrt(h))) takes the two finest levels A(h) and A(h/2) to
     (sqrt(2) A(h/2) - A(h)) / (sqrt(2) - 1), per replicate; coarser levels
@@ -863,8 +859,7 @@ def delta_asy(
     grid = np.linspace(0.0, 1.0, int(round(1.0 / hs[-1])) + 1)
     strides = [int(round(h / hs[-1])) for h in hs]
     sigma = estimate_covariance(cal, w, grid)
-    sups, controls, chol, jitter = _ladder_sups(sigma, strides, m, seed)
-    condition_number = math.inf if chol is None else _covariance_condition(chol)
+    sups, controls, _, eigenvalues = _ladder_sups(sigma, strides, m, seed)
     means, ses = _mean_se(sups)
     extrapolated, extrapolated_se, beta, factor = _controlled_mean_se(
         weights @ sups, controls
@@ -880,8 +875,7 @@ def delta_asy(
         "extrapolated_se": float(extrapolated_se),
         "control_coefficients": beta.tolist(),
         "variance_factor": float(factor),
-        "condition_number": condition_number,
-        "cholesky_jitter": jitter,
+        "covariance_eigenvalues": list(eigenvalues),
     }
     return CorrectionReport(
         method=CorrectionMethod.ASYMPTOTIC,

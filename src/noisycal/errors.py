@@ -77,7 +77,7 @@ class SolverFailure(NoisycalError):
 
 
 class CholeskyFailure(NoisycalError):
-    """Covariance factorization failed even after jitter escalation."""
+    """The asymptotic covariance is not PSD up to rounding, or eigh failed on it."""
 
 
 class LadderMismatch(NoisycalError):

@@ -553,45 +553,39 @@ def ladder_normals(npts: int, m: int, seed: int) -> np.ndarray:
     return z
 
 
-def dense_ladder_sups(chol: np.ndarray, strides, m: int, seed: int) -> np.ndarray:
-    """Per-replicate absolute suprema of x = L z on every strides[j]-th point.
+def dense_ladder_sups(factor: np.ndarray, strides, m: int, seed: int) -> np.ndarray:
+    """Per-replicate absolute suprema of x = F z on every strides[j]-th point.
 
     The float32 normals of ``ladder_normals``, multiplied all at once in
-    float64 by the whole dense factor (zeros included) and reduced on each
-    level separately.
+    float64 by the whole dense factor and reduced on each level separately.
     """
-    x = np.abs(chol @ ladder_normals(chol.shape[0], m, seed).astype(np.float64))
+    x = np.abs(factor @ ladder_normals(factor.shape[0], m, seed).astype(np.float64))
     return np.stack([x[::stride].max(axis=0) for stride in strides])
 
 
 def one_call_ladder_sups(sigma: np.ndarray, strides, m: int, seed: int):
     """The float32 ladder sampler with all m draws multiplied at once.
 
-    Factors sigma + mult * mean(diag sigma) * I at the first multiplier of
-    the jitter ladder that succeeds, takes the N x m float32 normals of
-    ``ladder_normals`` and multiplies them by the float32 factor in one
-    product, then reduces each level separately.  Returns the
-    float64 suprema per stride, the 2 x m float64 sums S1 = sum_j |x_j| and
-    S2 = sum_j x_j^2 of each product column (not centred), the factor and
-    the multiplier.
+    Factors sigma as F = Q sqrt(max(Lambda, 0)) from its eigendecomposition
+    Q Lambda Q^T (the zero factor for a sigma of nonpositive trace), takes
+    the N x m float32 normals of ``ladder_normals`` and multiplies them by
+    the float32 factor in one product, then reduces each level separately.
+    Returns the float64 suprema per stride, the 2 x m float64 sums
+    S1 = sum_j |x_j| and S2 = sum_j x_j^2 of each product column (not
+    centred), the factor and sigma's extreme eigenvalues.
     """
-    npts = sigma.shape[0]
-    mean_diag = float(np.trace(sigma)) / npts
-    for mult in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
-        try:
-            chol = np.linalg.cholesky(sigma + mult * mean_diag * np.eye(npts))
-            break
-        except np.linalg.LinAlgError:
-            continue
+    lam, q = np.linalg.eigh(sigma)
+    if np.trace(sigma) > 0.0:
+        factor = q * np.sqrt(np.maximum(lam, 0.0))
     else:
-        raise np.linalg.LinAlgError("no jitter of the ladder makes sigma factorable")
-    x = chol.astype(np.float32) @ ladder_normals(npts, m, seed)
+        factor = np.zeros_like(sigma)
+    x = factor.astype(np.float32) @ ladder_normals(sigma.shape[0], m, seed)
     ax = np.abs(x)
     sums = np.stack(
         [ax.sum(axis=0, dtype=np.float64), (x * x).sum(axis=0, dtype=np.float64)]
     )
     sups = np.stack([ax[::stride].max(axis=0) for stride in strides])
-    return sups.astype(np.float64), sums, chol, mult
+    return sups.astype(np.float64), sums, factor, (float(lam[0]), float(lam[-1]))
 
 
 def dense_branch_lp(

@@ -1085,10 +1085,10 @@ def test_ladder_sups_match_dense_float64_oracle():
     # float64 factor; m = 13,000 spans seven slices
     strides, m = (4, 2, 1), 13_000
     sigma = bridge_covariance(401)
-    sups, _, chol, _ = correction._ladder_sups(sigma, strides, m, seed=21)
+    sups, _, factor, _ = correction._ladder_sups(sigma, strides, m, seed=21)
     assert sups.dtype == np.float64 and sups.shape == (len(strides), m)
     np.testing.assert_allclose(
-        sups, dense_ladder_sups(chol, strides, m, seed=21), rtol=1e-5, atol=0.0
+        sups, dense_ladder_sups(factor, strides, m, seed=21), rtol=1e-5, atol=0.0
     )
 
 
@@ -1102,21 +1102,21 @@ def test_ladder_sups_equal_one_call_sampler(npts, strides, ragged):
     # would send to a matrix-vector product
     m = 2 * correction._LADDER_DRAWS + 1 if ragged else 1000
     sigma = bridge_covariance(npts)
-    sups, controls, chol, mult = correction._ladder_sups(sigma, strides, m, seed=5)
-    want, sums, want_chol, want_mult = one_call_ladder_sups(sigma, strides, m, seed=5)
-    assert np.array_equal(chol, want_chol) and mult == want_mult
+    sups, controls, factor, pair = correction._ladder_sups(sigma, strides, m, seed=5)
+    want, sums, want_factor, want_pair = one_call_ladder_sups(sigma, strides, m, seed=5)
+    assert np.array_equal(factor, want_factor) and pair == want_pair
     assert np.array_equal(sups, want)
     # the controls are those sums less their exact means, read off the
     # float32 factor actually multiplied
-    lower = chol.astype(np.float32).astype(np.float64)
-    cov = lower @ lower.T
+    rounded = factor.astype(np.float32).astype(np.float64)
+    cov = rounded @ rounded.T
     means = [math.sqrt(2.0 / math.pi) * np.sqrt(cov.diagonal()).sum(), np.trace(cov)]
     np.testing.assert_allclose(controls + np.array(means)[:, None], sums, rtol=1e-12)
 
 
 def test_ladder_controls_have_their_exact_means():
     # over 100,000 bridge draws, S1 and S2 less sqrt(2/pi) sum_j sigma_j and
-    # trace(L L^T) average to zero within 4 SE: a wrong mean would bias the
+    # trace(F F^T) average to zero within 4 SE: a wrong mean would bias the
     # regression estimate, and every threshold with it
     _, controls, _, _ = correction._ladder_sups(
         bridge_covariance(101), (4, 2, 1), 100_000, seed=13
@@ -1126,9 +1126,11 @@ def test_ladder_controls_have_their_exact_means():
 
 
 def test_ladder_zero_covariance_has_zero_controls():
-    sups, controls, chol, mult = correction._ladder_sups(np.zeros((5, 5)), (2, 1), 1000, 0)
+    sups, controls, factor, eigenvalues = correction._ladder_sups(
+        np.zeros((5, 5)), (2, 1), 1000, 0
+    )
     assert not sups.any() and not controls.any() and controls.shape == (2, 1000)
-    assert chol is None and mult is None
+    assert not factor.any() and factor.shape == (5, 5) and eigenvalues == (0.0, 0.0)
 
 
 def test_ladder_sups_working_memory_does_not_grow_with_m():
@@ -1212,25 +1214,85 @@ def test_delta_asy_rounding_zero_covariance(spec):
     assert rep.value < 1e-6
 
 
-@pytest.mark.parametrize("shift, expected_mult", [(0.0, 1e-10), (-5e-9, 1e-8)])
-def test_jittered_cholesky_matches_dense_jitter(shift, expected_mult):
-    # the bridge covariance is singular (its end rows are zero); shifted down
-    # by 5e-9 of its mean diagonal, the first two jitter values still fail
+def random_psd(npts, rank):
+    """A random PSD matrix of size npts and the given rank."""
+    a = np.random.default_rng(23 + npts + rank).standard_normal((npts, rank))
+    return a @ a.T
+
+
+def plug_in_covariance():
+    """The plug-in covariance of test_delta_asy_agrees_with_multiplier_oracle's
+    instance on the default grid, N = 101."""
+    cal, w = oracle_instance()
+    return estimate_covariance(cal, w, np.linspace(0.0, 1.0, 101))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(
+            pytest.param(lambda n=n, r=r: random_psd(n, r), id=f"random-{n}-rank-{r}")
+            for n in (2, 7, 50, 101)
+            for r in (n, max(1, n // 3))
+        ),
+        *(
+            pytest.param(lambda n=n: bridge_covariance(n), id=f"bridge-{n}")
+            for n in (25, 101, 401)
+        ),
+        pytest.param(plug_in_covariance, id="plug-in"),
+    ],
+)
+def test_psd_factor_reproduces_the_clipped_covariance(make):
+    # F F^T is Q max(Lambda, 0) Q^T, and for these PSD matrices sigma itself,
+    # within N u ||sigma||; the pair is sigma's extreme eigenvalues before
+    # clipping, within the same rounding of eigvalsh's
+    sigma = make()
+    npts = sigma.shape[0]
+    tol = npts * np.finfo(float).eps / 2 * np.linalg.norm(sigma, 2)
+    factor, (lam_min, lam_max) = correction._psd_factor(sigma)
+    lam, q = np.linalg.eigh(sigma)
+    assert np.abs(factor @ factor.T - (q * np.maximum(lam, 0.0)) @ q.T).max() <= tol
+    assert np.abs(factor @ factor.T - sigma).max() <= tol
+    eigvals = np.linalg.eigvalsh(sigma)
+    assert abs(lam_min - eigvals[0]) <= tol and abs(lam_max - eigvals[-1]) <= tol
+
+
+def test_psd_factor_refuses_an_indefinite_matrix():
+    # eigenvalues 3 and -1: -1 is far below -1e-6 times the mean diagonal 1
+    message = r"smallest eigenvalue -1 is below -1e-06 \* mean diagonal \(1\)"
+    with pytest.raises(CholeskyFailure, match=message):
+        correction._psd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@pytest.mark.parametrize("shift", [-5e-9, -0.9e-6, -1.1e-6])
+def test_psd_factor_refuses_exactly_below_the_tolerance(shift):
+    # the bridge (smallest eigenvalue 0) shifted by shift times its mean
+    # diagonal: refused only below -1e-6 of it.  The shift of -5e-9 is one
+    # that a Cholesky factorization needed a jitter of 1e-8 to pass
     sigma = bridge_covariance(101)
-    sigma += shift * np.trace(sigma) / 101 * np.eye(101)
+    mean_diag = float(np.trace(sigma)) / 101
+    sigma += shift * mean_diag * np.eye(101)
     before = sigma.copy()
-    chol, mult = correction._jittered_cholesky(sigma)
-    assert mult == expected_mult
-    jitter = mult * (float(np.trace(sigma)) / 101)
-    assert np.array_equal(chol, np.linalg.cholesky(sigma + jitter * np.eye(101)))
+    if shift < -1e-6:
+        with pytest.raises(CholeskyFailure, match="smallest eigenvalue"):
+            correction._psd_factor(sigma)
+        return
+    factor, (lam_min, _) = correction._psd_factor(sigma)
+    assert lam_min == pytest.approx(shift * mean_diag, rel=1e-6)
+    # clipping lifts the bridge's two null directions back to 0 and leaves
+    # the others shifted, so F F^T is within the shift of the bridge
+    gap = np.abs(factor @ factor.T - bridge_covariance(101)).max()
+    assert gap <= -shift * mean_diag * 1.001
     assert np.array_equal(sigma, before)
 
 
-def test_jittered_cholesky_refuses_an_indefinite_matrix():
-    # eigenvalues 3 and -1: no jitter of the ladder reaches the -1
-    message = r"^Cholesky failed even at jitter 1e-06 \* mean diagonal$"
-    with pytest.raises(CholeskyFailure, match=message):
-        correction._jittered_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+def test_psd_factor_maps_a_failed_decomposition_to_cholesky_failure(monkeypatch):
+    def fail(sigma):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(CholeskyFailure, match="did not converge"):
+        correction._psd_factor(np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -1244,7 +1306,7 @@ def extrapolate(monkeypatch, levels):
     rows = np.array([levels[h] for h in sorted(levels, reverse=True)])
 
     def fixed_sups(sigma, strides, m, seed):
-        return np.repeat(rows[:, None], m, axis=1), np.zeros((2, m)), None, None
+        return np.repeat(rows[:, None], m, axis=1), np.zeros((2, m)), None, (0.0, 1.0)
 
     monkeypatch.setattr(correction, "_ladder_sups", fixed_sups)
     cal, w = asy_inputs(seed=12, n=200)
@@ -1322,15 +1384,18 @@ def test_delta_asy_diagnostics_contents():
         "extrapolated_se",
         "control_coefficients",
         "variance_factor",
-        "condition_number",
-        "cholesky_jitter",
+        "covariance_eigenvalues",
     }
-    assert d["cholesky_jitter"] in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
     assert d["h_levels"] == [1 / 50, 1 / 100]
     assert d["M"] == 5_000
     assert [lv["h"] for lv in d["raw"]] == [1 / 50, 1 / 100]
     assert all(lv["se"] > 0.0 for lv in d["raw"])
-    assert d["condition_number"] >= 1.0
+    # the covariance's extreme eigenvalues, before clipping: its t = 1 row
+    # vanishes, so the smallest is 0 up to rounding
+    sigma = estimate_covariance(cal, w, np.linspace(0.0, 1.0, 101))
+    lam = np.linalg.eigvalsh(sigma)
+    assert d["covariance_eigenvalues"] == pytest.approx([lam[0], lam[-1]], abs=1e-12)
+    assert abs(d["covariance_eigenvalues"][0]) <= 1e-12 < d["covariance_eigenvalues"][1]
     # statistical: the controlled extrapolate exceeds the plain finest mean
     # by ~19 of its SEs here; the exact per-replicate ordering down the
     # ladder is pinned in test_delta_asy_coupled_levels_grow_down_the_ladder
@@ -1412,15 +1477,16 @@ def test_delta_asy_builds_one_covariance_one_factor_one_stream(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     count(correction, "estimate_covariance")
-    count(correction, "_jittered_cholesky")
     count(np.random, "default_rng")
+    for name in ("eigh", "eigvalsh", "cholesky"):
+        count(np.linalg, name)
     with pytest.raises(LadderMismatch):
         delta_asy(cal, w, h_ladder=(1 / 300, 1 / 400), m=1_000, seed=0)
     with pytest.raises(InvalidSpec):
         delta_asy(cal, w, h_ladder=(1 / 100,), m=1_000, seed=0)
     assert not calls  # rejected before any covariance or draw
     delta_asy(cal, w, h_ladder=(1 / 50, 1 / 100, 1 / 200), m=1_000, seed=0)
-    assert calls == {"estimate_covariance": 1, "_jittered_cholesky": 1, "default_rng": 1}
+    assert calls == {"estimate_covariance": 1, "eigh": 1, "default_rng": 1}
 
 
 @pytest.mark.parametrize(
@@ -1452,7 +1518,7 @@ def test_delta_asy_zero_covariance():
     d = rep.mc_diagnostics
     assert [(lv["estimate"], lv["se"]) for lv in d["raw"]] == [(0.0, 0.0), (0.0, 0.0)]
     assert (d["extrapolated"], d["extrapolated_se"]) == (0.0, 0.0)
-    assert d["condition_number"] == math.inf and d["cholesky_jitter"] is None
+    assert d["covariance_eigenvalues"] == [0.0, 0.0]
     assert rep.value == 0.0
 
 
@@ -1565,20 +1631,23 @@ def test_default_m_meets_the_precision_rule(instance):
         assert abs(d["extrapolated"] - BRIDGE_SUP) <= 0.005
 
 
-def test_condition_number_is_exact():
-    # K = 1 with scores inside (0, 1): the end rows of the covariance are
-    # exactly zero, so its smallest eigenvalue is the jitter itself and the
-    # ratio is well determined although it is about 6e11
-    rng = np.random.default_rng(0)
-    labels = np.zeros(5000, dtype=np.int64)
-    cal = CalibrationSet.from_scores(rng.uniform(size=(5000, 1)), labels)
-    w = np.eye(1)
-    rep = delta_asy(cal, w, h_ladder=(1 / 50, 1 / 100), m=1_000, seed=0)
+@pytest.mark.parametrize("instance", [oracle_instance, rr_instance])
+def test_channel_covariance_is_singular_at_one(instance):
+    # every column of a channel's W sums to 1, so f_1 = 1 for every sample:
+    # the t = 1 row of the plug-in covariance vanishes up to the rounding of
+    # its n K^2 summed terms (below 1e-13 of its norm here, where the next
+    # eigenvalues are ~1e-4 of it), and with it the smallest eigenvalue, also
+    # with the t = 0 row left out.  A factor of the covariance must therefore
+    # accept a singular matrix
+    cal, w = instance()
+    np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
     sigma = estimate_covariance(cal, w, np.linspace(0.0, 1.0, 101))
-    chol, _ = correction._jittered_cholesky(sigma)
-    assert rep.mc_diagnostics["condition_number"] == pytest.approx(
-        np.linalg.cond(chol @ chol.T), rel=1e-8
-    )
+    tol = 1e-12 * np.linalg.norm(sigma, 2)
+    assert np.abs(sigma[-1]).max() <= tol
+    assert abs(np.linalg.eigvalsh(sigma[1:, 1:])[0]) <= tol
+    rep = delta_asy(cal, w, h_ladder=(1 / 50, 1 / 100), m=1_000, seed=0)
+    lam_min, lam_max = rep.mc_diagnostics["covariance_eigenvalues"]
+    assert abs(lam_min) <= tol and lam_max > 1e3 * tol
 
 
 # ---------------------------------------------------------------------------

@@ -95,12 +95,12 @@ CALIBRATE = {
         "facd34dd5920fa00", None,
     ),
     ("rr", "adaptive-asy"): (
-        0.9275262872518827, 874, 0.03326388275602624,
+        0.9275262872518827, 874, 0.033258084075922255,
         None,
         "f2f4f3d4cfca3346", None,
     ),
     ("rr", "adaptive-plus"): (
-        0.9275262872518827, 874, 0.03326388275602624,
+        0.9275262872518827, 874, 0.033258084075922255,
         None,
         "f2f4f3d4cfca3346", None,
     ),
@@ -120,12 +120,12 @@ CALIBRATE = {
         "9488ff880af92014", None,
     ),
     ("two_level_rr", "adaptive-asy"): (
-        0.9282111588442232, 878, 0.03222595777581971,
+        0.9282111588442232, 878, 0.03219846646504378,
         None,
         "435d7e14bc4389a5", None,
     ),
     ("two_level_rr", "adaptive-plus"): (
-        0.9282111588442232, 878, 0.03222595777581971,
+        0.9282111588442232, 878, 0.03219846646504378,
         None,
         "435d7e14bc4389a5", None,
     ),
@@ -145,12 +145,12 @@ CALIBRATE = {
         "10cdfaec65ffe028", None,
     ),
     ("block_rr", "adaptive-asy"): (
-        0.9340494934834948, 884, 0.03150910256656697,
+        0.9340494934834948, 884, 0.031561725740044254,
         None,
         "3815fcaa3a56655f", None,
     ),
     ("block_rr", "adaptive-plus"): (
-        0.9340494934834948, 884, 0.03150910256656697,
+        0.9340494934834948, 884, 0.031561725740044254,
         None,
         "3815fcaa3a56655f", None,
     ),
@@ -165,12 +165,12 @@ CALIBRATE = {
         "491574256bd77437", None,
     ),
     ("dense", "adaptive-asy"): (
-        0.9895428319213009, 858, 0.036175921104406095,
+        0.9895428319213009, 858, 0.03611793224598662,
         None,
         "7c30eab52a9c41db", None,
     ),
     ("dense", "adaptive-plus"): (
-        0.9895428319213009, 858, 0.036175921104406095,
+        0.9895428319213009, 858, 0.03611793224598662,
         None,
         "7c30eab52a9c41db", None,
     ),
@@ -181,13 +181,13 @@ SYNTH_ROWS = {
     (2026, "standard"): (0.9044215077128746, 0.0),
     (2026, "adaptive-fs"): (0.9425808538197761, 0.06874192591390473),
     (2026, "adaptive-fs-simplified"): (0.9812134172507583, 0.09109991799956528),
-    (2026, "adaptive-asy"): (0.9043683990434338, 0.04945566549448767),
-    (2026, "adaptive-plus"): (0.9043683990434338, 0.04945566549448767),
+    (2026, "adaptive-asy"): (0.9043683990434338, 0.04940287918351392),
+    (2026, "adaptive-plus"): (0.9043683990434338, 0.04940287918351392),
     (2027, "standard"): (0.9154224073113282, 0.0),
     (2027, "adaptive-fs"): (0.9865373329008184, 0.06874192591390473),
     (2027, "adaptive-fs-simplified"): (0.9943139570730405, 0.09109991799956528),
-    (2027, "adaptive-asy"): (0.9761254741846699, 0.04956934759563574),
-    (2027, "adaptive-plus"): (0.9154224073113282, 0.04956934759563574),
+    (2027, "adaptive-asy"): (0.9761254741846699, 0.04961664398054882),
+    (2027, "adaptive-plus"): (0.9154224073113282, 0.04961664398054882),
 }
 SYNTH_SUMMARY = "bbe7beec4f8e44f1"
 
