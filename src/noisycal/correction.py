@@ -44,7 +44,7 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 
-from .empirical import CalibrationSet, _f_weights, _mean_f
+from .empirical import CalibrationSet, _f_weights
 from .errors import (
     CholeskyFailure,
     InvalidSpec,
@@ -587,12 +587,12 @@ def estimate_covariance(cal: CalibrationSet, w, grid) -> NDArray[np.float64]:
 
     With f_t(Z_i) = sum_k W[k, Ytilde_i] 1{s(X_i, k) <= t}, the estimate is
     G(t1, t2) = E_n[f_t1 f_t2] - E_n[f_t1] E_n[f_t2], returned as a
-    symmetric N x N array for the N grid points.  E_n[f_t] comes from the
-    cumulative kernel that also yields Delta_hat.  Joint indicator mass is
-    scattered onto the grid cell of each score pair, one score column at a
-    time, and accumulated with a two-dimensional cumulative sum: O(n K^2 +
-    K N^2) time and O(n K + N^2) memory, instead of evaluating every grid
-    pair directly.  W must be a finite K x K matrix (InvalidSpec otherwise).
+    symmetric N x N array for the N grid points.  Both moments are read off
+    one assignment of scores to grid cells, with no sort: E_n[f_t] is the
+    cumulative cell weight, and joint mass is scattered onto the cell pair
+    of each score pair, one score column at a time, then cumulatively
+    summed in two dimensions: O(n K^2 + K N^2) time, O(n K + N^2) memory.
+    W must be a finite K x K matrix (InvalidSpec otherwise).
     """
     v = _f_weights(cal, w)  # v[i, j] = W[j, label_i]
     n, k = cal.scores.shape
@@ -602,12 +602,12 @@ def estimate_covariance(cal: CalibrationSet, w, grid) -> NDArray[np.float64]:
     if not (np.all(np.diff(grid) >= 0.0) and grid[0] >= 0.0 and grid[-1] <= 1.0):
         raise InvalidSpec("grid must be sorted within [0, 1]")
     npts = grid.shape[0]
-    e1 = _mean_f(cal, v, grid)
 
     # cell index of each score: first grid point >= s, so s <= t_j iff pos <= j;
     # cell npts holds the scores past the last grid point and is sliced away
     pos = np.searchsorted(grid, cal.scores.ravel(), side="left").reshape(n, k)
     width = npts + 1
+    e1 = np.bincount(pos.ravel(), weights=v.ravel(), minlength=width)[:npts].cumsum() / n
     row = pos * width
     d2 = np.zeros(width * width)
     for j in range(k):

@@ -247,6 +247,31 @@ def brute_delta_hat(scores: np.ndarray, labels: np.ndarray, w: np.ndarray):
     return order, values
 
 
+def exact_delta_hat(scores: np.ndarray, labels: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Delta_hat at the sorted own scores in exact rational arithmetic.
+
+    Every float is a dyadic Fraction, so the signed weights
+    W[k, Y~_i] - 1{k = Y~_i} are exact integers over W's largest
+    denominator.  They are totalled per distinct pooled score and summed in
+    ascending score order; Delta_hat at an own score is the sum at the end of
+    its tie group over n, rounded once.
+    """
+    n = scores.shape[0]
+    ratios = {x: Fraction(x) for x in set(w.ravel().tolist())}
+    den = max(r.denominator for r in ratios.values())
+    num = {x: r.numerator * (den // r.denominator) for x, r in ratios.items()}
+    mass = {}
+    for row, y in zip(scores.tolist(), labels.tolist()):
+        for j, (s, wjy) in enumerate(zip(row, w[:, y].tolist())):
+            mass[s] = mass.get(s, 0) + num[wjy] - den * (j == y)
+    at_score, total = {}, 0
+    for s in sorted(mass):
+        total += mass[s]
+        at_score[s] = total
+    own = np.sort(scores[np.arange(n), labels])
+    return np.array([float(Fraction(at_score[s], den * n)) for s in own.tolist()])
+
+
 def brute_standard_index(n: int, alpha: float) -> int:
     return math.ceil((1 + n) * (1 - Fraction(alpha)))
 

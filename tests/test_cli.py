@@ -1185,6 +1185,34 @@ def test_family_fs_route_never_solves_the_lp(tmp_path, monkeypatch):
     assert calls == [(3, 3)]
 
 
+def test_adaptive_asy_run_sorts_the_pooled_scores_once(tmp_path, monkeypatch):
+    # Delta_hat's cumulative sum is the one sort of the n K pooled scores; the
+    # covariance reads E_n f_t off the grid cells of its second moment.  Only
+    # axis=None counts: aps_scores argsorts each row
+    real_argsort, real_covariance = np.argsort, correction.estimate_covariance
+    pooled, in_covariance = [], []
+
+    def spy(a, axis=-1, **kwargs):
+        if axis is None:
+            pooled.append(np.shape(a))
+        return real_argsort(a, axis=axis, **kwargs)
+
+    def covariance(*args):
+        before = len(pooled)
+        sigma = real_covariance(*args)
+        in_covariance.append(len(pooled) - before)
+        return sigma
+
+    monkeypatch.setattr(np, "argsort", spy)
+    monkeypatch.setattr(correction, "estimate_covariance", covariance)
+    path, out = tmp_path / "cal.csv", tmp_path / "out"
+    write_cal_csv(path, seed=4, n=40, k=3)
+    argv = ["calibrate", "--scores", str(path), "--model", "rr", "--eps", "0.2"]
+    assert main(argv + ["--method", "adaptive-asy", "--out", str(out)]) == 0
+    assert pooled == [(40, 3)]
+    assert in_covariance == [0]
+
+
 def test_methods_tuple_is_canonical():
     assert METHODS == (
         "standard",

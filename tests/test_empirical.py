@@ -15,6 +15,7 @@ from noisycal import (
     EmptyClass,
     Family,
     InvalidSpec,
+    TransitionMatrix,
     adaptive_threshold,
     aps_scores,
     build_transition,
@@ -27,6 +28,7 @@ from oracles import (
     brute_adaptive,
     brute_delta_hat,
     brute_psi,
+    exact_delta_hat,
     psi_sup_oracle,
     psi_values,
 )
@@ -112,10 +114,18 @@ def test_delta_hat_hand_instance_against_oracle():
     )
     labels = np.array([0, 1, 0, 1])
     w = np.array([[1.5, -0.5], [-0.5, 1.5]])
-    curve = delta_hat(CalibrationSet.from_scores(scores, labels), w)
+    tm = TransitionMatrix(np.array([[0.75, 0.25], [0.25, 0.75]]))
+    cal = CalibrationSet.from_scores(scores, labels)
+    kept = [arr.tobytes() for arr in (w, tm.W, cal.scores, cal.noisy_labels, cal.own_score)]
     order, values = brute_delta_hat(scores, labels, w)
-    assert np.array_equal(curve.order_stats, order)
-    assert np.allclose(curve.values, values, atol=1e-12, rtol=0.0)
+    for channel in (w, tm):
+        curve = delta_hat(cal, channel)
+        assert np.array_equal(curve.order_stats, order)
+        assert np.allclose(curve.values, values, atol=1e-12, rtol=0.0)
+    # delta_hat subtracts the own-label indicator in place, in its own copy
+    # of the weights: neither W nor the set's arrays change by a bit
+    after = (w, tm.W, cal.scores, cal.noisy_labels, cal.own_score)
+    assert [arr.tobytes() for arr in after] == kept
 
 
 def test_delta_hat_at_t_equal_one():
@@ -147,6 +157,28 @@ def test_delta_hat_matches_oracle_on_random_instances():
         curve = delta_hat(CalibrationSet.from_scores(scores, labels), w)
         order, values = brute_delta_hat(scores, labels, w)
         assert np.allclose(curve.values, values, atol=1e-12, rtol=0.0)
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [
+        (ContaminationSpec(family=Family.RANDOMIZED_RESPONSE, k=100, eps=0.2), 1000),
+        (ContaminationSpec(family=Family.TWO_LEVEL_RR, k=200, eps=0.2, nu=0.2), 2000),
+    ],
+    ids=["rr-k100", "two-level-k200"],
+)
+def test_delta_hat_is_within_1e13_of_exact_at_large_k(spec, n):
+    # Delta_hat once came as E_n f_t - F_hat, two sums near 1 each, and was
+    # 2.6e-12 and 4.0e-12 off here; one cumulative sum of signed weights is
+    # within 1e-14
+    rng = np.random.default_rng(spec.k)
+    scores = rng.random((n, spec.k)) ** 0.2
+    labels = rng.integers(0, spec.k, size=n)
+    labels[: spec.k] = np.arange(spec.k)
+    tm = build_transition(spec)
+    curve = delta_hat(CalibrationSet.from_scores(scores, labels), tm)
+    exact = exact_delta_hat(scores, labels, tm.W)
+    assert np.max(np.abs(curve.values - exact)) <= 1e-13
 
 
 @st.composite
