@@ -192,19 +192,7 @@ class ExperimentConfig:
 
 
 def read_experiment_config(path: str) -> ExperimentConfig:
-    _check_path("path", path)
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise FileFormatError(f"{path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise FileFormatError(f"{path} must hold a single JSON object")
-    return ExperimentConfig.from_dict(raw)
+    return ExperimentConfig.from_dict(fileio._read_json_object(path))
 
 
 def _correction(
@@ -544,12 +532,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return int(args.func(args) or 0)
-    except (SolverFailure, CholeskyFailure) as exc:
-        print(f"error: {_with_rep(exc)}", file=sys.stderr)
-        return 1
     except NoisycalError as exc:
         print(f"error: {_with_rep(exc)}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (SolverFailure, CholeskyFailure)) else 2
     except Exception:
         import traceback  # only on this path: it adds to every CLI start
 

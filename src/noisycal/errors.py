@@ -134,8 +134,11 @@ def _check_real(name: str, value, low=-math.inf, high=math.inf, ends="[]") -> No
     """
     if isinstance(value, bool) or not isinstance(value, Real):
         raise InvalidSpec(f"{name} must be a real number, got {value!r}")
-    # an int is finite however large, and too large for math.isfinite
-    if not (isinstance(value, Integral) or math.isfinite(value)):
+    try:  # an int beyond float range overflows, and may be too long to print
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite, value = False, "a number beyond float range"
+    if not finite:
         raise InvalidSpec(f"{name} must be finite, got {value}")
     above = value > low if ends[0] == "(" else value >= low
     below = value < high if ends[1] == ")" else value <= high

@@ -1,12 +1,16 @@
 """CSV and JSON interchange.
 
 Read: rows of probabilities (``p_1..p_K``) or of scores (``s_1..s_K``), each
-with optional ``y_noisy`` and ``y_true`` label columns, and a headerless
-K x K transition matrix.  Written: probability rows in that same layout,
-per-method results and summaries, prediction sets and the threshold record.
+with optional ``y_noisy`` and ``y_true`` label columns, a headerless K x K
+transition matrix and the JSON object of an experiment config.  Written:
+probability rows in that same layout, per-method results and summaries,
+prediction sets and the threshold record.
 
 Conventions shared by every reader and writer here:
 
+* one opener, ``_reading``, opens every input file as UTF-8 text less a
+  byte-order mark and reports a file that cannot be read, decoded or parsed;
+  ``_read_rows`` alone reports an empty CSV file;
 * class labels are 1-based in files and 0-based in memory;
 * floats are written as their ``repr`` (the shortest decimal that reads back
   to the same double) for Python and NumPy floats alike, so a rerun with the
@@ -15,7 +19,7 @@ Conventions shared by every reader and writer here:
   line number where one exists.
 
 ``read_probability_csv`` parses a well-formed file with one streamed
-``np.loadtxt`` pass over the open file (``_loadtxt``).  Whenever that pass
+``np.loadtxt`` pass over a file it opens itself (``_loadtxt``).  Whenever that pass
 cannot show its numbers equal those of ``csv.reader`` with
 ``float()``/``int()``, the reader parses the file again one cell at a time.
 Only that per-cell parse reports a malformed header, row or cell, so the
@@ -82,17 +86,37 @@ SUMMARY_HEADER = (
 )
 
 
-def _read_rows(path: str) -> list[list[str]]:
-    """The rows of a UTF-8 CSV file; a leading byte-order mark is dropped."""
+def _reading(path: str, parse: Callable[[TextIO], object], newline: str | None):
+    """``parse(handle)`` of ``path`` opened in ``newline`` mode; an unreadable
+    file, non-UTF-8 bytes or a CSV or JSON syntax error is FileFormatError."""
+    _check_path("path", path)
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            return list(csv.reader(handle))
+        with open(path, newline=newline, encoding="utf-8-sig") as handle:
+            return parse(handle)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     except csv.Error as exc:
         raise FileFormatError(f"{path} is not valid CSV: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _read_rows(path: str) -> list[list[str]]:
+    """The rows of a CSV file, which must hold at least one."""
+    rows = _reading(path, lambda handle: list(csv.reader(handle)), newline="")
+    if not rows:
+        raise FileFormatError(f"{path} is empty")
+    return rows
+
+
+def _read_json_object(path: str) -> dict:
+    """A file's JSON object; universal newlines count a CRLF as one char."""
+    raw = _reading(path, json.load, newline=None)
+    if not isinstance(raw, dict):
+        raise FileFormatError(f"{path} must hold a single JSON object")
+    return raw
 
 
 def _writing(make: Callable, path: str, *args, **kwargs):
@@ -236,30 +260,20 @@ def _read_probability_cells(
 ]:
     """``read_probability_csv`` one cell at a time, naming the first bad line."""
     rows = _read_rows(path)
-    if not rows:
-        raise FileFormatError(f"{path} is empty")
     kind, k, tail = _probability_layout(rows[0])
-    has_noisy = "y_noisy" in tail
-    has_true = "y_true" in tail
     width = k + len(tail)
-
     values = np.empty((len(rows) - 1, k))
-    y_noisy = np.empty(len(rows) - 1, dtype=np.int64) if has_noisy else None
-    y_true = np.empty(len(rows) - 1, dtype=np.int64) if has_true else None
+    labels = {name: np.empty(len(rows) - 1, dtype=np.int64) for name in tail}
     for i, row in enumerate(rows[1:]):
         line = i + 2
         if len(row) != width:
             raise FileFormatError(f"expected {width} cells, got {len(row)}", line=line)
         values[i] = [_parse_float(cell, line) for cell in row[:k]]
-        cursor = k
-        if has_noisy:
-            y_noisy[i] = _parse_label(row[cursor], k, line)
-            cursor += 1
-        if has_true:
-            y_true[i] = _parse_label(row[cursor], k, line)
+        for column, cell in zip(labels.values(), row[k:]):
+            column[i] = _parse_label(cell, k, line)
     if values.shape[0] == 0:
         raise FileFormatError(f"{path} has a header but no data rows")
-    return kind, values, y_noisy, y_true
+    return kind, values, labels.get("y_noisy"), labels.get("y_true")
 
 
 def write_probability_csv(
@@ -300,10 +314,7 @@ def read_transition_csv(path: str) -> TransitionMatrix:
     Column sums may drift from 1 by up to 1e-6 (files store rounded
     decimals); anything further off is rejected, never repaired.
     """
-    _check_path("path", path)
     rows = _read_rows(path)
-    if not rows:
-        raise FileFormatError(f"{path} is empty")
     k = len(rows)
     matrix = np.empty((k, k))
     for i, row in enumerate(rows):

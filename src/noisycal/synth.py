@@ -73,6 +73,7 @@ class SynthConfig:
     def __post_init__(self) -> None:
         for name in ("k", "d", "n_train", "n_cal", "n_test", "clusters_per_class"):
             _check_int(name, getattr(self, name), 1)
+        _check_int("seed", self.seed, 0)
         _check_real("cube_side", self.cube_side, 0.0, np.inf, "()")
         _check_real("imbalance_mu", self.imbalance_mu, 0.0, np.inf, "[)")
         if 2 * self.k * self.clusters_per_class > 2**self.d:

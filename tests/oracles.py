@@ -214,6 +214,28 @@ def reference_noisy_labels(true_labels: np.ndarray, t: np.ndarray, seed: int) ->
     return np.minimum((cdf <= u).sum(axis=0), t.shape[0] - 1).astype(np.int64)
 
 
+def power_exponents(k: int) -> np.ndarray:
+    """The exponents a_y of the power score model, evenly spaced on [0.15, 0.4]."""
+    return np.linspace(0.15, 0.4, k)
+
+
+def power_scores(k: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n x K scores, true labels) of a score model whose clean coverage is
+    known exactly: labels uniform on the K classes, a row's own score
+    U^(1/a_y), whose CDF is t^(a_y), and its other K - 1 scores U(0, 1)."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, k, size=n)
+    scores = rng.random((n, k))
+    scores[np.arange(n), y] = rng.random(n) ** (1.0 / power_exponents(k)[y])
+    return scores, y
+
+
+def power_coverage(tau: float, k: int) -> float:
+    """The exact clean coverage of the sets {y : s_y <= tau} under
+    ``power_scores``: the mean over the uniform labels of tau^(a_y)."""
+    return float(np.mean(tau ** power_exponents(k)))
+
+
 def brute_aps(p: np.ndarray) -> np.ndarray:
     """s(k) = sum of probabilities ranked at or above k (ties by index)."""
     k = p.shape[0]

@@ -202,6 +202,21 @@ def test_the_package_needs_numpy_alone(tmp_path):
     assert "error: a W without the block form needs SciPy" in proc.stderr
 
 
+def test_only_fileio_opens_a_file():
+    # every input file is read through fileio's one opener, so the messages
+    # of an unreadable, undecodable or malformed file are stated once
+    found = set()
+    for path in sorted(Path(noisycal.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Name) and node.id == "open") or (
+                isinstance(node, ast.Attribute)
+                and node.attr == "load"
+                and getattr(node.value, "id", None) == "json"
+            ):
+                found.add(path.name)
+    assert found == {"fileio.py"}
+
+
 # (module, attribute) pairs of bench/tracing.py's WRAPS that no longer
 # resolve, so their per-layer metrics read 0: FOUND 8, 11, 35 and 77 of
 # CHANGES.md, until the tracer reads a record instead (ROADMAP item 3)

@@ -1,5 +1,7 @@
 """Tests for calibration thresholds and prediction-set evaluation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,11 +20,15 @@ from noisycal import (
     LengthMismatch,
     ThresholdResult,
     adaptive_threshold,
+    build_transition,
+    c_of_n,
     closed_form_inverse,
+    delta_fs,
     delta_hat,
     evaluate,
     optimistic_threshold,
     prediction_sets,
+    sample_noisy_labels,
     standard_threshold,
 )
 
@@ -31,6 +37,8 @@ from oracles import (
     brute_evaluate,
     brute_optimistic,
     brute_standard_index,
+    power_coverage,
+    power_scores,
 )
 
 
@@ -379,3 +387,36 @@ def test_evaluate_matches_oracle():
         cov, size = brute_evaluate(sets, y)
         assert out["coverage"] == cov
         assert out["avg_size"] == size
+
+
+# The grid of the exact-coverage audit, fixed before its first run:
+# (family, K, the family's other parameter, n), all at eps = 0.2.
+AUDIT_CELLS = [
+    ("rr", 4, {}, 100),
+    ("rr", 4, {}, 2000),
+    ("two_level_rr", 4, {"nu": 0.2}, 100),
+    ("two_level_rr", 4, {"nu": 0.2}, 2000),
+    ("block_rr", 20, {"b": 5}, 500),
+    ("block_rr", 20, {"b": 5}, 2000),
+]
+
+
+@pytest.mark.parametrize(
+    "family, k, extra, n",
+    [pytest.param(*cell, id=f"{cell[0]}-K{cell[1]}-n{cell[3]}") for cell in AUDIT_CELLS],
+)
+def test_adaptive_fs_keeps_the_exact_clean_coverage(family, k, extra, n):
+    # the clean coverage of each threshold is exact (oracles.power_scores),
+    # so no classifier and no test set enter; the mean over 200 calibration
+    # sets must be at least 1 - alpha, up to 3 SE
+    alpha, reps = 0.1, 200
+    tm = build_transition(ContaminationSpec(family=family, k=k, eps=0.2, **extra))
+    correction = delta_fs(n, k, tm, c_of_n(n))
+    coverage = np.empty(reps)
+    for rep in range(reps):
+        data_seed, noise_seed = np.random.SeedSequence(rep).generate_state(2)
+        scores, y = power_scores(k, n, int(data_seed))
+        cal = CalibrationSet(scores, sample_noisy_labels(y, tm, seed=int(noise_seed)))
+        coverage[rep] = power_coverage(adaptive_threshold(cal, tm, alpha, correction).tau, k)
+    se = float(np.std(coverage, ddof=1)) / math.sqrt(reps)
+    assert float(np.mean(coverage)) >= 1.0 - alpha - 3.0 * se

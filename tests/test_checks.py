@@ -173,6 +173,27 @@ def test_bad_scalar_raises_invalid_spec_naming_it(call, name, bad):
         call(bad)
 
 
+# the SCALARS rows whose checker is the integer check, which takes an int of
+# any size
+INTEGER_SCALARS = {("SoftmaxModel", "iterations")}
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(call, name, id=f"{entry}-{name}")
+        for entry, name, call, _ in SCALARS
+        if (entry, name) not in INTEGER_SCALARS
+    ],
+)
+def test_int_beyond_float_range_raises_invalid_spec_naming_it(call, name):
+    # refused as not finite before any range check; an argument with no
+    # upper end once accepted it, and the first float operation on it raised
+    # a bare OverflowError, such as generate's on a config's cube_side
+    with pytest.raises(InvalidSpec, match=rf"^{name} must be finite, got a number beyond"):
+        call(10**400)
+
+
 @given(st.floats(allow_nan=True, allow_infinity=True))
 def test_alpha_is_accepted_exactly_on_the_open_unit_interval(alpha):
     if 0.0 < alpha < 1.0:

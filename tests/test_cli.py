@@ -197,6 +197,20 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
     assert "is not UTF-8 text" in capsys.readouterr().err
 
 
+def test_crlf_config_syntax_error_counts_a_crlf_as_one_char(tmp_path, capsys):
+    # the config is read with universal newlines, so the offset is that of
+    # the text with each CRLF read as one newline
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{\r\n  "k": 2\r\n  "d": 4\r\n}\r\n')
+    message = (
+        f"{path} is not valid JSON: Expecting ',' delimiter: line 3 column 3 (char 13)"
+    )
+    with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+        read_experiment_config(str(path))
+    assert main(["synth-experiment", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # synthetic experiment driver
 # ---------------------------------------------------------------------------
@@ -982,6 +996,30 @@ def test_main_synth_experiment_non_real_float_field_exits_2(tmp_path, capsys, ba
     cfg_path.write_text(json.dumps(cfg | bad))
     assert main(["synth-experiment", "--config", str(cfg_path)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_main_synth_experiment_int_beyond_float_range_exits_2(tmp_path, capsys):
+    # once accepted when read: generate then raised a bare OverflowError, with
+    # a traceback and exit 1
+    cfg = {"k": 2, "d": 4, "n_train": 150, "n_cal": 50, "n_test": 30, "eps": 0.1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg | {"cube_side": 10**400}))
+    assert main(["synth-experiment", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cube_side must be finite, got a number beyond float range\n"
+
+
+def test_main_unexpected_error_prints_a_traceback_and_exits_1(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("not a NoisycalError")
+
+    monkeypatch.setattr(cli, "correction_report", broken)
+    argv = ["correction", "--model", "rr", "--eps", "0.1", "--k", "4", "--n", "100"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):\n")
+    assert captured.err.endswith("RuntimeError: not a NoisycalError\n")
 
 
 def test_main_unknown_flag_exits_2():

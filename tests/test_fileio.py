@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from noisycal import (
     TransitionMatrix,
     build_transition,
 )
+from noisycal.cli import read_experiment_config
 from noisycal.fileio import (
     RESULTS_HEADER,
     SUMMARY_HEADER,
@@ -170,6 +172,47 @@ def test_readers_reject_non_utf8_bytes(tmp_path, reader, content):
     path = tmp_path / "latin1.csv"
     path.write_bytes(content)
     with pytest.raises(FileFormatError, match="not UTF-8 text"):
+        reader(str(path))
+
+
+@pytest.mark.parametrize(
+    "reader", [read_probability_csv, read_transition_csv], ids=["scores", "transition"]
+)
+def test_readers_name_an_empty_file(tmp_path, reader):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))} is empty$"):
+        reader(str(path))
+
+
+def test_probability_read_names_an_unknown_trailing_column(tmp_path):
+    path = tmp_path / "foo.csv"
+    path.write_text("p_1,p_2,foo\n0.5,0.5,1\n")
+    message = "line 1: columns after p_2 must be [y_noisy][,y_true], got ['foo']"
+    with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+        read_probability_csv(str(path))
+
+
+READERS = [read_probability_csv, read_transition_csv, read_experiment_config]
+
+
+@pytest.mark.parametrize("reader", READERS, ids=lambda reader: reader.__name__)
+def test_every_reader_reports_a_missing_file_alike(tmp_path, reader):
+    path = str(tmp_path / "missing")
+    message = f"cannot read {path}: [Errno 2] No such file or directory: {path!r}"
+    with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+        reader(path)
+
+
+@pytest.mark.parametrize("reader", READERS, ids=lambda reader: reader.__name__)
+def test_every_reader_reports_non_utf8_bytes_alike(tmp_path, reader):
+    path = tmp_path / "latin1"
+    path.write_bytes(b"\xff\n")
+    message = (
+        f"{path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"
+        " in position 0: invalid start byte"
+    )
+    with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
         reader(str(path))
 
 

@@ -115,6 +115,21 @@ def test_config_validation():
         config(d=True)
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (-1, "seed must be >= 0, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+    ],
+)
+def test_config_checks_the_seed(seed, message):
+    # -1 and 1.5 once failed inside generate with numpy's bare ValueError or
+    # TypeError, and True ran as seed 1
+    with pytest.raises(InvalidSpec, match=f"^{message}$"):
+        config(seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # softmax training
 # ---------------------------------------------------------------------------
