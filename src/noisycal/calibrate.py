@@ -41,6 +41,7 @@ from .errors import (
 from .scores import _require_scores
 
 __all__ = [
+    "OPTIMISTIC_CAVEAT",
     "CalibrationMethod",
     "ThresholdResult",
     "standard_threshold",
@@ -140,11 +141,13 @@ def _threshold_from_mask(
 
 def _adaptive_inputs(
     cal: CalibrationSet, w, alpha: float, delta: CorrectionReport
-) -> tuple[InflationCurve, NDArray[np.float64]]:
-    """Delta_hat and the ranks i/n; alpha and delta checked here, cal and w by it."""
+) -> tuple[InflationCurve, NDArray[np.float64], NDArray[np.float64]]:
+    """Delta_hat, the ranks i/n and the adaptive right side; alpha and delta checked here."""
     _check_alpha(alpha)
     _check_type("delta", delta, CorrectionReport)
-    return delta_hat(cal, w), np.arange(1, cal.n + 1) / cal.n
+    curve = delta_hat(cal, w)
+    rhs = 1.0 - alpha - curve.values + delta.value
+    return curve, np.arange(1, cal.n + 1) / cal.n, rhs
 
 
 def adaptive_threshold(
@@ -155,8 +158,7 @@ def adaptive_threshold(
     Membership of rank i in the index set is the literal inequality
     i/n >= 1 - alpha - Delta_hat(S_(i)) + delta(n); the smallest member wins.
     """
-    curve, ranks = _adaptive_inputs(cal, w, alpha, delta)
-    rhs = 1.0 - alpha - curve.values + delta.value
+    curve, ranks, rhs = _adaptive_inputs(cal, w, alpha, delta)
     return _threshold_from_mask(
         curve.order_stats, ranks >= rhs, CalibrationMethod.ADAPTIVE, delta
     )
@@ -169,13 +171,13 @@ def optimistic_threshold(
 
     The inner correction is max(Delta_hat(S_(i)) - delta(n), -(1-alpha)/n),
     so the index set contains the adaptive one and the threshold is never
-    larger.  The extra validity hypothesis is unverifiable from contaminated
-    data, so the result carries a warning (``ThresholdResult.warning``)
-    instead of refusing to run.
+    larger; its right side is the adaptive one capped at 1 - alpha + (1-alpha)/n,
+    so rounding keeps that containment.  The extra validity hypothesis is
+    unverifiable from contaminated data, so the result carries a warning
+    (``ThresholdResult.warning``) instead of refusing to run.
     """
-    curve, ranks = _adaptive_inputs(cal, w, alpha, delta)
-    inner = np.maximum(curve.values - delta.value, -(1.0 - alpha) / cal.n)
-    rhs = 1.0 - alpha - inner
+    curve, ranks, rhs = _adaptive_inputs(cal, w, alpha, delta)
+    rhs = np.minimum(rhs, 1.0 - alpha + (1.0 - alpha) / cal.n)
     return _threshold_from_mask(
         curve.order_stats,
         ranks >= rhs,

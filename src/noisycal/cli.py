@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -50,6 +49,7 @@ from .correction import (
     CorrectionMethod,
     CorrectionReport,
     _fs_special,
+    _mean_se,
     c_of_n,
     delta_asy,
     delta_fs,
@@ -286,22 +286,18 @@ def _run_rep(config: ExperimentConfig, tm: TransitionMatrix, rep: int) -> list[d
 def _summarize(config: ExperimentConfig, rows: list[dict]) -> list[dict]:
     summary = []
     for method in config.methods:
-        cov = np.array([r["coverage"] for r in rows if r["method"] == method])
-        size = np.array([r["avg_size"] for r in rows if r["method"] == method])
-        reps = cov.size
-        se = (
-            (float(np.std(cov, ddof=1)) / math.sqrt(reps), float(np.std(size, ddof=1)) / math.sqrt(reps))
-            if reps > 1
-            else (0.0, 0.0)
-        )
+        runs = [r for r in rows if r["method"] == method]
+        stat = np.array([[r["coverage"] for r in runs], [r["avg_size"] for r in runs]])
+        # one repetition has no spread; ddof=1 on it would warn
+        mean, se = _mean_se(stat) if len(runs) > 1 else (stat[:, 0], (0.0, 0.0))
         summary.append(
             {
                 "method": method,
-                "repetitions": reps,
-                "mean_coverage": float(np.mean(cov)),
-                "se_coverage": se[0],
-                "mean_size": float(np.mean(size)),
-                "se_size": se[1],
+                "repetitions": len(runs),
+                "mean_coverage": float(mean[0]),
+                "se_coverage": float(se[0]),
+                "mean_size": float(mean[1]),
+                "se_size": float(se[1]),
             }
         )
     return summary

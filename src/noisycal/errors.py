@@ -99,6 +99,17 @@ class FileFormatError(NoisycalError):
         super().__init__(message)
 
 
+_BEYOND_FLOAT = "a number beyond float range"
+
+
+def _shown(value) -> str:
+    """``value`` as a refusal prints it; an int past str's 4,300 digits is named."""
+    try:
+        return f"{value}"
+    except ValueError:
+        return _BEYOND_FLOAT
+
+
 def _check_int(name: str, value, minimum: int) -> None:
     """Raise InvalidSpec naming ``name`` unless value is an integer >= minimum.
 
@@ -108,7 +119,7 @@ def _check_int(name: str, value, minimum: int) -> None:
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise InvalidSpec(f"{name} must be an integer, got {value!r}")
     if value < minimum:
-        raise InvalidSpec(f"{name} must be >= {minimum}, got {value}")
+        raise InvalidSpec(f"{name} must be >= {minimum}, got {_shown(value)}")
 
 
 # the largest calibration size n: c(n), its envelope sqrt(pi / (2n)), the
@@ -122,7 +133,7 @@ def _check_n(n) -> None:
     """Raise InvalidSpec unless the calibration size n is an integer in [1, 10**300]."""
     _check_int("n", n, 1)
     if n > _N_MAX:
-        raise InvalidSpec(f"n must be at most 10**300, got {n}")
+        raise InvalidSpec(f"n must be at most 10**300, got {_shown(n)}")
 
 
 def _check_real(name: str, value, low=-math.inf, high=math.inf, ends="[]") -> None:
@@ -134,10 +145,10 @@ def _check_real(name: str, value, low=-math.inf, high=math.inf, ends="[]") -> No
     """
     if isinstance(value, bool) or not isinstance(value, Real):
         raise InvalidSpec(f"{name} must be a real number, got {value!r}")
-    try:  # an int beyond float range overflows, and may be too long to print
+    try:  # an int beyond float range overflows
         finite = math.isfinite(value)
     except OverflowError:
-        finite, value = False, "a number beyond float range"
+        finite, value = False, _BEYOND_FLOAT
     if not finite:
         raise InvalidSpec(f"{name} must be finite, got {value}")
     above = value > low if ends[0] == "(" else value >= low

@@ -88,7 +88,7 @@ SUMMARY_HEADER = (
 
 def _reading(path: str, parse: Callable[[TextIO], object], newline: str | None):
     """``parse(handle)`` of ``path`` opened in ``newline`` mode; an unreadable
-    file, non-UTF-8 bytes or a CSV or JSON syntax error is FileFormatError."""
+    file, non-UTF-8 bytes or a CSV or JSON parse error is FileFormatError."""
     _check_path("path", path)
     try:
         with open(path, newline=newline, encoding="utf-8-sig") as handle:
@@ -99,7 +99,7 @@ def _reading(path: str, parse: Callable[[TextIO], object], newline: str | None):
         raise FileFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     except csv.Error as exc:
         raise FileFormatError(f"{path} is not valid CSV: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past 4,300 digits
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 

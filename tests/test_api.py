@@ -68,6 +68,50 @@ def test_fileio_and_cli_surfaces_are_pinned():
     ]
 
 
+PACKAGE = Path(noisycal.__file__).parent
+# the modules whose __all__ noisycal re-exports, in the order it imports them
+REEXPORTED = ["calibrate", "correction", "empirical", "errors", "noise_model", "scores", "synth"]
+
+
+def _defined_names(path):
+    """The names a module binds at top level by a def, a class or an assignment."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("module", REEXPORTED + ["fileio", "cli"])
+def test_each_module_all_lists_its_public_names(module):
+    # __all__ is the one list of a module's public names
+    path = PACKAGE / f"{module}.py"
+    public = {name for name in _defined_names(path) if not name.startswith("_")}
+    assert public == set(importlib.import_module(f"noisycal.{module}").__all__)
+
+
+def test_noisycal_reexports_each_modules_all():
+    # __init__.py binds no public name itself: each comes from a module's
+    # __all__ through one star import, in the order of REEXPORTED
+    body = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    imports = [node for node in body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [(node.level, [a.name for a in node.names]) for node in imports] == [
+        (1, ["*"])
+    ] * len(REEXPORTED)
+    assert [node.module for node in imports] == REEXPORTED
+    assert all(name.startswith("_") for name in _defined_names(PACKAGE / "__init__.py"))
+    exported = {
+        name
+        for name, value in vars(noisycal).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    modules = [importlib.import_module(f"noisycal.{module}") for module in REEXPORTED]
+    assert exported == set().union(*(module.__all__ for module in modules))
+
+
 def _calibration_set():
     rng = np.random.default_rng(3)
     return noisycal.CalibrationSet.from_scores(rng.random((20, 3)), np.arange(20) % 3)

@@ -194,6 +194,26 @@ def test_int_beyond_float_range_raises_invalid_spec_naming_it(call, name):
         call(10**400)
 
 
+# ints too long for str (more than 4,300 digits), refused by the integer
+# checks: the message once formatted the int and raised a bare ValueError
+TOO_LONG_TO_PRINT = 10**5000
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: c_of_n(TOO_LONG_TO_PRINT), "n", id="c_of_n-above"),
+        pytest.param(lambda: c_of_n(-TOO_LONG_TO_PRINT), "n", id="c_of_n-below"),
+        pytest.param(
+            lambda: SynthConfig(**SIZES, seed=-TOO_LONG_TO_PRINT), "seed", id="SynthConfig-seed"
+        ),
+    ],
+)
+def test_int_too_long_to_print_raises_invalid_spec_naming_it(call, name):
+    with pytest.raises(InvalidSpec, match=rf"^{name} must .*, got a number beyond float range$"):
+        call()
+
+
 @given(st.floats(allow_nan=True, allow_infinity=True))
 def test_alpha_is_accepted_exactly_on_the_open_unit_interval(alpha):
     if 0.0 < alpha < 1.0:

@@ -1009,6 +1009,18 @@ def test_main_synth_experiment_int_beyond_float_range_exits_2(tmp_path, capsys):
     assert err == "error: cube_side must be finite, got a number beyond float range\n"
 
 
+def test_main_synth_experiment_int_too_long_to_parse_exits_2(tmp_path, capsys):
+    # json.load refuses an int of more than 4,300 digits with a plain
+    # ValueError, which once escaped the reader: a traceback and exit 1
+    cfg = {"k": 2, "d": 4, "n_train": 150, "n_cal": 50, "n_test": 30, "eps": 0.1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg)[:-1] + ', "cube_side": ' + "9" * 5001 + "}")
+    assert main(["synth-experiment", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path} is not valid JSON: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_main_unexpected_error_prints_a_traceback_and_exits_1(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("not a NoisycalError")
