@@ -117,17 +117,10 @@ _PARAMETRIC = tuple(f.value for f in Family)
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Flat description of one synthetic experiment (JSON-serializable)."""
+class ExperimentConfig(SynthConfig):
+    """Flat description of one synthetic experiment (JSON-serializable): the
+    data generator's ``SynthConfig`` plus the channel and run keys."""
 
-    k: int
-    d: int
-    n_train: int
-    n_cal: int
-    n_test: int
-    clusters_per_class: int = 2
-    cube_side: float = 2.0
-    imbalance_mu: float = 0.0
     family: str = "rr"
     eps: float = 0.0
     nu: float = 0.0
@@ -135,7 +128,6 @@ class ExperimentConfig:
     alpha: float = 0.1
     methods: tuple[str, ...] = ("standard",)
     repetitions: int = 1
-    seed: int = 0
     out: str | None = None
     randomized_scores: bool = True
 
@@ -155,7 +147,6 @@ class ExperimentConfig:
         if self.out is not None:
             _check_path("out", self.out)
         _check_int("repetitions", self.repetitions, 1)
-        _check_int("seed", self.seed, 0)
         if self.b is not None:
             _check_int("b", self.b, 1)
         if not isinstance(self.randomized_scores, bool):
@@ -163,14 +154,11 @@ class ExperimentConfig:
                 f"randomized_scores must be true or false, got {self.randomized_scores!r}"
             )
         _check_alpha(self.alpha)
-        # the data and model parameters are checked here, when the config is
-        # read, by the two records whose fields share their names with this
-        # config's; SynthConfig checks k, d, the three sizes and
-        # clusters_per_class with the same integer check, before the model
-        # sees k
-        for name, cls in (("_synth", SynthConfig), ("_contamination", ContaminationSpec)):
-            fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(cls)}
-            object.__setattr__(self, name, cls(**fields))
+        # the generator's fields are checked by SynthConfig's own code, k
+        # among them before the model sees it
+        super().__post_init__()
+        spec = ContaminationSpec(self.family, self.k, self.eps, self.nu, self.b)
+        object.__setattr__(self, "_contamination", spec)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -188,7 +176,7 @@ class ExperimentConfig:
         return self._contamination
 
     def synth(self, seed: int) -> SynthConfig:
-        return dataclasses.replace(self._synth, seed=seed)
+        return dataclasses.replace(self, seed=seed)
 
 
 def read_experiment_config(path: str) -> ExperimentConfig:

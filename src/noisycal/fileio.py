@@ -19,8 +19,8 @@ Conventions shared by every reader and writer here:
   line number where one exists.
 
 ``read_probability_csv`` parses a well-formed file with one streamed
-``np.loadtxt`` pass over a file it opens itself (``_loadtxt``).  Whenever that pass
-cannot show its numbers equal those of ``csv.reader`` with
+``np.loadtxt`` pass (``_loadtxt``) on the handle ``_reading`` opens.  Whenever
+that pass cannot show its numbers equal those of ``csv.reader`` with
 ``float()``/``int()``, the reader parses the file again one cell at a time.
 Only that per-cell parse reports a malformed header, row or cell, so the
 message and line number of such an error do not depend on the route.  The
@@ -233,17 +233,16 @@ def read_probability_csv(
     absent label columns are None.  The values are parsed, not checked as
     probabilities or scores.
     """
-    _check_path("path", path)
-    table = None
+
+    def parse(handle: TextIO):
+        kind, k, tail = _probability_layout(next(csv.reader(handle), []))
+        dtype = np.dtype([("v", np.float64, (k,))] + [(name, np.int64) for name in tail])
+        return kind, k, tail, _loadtxt(handle, dtype)
+
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            kind, k, tail = _probability_layout(next(csv.reader(handle), []))
-            dtype = np.dtype(
-                [("v", np.float64, (k,))] + [(name, np.int64) for name in tail]
-            )
-            table = _loadtxt(handle, dtype)
-    except (OSError, ValueError, csv.Error, FileFormatError):
-        pass  # the per-cell parse below reports it
+        kind, k, tail, table = _reading(path, parse, newline="")
+    except FileFormatError:  # the per-cell parse below reports it
+        table = None
     if table is None or any(
         table[name].min() < 1 or table[name].max() > k for name in tail
     ):

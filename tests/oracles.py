@@ -219,21 +219,24 @@ def power_exponents(k: int) -> np.ndarray:
     return np.linspace(0.15, 0.4, k)
 
 
-def power_scores(k: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def power_scores(
+    k: int, n: int, seed: int, rho: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(n x K scores, true labels) of a score model whose clean coverage is
-    known exactly: labels uniform on the K classes, a row's own score
-    U^(1/a_y), whose CDF is t^(a_y), and its other K - 1 scores U(0, 1)."""
+    known exactly: labels drawn from the class frequencies ``rho`` (uniform
+    on the K classes when None), a row's own score U^(1/a_y), whose CDF is
+    t^(a_y), and its other K - 1 scores U(0, 1)."""
     rng = np.random.default_rng(seed)
-    y = rng.integers(0, k, size=n)
+    y = rng.integers(0, k, size=n) if rho is None else rng.choice(k, size=n, p=rho)
     scores = rng.random((n, k))
     scores[np.arange(n), y] = rng.random(n) ** (1.0 / power_exponents(k)[y])
     return scores, y
 
 
-def power_coverage(tau: float, k: int) -> float:
+def power_coverage(tau: float, k: int, rho: np.ndarray | None = None) -> float:
     """The exact clean coverage of the sets {y : s_y <= tau} under
-    ``power_scores``: the mean over the uniform labels of tau^(a_y)."""
-    return float(np.mean(tau ** power_exponents(k)))
+    ``power_scores``: sum_y rho_y tau^(a_y), rho uniform when None."""
+    return float(np.average(tau ** power_exponents(k), weights=rho))
 
 
 def brute_aps(p: np.ndarray) -> np.ndarray:

@@ -259,6 +259,30 @@ def test_only_fileio_opens_a_file():
             ):
                 found.add(path.name)
     assert found == {"fileio.py"}
+    # inside fileio only _reading calls open; anywhere else the name is only
+    # handed to _writing, which opens an output file
+    tree = ast.parse((Path(noisycal.__file__).parent / "fileio.py").read_text())
+
+    def role(parent, name):
+        if isinstance(parent, ast.Call) and parent.func is name:
+            return "call"
+        if (
+            isinstance(parent, ast.Call)
+            and getattr(parent.func, "id", None) == "_writing"
+            and parent.args[0] is name
+        ):
+            return "_writing"
+        return "other"
+
+    uses = {
+        (getattr(statement, "name", None), role(parent, child))
+        for statement in tree.body
+        for parent in ast.walk(statement)
+        for child in ast.iter_child_nodes(parent)
+        if isinstance(child, ast.Name) and child.id == "open"
+    }
+    assert {name for name, use in uses if use == "call"} == {"_reading"}
+    assert {use for _, use in uses} == {"call", "_writing"}
 
 
 # (module, attribute) pairs of bench/tracing.py's WRAPS that no longer

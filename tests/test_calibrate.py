@@ -20,6 +20,7 @@ from noisycal import (
     InvalidSpec,
     LengthMismatch,
     ThresholdResult,
+    TransitionMatrix,
     adaptive_threshold,
     build_transition,
     c_of_n,
@@ -41,6 +42,7 @@ from oracles import (
     power_coverage,
     power_scores,
 )
+from test_cli import dense_transition
 
 
 def report(value: float) -> CorrectionReport:
@@ -394,34 +396,52 @@ def test_evaluate_matches_oracle():
         assert out["avg_size"] == size
 
 
-# The grid of the exact-coverage audit, fixed before its first run:
-# (family, K, the family's other parameter, n), all at eps = 0.2.
+# The grid of the exact-coverage audit, each cell fixed before its first run:
+# (channel, K, the family's other parameter, n, true-label frequencies), all
+# at eps = 0.2.  The channel is a family, or "dense": test_cli's
+# dense_transition(K, 17), whose W has no block form.  None frequencies are
+# uniform; TINY_CLASS gives the first class 2% of the rows.
+TINY_CLASS = (0.02, 0.98 / 3, 0.98 / 3, 0.98 / 3)
 AUDIT_CELLS = [
-    ("rr", 4, {}, 100),
-    ("rr", 4, {}, 2000),
-    ("two_level_rr", 4, {"nu": 0.2}, 100),
-    ("two_level_rr", 4, {"nu": 0.2}, 2000),
-    ("block_rr", 20, {"b": 5}, 500),
-    ("block_rr", 20, {"b": 5}, 2000),
+    ("rr", 4, {}, 100, None),
+    ("rr", 4, {}, 2000, None),
+    ("two_level_rr", 4, {"nu": 0.2}, 100, None),
+    ("two_level_rr", 4, {"nu": 0.2}, 2000, None),
+    ("block_rr", 20, {"b": 5}, 500, None),
+    ("block_rr", 20, {"b": 5}, 2000, None),
+    ("rr", 4, {}, 500, None),
+    ("two_level_rr", 4, {"nu": 0.2}, 500, None),
+    ("dense", 4, {}, 2000, None),
+    ("dense", 4, {}, 5000, None),
+    ("two_level_rr", 4, {"nu": 0.2}, 2000, TINY_CLASS),
 ]
 
 
+def _audit_id(channel, k, extra, n, rho):
+    return f"{channel}-K{k}-n{n}" + ("" if rho is None else "-tiny-class")
+
+
 @pytest.mark.parametrize(
-    "family, k, extra, n",
-    [pytest.param(*cell, id=f"{cell[0]}-K{cell[1]}-n{cell[3]}") for cell in AUDIT_CELLS],
+    "channel, k, extra, n, rho",
+    [pytest.param(*cell, id=_audit_id(*cell)) for cell in AUDIT_CELLS],
 )
-def test_adaptive_fs_keeps_the_exact_clean_coverage(family, k, extra, n):
+def test_adaptive_fs_keeps_the_exact_clean_coverage(channel, k, extra, n, rho):
     # the clean coverage of each threshold is exact (oracles.power_scores),
     # so no classifier and no test set enter; the mean over 200 calibration
-    # sets must be at least 1 - alpha, up to 3 SE
+    # sets must be at least 1 - alpha, up to 3 SE.  delta_fs depends only on
+    # n, K and W, so a W without the block form costs one Massart LP a cell
     alpha, reps = 0.1, 200
-    tm = build_transition(ContaminationSpec(family=family, k=k, eps=0.2, **extra))
+    if channel == "dense":
+        tm = TransitionMatrix(dense_transition(k, 17))
+    else:
+        tm = build_transition(ContaminationSpec(family=channel, k=k, eps=0.2, **extra))
     correction = delta_fs(n, k, tm, c_of_n(n))
     coverage = np.empty(reps)
     for rep in range(reps):
         data_seed, noise_seed = np.random.SeedSequence(rep).generate_state(2)
-        scores, y = power_scores(k, n, int(data_seed))
+        scores, y = power_scores(k, n, int(data_seed), rho)
         cal = CalibrationSet(scores, sample_noisy_labels(y, tm, seed=int(noise_seed)))
-        coverage[rep] = power_coverage(adaptive_threshold(cal, tm, alpha, correction).tau, k)
+        tau = adaptive_threshold(cal, tm, alpha, correction).tau
+        coverage[rep] = power_coverage(tau, k, rho)
     se = float(np.std(coverage, ddof=1)) / math.sqrt(reps)
     assert float(np.mean(coverage)) >= 1.0 - alpha - 3.0 * se

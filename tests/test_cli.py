@@ -21,6 +21,7 @@ from noisycal import (
     FileFormatError,
     InvalidSpec,
     SingularTransition,
+    SynthConfig,
     ThresholdResult,
     TransitionMatrix,
     aps_scores,
@@ -90,6 +91,26 @@ def test_config_from_dict_roundtrip():
     )
     assert cfg.k == 4 and cfg.eps == 0.2
     assert cfg.methods == ("standard",)
+
+
+def test_config_restates_no_generator_field_and_no_channel_default():
+    # the generator's fields, defaults and checks are SynthConfig's own; the
+    # config declares only what an experiment adds, and the keys it shares
+    # with ContaminationSpec keep that record's defaults
+    def defaults(cls):
+        return {f.name: f.default for f in dataclasses.fields(cls)}
+
+    assert issubclass(ExperimentConfig, SynthConfig)
+    assert list(vars(ExperimentConfig)["__annotations__"]) == [
+        "family", "eps", "nu", "b", "alpha", "methods", "repetitions", "out",
+        "randomized_scores",
+    ]
+    generator = defaults(SynthConfig)
+    assert {name: defaults(ExperimentConfig)[name] for name in generator} == generator
+    channel = defaults(ContaminationSpec)
+    assert {name: defaults(ExperimentConfig)[name] for name in ("eps", "nu", "b")} == {
+        name: channel[name] for name in ("eps", "nu", "b")
+    }
 
 
 def test_config_rejects_unknown_keys():
